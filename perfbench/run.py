@@ -12,11 +12,13 @@ then timed passes repeat until `--seconds` have gone by. Every output of
 every pass is checked against `expected.json`; an invocation that raises,
 exits with another code or fails the check counts as failed.
 
-With `--trace 0` the result holds the end-to-end metrics `pass_s` (wall
-time of the fastest timed pass), `setup_s` (median time for a fresh
-interpreter to import fixedlab and load every config, sampled across the
-timed window) and `peak_rss_mb`; the median, quartiles, minimum and sample
-count of every timing are printed beside it. With `--trace 1`, untraced
+With `--trace 0` the result holds the end-to-end metrics `pass_s` (mean
+wall time of a timed pass), `setup_s` (median time for a fresh interpreter
+to import fixedlab and load every config, sampled across the timed window)
+and `peak_rss_mb`. Both times are scaled to a nominal host speed by the
+reference slices of `reference.py`, timed after every invocation and every
+set-up run; the raw wall-time median, quartiles, minimum and sample count
+and the measured slowdown are printed beside them. With `--trace 1`, untraced
 and traced passes alternate and the result holds the per-layer metrics of
 `tracing.LAYER_METRICS`, medians over the traced passes, plus the tracing
 overhead. `--workload all` runs each workload in a fresh process and
@@ -43,6 +45,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:   # before numpy is first imported
     os.environ[_var] = "1"
 
+# One CPU for the whole run, set-up subprocesses included, so the program
+# and the reference slices always share a CPU: left to migrate, the
+# scaled pass time varied by 4-6% between runs; pinned, by about 2%.
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -60,30 +68,26 @@ if not os.path.abspath(fixedlab.__file__).startswith(SRC + os.sep):
 import numpy  # noqa: E402
 from fixedlab import harness  # noqa: E402
 
+import reference  # noqa: E402
 import workloads  # noqa: E402
 from outputs import (load_expected, mismatches, outcome,  # noqa: E402
                      recompute_witnesses, replay_from_echo, report_path)
 from tracing import LAYER_METRICS, Tracer  # noqa: E402
 
-SETUP_RUNS = 9
+SETUP_RUNS = 15
 END_TO_END = {"pass_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
 
 _SETUP_CODE = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport fixedlab\n"
                "for p in sys.argv[2:]:\n    fixedlab.load_config(p)\n")
 
 
-def summarize(values: list[float], fastest: bool = False) -> dict:
-    """Median, quartiles, minimum and count; `value` is the reported one.
-
-    Pass times report their minimum. On a shared host the machine's speed
-    shifts between levels up to 1.7 times apart for stretches of seconds to
-    minutes, so a run's median lands on whichever level dominated its
-    window; the fastest pass only needs one pass at the fast level.
-    """
+def summarize(values: list[float], value: float | None = None) -> dict:
+    """Median, quartiles, minimum and count of raw values; `value` is the
+    reported one, the median unless given."""
     med = statistics.median(values)
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
         else (med, med, med)
-    return {"value": min(values) if fastest else med, "median": med,
+    return {"value": med if value is None else value, "median": med,
             "q1": q1, "q3": q3, "min": min(values), "n": len(values),
             "values": values}
 
@@ -111,7 +115,10 @@ def _git_sha() -> str:
 
 
 def provenance(seed: int) -> dict:
-    return {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else None
+    return {"nproc": os.cpu_count(), "pinned_cpus": cpus,
+            "cpu_model": _cpu_model(),
             "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "git_sha": _git_sha(), "seed": seed,
@@ -133,8 +140,12 @@ class WorkloadRun:
         self.problems: list[str] = []
         self.timed: dict[str, list[float]] = {}
 
-    def run_pass(self) -> tuple[str, list, list[float]]:
-        """Run every invocation once; return out dir, exit codes, wall times."""
+    def run_pass(self, meter: reference.SpeedMeter | None = None
+                 ) -> tuple[str, list, list[float]]:
+        """Run every invocation once; return out dir, exit codes, wall times.
+
+        With a meter, reference slices are timed after each invocation.
+        """
         out_dir = os.path.join(self.tmp, f"pass{self.passes}")
         self.passes += 1
         codes, times = [], []
@@ -147,6 +158,8 @@ class WorkloadRun:
                 code = traceback.format_exc(limit=3)
             times.append(time.perf_counter() - t0)
             codes.append(code)
+            if meter is not None:
+                meter.sample(times[-1])
         return out_dir, codes, times
 
     def _fail(self, name: str, problems: list[str]) -> None:
@@ -199,7 +212,14 @@ def time_setup(paths: list[str]) -> float:
 
 
 def run_untraced(run: WorkloadRun, seconds: float) -> dict:
+    """Timed passes and set-up runs, scaled by the run's mean slowdown.
+
+    The mean pass pairs with the mean reference slice: both average the
+    host's speed over the same window, which varies far less between runs
+    than any single pass does.
+    """
     run.warm_up()
+    meter = reference.SpeedMeter()
     passes, setup = [], []
     start = time.perf_counter()
     while not passes or time.perf_counter() - start < seconds:
@@ -208,18 +228,22 @@ def run_untraced(run: WorkloadRun, seconds: float) -> dict:
         due = min(SETUP_RUNS, (time.perf_counter() - start) / seconds * SETUP_RUNS)
         while len(setup) < due:
             setup.append(time_setup(run.paths))
+            meter.sample(setup[-1])
         gc.collect()
-        out_dir, codes, times = run.run_pass()
+        out_dir, codes, times = run.run_pass(meter)
         passes.append(sum(times))
         for inv, t in zip(run.invs, times):
             run.timed.setdefault(inv.name, []).append(t)
         run.check_pass(out_dir, codes)
     while len(setup) < SETUP_RUNS:
         setup.append(time_setup(run.paths))
+        meter.sample(setup[-1])
+    slowdown = meter.slowdown()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"pass_s": summarize(passes, fastest=True),
-            "setup_s": summarize(setup),
-            "peak_rss_mb": summarize([rss_mb])}
+    return {"pass_s": summarize(passes, statistics.fmean(passes) / slowdown),
+            "setup_s": summarize(setup, statistics.median(setup) / slowdown),
+            "peak_rss_mb": summarize([rss_mb]),
+            "slowdown": summarize(meter.slices, slowdown)}
 
 
 def run_traced(run: WorkloadRun, seconds: float) -> dict:
@@ -243,8 +267,8 @@ def run_traced(run: WorkloadRun, seconds: float) -> dict:
         failed, report_bytes = run.check_pass(out_dir, codes)
         layers.append(tracer.fold(wall, report_bytes, len(run.invs), failed))
     stats = {k: summarize([m[k] for m in layers]) for k in layers[0]}
-    stats["trace.pass_s"] = summarize(traced, fastest=True)
-    stats["trace.untraced_pass_s"] = summarize(untraced, fastest=True)
+    stats["trace.pass_s"] = summarize(traced, min(traced))
+    stats["trace.untraced_pass_s"] = summarize(untraced, min(untraced))
     stats["trace.overhead_s"] = summarize(
         [stats["trace.pass_s"]["value"] - stats["trace.untraced_pass_s"]["value"]])
     return {k: stats[k] for k in LAYER_METRICS}
@@ -263,6 +287,7 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             "attempted": run.attempted, "failed": run.failed,
             "fail_ratio": run.failed / run.attempted,
             "problems": run.problems, "invocation_s": run.timed,
+            "slowdown": stats.get("slowdown"),
             "metrics": {k: {**stats[k], "unit": units[k]} for k in units}}
 
 
@@ -272,8 +297,13 @@ def _print_table(details: list[dict]) -> None:
               f"{d['seconds']:g} s, trace {d['trace']})")
         for name, m in d["metrics"].items():
             print(f"  {name:40s} {m['value']:14.6g} {m['unit']:6s} "
-                  f"median {m['median']:.6g}  q1 {m['q1']:.6g}  "
+                  f"raw median {m['median']:.6g}  q1 {m['q1']:.6g}  "
                   f"q3 {m['q3']:.6g}  min {m['min']:.6g}  n={m['n']}")
+        if d["slowdown"]:
+            s = d["slowdown"]
+            print(f"  {'host slowdown (times above are divided)':40s} "
+                  f"{s['value']:14.6g} {'x':6s} over {s['n']} reference "
+                  f"slices, median {s['median']:.6g} s")
         print(f"  {'fail_ratio':40s} {d['fail_ratio']:14.6g} {'ratio':6s} "
               f"{d['failed']} failed of {d['attempted']} attempted")
         for p in d["problems"]:

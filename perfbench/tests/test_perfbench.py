@@ -18,6 +18,7 @@ ROOT = os.path.dirname(BENCH_DIR)
 sys.path.insert(0, BENCH_DIR)
 
 import run as bench  # noqa: E402  (puts the checkout's src/ on sys.path)
+import reference  # noqa: E402
 from outputs import report_path  # noqa: E402
 
 
@@ -86,6 +87,16 @@ def test_wrong_exit_code_counts_as_failed(tmp_path):
     r = _one_invocation(tmp_path, "schedule", "tent_schedule")
     out_dir, codes, _ = r.run_pass()
     assert r.check_pass(out_dir, [1 - codes[0]])[0] == 1
+
+
+def test_speed_meter_samples_a_share_of_each_span():
+    meter = reference.SpeedMeter()
+    meter.sample(0.0)
+    assert len(meter.slices) == 1
+    meter.sample(1.0)
+    assert sum(meter.slices[1:]) >= reference.SHARE * 1.0
+    assert meter.slowdown() == pytest.approx(
+        sum(meter.slices) / len(meter.slices) / reference.NOMINAL_S)
 
 
 def _metric_specs():
