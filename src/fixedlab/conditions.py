@@ -19,7 +19,7 @@ and the verdicts agree exactly (same scan, bitwise-identical arithmetic).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,10 +67,13 @@ class _PairData:
     M: np.ndarray        # (N, N) ||x_i - Tx_j||
 
 
-def _pair_data(T: Mapping, plan: SamplePlan) -> _PairData:
+def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
     pts = sample(T.domain, plan)
-    X = np.stack(pts)
-    TX = np.stack([evaluate(T, p) for p in pts])
+    return np.stack(pts), np.stack([evaluate(T, p) for p in pts])
+
+
+def _pair_data(T: Mapping, plan: SamplePlan) -> _PairData:
+    X, TX = _images(T, plan)
     kind = T.domain.norm_kind
     dxy = pairwise_norm(X, X, kind)
     dTxTy = pairwise_norm(TX, TX, kind)
@@ -79,59 +82,40 @@ def _pair_data(T: Mapping, plan: SamplePlan) -> _PairData:
     return _PairData(X=X, TX=TX, dxy=dxy, dTxTy=dTxTy, dxTx=dxTx, M=M)
 
 
-def _first_pair_violation(viol: np.ndarray) -> Optional[tuple[int, int]]:
-    """Row-major (x-major) first True entry, or None."""
-    idx = np.argwhere(viol)
-    if idx.shape[0] == 0:
-        return None
-    return int(idx[0, 0]), int(idx[0, 1])
-
-
-def _pair_verdict(label: str, data: _PairData, premise: np.ndarray,
-                  lhs: np.ndarray, rhs: np.ndarray, plan: SamplePlan,
+def _pair_verdict(label: str, rows: np.ndarray, cols: np.ndarray,
+                  plan: SamplePlan, *parts,
                   params: tuple[tuple[str, float], ...] = ()) -> Verdict:
-    n = data.X.shape[0]
-    viol = premise & (lhs > rhs + plan.epsilon)
-    hit = _first_pair_violation(viol)
-    if hit is None:
-        return Verdict(condition_label=label, passed=True, checked_pairs=n * n,
-                       plan=plan, params=params)
-    i, j = hit
-    return Verdict(condition_label=label, passed=False, checked_pairs=n * n,
-                   witness=Witness.at(data.X[i], lhs=lhs[i, j], rhs=rhs[i, j],
-                                      y=data.X[j]),
+    """Scan every (rows[i], cols[j]) pair; report the first row-major violation.
+
+    Each part is (premise, lhs, rhs, detail) over the pairs: pair (i, j)
+    violates it when premise[i, j] holds (a None premise always holds) and
+    lhs[i, j] > rhs[i, j] + epsilon. Where parts first fail on the same
+    pair, the earlier part is the witness.
+    """
+    hit = None
+    for premise, lhs, rhs, detail in parts:
+        viol = lhs > rhs + plan.epsilon
+        if premise is not None:
+            viol &= premise
+        flat = int(np.argmax(viol))   # first True in row-major order
+        if viol.flat[flat] and (hit is None or flat < hit[0]):
+            hit = (flat, lhs, rhs, detail)
+    witness = None
+    if hit is not None:
+        flat, lhs, rhs, detail = hit
+        i, j = divmod(flat, len(cols))
+        witness = Witness.at(rows[i], lhs=lhs[i, j], rhs=rhs[i, j], y=cols[j],
+                             detail=detail)
+    return Verdict(condition_label=label, passed=witness is None,
+                   checked_pairs=len(rows) * len(cols), witness=witness,
                    plan=plan, params=params)
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
     """||Tx - Ty|| <= ||x - y|| + epsilon over all ordered sample pairs."""
     data = _pair_data(T, plan)
-    premise = np.ones_like(data.dxy, dtype=bool)
-    return _pair_verdict("nonexpansive", data, premise, data.dTxTy, data.dxy, plan)
-
-
-def _fixed_point_check(T: Mapping, plan: SamplePlan, label: str,
-                       params: tuple[tuple[str, float], ...] = ()) -> Verdict:
-    if not T.known_fixed_points:
-        raise PreconditionError(
-            f"{label}: mapping {T.label!r} has no known fixed points")
-    pts = sample(T.domain, plan)
-    X = np.stack(pts)
-    TX = np.stack([evaluate(T, p) for p in pts])
-    Z = np.stack(T.known_fixed_points)
-    kind = T.domain.norm_kind
-    lhs = pairwise_norm(TX, Z, kind)   # ||Tx_i - z_k||
-    rhs = pairwise_norm(X, Z, kind)    # ||x_i - z_k||
-    viol = lhs > rhs + plan.epsilon
-    n, k = lhs.shape
-    hit = _first_pair_violation(viol)
-    if hit is None:
-        return Verdict(condition_label=label, passed=True, checked_pairs=n * k,
-                       plan=plan, params=params)
-    i, j = hit
-    return Verdict(condition_label=label, passed=False, checked_pairs=n * k,
-                   witness=Witness.at(X[i], lhs=lhs[i, j], rhs=rhs[i, j], y=Z[j]),
-                   plan=plan, params=params)
+    return _pair_verdict("nonexpansive", data.X, data.X, plan,
+                         (None, data.dTxTy, data.dxy, None))
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -139,7 +123,15 @@ def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
 
     Requires a nonempty known_fixed_points list.
     """
-    return _fixed_point_check(T, plan, "quasi_nonexpansive")
+    if not T.known_fixed_points:
+        raise PreconditionError(
+            f"mapping {T.label!r} has no known fixed points to check against")
+    X, TX = _images(T, plan)
+    Z = np.stack(T.known_fixed_points)
+    kind = T.domain.norm_kind
+    lhs = pairwise_norm(TX, Z, kind)   # ||Tx_i - z_k||
+    rhs = pairwise_norm(X, Z, kind)    # ||x_i - z_k||
+    return _pair_verdict("quasi_nonexpansive", X, Z, plan, (None, lhs, rhs, None))
 
 
 def check_lemma3(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -151,8 +143,9 @@ def check_lemma3(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
     for maps satisfying the two-parameter condition, so the hypothesis
     parameters are recorded in the verdict for the report.
     """
-    return _fixed_point_check(T, plan, "fixed_point_shrink",
-                              params=(("gamma", p.gamma), ("mu", p.mu)))
+    return replace(check_quasi_nonexpansive(T, plan),
+                   condition_label="fixed_point_shrink",
+                   params=(("gamma", p.gamma), ("mu", p.mu)))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -165,22 +158,22 @@ def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdic
         raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
     data = _pair_data(T, plan)
     premise = lam * data.dxTx[:, None] <= data.dxy
-    return _pair_verdict("condition_C_lambda", data, premise,
-                         data.dTxTy, data.dxy, plan, params=(("lambda", lam),))
+    return _pair_verdict("condition_C_lambda", data.X, data.X, plan,
+                         (premise, data.dTxTy, data.dxy, None),
+                         params=(("lambda", lam),))
 
 
 def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
     """The lam = 1/2 instance, under its own label."""
-    v = check_condition_C_lambda(T, 0.5, plan)
-    return Verdict(condition_label="condition_C", passed=v.passed,
-                   checked_pairs=v.checked_pairs, witness=v.witness,
-                   plan=v.plan, params=())
+    return replace(check_condition_C_lambda(T, 0.5, plan),
+                   condition_label="condition_C", params=())
 
 
 def _condition_b_on(data: _PairData, p: BGammaMu, plan: SamplePlan) -> Verdict:
     premise = p.gamma * data.dxTx[:, None] <= data.dxy + p.mu * data.dxTx[None, :]
     rhs = (1.0 - p.gamma) * data.dxy + p.mu * (data.M + data.M.T)
-    return _pair_verdict("condition_B", data, premise, data.dTxTy, rhs, plan,
+    return _pair_verdict("condition_B", data.X, data.X, plan,
+                         (premise, data.dTxTy, rhs, None),
                          params=(("gamma", p.gamma), ("mu", p.mu)))
 
 
@@ -233,33 +226,18 @@ def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verd
 
     half = theta / 2.0
     dTx_y = pairwise_norm(data.TX, data.X, kind)   # ||Tx_i - x_j||
-    viol_a = half * data.dxTx[:, None] > data.dxy + eps
-    viol_b = half * dTxTtx[:, None] > dTx_y + eps
-    viol_ii = viol_a & viol_b
-
+    # (ii) fails where both alternatives fail: the first as the inequality,
+    # the second as the premise
+    lhs_ii = np.broadcast_to(half * data.dxTx[:, None], data.dxy.shape)
+    premise_ii = half * dTxTtx[:, None] > dTx_y + eps
     lhs_iii = (1.0 - p.mu) * data.M
     rhs_iii = ((3.0 - theta) * data.dxTx[:, None]
                + (1.0 - half) * data.dxy
                + p.mu * (2.0 * data.dxTx[:, None] + data.M.T
                          + 2.0 * dTxTtx[:, None]))
-    viol_iii = lhs_iii > rhs_iii + eps
-
-    hit = _first_pair_violation(viol_ii | viol_iii)
-    if hit is None:
-        return Verdict(condition_label="prop1", passed=True, checked_pairs=n * n,
-                       plan=plan, params=params)
-    i, j = hit
-    if viol_ii[i, j]:
-        return Verdict(condition_label="prop1", passed=False, checked_pairs=n * n,
-                       witness=Witness.at(data.X[i], lhs=half * data.dxTx[i],
-                                          rhs=data.dxy[i, j], y=data.X[j],
-                                          detail="part (ii)"),
-                       plan=plan, params=params)
-    return Verdict(condition_label="prop1", passed=False, checked_pairs=n * n,
-                   witness=Witness.at(data.X[i], lhs=lhs_iii[i, j],
-                                      rhs=rhs_iii[i, j], y=data.X[j],
-                                      detail="part (iii)"),
-                   plan=plan, params=params)
+    return _pair_verdict("prop1", data.X, data.X, plan,
+                         (premise_ii, lhs_ii, data.dxy, "part (ii)"),
+                         (None, lhs_iii, rhs_iii, "part (iii)"), params=params)
 
 
 # ---------------------------------------------------------------------------

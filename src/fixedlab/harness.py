@@ -8,28 +8,30 @@ in reproduces every verdict and trace byte for byte — wall-clock duration
 is the one field that may differ.
 
 Exit codes: 0 all verdicts passed, 1 some check failed, 2 the config could
-not be resolved, 3 an engine failed mid-run.
+not be resolved (missing, wrong-typed or non-finite values included), 3 an
+engine failed mid-run or an unexpected internal error occurred.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .conditions import (BGammaMu, check_condition_B, check_condition_C,
                          check_condition_C_lambda, check_lemma3,
                          check_nonexpansive, check_prop1,
                          check_quasi_nonexpansive, sweep_condition_B)
-from .errors import ConfigError, IterationRuntimeError
+from .errors import ConfigError, IterationRuntimeError, PreconditionError
 from .iterate import (IterationConfig, Trace, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
-                      trace_to_csv, truncated_family_run)
+                      trace_to_csv, truncated_family_run, _fmt, _write_csv)
 from .mappings import Mapping, build_mapping, make_family
 from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
                         TentSchedule, verify_schedule)
@@ -37,10 +39,6 @@ from .vecspace import Domain, SamplePlan, as_vector
 
 __all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
            "cmd_schedule", "cmd_sweep", "main"]
-
-_CHECK_NAMES = ("nonexpansive", "quasi_nonexpansive", "fixed_point_shrink",
-                "condition_C", "condition_C_lambda", "condition_B", "prop1",
-                "commuting")
 
 
 @dataclass
@@ -62,72 +60,122 @@ class ExperimentConfig:
     out: dict = field(default_factory=dict)
 
 
+_REQUIRED = object()
+
+
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return d[key]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(d: dict, key: str, where: str, default=_REQUIRED):
+    """d[key] as a JSON number; null is taken only where the default is null."""
+    v = _need(d, key, where) if default is _REQUIRED else d.get(key, default)
+    if not (_is_number(v) or (v is None and default is None)):
+        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    return v
+
+
+def _parsed(where: str, parse, *args):
+    """parse(*args), with a bad value reported as a ConfigError naming `where`."""
+    try:
+        return parse(*args)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _reject_non_finite(node, where: str) -> None:
+    """Raise on the first NaN or infinity (1e400 parses to inf) in the tree."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where}: non-finite number {node!r}")
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _reject_non_finite(v, f"{where}.{k}" if where else str(k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            _reject_non_finite(v, f"{where}[{i}]")
+
+
 def _parse_domain(d: dict) -> Domain:
     shape = _need(d, "shape", "domain")
     norm = d.get("norm", "l2")
-    try:
-        if shape == "box":
-            return Domain.box(_need(d, "lower", "domain"),
-                              _need(d, "upper", "domain"), norm)
-        if shape == "ball":
-            return Domain.ball(_need(d, "center", "domain"),
-                               _need(d, "radius", "domain"), norm)
-    except ValueError as exc:
-        raise ConfigError(f"domain: {exc}") from exc
+    if shape == "box":
+        return Domain.box(_need(d, "lower", "domain"),
+                          _need(d, "upper", "domain"), norm)
+    if shape == "ball":
+        return Domain.ball(_need(d, "center", "domain"),
+                           _need(d, "radius", "domain"), norm)
     raise ConfigError(f"domain: unknown shape {shape!r}")
 
 
 def _parse_plan(d: dict, seed_override: Optional[int]) -> SamplePlan:
     mode = _need(d, "mode", "plan")
-    eps = d.get("epsilon", 1e-9)
-    try:
-        if mode == "grid":
-            return SamplePlan.grid(_need(d, "resolution", "plan"), epsilon=eps)
-        if mode == "random":
-            seed = _need(d, "seed", "plan") if seed_override is None else seed_override
-            return SamplePlan.random(seed, _need(d, "count", "plan"), epsilon=eps)
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
+    eps = _number(d, "epsilon", "plan", 1e-9)
+    if mode == "grid":
+        return SamplePlan.grid(_need(d, "resolution", "plan"), epsilon=eps)
+    if mode == "random":
+        seed = _number(d, "seed", "plan") if seed_override is None else seed_override
+        return SamplePlan.random(seed, _number(d, "count", "plan"), epsilon=eps)
     raise ConfigError(f"plan: unknown mode {mode!r}")
 
 
 def _parse_schedule(d: dict) -> AlphaSchedule:
     kind = _need(d, "kind", "schedule")
-    try:
-        if kind == "constant":
-            return ConstantSchedule(_need(d, "value", "schedule"))
-        if kind == "decay":
-            return DecaySchedule(_need(d, "scale", "schedule"), d.get("rate", 1.0))
-        if kind == "tent":
-            return TentSchedule(_need(d, "peak", "schedule"),
-                                _need(d, "first_block_length", "schedule"),
-                                _need(d, "growth", "schedule"))
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+    if kind == "constant":
+        return ConstantSchedule(_number(d, "value", "schedule"))
+    if kind == "decay":
+        return DecaySchedule(_number(d, "scale", "schedule"),
+                             _number(d, "rate", "schedule", 1.0))
+    if kind == "tent":
+        return TentSchedule(_number(d, "peak", "schedule"),
+                            _number(d, "first_block_length", "schedule"),
+                            _number(d, "growth", "schedule"))
     raise ConfigError(f"schedule: unknown kind {kind!r}")
 
 
 def _parse_iteration(d: dict) -> tuple[IterationConfig, Optional[tuple[float, ...]]]:
-    try:
-        cfg = IterationConfig(
-            lam=_need(d, "lambda", "iteration"),
-            max_iters=_need(d, "max_iters", "iteration"),
-            residual_tol=d.get("residual_tol", 0.0),
-            truncation_K=d.get("truncation_K"),
-            record_every=d.get("record_every", 1),
-            gamma=d.get("gamma"))
-    except ValueError as exc:
-        raise ConfigError(f"iteration: {exc}") from exc
+    cfg = IterationConfig(
+        lam=_number(d, "lambda", "iteration"),
+        max_iters=_number(d, "max_iters", "iteration"),
+        residual_tol=_number(d, "residual_tol", "iteration", 0.0),
+        truncation_K=_number(d, "truncation_K", "iteration", None),
+        record_every=_number(d, "record_every", "iteration", 1),
+        gamma=_number(d, "gamma", "iteration", None))
     x0 = d.get("x0")
     if x0 is not None:
         x0 = tuple(float(c) for c in as_vector(x0))
     return cfg, x0
+
+
+def _gamma_mu(spec: dict) -> BGammaMu:
+    return BGammaMu(_number(spec, "gamma", "check"), _number(spec, "mu", "check"))
+
+
+#: Every check a config may request, in the order error messages list them.
+#: Entries run as entry(spec, T, plan) and look the check function up when
+#: called; "commuting" certifies the whole family and has no per-map entry.
+_CHECKS = {
+    "nonexpansive": lambda spec, T, plan: check_nonexpansive(T, plan),
+    "quasi_nonexpansive":
+        lambda spec, T, plan: check_quasi_nonexpansive(T, plan),
+    "fixed_point_shrink":
+        lambda spec, T, plan: check_lemma3(T, _gamma_mu(spec), plan),
+    "condition_C": lambda spec, T, plan: check_condition_C(T, plan),
+    "condition_C_lambda": lambda spec, T, plan: check_condition_C_lambda(
+        T, _number(spec, "lambda", "check"), plan),
+    "condition_B":
+        lambda spec, T, plan: check_condition_B(T, _gamma_mu(spec), plan),
+    "prop1": lambda spec, T, plan: check_prop1(
+        T, _number(spec, "theta", "check"), _gamma_mu(spec), plan),
+    "commuting": None,
+}
 
 
 def _normalize_checks(entries) -> list[dict]:
@@ -136,10 +184,10 @@ def _normalize_checks(entries) -> list[dict]:
         spec = {"check": entry} if isinstance(entry, str) else dict(entry)
         if "check" not in spec:
             raise ConfigError(f"checks[{i}]: missing required field 'check'")
-        if spec["check"] not in _CHECK_NAMES:
+        if spec["check"] not in _CHECKS:
             raise ConfigError(
                 f"checks[{i}]: unknown check {spec['check']!r}; "
-                f"known: {', '.join(_CHECK_NAMES)}")
+                f"known: {', '.join(_CHECKS)}")
         out.append(spec)
     return out
 
@@ -149,7 +197,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
 
     seed_override replaces the seed of a random sample plan (a no-op for
     grid plans) and is reflected in the echo, so a report always names the
-    seed that actually ran.
+    seed that actually ran. NaN, infinities and literals that overflow to
+    infinity are rejected wherever they appear.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,77 +209,71 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
+    _reject_non_finite(raw, "")
 
     name = raw.get("name") or os.path.splitext(os.path.basename(path))[0]
-    cfg = ExperimentConfig(name=name, echo={})
-
+    cfg = ExperimentConfig(name=name, echo={"name": name})
+    echo = cfg.echo   # each section echoes its resolved form as it is parsed
     if "domain" in raw:
-        cfg.domain = _parse_domain(raw["domain"])
+        cfg.domain = _parsed("domain", _parse_domain, raw["domain"])
+        echo["domain"] = cfg.domain.to_dict()
     if "mappings" in raw:
         if cfg.domain is None:
             raise ConfigError("mappings given without a domain")
         for i, desc in enumerate(raw["mappings"]):
-            try:
-                cfg.mappings.append(build_mapping(desc, cfg.domain))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"mappings[{i}]: {exc}") from exc
+            cfg.mappings.append(
+                _parsed(f"mappings[{i}]", build_mapping, desc, cfg.domain))
+        if cfg.mappings:
+            echo["mappings"] = [dict(d) for d in raw["mappings"]]
     if "plan" in raw:
-        cfg.plan = _parse_plan(raw["plan"], seed_override)
+        cfg.plan = _parsed("plan", _parse_plan, raw["plan"], seed_override)
+        echo["plan"] = cfg.plan.to_dict()
     if "schedule" in raw:
-        cfg.schedule = _parse_schedule(raw["schedule"])
+        cfg.schedule = _parsed("schedule", _parse_schedule, raw["schedule"])
+        echo["schedule"] = cfg.schedule.to_dict()
     if "horizon" in raw:
         h = raw["horizon"]
         if not isinstance(h, int) or h < 10:
             raise ConfigError(f"horizon: must be an integer >= 10, got {h!r}")
-        cfg.horizon = h
+        cfg.horizon = echo["horizon"] = h
     if "iteration" in raw:
-        cfg.iteration, cfg.x0 = _parse_iteration(raw["iteration"])
+        cfg.iteration, cfg.x0 = _parsed("iteration", _parse_iteration,
+                                        raw["iteration"])
+        echo["iteration"] = cfg.iteration.to_dict()
+        if cfg.x0 is not None:
+            echo["iteration"]["x0"] = list(cfg.x0)
     if "engine" in raw:
         if raw["engine"] not in ("single", "multi", "truncated"):
             raise ConfigError(f"engine: unknown engine {raw['engine']!r}")
-        cfg.engine = raw["engine"]
+        cfg.engine = echo["engine"] = raw["engine"]
     if "checks" in raw:
         cfg.checks = _normalize_checks(raw["checks"])
+        if cfg.checks:
+            echo["checks"] = cfg.checks
     if "sweep" in raw:
         sw = raw["sweep"]
         for k in ("gamma_grid", "mu_grid"):
-            _need(sw, k, "sweep")
+            grid = _need(sw, k, "sweep")
+            if not (isinstance(grid, list) and all(map(_is_number, grid))):
+                raise ConfigError(f"sweep.{k}: expected a list of numbers, "
+                                  f"got {grid!r}")
         if sw.get("pairing", "cross") not in ("cross", "zip"):
             raise ConfigError(f"sweep: unknown pairing {sw.get('pairing')!r}")
         cfg.sweep = sw
+        echo["sweep"] = dict(sw)
     cfg.out = dict(raw.get("out", {}))
-
-    echo: dict = {"name": name}
-    if cfg.domain is not None:
-        echo["domain"] = cfg.domain.to_dict()
-    if cfg.mappings:
-        echo["mappings"] = [dict(d) for d in raw["mappings"]]
-    if cfg.plan is not None:
-        echo["plan"] = cfg.plan.to_dict()
-    if cfg.schedule is not None:
-        echo["schedule"] = cfg.schedule.to_dict()
-    if cfg.horizon is not None:
-        echo["horizon"] = cfg.horizon
-    if cfg.iteration is not None:
-        it = cfg.iteration.to_dict()
-        if cfg.x0 is not None:
-            it["x0"] = list(cfg.x0)
-        echo["iteration"] = it
-    if cfg.engine is not None:
-        echo["engine"] = cfg.engine
-    if cfg.checks:
-        echo["checks"] = cfg.checks
-    if cfg.sweep is not None:
-        echo["sweep"] = dict(cfg.sweep)
     if cfg.out:
         echo["out"] = dict(cfg.out)
-    cfg.echo = echo
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# subcommands: each computes its report body and verdict, printing progress
+# through `say`; _drive loads the config and writes the report around it
 # ---------------------------------------------------------------------------
+
+_Say = Callable[[str], None]
+
 
 def _out_path(cfg: ExperimentConfig, out_dir: Optional[str], key: str,
               default_suffix: str) -> str:
@@ -240,101 +283,62 @@ def _out_path(cfg: ExperimentConfig, out_dir: Optional[str], key: str,
     return os.path.join(root, base)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+#: How a subcommand reports a config part it needs but did not get.
+_MISSING = {"mappings": "names no mappings", "plan": "has no sample plan",
+            "checks": "requests no checks",
+            "iteration": "has no iteration settings",
+            "x0": "gives no iteration x0",
+            "schedule": "has no schedule descriptor",
+            "horizon": "has no horizon", "sweep": "has no sweep grids"}
 
 
-def _say(quiet: bool, msg: str) -> None:
-    if not quiet:
-        print(msg)
+def _require(cfg: ExperimentConfig, command: str, *parts: str) -> None:
+    for part in parts:
+        if not getattr(cfg, part):
+            raise ConfigError(f"{command}: config {_MISSING[part]}")
 
 
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def _dispatch_check(spec: dict, T: Mapping, plan: SamplePlan):
-    name = spec["check"]
-    if name == "nonexpansive":
-        return check_nonexpansive(T, plan)
-    if name == "quasi_nonexpansive":
-        return check_quasi_nonexpansive(T, plan)
-    if name == "fixed_point_shrink":
-        p = BGammaMu(_need(spec, "gamma", "check"), _need(spec, "mu", "check"))
-        return check_lemma3(T, p, plan)
-    if name == "condition_C":
-        return check_condition_C(T, plan)
-    if name == "condition_C_lambda":
-        return check_condition_C_lambda(T, _need(spec, "lambda", "check"), plan)
-    if name == "condition_B":
-        p = BGammaMu(_need(spec, "gamma", "check"), _need(spec, "mu", "check"))
-        return check_condition_B(T, p, plan)
-    if name == "prop1":
-        p = BGammaMu(_need(spec, "gamma", "check"), _need(spec, "mu", "check"))
-        return check_prop1(T, _need(spec, "theta", "check"), p, plan)
-    raise ConfigError(f"check: unknown check {name!r}")
-
-
-def cmd_check(config_path: str, out_dir: Optional[str] = None,
-              seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Run the configured condition checks; exit 0 only if all pass."""
+def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
+           seed: Optional[int], quiet: bool) -> tuple[int, dict]:
     t0 = time.perf_counter()
     cfg = load_config(config_path, seed)
-    if not cfg.mappings:
-        raise ConfigError("check: config names no mappings")
-    if cfg.plan is None:
-        raise ConfigError("check: config has no sample plan")
-    if not cfg.checks:
-        raise ConfigError("check: config requests no checks")
-    point_checks = [s for s in cfg.checks if s["check"] != "commuting"]
-    want_commuting = any(s["check"] == "commuting" for s in cfg.checks)
-    verdicts = []
-    for T in cfg.mappings:
-        for spec in point_checks:
-            v = _dispatch_check(spec, T, cfg.plan)
-            verdicts.append((T.label, v))
-            _say(quiet, f"[{'PASS' if v.passed else 'FAIL'}] {T.label}: "
-                        f"{v.condition_label}"
-                        f"{dict(v.params) if v.params else ''}")
-    commuting = None
-    if want_commuting:
-        if len(cfg.mappings) < 2:
-            raise ConfigError("check: 'commuting' needs at least two mappings")
-        commuting = make_family(cfg.mappings, cfg.plan).commuting_certificate
-        _say(quiet, f"[{'PASS' if commuting.passed else 'FAIL'}] family: commuting")
-    passed = all(v.passed for _, v in verdicts) and (
-        commuting is None or commuting.passed)
-    report = {
-        "command": "check",
-        "config": cfg.echo,
-        "verdicts": [{"mapping": lbl, **v.to_dict()} for lbl, v in verdicts],
-        "commuting": commuting.to_dict() if commuting else None,
-        "passed": passed,
-        "duration_seconds": time.perf_counter() - t0,
-    }
+    say: _Say = (lambda msg: None) if quiet else print
+    body, passed = compute(cfg, out_dir, say)
+    report = {"command": command, "config": cfg.echo, **body, "passed": passed,
+              "duration_seconds": time.perf_counter() - t0}
     path = _out_path(cfg, out_dir, "report", "_report.json")
-    _write_json(path, report)
-    _say(quiet, f"{'PASS' if passed else 'FAIL'} -> {path}")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    say(f"{'PASS' if passed else 'FAIL'} -> {path}")
     return (0 if passed else 1), report
 
 
-def cmd_run(config_path: str, out_dir: Optional[str] = None,
-            seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Execute the configured iteration; write trace CSV and JSON report."""
-    t0 = time.perf_counter()
-    cfg = load_config(config_path, seed)
-    if cfg.iteration is None:
-        raise ConfigError("run: config has no iteration settings")
-    if cfg.x0 is None:
-        raise ConfigError("run: iteration settings lack x0")
-    if not cfg.mappings:
-        raise ConfigError("run: config names no mappings")
+def _check(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+    _require(cfg, "check", "mappings", "plan", "checks")
+    verdicts = []
+    for T in cfg.mappings:
+        for spec in cfg.checks:
+            if spec["check"] == "commuting":
+                continue
+            v = _CHECKS[spec["check"]](spec, T, cfg.plan)
+            verdicts.append({"mapping": T.label, **v.to_dict()})
+            say(f"[{'PASS' if v.passed else 'FAIL'}] {T.label}: "
+                f"{v.condition_label}{dict(v.params) if v.params else ''}")
+    commuting = None
+    if any(s["check"] == "commuting" for s in cfg.checks):
+        if len(cfg.mappings) < 2:
+            raise ConfigError("check: 'commuting' needs at least two mappings")
+        commuting = make_family(cfg.mappings, cfg.plan).commuting_certificate
+        say(f"[{'PASS' if commuting.passed else 'FAIL'}] family: commuting")
+    passed = all(v["passed"] for v in verdicts) and (
+        commuting is None or commuting.passed)
+    return {"verdicts": verdicts,
+            "commuting": commuting.to_dict() if commuting else None}, passed
+
+
+def _run(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+    _require(cfg, "run", "iteration", "x0", "mappings")
     engine = cfg.engine or ("single" if len(cfg.mappings) == 1 else "multi")
     commuting = None
     if engine == "single":
@@ -346,37 +350,30 @@ def cmd_run(config_path: str, out_dir: Optional[str] = None,
     else:
         if cfg.schedule is None:
             raise ConfigError(f"run: engine {engine!r} needs a schedule")
-        family = make_family(cfg.mappings, cfg.plan)
-        commuting = family.commuting_certificate
-        subject = family
-        if engine == "multi":
-            trace = multi_map_run(family, cfg.schedule, cfg.x0, cfg.iteration)
-        else:
-            trace = truncated_family_run(family, cfg.schedule, cfg.x0, cfg.iteration)
+        subject = make_family(cfg.mappings, cfg.plan)
+        commuting = subject.commuting_certificate
+        trace = (multi_map_run if engine == "multi" else truncated_family_run)(
+            subject, cfg.schedule, cfg.x0, cfg.iteration)
     gap = goebel_kirk_gap(trace)
     replay = replay_trace(trace, subject)
     monotone = [monotone_distance_check(trace, z) for z in trace.fixed_points]
-    residual_note = None
-    residual = None
-    if len(trace.records) >= 20:
+    residual = residual_note = None
+    try:
         residual = residual_vanishes_check(trace)
-    else:
-        residual_note = (f"skipped: needs >= 20 recorded steps, "
-                         f"trace has {len(trace.records)}")
+    except PreconditionError as exc:   # too few records to compare
+        residual_note = f"skipped: {exc}"
     schedule_report = None
     if cfg.schedule is not None and cfg.horizon is not None:
         schedule_report = verify_schedule(cfg.schedule, cfg.horizon).to_dict()
-    all_verdicts = [replay] + monotone + ([residual] if residual else []) \
-        + ([commuting] if commuting else [])
-    passed = all(v.passed for v in all_verdicts)
     trace_path = _out_path(cfg, out_dir, "trace", "_trace.csv")
     trace_to_csv(trace, trace_path)
-    report = {
-        "command": "run",
-        "config": cfg.echo,
+    s = trace.summary()
+    say(f"stop={s['stop_reason']} steps={s['total_steps']} "
+        f"final_residual={s['final_residual']:.3e}")
+    return {
         "engine": engine,
         "commuting": commuting.to_dict() if commuting else None,
-        "summary": trace.summary(),
+        "summary": s,
         "diagnostics": {
             "gap_tail_max": gap.tail_max,
             "gap_pairs": len(gap.gaps),
@@ -387,102 +384,79 @@ def cmd_run(config_path: str, out_dir: Optional[str] = None,
         },
         "schedule_report": schedule_report,
         "trace_csv": os.path.basename(trace_path),
-        "passed": passed,
-        "duration_seconds": time.perf_counter() - t0,
-    }
-    path = _out_path(cfg, out_dir, "report", "_report.json")
-    _write_json(path, report)
-    s = trace.summary()
-    _say(quiet, f"stop={s['stop_reason']} steps={s['total_steps']} "
-                f"final_residual={s['final_residual']:.3e}")
-    _say(quiet, f"{'PASS' if passed else 'FAIL'} -> {path}")
-    return (0 if passed else 1), report
+    }, all(v.passed for v in (replay, *monotone, residual, commuting) if v)
+
+
+def _schedule(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+    _require(cfg, "schedule", "schedule", "horizon")
+    rep = verify_schedule(cfg.schedule, cfg.horizon)
+    say(f"liminf_proxy={rep.liminf_proxy:.6g} "
+        f"limsup_proxy={rep.limsup_proxy:.6g} "
+        f"diff_proxy={rep.diff_proxy:.6g}")
+    for flag in rep.flags():
+        say(f"flag: {flag}")
+    return {"report": rep.to_dict()}, rep.compliant
+
+
+def _sweep(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+    _require(cfg, "sweep", "sweep", "plan")
+    if len(cfg.mappings) != 1:
+        raise ConfigError(
+            f"sweep: config must name exactly one mapping, got {len(cfg.mappings)}")
+    table = sweep_condition_B(cfg.mappings[0], cfg.sweep["gamma_grid"],
+                              cfg.sweep["mu_grid"], cfg.plan,
+                              pairing=cfg.sweep.get("pairing", "cross"))
+    rows = table.to_rows()
+    table_path = _out_path(cfg, out_dir, "table", "_sweep.csv")
+    _write_csv(table_path, ["gamma", "mu", "status", "witness_x", "witness_y",
+                            "lhs", "rhs"],
+               ([_fmt(r["gamma"]), _fmt(r["mu"]), r["status"],
+                 ";".join(map(_fmt, r["witness_x"] or ())),
+                 ";".join(map(_fmt, r["witness_y"] or ())),
+                 "" if r["lhs"] is None else _fmt(r["lhs"]),
+                 "" if r["rhs"] is None else _fmt(r["rhs"])]
+                for r in rows))
+    for c in table.cells:
+        say(f"gamma={c.gamma:g} mu={c.mu:g}: {c.status}")
+    return {"mapping": table.mapping_label, "pairing": table.pairing,
+            "cells": rows, "table_csv": os.path.basename(table_path),
+            }, table.all_passed
+
+
+def cmd_check(config_path: str, out_dir: Optional[str] = None,
+              seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
+    """Run the configured condition checks; exit 0 only if all pass."""
+    return _drive("check", _check, config_path, out_dir, seed, quiet)
+
+
+def cmd_run(config_path: str, out_dir: Optional[str] = None,
+            seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
+    """Execute the configured iteration; write trace CSV and JSON report."""
+    return _drive("run", _run, config_path, out_dir, seed, quiet)
 
 
 def cmd_schedule(config_path: str, out_dir: Optional[str] = None,
                  seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Verify the configured schedule's tail behavior at the horizon."""
-    t0 = time.perf_counter()
-    cfg = load_config(config_path, seed)
-    if cfg.schedule is None:
-        raise ConfigError("schedule: config has no schedule descriptor")
-    if cfg.horizon is None:
-        raise ConfigError("schedule: config has no horizon")
-    rep = verify_schedule(cfg.schedule, cfg.horizon)
-    report = {
-        "command": "schedule",
-        "config": cfg.echo,
-        "report": rep.to_dict(),
-        "passed": rep.compliant,
-        "duration_seconds": time.perf_counter() - t0,
-    }
-    path = _out_path(cfg, out_dir, "report", "_report.json")
-    _write_json(path, report)
-    _say(quiet, f"liminf_proxy={rep.liminf_proxy:.6g} "
-                f"limsup_proxy={rep.limsup_proxy:.6g} "
-                f"diff_proxy={rep.diff_proxy:.6g}")
-    for flag in rep.flags():
-        _say(quiet, f"flag: {flag}")
-    _say(quiet, f"{'PASS' if rep.compliant else 'FAIL'} -> {path}")
-    return (0 if rep.compliant else 1), report
-
-
-def _sweep_csv(table, path: str) -> None:
-    lines = ["gamma,mu,status,witness_x,witness_y,lhs,rhs"]
-    for c in table.cells:
-        w = c.verdict.witness if c.verdict else None
-        wx = ";".join(_fmt17(v) for v in w.x) if w else ""
-        wy = ";".join(_fmt17(v) for v in w.y) if w and w.y is not None else ""
-        lhs = _fmt17(w.lhs) if w else ""
-        rhs = _fmt17(w.rhs) if w else ""
-        lines.append(",".join([_fmt17(c.gamma), _fmt17(c.mu), c.status,
-                               wx, wy, lhs, rhs]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _drive("schedule", _schedule, config_path, out_dir, seed, quiet)
 
 
 def cmd_sweep(config_path: str, out_dir: Optional[str] = None,
               seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Sweep the two-parameter condition over the configured grids."""
-    t0 = time.perf_counter()
-    cfg = load_config(config_path, seed)
-    if cfg.sweep is None:
-        raise ConfigError("sweep: config has no sweep grids")
-    if len(cfg.mappings) != 1:
-        raise ConfigError(
-            f"sweep: config must name exactly one mapping, got {len(cfg.mappings)}")
-    if cfg.plan is None:
-        raise ConfigError("sweep: config has no sample plan")
-    table = sweep_condition_B(cfg.mappings[0], cfg.sweep["gamma_grid"],
-                              cfg.sweep["mu_grid"], cfg.plan,
-                              pairing=cfg.sweep.get("pairing", "cross"))
-    table_path = _out_path(cfg, out_dir, "table", "_sweep.csv")
-    _sweep_csv(table, table_path)
-    passed = table.all_passed
-    report = {
-        "command": "sweep",
-        "config": cfg.echo,
-        "mapping": table.mapping_label,
-        "pairing": table.pairing,
-        "cells": table.to_rows(),
-        "table_csv": os.path.basename(table_path),
-        "passed": passed,
-        "duration_seconds": time.perf_counter() - t0,
-    }
-    path = _out_path(cfg, out_dir, "report", "_report.json")
-    _write_json(path, report)
-    for c in table.cells:
-        _say(quiet, f"gamma={c.gamma:g} mu={c.mu:g}: {c.status}")
-    _say(quiet, f"{'PASS' if passed else 'FAIL'} -> {path}")
-    return (0 if passed else 1), report
+    return _drive("sweep", _sweep, config_path, out_dir, seed, quiet)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {"check": cmd_check, "run": cmd_run,
-             "schedule": cmd_schedule, "sweep": cmd_sweep}
+_COMMANDS = {
+    "check": (cmd_check, "run condition checks from a config"),
+    "run": (cmd_run, "execute an iteration experiment"),
+    "schedule": (cmd_schedule, "verify a blend-weight schedule"),
+    "sweep": (cmd_sweep, "sweep the two-parameter condition over grids"),
+}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -492,11 +466,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "averaged iteration runs, schedule verification, and "
                     "parameter sweeps, all driven by JSON configs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("check", "run condition checks from a config"),
-            ("run", "execute an iteration experiment"),
-            ("schedule", "verify a blend-weight schedule"),
-            ("sweep", "sweep the two-parameter condition over grids")):
+    for name, (_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="path to a JSON config")
         sp.add_argument("--out", default=None, help="output directory (default: .)")
@@ -506,8 +476,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="suppress progress lines")
     args = parser.parse_args(argv)
     try:
-        code, _ = _COMMANDS[args.command](args.config, args.out, args.seed,
-                                          args.quiet)
+        code, _ = _COMMANDS[args.command][0](args.config, args.out, args.seed,
+                                             args.quiet)
         return code
     except IterationRuntimeError as exc:
         print(f"runtime error at step {exc.step}: {exc}", file=sys.stderr)
@@ -517,6 +487,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:   # exit 1 means "a check failed", never a crash
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

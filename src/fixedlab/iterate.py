@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Sequence, Union
+from typing import Callable, IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (ContractViolation, DomainError, InvariantError,
                      IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
 from .schedules import AlphaSchedule
-from .vecspace import Domain, Vector, as_vector, dist
+from .vecspace import Domain, Vector, _blend, as_vector, dist
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -85,6 +85,10 @@ class IterationConfig:
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ContractViolation(f"lam must lie in (0, 1), got {self.lam}")
+        for name in ("max_iters", "record_every", "truncation_K"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer, type(None))):
+                raise ContractViolation(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
         if self.residual_tol < 0.0:
@@ -186,29 +190,18 @@ def truncated_weights(a: float, K: int) -> list[float]:
     return [head] + powers
 
 
-def _blend(images: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    # zero weights are skipped, not multiplied in: the degenerate scheme
-    # must take the same arithmetic path as its reduced form
-    acc = None
-    for w_k, img in zip(weights, images):
-        if w_k == 0.0:
-            continue
-        term = w_k * img
-        acc = term if acc is None else acc + term
-    if acc is None:
-        raise InvariantError("blend weights were all zero")
-    return acc
+#: Blend weights (c_1 .. c_m) of each engine at blend level a over its m
+#: active maps; the engines and `replay_trace` share this one rule.
+_WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
+    "single": lambda a, m: [1.0],
+    "multi": multi_map_weights,
+    "truncated": truncated_weights,
+}
 
 
-def _run_engine(engine: str,
-                fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-                labels: Sequence[str],
-                domain: Domain,
-                x0,
-                cfg: IterationConfig,
-                weights_of: Callable[[int], tuple[float, list[float]]],
-                fixed_points: Sequence[np.ndarray],
-                schedule_echo: Optional[dict]) -> Trace:
+def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
+                cfg: IterationConfig, s: Optional[AlphaSchedule],
+                fixed_points: Sequence[np.ndarray]) -> Trace:
     if cfg.gamma is not None and cfg.gamma > GAMMA_WARN_THRESHOLD:
         warnings.warn(
             f"gamma context {cfg.gamma} exceeds {GAMMA_WARN_THRESHOLD}; the "
@@ -220,13 +213,17 @@ def _run_engine(engine: str,
     if not domain.contains(x):
         raise DomainError(f"start point {x.tolist()} lies outside the domain")
     kind = domain.norm_kind
+    fns = [t.fn for t in members]
+    labels = [t.label for t in members]
+    rule, m = _WEIGHT_RULES[engine], len(members)
     fps = [np.asarray(z, dtype=float) for z in fixed_points]
     lam = cfg.lam
     carry = 1.0 - lam
     records: list[TraceStep] = []
     n = 0
     while True:
-        a_n, wts = weights_of(n)
+        a_n = 0.0 if s is None else s.alpha(n)
+        wts = rule(a_n, m)
         if any(c < 0.0 for c in wts) or abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
             raise InvariantError(
                 f"blend weights {wts} invalid at step {n} (alpha={a_n})")
@@ -256,7 +253,8 @@ def _run_engine(engine: str,
                          stop_reason=stop, total_steps=n, config=cfg,
                          mapping_labels=tuple(labels),
                          fixed_points=tuple(tuple(map(float, z)) for z in fps),
-                         domain=domain, schedule=schedule_echo)
+                         domain=domain,
+                         schedule=None if s is None else s.to_dict())
         x_next = lam * w + carry * x
         if not domain.contains(x_next):
             raise IterationRuntimeError(
@@ -268,10 +266,8 @@ def _run_engine(engine: str,
 
 def krasnoselskii_run(T: Mapping, x0, cfg: IterationConfig) -> Trace:
     """Single-map averaged iteration x_{n+1} = lam*T(x_n) + (1-lam)*x_n."""
-    one = [1.0]
-    return _run_engine("single", [T.fn], [T.label], T.domain, x0, cfg,
-                       lambda n: (0.0, one),
-                       T.known_fixed_points, schedule_echo=None)
+    return _run_engine("single", [T], T.domain, x0, cfg, None,
+                       T.known_fixed_points)
 
 
 def multi_map_run(F: MappingFamily, s: AlphaSchedule, x0,
@@ -283,15 +279,8 @@ def multi_map_run(F: MappingFamily, s: AlphaSchedule, x0,
     m = len(F)
     if m < 2:
         raise ContractViolation(f"multi_map_run needs at least 2 maps, got {m}")
-    fps = common_fixed_points(F)
-
-    def weights_of(n: int) -> tuple[float, list[float]]:
-        a = s.alpha(n)
-        return a, multi_map_weights(a, m)
-
-    return _run_engine("multi", [t.fn for t in F.members],
-                       [t.label for t in F.members], F.domain, x0, cfg,
-                       weights_of, fps, schedule_echo=s.to_dict())
+    return _run_engine("multi", F.members, F.domain, x0, cfg, s,
+                       common_fixed_points(F))
 
 
 def truncated_family_run(F: MappingFamily, s: AlphaSchedule, x0,
@@ -308,16 +297,8 @@ def truncated_family_run(F: MappingFamily, s: AlphaSchedule, x0,
     if K > len(F):
         raise ContractViolation(
             f"truncation_K={K} exceeds the family size {len(F)}")
-    active = F.members[:K]
-    fps = common_fixed_points(F)
-
-    def weights_of(n: int) -> tuple[float, list[float]]:
-        a = s.alpha(n)
-        return a, truncated_weights(a, K)
-
-    return _run_engine("truncated", [t.fn for t in active],
-                       [t.label for t in active], F.domain, x0, cfg,
-                       weights_of, fps, schedule_echo=s.to_dict())
+    return _run_engine("truncated", F.members[:K], F.domain, x0, cfg, s,
+                       common_fixed_points(F))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +375,7 @@ def residual_vanishes_check(t: Trace) -> Verdict:
     """
     n = len(t.records)
     if n < 20:
-        raise PreconditionError(
-            f"residual check needs >= 20 recorded steps, got {n}")
+        raise PreconditionError(f"needs >= 20 recorded steps, trace has {n}")
     q = n // 4
     head = max(r.residual for r in t.records[:q])
     tail_recs = t.records[-q:]
@@ -403,15 +383,11 @@ def residual_vanishes_check(t: Trace) -> Verdict:
     passed = tail <= head
     if t.stop_reason == STOP_TOL:
         passed = passed and t.final.residual <= t.config.residual_tol
-    if passed:
-        return Verdict(condition_label="residual_vanishes", passed=True,
-                       checked_pairs=n, observed_max=tail)
     worst = max(tail_recs, key=lambda r: r.residual)
-    return Verdict(condition_label="residual_vanishes", passed=False,
-                   checked_pairs=n,
-                   witness=Witness.at(worst.x, lhs=tail, rhs=head,
-                                      step=worst.step),
-                   observed_max=tail)
+    return Verdict(condition_label="residual_vanishes", passed=passed,
+                   checked_pairs=n, observed_max=tail,
+                   witness=None if passed else Witness.at(
+                       worst.x, lhs=tail, rhs=head, step=worst.step))
 
 
 def asymptotic_radius(t: Trace, x, window: int) -> float:
@@ -443,15 +419,9 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
             f"trace was produced by {list(t.mapping_labels)}, got {list(labels)}")
     if t.lam is None:
         raise ContractViolation("trace carries no lam; cannot replay")
-    m = len(members)
-    if t.engine == "single":
-        weights_of = lambda a: [1.0]
-    elif t.engine == "multi":
-        weights_of = lambda a: multi_map_weights(a, m)
-    elif t.engine == "truncated":
-        weights_of = lambda a: truncated_weights(a, m)
-    else:
+    if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
+    rule, m = _WEIGHT_RULES[t.engine], len(members)
     lam = t.lam
     carry = 1.0 - lam
     kind = t.domain.norm_kind
@@ -463,7 +433,7 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
         pairs += 1
         x = np.asarray(rec.x, dtype=float)
         images = [np.asarray(mem.fn(x), dtype=float) for mem in members]
-        w = _blend(images, weights_of(rec.alpha))
+        w = _blend(images, rule(rec.alpha, m))
         x_pred = lam * w + carry * x
         dev = dist(x_pred, np.asarray(nxt.x, dtype=float), kind)
         if dev > REPLAY_TOL:
@@ -484,6 +454,17 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _write_csv(dest: Union[str, IO[str]], header: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> None:
+    """Write a header line and then each row as it is produced."""
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8") as fh:
+            _write_csv(fh, header, rows)
+        return
+    dest.write(",".join(header) + "\n")
+    dest.writelines(",".join(row) + "\n" for row in rows)
+
+
 def trace_to_csv(t: Trace, dest: Union[str, IO[str]]) -> None:
     """Write the trace as CSV with a fixed column order.
 
@@ -497,15 +478,7 @@ def trace_to_csv(t: Trace, dest: Union[str, IO[str]]) -> None:
     header = (["step"] + [f"x_{i}" for i in range(d)] + ["residual"]
               + [f"residual_{i + 1}" for i in range(m)] + ["alpha"]
               + [f"dist_{i + 1}" for i in range(k)])
-    lines = [",".join(header)]
-    for r in t.records:
-        row = ([str(r.step)] + [_fmt(c) for c in r.x] + [_fmt(r.residual)]
-               + [_fmt(v) for v in r.map_residuals] + [_fmt(r.alpha)]
-               + [_fmt(v) for v in r.fp_distances])
-        lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    _write_csv(dest, header, (
+        [str(r.step)] + [_fmt(c) for c in r.x] + [_fmt(r.residual)]
+        + [_fmt(v) for v in r.map_residuals] + [_fmt(r.alpha)]
+        + [_fmt(v) for v in r.fp_distances] for r in t.records))

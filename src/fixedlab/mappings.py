@@ -9,8 +9,9 @@ in which case only evaluation-time input checks guard them.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -83,6 +84,21 @@ def evaluate(T: Mapping, x) -> Vector:
     return as_vector(T.fn(v))
 
 
+def _fixed_by(candidates: Sequence[Vector], fns: Sequence[Callable],
+              domain: Domain, tol: float = FIXED_POINT_TOL) -> list[Vector]:
+    """The distinct candidates, in first-seen order, that every fn fixes."""
+    out: list[Vector] = []
+    seen = set()
+    for z in candidates:
+        key = z.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(dist(as_vector(fn(z)), z, domain.norm_kind) <= tol for fn in fns):
+            out.append(z)
+    return out
+
+
 def compose(S: Mapping, T: Mapping, plan: Optional[SamplePlan] = None) -> Mapping:
     """The composite x -> S(T(x)), registered on the shared domain.
 
@@ -99,15 +115,8 @@ def compose(S: Mapping, T: Mapping, plan: Optional[SamplePlan] = None) -> Mappin
     def composite(x, _s=sfn, _t=tfn):
         return _s(_t(x))
 
-    candidates: list[Vector] = []
-    seen = set()
-    for z in (*S.known_fixed_points, *T.known_fixed_points):
-        key = z.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if dist(as_vector(composite(z)), z, S.domain.norm_kind) <= FIXED_POINT_TOL:
-            candidates.append(z)
+    candidates = _fixed_by((*S.known_fixed_points, *T.known_fixed_points),
+                           [composite], S.domain)
     return register_mapping(composite, S.domain, f"{S.label}∘{T.label}",
                             known_fixed_points=candidates or None, plan=plan)
 
@@ -176,23 +185,17 @@ def make_family(members: Sequence[Mapping],
     fam = MappingFamily(members=tuple(members))
     if plan is not None:
         worst = 0.0
-        cert: Optional[Verdict] = None
         checked = 0
-        for i in range(len(fam.members)):
-            for j in range(i + 1, len(fam.members)):
-                v = check_commuting(fam.members[i], fam.members[j], plan)
-                checked += v.checked_pairs
-                if not v.passed:
-                    cert = Verdict(condition_label=v.condition_label, passed=False,
-                                   checked_pairs=checked, witness=v.witness, plan=plan)
-                    break
-                worst = max(worst, v.observed_max or 0.0)
-            if cert is not None:
-                break
-        if cert is None:
-            cert = Verdict(condition_label="commuting(family)", passed=True,
-                           checked_pairs=checked, plan=plan, observed_max=worst)
-        fam.commuting_certificate = cert
+        for S, T in itertools.combinations(fam.members, 2):
+            v = check_commuting(S, T, plan)
+            checked += v.checked_pairs
+            if not v.passed:
+                fam.commuting_certificate = replace(v, checked_pairs=checked)
+                return fam
+            worst = max(worst, v.observed_max or 0.0)
+        fam.commuting_certificate = Verdict(
+            condition_label="commuting(family)", passed=True,
+            checked_pairs=checked, plan=plan, observed_max=worst)
     return fam
 
 
@@ -203,18 +206,9 @@ def common_fixed_points(family: MappingFamily,
     Candidates come from the members' known_fixed_points lists and are
     re-verified by evaluation, so the result never trusts a stale claim.
     """
-    out: list[Vector] = []
-    seen = set()
-    for m in family.members:
-        for z in m.known_fixed_points:
-            key = z.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            if all(dist(as_vector(t.fn(z)), z, family.domain.norm_kind) <= tol
-                   for t in family.members):
-                out.append(z)
-    return tuple(out)
+    return tuple(_fixed_by(
+        [z for m in family.members for z in m.known_fixed_points],
+        [t.fn for t in family.members], family.domain, tol))
 
 
 # ---------------------------------------------------------------------------

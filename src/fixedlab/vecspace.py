@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolation, InvalidInputError
+from .errors import ContractViolation, InvalidInputError, InvariantError
 
 Vector = np.ndarray
 
@@ -38,9 +38,7 @@ def as_vector(coords: Union[float, Sequence[float], np.ndarray]) -> Vector:
         raise InvalidInputError(f"expected a 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError(f"non-finite coordinate in {v.tolist()!r}")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
+    return _freeze(v.copy())
 
 
 def _freeze(v: np.ndarray) -> Vector:
@@ -61,13 +59,7 @@ def norm(v: Union[float, Sequence[float], np.ndarray], kind: NormKind = NormKind
     a = np.atleast_1d(np.asarray(v, dtype=float))
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"non-finite coordinate in {a.tolist()!r}")
-    if kind == NormKind.L1:
-        return float(np.sum(np.abs(a)))
-    if kind == NormKind.LINF:
-        return float(np.max(np.abs(a)))
-    if kind != NormKind.L2:
-        raise InvalidInputError(f"unknown norm kind {kind!r}")
-    return float(np.sqrt(np.sum(a * a)))
+    return float(_norm_last_axis(a, kind))
 
 
 def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
@@ -78,17 +70,20 @@ def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
 def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
     """Matrix of ||A[i] - B[j]|| values, shape (len(A), len(B)).
 
-    Uses the same elementary operations as `norm` so entries are bitwise
-    equal to the corresponding scalar computation.
+    Shares `norm`'s reduction, so entries are bitwise equal to the
+    corresponding scalar computation.
     """
-    diff = A[:, None, :] - B[None, :, :]
+    return _norm_last_axis(A[:, None, :] - B[None, :, :], kind)
+
+
+def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:
     if kind == NormKind.L1:
-        return np.sum(np.abs(diff), axis=-1)
+        return np.sum(np.abs(a), axis=-1)
     if kind == NormKind.LINF:
-        return np.max(np.abs(diff), axis=-1)
+        return np.max(np.abs(a), axis=-1)
     if kind != NormKind.L2:
         raise InvalidInputError(f"unknown norm kind {kind!r}")
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.sqrt(np.sum(a * a, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -283,14 +278,21 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ContractViolation(
             f"weights sum to {total!r}, off from 1 by more than {WEIGHT_SUM_TOL}")
-    d = np.asarray(points[0], dtype=float).shape
+    arrays = [np.asarray(p, dtype=float) for p in points]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        raise ContractViolation("points of mixed dimension in convex combination")
+    return _freeze(_blend(arrays, ws).copy())
+
+
+def _blend(points: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """sum_k weights[k] * points[k] over the nonzero weights only (see
+    convex_combination for why zero terms are skipped)."""
     acc = None
-    for w, p in zip(ws, points):
-        a = np.asarray(p, dtype=float)
-        if a.shape != d:
-            raise ContractViolation("points of mixed dimension in convex combination")
+    for w, p in zip(weights, points):
         if w == 0.0:
             continue
-        term = w * a
+        term = w * p
         acc = term if acc is None else acc + term
-    return _freeze(acc.copy())
+    if acc is None:
+        raise InvariantError("blend weights were all zero")
+    return acc

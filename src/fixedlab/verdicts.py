@@ -51,16 +51,10 @@ class Witness:
 
     def to_dict(self) -> dict:
         out = {"x": list(self.x), "lhs": self.lhs, "rhs": self.rhs}
-        if self.y is not None:
-            out["y"] = list(self.y)
-        if self.step is not None:
-            out["step"] = self.step
-        if self.left_value is not None:
-            out["left_value"] = list(self.left_value)
-        if self.right_value is not None:
-            out["right_value"] = list(self.right_value)
-        if self.detail is not None:
-            out["detail"] = self.detail
+        for key in ("y", "step", "left_value", "right_value", "detail"):
+            v = getattr(self, key)
+            if v is not None:
+                out[key] = list(v) if isinstance(v, tuple) else v
         return out
 
 

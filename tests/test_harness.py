@@ -282,3 +282,77 @@ def test_seed_override_rewrites_plan(tmp_path):
                                  "epsilon": 1e-9}})
     _, rn = cmd_check(native, out_dir=str(tmp_path / "n"), quiet=True)
     assert r99["verdicts"] == rn["verdicts"]
+
+
+# --- malformed values ---------------------------------------------------------
+
+SCALING_RUN = {
+    "name": "typed",
+    "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0,
+               "norm": "l2"},
+    "mappings": [{"name": "rotation_scaling", "angle": 0.5, "factor": 0.9}],
+    "engine": "single",
+    "iteration": {"lambda": 0.5, "x0": [0.5, 0.0], "max_iters": 50},
+}
+
+
+def with_iteration(**changes):
+    return {**SCALING_RUN, "iteration": {**SCALING_RUN["iteration"], **changes}}
+
+
+@pytest.mark.parametrize("command,payload,field", [
+    # wrong-typed values
+    ("run", with_iteration(**{"lambda": "0.5"}), "iteration.lambda"),
+    ("schedule", {"name": "typed", "horizon": 100,
+                  "schedule": {"kind": "constant", "value": "0.1"}},
+     "schedule.value"),
+    # fractional integer fields
+    ("run", with_iteration(max_iters=7.5), "max_iters"),
+    ("run", with_iteration(record_every=2.5), "record_every"),
+], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
+        "fractional-record_every"])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
+                                         field):
+    p = write_cfg(tmp_path, "typed.json", payload)
+    assert main([command, "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+SCALING_CHECK = {**SCALING_RUN, "checks": ["nonexpansive"],
+                 "plan": {"mode": "grid", "resolution": 4, "epsilon": "RAW"}}
+
+
+@pytest.mark.parametrize("command,payload,literal,field", [
+    ("check", SCALING_CHECK, "1e400", "plan.epsilon"),   # overflows to inf
+    ("check", SCALING_CHECK, "NaN", "plan.epsilon"),
+    ("check", SCALING_CHECK, "-Infinity", "plan.epsilon"),
+    ("run", with_iteration(max_iters="RAW"), "1e400", "iteration.max_iters"),
+], ids=["overflow", "nan", "negative-infinity", "overflow-max_iters"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, payload,
+                                           literal, field):
+    p = tmp_path / "raw.json"
+    p.write_text(json.dumps(payload).replace('"RAW"', literal))
+    assert main([command, "--config", str(p), "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_error_exits_3_and_names_its_type(tmp_path, capsys,
+                                                     monkeypatch):
+    from fixedlab import harness
+
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(harness, "verify_schedule", broken)
+    assert main(["schedule", "--config", cfg_path("tent_schedule.json"),
+                 "--quiet", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "KeyError" in err and "Traceback" not in err

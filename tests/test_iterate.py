@@ -74,6 +74,12 @@ def scaling_family(factors, domain=GALLERY_BALL):
     {"lam": 0.5, "max_iters": 10, "truncation_K": 0},
     {"lam": 0.5, "max_iters": 10, "gamma": 1.5},
     {"lam": 0.1, "max_iters": 10, "gamma": 0.2},   # needs lam >= gamma
+    {"lam": 0.5, "max_iters": 7.5},                 # integer fields are integers
+    {"lam": 0.5, "max_iters": True},
+    {"lam": 0.5, "max_iters": 10, "record_every": 2.5},
+    {"lam": 0.5, "max_iters": 10, "record_every": True},
+    {"lam": 0.5, "max_iters": 10, "truncation_K": 2.5},
+    {"lam": 0.5, "max_iters": 10, "truncation_K": True},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ContractViolation):
