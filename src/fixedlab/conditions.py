@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, PreconditionError
 from .mappings import Mapping, evaluate
-from .vecspace import SamplePlan, dist, pairwise_norm, sample
+from .vecspace import SamplePlan, _norm_last_axis, pairwise_norm, sample
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -38,6 +38,13 @@ __all__ = [
 ]
 
 
+def _within(name: str, v: float, hi: float) -> float:
+    """v, once checked to lie in [0, hi]."""
+    if not (0.0 <= v <= hi):
+        raise ContractViolation(f"{name} must lie in [0, {hi:g}], got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class BGammaMu:
     """Parameter pair for the two-parameter condition; 2*mu <= gamma."""
@@ -46,76 +53,88 @@ class BGammaMu:
     mu: float
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ContractViolation(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not (0.0 <= self.mu <= 0.5):
-            raise ContractViolation(f"mu must lie in [0, 1/2], got {self.mu}")
+        _within("gamma", self.gamma, 1.0)
+        _within("mu", self.mu, 0.5)
         if 2.0 * self.mu > self.gamma:
             raise ContractViolation(
                 f"need 2*mu <= gamma, got gamma={self.gamma}, mu={self.mu}")
 
 
-@dataclass(frozen=True)
-class _PairData:
-    """Per-sample arrays shared by the pairwise checks."""
-
-    X: np.ndarray        # (N, d) sample points
-    TX: np.ndarray       # (N, d) images
-    dxy: np.ndarray      # (N, N) ||x_i - x_j||
-    dTxTy: np.ndarray    # (N, N) ||Tx_i - Tx_j||
-    dxTx: np.ndarray     # (N,)   ||x_i - Tx_i||
-    M: np.ndarray        # (N, N) ||x_i - Tx_j||
+#: Sample rows per scan tile, so a tile's distance arrays hold _TILE * N
+#: entries each and scan memory grows linearly in the sample size N.
+_TILE = 256
 
 
-def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray]:
+class _Tile(dict):
+    """Distances from the sample rows `rows` to every column, each computed
+    when a check first asks for it. Key "ab" holds ||a_i - b_j||, where x is
+    a sample point, T its image and z a column of a fixed-point check;
+    `disp` holds every sample point's ||x_i - Tx_i||."""
+
+    def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind):
+        super().__init__()
+        self.pts, self.disp, self.rows, self.kind = pts, disp, rows, kind
+
+    def __missing__(self, key: str) -> np.ndarray:
+        a, b = key
+        d = self[key] = pairwise_norm(self.pts[a][self.rows], self.pts[b], self.kind)
+        return d
+
+
+def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample points X, their images TX and the displacements ||x_i - Tx_i||."""
     pts = sample(T.domain, plan)
-    return np.stack(pts), np.stack([evaluate(T, p) for p in pts])
+    X, TX = np.stack(pts), np.stack([evaluate(T, p) for p in pts])
+    return X, TX, _norm_last_axis(X - TX, T.domain.norm_kind)
 
 
-def _pair_data(T: Mapping, plan: SamplePlan) -> _PairData:
-    X, TX = _images(T, plan)
-    kind = T.domain.norm_kind
-    dxy = pairwise_norm(X, X, kind)
-    dTxTy = pairwise_norm(TX, TX, kind)
-    M = pairwise_norm(X, TX, kind)
-    dxTx = np.diagonal(M).copy()
-    return _PairData(X=X, TX=TX, dxy=dxy, dTxTy=dTxTy, dxTx=dxTx, M=M)
+def _scan(T: Mapping, plan: SamplePlan, checks, images=None,
+          cols: Optional[np.ndarray] = None) -> list[Verdict]:
+    """Run every check over the ordered (x_i, cols[j]) pairs of the sample
+    points x_i and, by default, cols = the sample. `images` is `_images(T,
+    plan)` where the caller already has it.
 
-
-def _pair_verdict(label: str, rows: np.ndarray, cols: np.ndarray,
-                  plan: SamplePlan, *parts,
-                  params: tuple[tuple[str, float], ...] = ()) -> Verdict:
-    """Scan every (rows[i], cols[j]) pair; report the first row-major violation.
-
-    Each part is (premise, lhs, rhs, detail) over the pairs: pair (i, j)
-    violates it when premise[i, j] holds (a None premise always holds) and
+    A check is (label, params, parts), where parts(tile) gives its parts on
+    the tile's pairs as (premise, lhs, rhs, detail): pair (i, j) violates a
+    part when premise[i, j] holds (a None premise always holds) and
     lhs[i, j] > rhs[i, j] + epsilon. Where parts first fail on the same
-    pair, the earlier part is the witness.
+    pair, the earlier part is the witness. The scan walks row tiles in
+    order, so the first tile with a hit holds the row-major first witness;
+    a check retires there, and the scan stops once every check has retired.
     """
-    hit = None
-    for premise, lhs, rhs, detail in parts:
-        viol = lhs > rhs + plan.epsilon
-        if premise is not None:
-            viol &= premise
-        flat = int(np.argmax(viol))   # first True in row-major order
-        if viol.flat[flat] and (hit is None or flat < hit[0]):
-            hit = (flat, lhs, rhs, detail)
-    witness = None
-    if hit is not None:
-        flat, lhs, rhs, detail = hit
-        i, j = divmod(flat, len(cols))
-        witness = Witness.at(rows[i], lhs=lhs[i, j], rhs=rhs[i, j], y=cols[j],
-                             detail=detail)
-    return Verdict(condition_label=label, passed=witness is None,
-                   checked_pairs=len(rows) * len(cols), witness=witness,
-                   plan=plan, params=params)
+    X, TX, disp = images or _images(T, plan)
+    cols = X if cols is None else cols
+    pts = {"x": X, "T": TX, "z": cols}
+    found: dict[int, Witness] = {}   # check index -> its first witness
+    for lo in range(0, len(X), _TILE):
+        live = [k for k in range(len(checks)) if k not in found]
+        if not live:
+            break
+        tile = _Tile(pts, disp, slice(lo, lo + _TILE), T.domain.norm_kind)
+        for k in live:
+            hit = None
+            for premise, lhs, rhs, detail in checks[k][2](tile):
+                viol = lhs > rhs + plan.epsilon
+                if premise is not None:
+                    viol &= premise
+                flat = int(np.argmax(viol))   # first True in row-major order
+                if viol.flat[flat] and (hit is None or flat < hit[0]):
+                    hit = (flat, lhs, rhs, detail)
+            if hit is not None:
+                flat, lhs, rhs, detail = hit
+                i, j = divmod(flat, len(cols))
+                found[k] = Witness.at(X[lo + i], lhs=lhs[i, j], rhs=rhs[i, j],
+                                      y=cols[j], detail=detail)
+    return [Verdict(condition_label=label, passed=k not in found,
+                    checked_pairs=len(X) * len(cols), witness=found.get(k),
+                    plan=plan, params=params)
+            for k, (label, params, _) in enumerate(checks)]
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
     """||Tx - Ty|| <= ||x - y|| + epsilon over all ordered sample pairs."""
-    data = _pair_data(T, plan)
-    return _pair_verdict("nonexpansive", data.X, data.X, plan,
-                         (None, data.dTxTy, data.dxy, None))
+    return _scan(T, plan, [
+        ("nonexpansive", (), lambda t: [(None, t["TT"], t["xx"], None)])])[0]
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -126,12 +145,9 @@ def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
     if not T.known_fixed_points:
         raise PreconditionError(
             f"mapping {T.label!r} has no known fixed points to check against")
-    X, TX = _images(T, plan)
-    Z = np.stack(T.known_fixed_points)
-    kind = T.domain.norm_kind
-    lhs = pairwise_norm(TX, Z, kind)   # ||Tx_i - z_k||
-    rhs = pairwise_norm(X, Z, kind)    # ||x_i - z_k||
-    return _pair_verdict("quasi_nonexpansive", X, Z, plan, (None, lhs, rhs, None))
+    return _scan(T, plan, [
+        ("quasi_nonexpansive", (), lambda t: [(None, t["Tz"], t["xz"], None)])],
+        cols=np.stack(T.known_fixed_points))[0]
 
 
 def check_lemma3(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -156,11 +172,9 @@ def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdic
     lam = float(lam)
     if not (0.0 < lam < 1.0):
         raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
-    data = _pair_data(T, plan)
-    premise = lam * data.dxTx[:, None] <= data.dxy
-    return _pair_verdict("condition_C_lambda", data.X, data.X, plan,
-                         (premise, data.dTxTy, data.dxy, None),
-                         params=(("lambda", lam),))
+    return _scan(T, plan, [
+        ("condition_C_lambda", (("lambda", lam),), lambda t: [
+            (lam * t.disp[t.rows, None] <= t["xx"], t["TT"], t["xx"], None)])])[0]
 
 
 def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -169,17 +183,18 @@ def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
                    condition_label="condition_C", params=())
 
 
-def _condition_b_on(data: _PairData, p: BGammaMu, plan: SamplePlan) -> Verdict:
-    premise = p.gamma * data.dxTx[:, None] <= data.dxy + p.mu * data.dxTx[None, :]
-    rhs = (1.0 - p.gamma) * data.dxy + p.mu * (data.M + data.M.T)
-    return _pair_verdict("condition_B", data.X, data.X, plan,
-                         (premise, data.dTxTy, rhs, None),
-                         params=(("gamma", p.gamma), ("mu", p.mu)))
+def _condition_b(p: BGammaMu):
+    """The two-parameter condition as a check for `_scan`."""
+    def parts(t):
+        premise = p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
+        rhs = (1.0 - p.gamma) * t["xx"] + p.mu * (t["xT"] + t["Tx"])
+        return [(premise, t["TT"], rhs, None)]
+    return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), parts
 
 
 def check_condition_B(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
     """The two-parameter condition; see the module docstring for the display."""
-    return _condition_b_on(_pair_data(T, plan), p, plan)
+    return _scan(T, plan, [_condition_b(p)])[0]
 
 
 def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -196,48 +211,42 @@ def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verd
 
     (iii) is the displayed inequality with its right-hand ||x - Ty|| term
     moved left (coefficient 1 - mu, fine since mu <= 1/2). theta is applied
-    as given and is not forced to track gamma. If the underlying condition
-    check fails on this plan a warning is emitted but the check proceeds.
+    as given and is not forced to track gamma. Part (i), a per-point check,
+    takes precedence over (ii) and (iii). If the underlying condition check
+    fails on this plan a warning is emitted but the check proceeds.
     """
-    theta = float(theta)
-    if not (0.0 <= theta <= 1.0):
-        raise ContractViolation(f"theta must lie in [0, 1], got {theta}")
+    theta = _within("theta", float(theta), 1.0)
     params = (("theta", theta), ("gamma", p.gamma), ("mu", p.mu))
-    data = _pair_data(T, plan)
-    pre = _condition_b_on(data, p, plan)
+    images = X, TX, dxTx = _images(T, plan)
+    TTX = np.stack([evaluate(T, tx) for tx in TX])
+    dTxTtx = _norm_last_axis(TX - TTX, T.domain.norm_kind)
+    eps = plan.epsilon
+    viol_i = dTxTtx > dxTx + eps
+    i = int(np.argmax(viol_i))   # first point violating part (i)
+    half = theta / 2.0
+
+    def parts(t):
+        d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
+        # (ii) fails where both alternatives fail: the first as the
+        # inequality, the second as the premise
+        return [(half * dd > t["Tx"] + eps, np.broadcast_to(half * d, t["xx"].shape),
+                 t["xx"], "part (ii)"),
+                (None, (1.0 - p.mu) * t["xT"],
+                 (3.0 - theta) * d + (1.0 - half) * t["xx"]
+                 + p.mu * (2.0 * d + t["Tx"] + 2.0 * dd), "part (iii)")]
+
+    pre, *rest = _scan(T, plan, [_condition_b(p)]
+                       + ([] if viol_i[i] else [("prop1", params, parts)]), images)
     if not pre.passed:
         warnings.warn(
             f"condition_B(gamma={p.gamma}, mu={p.mu}) fails for {T.label!r} on "
             "this plan; the property check may fail too", stacklevel=2)
-    kind = T.domain.norm_kind
-    TTX = np.stack([evaluate(T, tx) for tx in data.TX])
-    dTxTtx = np.array([dist(a, b, kind) for a, b in zip(data.TX, TTX)])
-    eps = plan.epsilon
-    n = data.X.shape[0]
-
-    viol_i = dTxTtx > data.dxTx + eps
-    first_i = np.argwhere(viol_i)
-    if first_i.shape[0] > 0:
-        i = int(first_i[0, 0])
-        return Verdict(condition_label="prop1", passed=False, checked_pairs=n * n,
-                       witness=Witness.at(data.X[i], lhs=dTxTtx[i], rhs=data.dxTx[i],
-                                          detail="part (i)"),
-                       plan=plan, params=params)
-
-    half = theta / 2.0
-    dTx_y = pairwise_norm(data.TX, data.X, kind)   # ||Tx_i - x_j||
-    # (ii) fails where both alternatives fail: the first as the inequality,
-    # the second as the premise
-    lhs_ii = np.broadcast_to(half * data.dxTx[:, None], data.dxy.shape)
-    premise_ii = half * dTxTtx[:, None] > dTx_y + eps
-    lhs_iii = (1.0 - p.mu) * data.M
-    rhs_iii = ((3.0 - theta) * data.dxTx[:, None]
-               + (1.0 - half) * data.dxy
-               + p.mu * (2.0 * data.dxTx[:, None] + data.M.T
-                         + 2.0 * dTxTtx[:, None]))
-    return _pair_verdict("prop1", data.X, data.X, plan,
-                         (premise_ii, lhs_ii, data.dxy, "part (ii)"),
-                         (None, lhs_iii, rhs_iii, "part (iii)"), params=params)
+    if rest:
+        return rest[0]
+    return Verdict(condition_label="prop1", passed=False, checked_pairs=len(X) ** 2,
+                   witness=Witness.at(X[i], lhs=dTxTtx[i], rhs=dxTx[i],
+                                      detail="part (i)"),
+                   plan=plan, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +295,12 @@ def sweep_condition_B(T: Mapping, gamma_grid: Sequence[float],
 
     pairing="cross" scans the full gamma x mu product row-major;
     pairing="zip" scans matched (gamma_i, mu_i) pairs. Cells with
-    2*mu > gamma are recorded as "skipped", never pass/fail. The sample and
-    its pairwise distances are computed once and shared by all cells, so a
-    single-cell sweep equals check_condition_B for that cell.
+    2*mu > gamma are recorded as "skipped", never pass/fail. The admissible
+    cells run as the checks of one scan, so each tile's distances are shared
+    by all cells and a single-cell sweep equals check_condition_B for that cell.
     """
-    gammas = [float(g) for g in gamma_grid]
-    mus = [float(m) for m in mu_grid]
-    for g in gammas:
-        if not (0.0 <= g <= 1.0):
-            raise ContractViolation(f"sweep gamma {g} outside [0, 1]")
-    for m in mus:
-        if not (0.0 <= m <= 0.5):
-            raise ContractViolation(f"sweep mu {m} outside [0, 1/2]")
+    gammas = [_within("sweep gamma", float(g), 1.0) for g in gamma_grid]
+    mus = [_within("sweep mu", float(m), 0.5) for m in mu_grid]
     if pairing not in ("cross", "zip"):
         raise ContractViolation(f"unknown pairing {pairing!r}")
     if pairing == "zip" and len(gammas) != len(mus):
@@ -305,14 +308,10 @@ def sweep_condition_B(T: Mapping, gamma_grid: Sequence[float],
             f"zip pairing needs equal grid lengths, got {len(gammas)} and {len(mus)}")
     pairs = [(g, m) for g in gammas for m in mus] if pairing == "cross" \
         else list(zip(gammas, mus))
-    data = _pair_data(T, plan)
-    cells = []
-    for g, m in pairs:
-        if 2.0 * m > g:
-            cells.append(SweepCell(gamma=g, mu=m, status="skipped"))
-            continue
-        v = _condition_b_on(data, BGammaMu(gamma=g, mu=m), plan)
-        cells.append(SweepCell(gamma=g, mu=m,
-                               status="pass" if v.passed else "fail", verdict=v))
+    cells = [SweepCell(gamma=g, mu=m, status="skipped") for g, m in pairs]
+    scanned = [k for k, (g, m) in enumerate(pairs) if 2.0 * m <= g]
+    verdicts = _scan(T, plan, [_condition_b(BGammaMu(*pairs[k])) for k in scanned])
+    for k, v in zip(scanned, verdicts):
+        cells[k] = replace(cells[k], status="pass" if v.passed else "fail", verdict=v)
     return SweepTable(mapping_label=T.label, cells=tuple(cells), plan=plan,
                       pairing=pairing)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Optional, Sequence, Union
+from typing import Callable, IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -318,6 +318,17 @@ class GapReport:
                 "tail_max": self.tail_max}
 
 
+def _unit_steps(t: Trace, what: str) -> Iterator[tuple[TraceStep, np.ndarray, np.ndarray]]:
+    """(record, x_n, x_{n+1}) for each record whose successor is the very next
+    step: the only pairs whose step rule lam can invert or replay. Checks
+    for lam at the call; the pairs are then made one at a time."""
+    if t.lam is None:
+        raise ContractViolation(f"trace carries no lam; cannot {what}")
+    return ((rec, np.asarray(rec.x, dtype=float), np.asarray(nxt.x, dtype=float))
+            for rec, nxt in zip(t.records[:-1], t.records[1:])
+            if nxt.step == rec.step + 1)
+
+
 def goebel_kirk_gap(t: Trace) -> GapReport:
     """Recover ||w_n - x_n|| from the iterates alone.
 
@@ -326,18 +337,13 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     contribute nothing. tail_max is the maximum over the last quarter of
     the recovered series (the whole series if shorter than 4).
     """
-    if t.lam is None:
-        raise ContractViolation("trace carries no lam; cannot invert the step rule")
+    pairs = _unit_steps(t, "invert the step rule")
     lam = t.lam
     carry = 1.0 - lam
     kind = t.domain.norm_kind
     steps: list[int] = []
     gaps: list[float] = []
-    for rec, nxt in zip(t.records[:-1], t.records[1:]):
-        if nxt.step != rec.step + 1:
-            continue
-        x = np.asarray(rec.x, dtype=float)
-        x_next = np.asarray(nxt.x, dtype=float)
+    for rec, x, x_next in pairs:
         w = (x_next - carry * x) / lam
         steps.append(rec.step)
         gaps.append(dist(w, x, kind))
@@ -417,8 +423,7 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     if labels != t.mapping_labels:
         raise ContractViolation(
             f"trace was produced by {list(t.mapping_labels)}, got {list(labels)}")
-    if t.lam is None:
-        raise ContractViolation("trace carries no lam; cannot replay")
+    steps = _unit_steps(t, "replay")
     if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
     rule, m = _WEIGHT_RULES[t.engine], len(members)
@@ -427,20 +432,16 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     kind = t.domain.norm_kind
     worst = 0.0
     pairs = 0
-    for rec, nxt in zip(t.records[:-1], t.records[1:]):
-        if nxt.step != rec.step + 1:
-            continue
-        pairs += 1
-        x = np.asarray(rec.x, dtype=float)
+    for pairs, (rec, x, x_next) in enumerate(steps, 1):
         images = [np.asarray(mem.fn(x), dtype=float) for mem in members]
         w = _blend(images, rule(rec.alpha, m))
         x_pred = lam * w + carry * x
-        dev = dist(x_pred, np.asarray(nxt.x, dtype=float), kind)
+        dev = dist(x_pred, x_next, kind)
         if dev > REPLAY_TOL:
             return Verdict(condition_label="replay", passed=False,
                            checked_pairs=pairs,
                            witness=Witness.at(rec.x, lhs=dev, rhs=REPLAY_TOL,
-                                              step=nxt.step))
+                                              step=rec.step + 1))
         worst = max(worst, dev)
     return Verdict(condition_label="replay", passed=True, checked_pairs=pairs,
                    observed_max=worst)

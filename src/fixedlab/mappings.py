@@ -50,10 +50,11 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
 
     The self-map check is empirical: every point of `plan` (default: a
     5-per-axis grid) must map back into the domain. Each claimed fixed
-    point must satisfy ||T(z) - z|| <= 1e-10 under the domain norm.
+    point must lie in the domain and satisfy ||T(z) - z|| <= 1e-10 under the
+    domain norm; a point claimed twice is kept once, where first seen.
     """
-    kfp = tuple(as_vector(z) for z in (known_fixed_points or ()))
-    for z in kfp:
+    kfp = {}
+    for z in map(as_vector, known_fixed_points or ()):
         if not domain.contains(z):
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} lies outside the domain")
@@ -62,6 +63,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
         if gap > FIXED_POINT_TOL:
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} moves by {gap:.3e}")
+        kfp.setdefault(z.tobytes(), z)
     if self_map:
         for p in sample(domain, plan or _DEFAULT_REGISTRATION_PLAN):
             image = as_vector(fn(p))
@@ -69,7 +71,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
                 raise ContractViolation(
                     f"mapping {label!r} is not a self-map: {p.tolist()} -> {image.tolist()}")
     return Mapping(fn=fn, domain=domain, label=label,
-                   known_fixed_points=kfp, self_map=self_map)
+                   known_fixed_points=tuple(kfp.values()), self_map=self_map)
 
 
 def evaluate(T: Mapping, x) -> Vector:
@@ -247,12 +249,15 @@ def example1_map(domain: Optional[Domain] = None) -> Mapping:
                          label="example1", known_fixed_points=[[0.0]])
 
 
+def _origin_if_inside(domain: Domain) -> Optional[list[np.ndarray]]:
+    """[origin] when the domain holds it: a linear map's one sure fixed point."""
+    origin = np.zeros(domain.dimension)
+    return [origin] if domain.contains(origin) else None
+
+
 def identity_map(domain: Domain, label: str = "identity") -> Mapping:
-    kfp = None
-    center = np.zeros(domain.dimension)
-    if domain.contains(center):
-        kfp = [center]
-    return register_mapping(lambda p: p, domain, label, known_fixed_points=kfp)
+    return register_mapping(lambda p: p, domain, label,
+                            known_fixed_points=_origin_if_inside(domain))
 
 
 def constant_map(domain: Domain, value: Sequence[float],
@@ -302,12 +307,8 @@ def scaling_map(domain: Domain, factor: float,
     def fn(p, _a=a):
         return _a * p
 
-    kfp = None
-    origin = np.zeros(domain.dimension)
-    if domain.contains(origin):
-        kfp = [origin]
     return register_mapping(fn, domain, label or f"scaling({a})",
-                            known_fixed_points=kfp)
+                            known_fixed_points=_origin_if_inside(domain))
 
 
 def rotation_scaling_map(domain: Domain, angle: float, factor: float = 1.0,
@@ -321,9 +322,8 @@ def rotation_scaling_map(domain: Domain, angle: float, factor: float = 1.0,
     def fn(p, _R=R):
         return _R @ p
 
-    kfp = [np.zeros(2)] if domain.contains(np.zeros(2)) else None
     return register_mapping(fn, domain, label or f"rotation_scaling({angle:g},{factor:g})",
-                            known_fixed_points=kfp)
+                            known_fixed_points=_origin_if_inside(domain))
 
 
 def translation_map(domain: Domain, offset: Sequence[float],
@@ -400,15 +400,8 @@ def build_mapping(descriptor: dict, domain: Domain) -> Mapping:
         raise ContractViolation(
             f"mapping descriptor {name!r} lacks required key {exc.args[0]!r}") from exc
     if extra:
-        kfp = list(m.known_fixed_points)
-        have = {z.tobytes() for z in kfp}
-        for z in extra:
-            zv = as_vector(z)
-            gap = dist(as_vector(m.fn(zv)), zv, domain.norm_kind)
-            if gap > FIXED_POINT_TOL:
-                raise ContractViolation(
-                    f"declared fixed point {zv.tolist()} of {m.label!r} moves by {gap:.3e}")
-            if zv.tobytes() not in have:
-                kfp.append(zv)
-        m.known_fixed_points = tuple(kfp)
+        # registration verifies them and keeps a re-declared point once
+        m.known_fixed_points = register_mapping(
+            m.fn, domain, m.label, [*m.known_fixed_points, *extra],
+            self_map=False).known_fixed_points
     return m

@@ -172,8 +172,8 @@ class SamplePlan:
 
     @staticmethod
     def grid(resolution: Union[int, Sequence[int]], epsilon: float = 1e-9) -> "SamplePlan":
-        res = (int(resolution),) if isinstance(resolution, (int, np.integer)) \
-            else tuple(int(r) for r in resolution)
+        res = tuple(_whole(r, "resolution") for r in
+                    ([resolution] if np.ndim(resolution) == 0 else resolution))
         if not res or any(r < 2 for r in res):
             raise InvalidInputError(f"grid resolution must be >= 2 per axis, got {res}")
         if not (epsilon > 0):
@@ -182,12 +182,12 @@ class SamplePlan:
 
     @staticmethod
     def random(seed: int, count: int, epsilon: float = 1e-9) -> "SamplePlan":
+        seed, count = _whole(seed, "seed"), _whole(count, "count")
         if count < 1:
             raise InvalidInputError(f"random sample count must be >= 1, got {count}")
         if not (epsilon > 0):
             raise InvalidInputError(f"plan epsilon must be positive, got {epsilon}")
-        return SamplePlan(mode="random", seed=int(seed), count=int(count),
-                          epsilon=float(epsilon))
+        return SamplePlan(mode="random", seed=seed, count=count, epsilon=float(epsilon))
 
     def to_dict(self) -> dict:
         if self.mode == "grid":
@@ -195,6 +195,14 @@ class SamplePlan:
             return {"mode": "grid", "resolution": res, "epsilon": self.epsilon}
         return {"mode": "random", "seed": self.seed, "count": self.count,
                 "epsilon": self.epsilon}
+
+
+def _whole(v, what: str) -> int:
+    """v as an int; a bool or a fractional number is an error, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) \
+            or not float(v).is_integer():
+        raise InvalidInputError(f"{what} must be a whole number, got {v!r}")
+    return int(v)
 
 
 def _axis_resolutions(plan: SamplePlan, d: int) -> tuple[int, ...]:
@@ -223,9 +231,8 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
         if domain.shape == "ball":
-            c = np.array(domain.center)
-            keep = np.array([dist(p, c, domain.norm_kind) <= domain.radius for p in pts])
-            pts = pts[keep]
+            pts = pts[_norm_last_axis(pts - domain.center, domain.norm_kind)
+                      <= domain.radius]
             if pts.shape[0] == 0:
                 raise InvalidInputError(
                     "grid too coarse for ball domain: no lattice point falls "
@@ -246,15 +253,14 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
             radii = domain.radius * rng.random(plan.count) ** (1.0 / d)
             pts = c + unit * radii[:, None]
         else:
-            # l1/linf balls: rejection-sample from the bounding box.
+            # l1/linf balls: rejection-sample the bounding box, `count` per batch.
             lo, up = domain.bounding_box()
-            out = []
-            while len(out) < plan.count:
+            pts = np.empty((0, d))
+            while len(pts) < plan.count:
                 cand = rng.uniform(lo, up, size=(plan.count, d))
-                for p in cand:
-                    if dist(p, c, domain.norm_kind) <= domain.radius and len(out) < plan.count:
-                        out.append(p)
-            pts = np.array(out)
+                pts = np.concatenate(
+                    [pts, cand[_norm_last_axis(cand - c, domain.norm_kind) <= domain.radius]])
+            pts = pts[:plan.count]
     return [_freeze(p.copy()) for p in pts]
 
 

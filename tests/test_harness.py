@@ -309,8 +309,15 @@ def with_iteration(**changes):
     # fractional integer fields
     ("run", with_iteration(max_iters=7.5), "max_iters"),
     ("run", with_iteration(record_every=2.5), "record_every"),
+    ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
+               "plan": {"mode": "grid", "resolution": [2.5, 3]}}, "resolution"),
+    ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
+               "plan": {"mode": "random", "seed": 7.9, "count": 3}}, "seed"),
+    ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
+               "plan": {"mode": "random", "seed": 7, "count": 3.7}}, "count"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
-        "fractional-record_every"])
+        "fractional-record_every", "fractional-resolution", "fractional-seed",
+        "fractional-count"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)

@@ -189,3 +189,17 @@ def test_build_mapping_scaling_round_trip():
 def test_build_mapping_missing_key():
     with pytest.raises((ContractViolation, KeyError), match="factor"):
         build_mapping({"name": "scaling"}, GALLERY_BALL)
+
+
+def test_build_mapping_declared_fixed_points_are_verified():
+    box = Domain.box([-1.0], [4.0])
+    m = build_mapping({"name": "scaling", "factor": 1.0,
+                       "fixed_points": [[0.0], [2.5], [2.5]]}, box)
+    # the builtin origin comes first; re-declared points are kept once
+    assert [z.tolist() for z in m.known_fixed_points] == [[0.0], [2.5]]
+    with pytest.raises(ContractViolation, match="outside the domain"):
+        build_mapping({"name": "scaling", "factor": 1.0,
+                       "fixed_points": [[10.0]]}, Domain.box([1.0], [4.0]))
+    with pytest.raises(ContractViolation, match="moves by"):
+        build_mapping({"name": "scaling", "factor": 0.5,
+                       "fixed_points": [[2.0]]}, box)

@@ -5,6 +5,7 @@ pairwise_norm must agree bitwise with the scalar dist on every entry, and
 convex_combination must skip zero weights so that a weight vector like
 [1.0, 0.0] returns the first point bit-for-bit.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -133,6 +134,13 @@ def test_plan_validation():
         SamplePlan.random(1, 0)
     with pytest.raises(InvalidInputError):
         SamplePlan.grid(5, epsilon=0.0)
+    # integer fields are rejected, never truncated, when fractional or bool
+    for bad in ([2.5, 3], 4.5, True, [3, False]):
+        with pytest.raises(InvalidInputError, match="resolution"):
+            SamplePlan.grid(bad)
+    for seed, count in ((7.9, 3), (7, 3.7), (True, 3), (1, True)):
+        with pytest.raises(InvalidInputError, match="seed|count"):
+            SamplePlan.random(seed, count)
 
 
 def test_grid_1d_equals_linspace():
@@ -179,6 +187,30 @@ def test_random_sampling_respects_ball_norm(kind):
     d = Domain.ball([0.0, 0.0], 0.5, norm_kind=kind)
     for p in sample(d, SamplePlan.random(5, 80)):
         assert norm(p, kind) <= 0.5 + 1e-9
+
+
+def _sample_digest(kind, plans):
+    h = hashlib.sha256()
+    for d in (1, 2, 3):
+        dom = Domain.ball([0.25] * d, 1.5, kind)
+        for plan in plans:
+            h.update(np.stack(sample(dom, plan)).tobytes())
+    return h.hexdigest()
+
+
+# Digests of the points the l1/linf rejection sampler and the ball-grid
+# filter produced before either was vectorised: same draws, same order.
+@pytest.mark.parametrize("kind,mode,digest", [
+    ("l1", "random", "8ca160a972309a752800db37d393e69653b3b1dd6e5f524ae2b1317ae8b1c3bf"),
+    ("linf", "random", "28d93c06203800d758af6fc879105d64c7e5e75ac69668b0e98ca4a0f225cb4c"),
+    ("l1", "grid", "578039ce30f6e0743bebd3e04695fcd90941c65e07cee0a659739bfbb1c66d27"),
+    ("l2", "grid", "1598a8f2ab5c3d4e72a2008d0ac4e49fc23ccc4b6a1a7913b41be32fe826b9e2"),
+    ("linf", "grid", "960518ae52553751adec0290ac6b9c8fb8e5c89d4874bc7b7b8579b65dc3963d"),
+])
+def test_ball_samples_are_pinned(kind, mode, digest):
+    plans = ([SamplePlan.random(s, c) for s in (0, 1, 7, 123) for c in (1, 5, 40, 301)]
+             if mode == "random" else [SamplePlan.grid(r) for r in (3, 4, 8, 11)])
+    assert _sample_digest(kind, plans) == digest
 
 
 def test_convex_combination_weight_validation():
