@@ -9,7 +9,8 @@ is the one field that may differ.
 
 Exit codes: 0 all verdicts passed, 1 some check failed, 2 the config could
 not be resolved (missing, wrong-typed or non-finite values included), 3 an
-engine failed mid-run or an unexpected internal error occurred.
+engine failed mid-run, a computed report value was not finite (no report is
+written) or an unexpected internal error occurred.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .conditions import (BGammaMu, check_condition_B, check_condition_C,
                          check_condition_C_lambda, check_lemma3,
                          check_nonexpansive, check_prop1,
                          check_quasi_nonexpansive, sweep_condition_B)
-from .errors import ConfigError, IterationRuntimeError, PreconditionError
+from .errors import (ConfigError, InvariantError, IterationRuntimeError,
+                     PreconditionError)
 from .iterate import (IterationConfig, Trace, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
@@ -35,7 +37,7 @@ from .iterate import (IterationConfig, Trace, goebel_kirk_gap,
 from .mappings import Mapping, build_mapping, make_family
 from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
                         TentSchedule, verify_schedule)
-from .vecspace import Domain, SamplePlan, as_vector
+from .vecspace import Domain, SamplePlan, _whole, as_vector
 
 __all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
            "cmd_schedule", "cmd_sweep", "main"]
@@ -81,6 +83,12 @@ def _number(d: dict, key: str, where: str, default=_REQUIRED):
     return v
 
 
+def _count(d: dict, key: str, where: str, default=_REQUIRED):
+    """d[key] as an int by `_whole`'s rule: 50.0 is 50, while 7.5 is an error."""
+    v = _number(d, key, where, default)
+    return v if v is None else _whole(v, key)
+
+
 def _parsed(where: str, parse, *args):
     """parse(*args), with a bad value reported as a ConfigError naming `where`."""
     try:
@@ -91,16 +99,18 @@ def _parsed(where: str, parse, *args):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _reject_non_finite(node, where: str) -> None:
-    """Raise on the first NaN or infinity (1e400 parses to inf) in the tree."""
+def _reject_non_finite(node, where: str,
+                       error: Callable[[str], Exception] = ConfigError) -> None:
+    """Raise error(message naming the key path) on the first NaN or infinity
+    (1e400 parses to inf) in the tree."""
     if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{where}: non-finite number {node!r}")
+        raise error(f"{where}: non-finite number {node!r}")
     if isinstance(node, dict):
         for k, v in node.items():
-            _reject_non_finite(v, f"{where}.{k}" if where else str(k))
-    elif isinstance(node, list):
+            _reject_non_finite(v, f"{where}.{k}" if where else str(k), error)
+    elif isinstance(node, (list, tuple)):
         for i, v in enumerate(node):
-            _reject_non_finite(v, f"{where}[{i}]")
+            _reject_non_finite(v, f"{where}[{i}]", error)
 
 
 def _parse_domain(d: dict) -> Domain:
@@ -143,10 +153,10 @@ def _parse_schedule(d: dict) -> AlphaSchedule:
 def _parse_iteration(d: dict) -> tuple[IterationConfig, Optional[tuple[float, ...]]]:
     cfg = IterationConfig(
         lam=_number(d, "lambda", "iteration"),
-        max_iters=_number(d, "max_iters", "iteration"),
+        max_iters=_count(d, "max_iters", "iteration"),
         residual_tol=_number(d, "residual_tol", "iteration", 0.0),
-        truncation_K=_number(d, "truncation_K", "iteration", None),
-        record_every=_number(d, "record_every", "iteration", 1),
+        truncation_K=_count(d, "truncation_K", "iteration", None),
+        record_every=_count(d, "record_every", "iteration", 1),
         gamma=_number(d, "gamma", "iteration", None))
     x0 = d.get("x0")
     if x0 is not None:
@@ -232,8 +242,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         cfg.schedule = _parsed("schedule", _parse_schedule, raw["schedule"])
         echo["schedule"] = cfg.schedule.to_dict()
     if "horizon" in raw:
-        h = raw["horizon"]
-        if not isinstance(h, int) or h < 10:
+        h = _parsed("horizon", _whole, raw["horizon"], "value")
+        if h < 10:
             raise ConfigError(f"horizon: must be an integer >= 10, got {h!r}")
         cfg.horizon = echo["horizon"] = h
     if "iteration" in raw:
@@ -306,9 +316,10 @@ def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
     body, passed = compute(cfg, out_dir, say)
     report = {"command": command, "config": cfg.echo, **body, "passed": passed,
               "duration_seconds": time.perf_counter() - t0}
+    _reject_non_finite(report, "", InvariantError)   # before a file exists
     path = _out_path(cfg, out_dir, "report", "_report.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     say(f"{'PASS' if passed else 'FAIL'} -> {path}")
     return (0 if passed else 1), report

@@ -26,18 +26,19 @@ to re-derive everything offline; `replay_trace` does exactly that.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ContractViolation, DomainError, InvariantError,
-                     IterationRuntimeError, PreconditionError)
+from .errors import (ContractViolation, DomainError, InvalidInputError,
+                     InvariantError, IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
 from .schedules import AlphaSchedule
-from .vecspace import Domain, Vector, _blend, as_vector, dist
+from .vecspace import Domain, Vector, _blend, _norm_last_axis, as_vector
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -212,6 +213,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
             f"start point has dimension {x.shape[0]}, domain needs {domain.dimension}")
     if not domain.contains(x):
         raise DomainError(f"start point {x.tolist()} lies outside the domain")
+    # in the loop only images and iterates are checked; distances are not
     kind = domain.norm_kind
     fns = [t.fn for t in members]
     labels = [t.label for t in members]
@@ -220,9 +222,8 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     lam = cfg.lam
     carry = 1.0 - lam
     records: list[TraceStep] = []
-    n = 0
-    while True:
-        a_n = 0.0 if s is None else s.alpha(n)
+    alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
+    for n, a_n in enumerate(alphas):
         wts = rule(a_n, m)
         if any(c < 0.0 for c in wts) or abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
             raise InvariantError(
@@ -230,12 +231,12 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         images = []
         for fn, lbl in zip(fns, labels):
             img = np.asarray(fn(x), dtype=float)
-            if img.shape != x.shape or not np.all(np.isfinite(img)):
+            if img.shape != x.shape or not np.isfinite(img).all():
                 raise IterationRuntimeError(
                     f"mapping {lbl!r} returned an invalid image at step {n}", step=n)
             images.append(img)
         w = _blend(images, wts)
-        residual = dist(w, x, kind)
+        residual = float(_norm_last_axis(w - x, kind))
         stop = None
         if residual <= cfg.residual_tol:
             stop = STOP_TOL
@@ -243,11 +244,12 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
             stop = STOP_MAX_ITERS
         stride = cfg.record_every if n < DECIMATION_START else cfg.record_every * 10
         if n % stride == 0 or stop is not None:
+            # ||T_k x - x|| per map, then ||z - x|| (bitwise ||x - z||) per z
+            d = _norm_last_axis(np.array(images + fps) - x, kind).tolist()
             records.append(TraceStep(
-                step=n, x=tuple(map(float, x)), residual=residual,
-                map_residuals=tuple(dist(img, x, kind) for img in images),
-                alpha=a_n,
-                fp_distances=tuple(dist(x, z, kind) for z in fps)))
+                step=n, x=tuple(x.tolist()), residual=residual,
+                map_residuals=tuple(d[:m]), alpha=a_n,
+                fp_distances=tuple(d[m:])))
         if stop is not None:
             return Trace(engine=engine, records=tuple(records), lam=lam,
                          stop_reason=stop, total_steps=n, config=cfg,
@@ -261,7 +263,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                 f"iterate left the domain at step {n + 1}: {x_next.tolist()}",
                 step=n + 1)
         x = x_next
-        n += 1
+    raise InvariantError(f"schedule values ended before step {cfg.max_iters}")
 
 
 def krasnoselskii_run(T: Mapping, x0, cfg: IterationConfig) -> Trace:
@@ -318,15 +320,19 @@ class GapReport:
                 "tail_max": self.tail_max}
 
 
-def _unit_steps(t: Trace, what: str) -> Iterator[tuple[TraceStep, np.ndarray, np.ndarray]]:
-    """(record, x_n, x_{n+1}) for each record whose successor is the very next
-    step: the only pairs whose step rule lam can invert or replay. Checks
-    for lam at the call; the pairs are then made one at a time."""
+def _xs(records: Sequence[TraceStep]) -> np.ndarray:
+    """The recorded iterates as one (len(records), d) array."""
+    return np.array([r.x for r in records], dtype=float)
+
+
+def _unit_steps(t: Trace, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(j, X): X holds every recorded iterate and j indexes each record whose
+    successor is the very next step, the only pairs whose step rule lam can
+    invert or replay."""
     if t.lam is None:
         raise ContractViolation(f"trace carries no lam; cannot {what}")
-    return ((rec, np.asarray(rec.x, dtype=float), np.asarray(nxt.x, dtype=float))
-            for rec, nxt in zip(t.records[:-1], t.records[1:])
-            if nxt.step == rec.step + 1)
+    steps = np.array([r.step for r in t.records])
+    return np.flatnonzero(steps[1:] == steps[:-1] + 1), _xs(t.records)
 
 
 def goebel_kirk_gap(t: Trace) -> GapReport:
@@ -337,39 +343,32 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     contribute nothing. tail_max is the maximum over the last quarter of
     the recovered series (the whole series if shorter than 4).
     """
-    pairs = _unit_steps(t, "invert the step rule")
-    lam = t.lam
-    carry = 1.0 - lam
-    kind = t.domain.norm_kind
-    steps: list[int] = []
-    gaps: list[float] = []
-    for rec, x, x_next in pairs:
-        w = (x_next - carry * x) / lam
-        steps.append(rec.step)
-        gaps.append(dist(w, x, kind))
-    if not gaps:
+    j, X = _unit_steps(t, "invert the step rule")
+    if not j.size:
         return GapReport(steps=(), gaps=(), tail_max=0.0)
+    lam = t.lam
+    w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
+    gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
     q = max(1, len(gaps) // 4)
-    return GapReport(steps=tuple(steps), gaps=tuple(gaps),
-                     tail_max=max(gaps[-q:]))
+    return GapReport(steps=tuple(t.records[k].step for k in j),
+                     gaps=tuple(gaps), tail_max=max(gaps[-q:]))
 
 
 def monotone_distance_check(t: Trace, z) -> Verdict:
     """Distances to z must never increase along the recorded iterates."""
-    zv = as_vector(z)
-    kind = t.domain.norm_kind
-    ds = [dist(np.asarray(r.x, dtype=float), zv, kind) for r in t.records]
-    pairs = len(ds) - 1
-    for j in range(pairs):
-        if ds[j + 1] > ds[j] + MONOTONE_TOL:
-            return Verdict(condition_label="monotone_distance", passed=False,
-                           checked_pairs=pairs,
-                           witness=Witness.at(t.records[j + 1].x, lhs=ds[j + 1],
-                                              rhs=ds[j],
-                                              step=t.records[j + 1].step))
+    d = _norm_last_axis(_xs(t.records) - as_vector(z), t.domain.norm_kind)
+    pairs = len(d) - 1
+    rises = np.flatnonzero(d[1:] > d[:-1] + MONOTONE_TOL)
+    if rises.size:
+        j = int(rises[0]) + 1
+        return Verdict(condition_label="monotone_distance", passed=False,
+                       checked_pairs=pairs,
+                       witness=Witness.at(t.records[j].x, lhs=float(d[j]),
+                                          rhs=float(d[j - 1]),
+                                          step=t.records[j].step))
     return Verdict(condition_label="monotone_distance", passed=True,
                    checked_pairs=pairs,
-                   observed_max=max(ds) if ds else None)
+                   observed_max=float(d.max()) if d.size else None)
 
 
 def residual_vanishes_check(t: Trace) -> Verdict:
@@ -403,10 +402,8 @@ def asymptotic_radius(t: Trace, x, window: int) -> float:
     if window > len(t.records):
         raise PreconditionError(
             f"window {window} exceeds the {len(t.records)} recorded steps")
-    xv = as_vector(x)
-    kind = t.domain.norm_kind
-    return max(dist(np.asarray(r.x, dtype=float), xv, kind)
-               for r in t.records[-window:])
+    return max(_norm_last_axis(_xs(t.records[-window:]) - as_vector(x),
+                               t.domain.norm_kind).tolist())
 
 
 def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
@@ -423,28 +420,31 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     if labels != t.mapping_labels:
         raise ContractViolation(
             f"trace was produced by {list(t.mapping_labels)}, got {list(labels)}")
-    steps = _unit_steps(t, "replay")
+    j, X = _unit_steps(t, "replay")
     if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
     rule, m = _WEIGHT_RULES[t.engine], len(members)
     lam = t.lam
     carry = 1.0 - lam
-    kind = t.domain.norm_kind
-    worst = 0.0
-    pairs = 0
-    for pairs, (rec, x, x_next) in enumerate(steps, 1):
+    diff = np.empty((len(j), X.shape[1]))   # predicted minus recorded x_{n+1}
+    for i, k in enumerate(j):
+        x = X[k]
         images = [np.asarray(mem.fn(x), dtype=float) for mem in members]
-        w = _blend(images, rule(rec.alpha, m))
-        x_pred = lam * w + carry * x
-        dev = dist(x_pred, x_next, kind)
-        if dev > REPLAY_TOL:
-            return Verdict(condition_label="replay", passed=False,
-                           checked_pairs=pairs,
-                           witness=Witness.at(rec.x, lhs=dev, rhs=REPLAY_TOL,
-                                              step=rec.step + 1))
-        worst = max(worst, dev)
-    return Verdict(condition_label="replay", passed=True, checked_pairs=pairs,
-                   observed_max=worst)
+        diff[i] = lam * _blend(images, rule(t.records[k].alpha, m)) + carry * x
+    diff -= X[j + 1]
+    dev = _norm_last_axis(diff, t.domain.norm_kind)
+    bad = np.flatnonzero(~(dev <= REPLAY_TOL))   # NaN included
+    if bad.size:
+        i = int(bad[0])
+        if not np.isfinite(diff[i]).all():   # the maps are outside input
+            raise InvalidInputError(f"non-finite coordinate in {diff[i].tolist()!r}")
+        rec = t.records[j[i]]
+        return Verdict(condition_label="replay", passed=False,
+                       checked_pairs=i + 1,
+                       witness=Witness.at(rec.x, lhs=float(dev[i]),
+                                          rhs=REPLAY_TOL, step=rec.step + 1))
+    return Verdict(condition_label="replay", passed=True, checked_pairs=len(j),
+                   observed_max=float(dev.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

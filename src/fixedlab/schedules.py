@@ -7,15 +7,18 @@ block j of length L_j = ceil(first_block_length * growth**j) the value
 climbs linearly from 0 to the peak and back, so the per-step increment
 peak/ceil(L_j/2) shrinks as the blocks grow.
 
-`verify_schedule` measures finite-horizon proxies for the three limits over
-the last quarter of the horizon. Proxies, not proofs.
+Every schedule yields its values lazily through `values(start, stop)`; the
+engines and `verify_schedule` draw from it, and `alpha(n)` is its first
+value. `verify_schedule` measures finite-horizon proxies for the three
+limits over the last quarter of the horizon. Proxies, not proofs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import ContractViolation, PreconditionError
 
@@ -28,6 +31,12 @@ __all__ = [
 PROXY_TOL = 1e-3
 
 
+def _index(n: int) -> int:
+    if n < 0:
+        raise ContractViolation(f"schedule index must be >= 0, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ConstantSchedule:
     value: float
@@ -37,10 +46,12 @@ class ConstantSchedule:
             raise ContractViolation(
                 f"constant schedule value must lie in [0, 1/2], got {self.value}")
 
+    def values(self, start: int, stop: int) -> Iterator[float]:
+        """alpha(start), ..., alpha(stop - 1), made one at a time."""
+        return itertools.repeat(self.value, max(0, stop - _index(start)))
+
     def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ContractViolation(f"schedule index must be >= 0, got {n}")
-        return self.value
+        return next(self.values(n, n + 1))
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "value": self.value}
@@ -59,10 +70,14 @@ class DecaySchedule:
         if self.rate <= 0.0:
             raise ContractViolation(f"decay rate must be > 0, got {self.rate}")
 
+    def values(self, start: int, stop: int) -> Iterator[float]:
+        """alpha(start), ..., alpha(stop - 1), made one at a time."""
+        scale, rate = self.scale, self.rate
+        return (min(0.5, scale / (n + 1) ** rate)
+                for n in range(_index(start), stop))
+
     def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ContractViolation(f"schedule index must be >= 0, got {n}")
-        return min(0.5, self.scale / (n + 1) ** self.rate)
+        return next(self.values(n, n + 1))
 
     def to_dict(self) -> dict:
         return {"kind": "decay", "scale": self.scale, "rate": self.rate}
@@ -93,24 +108,23 @@ class TentSchedule:
             raise ContractViolation(
                 f"tent growth must be >= 1, got {self.growth}")
 
-    def _block_of(self, n: int) -> tuple[int, int, int]:
-        """(block index, block start step, block length) containing step n."""
-        start = 0
-        j = 0
-        while True:
+    def values(self, start: int, stop: int) -> Iterator[float]:
+        """alpha(start), ..., alpha(stop - 1), visiting each block once."""
+        n, peak = _index(start), self.peak
+        block_start = j = 0
+        while n < stop:
             length = math.ceil(self.first_block_length * self.growth ** j)
-            if n < start + length:
-                return j, start, length
-            start += length
+            end = block_start + length
+            if n < end:
+                half = -(-length // 2)
+                for t in range(n - block_start, min(stop, end) - block_start):
+                    yield peak * min(t, length - t) / half
+                n = end
+            block_start = end
             j += 1
 
     def alpha(self, n: int) -> float:
-        if n < 0:
-            raise ContractViolation(f"schedule index must be >= 0, got {n}")
-        _, start, length = self._block_of(n)
-        t = n - start
-        half = -(-length // 2)
-        return self.peak * min(t, length - t) / half
+        return next(self.values(n, n + 1))
 
     def to_dict(self) -> dict:
         return {"kind": "tent", "peak": self.peak,
@@ -196,8 +210,8 @@ def verify_schedule(s: AlphaSchedule, horizon: int) -> ScheduleReport:
     if horizon < 10:
         raise PreconditionError(f"verify_schedule needs horizon >= 10, got {horizon}")
     window_start = horizon - horizon // 4
-    values = [s.alpha(n) for n in range(window_start, horizon + 1)]
-    for n, v in zip(range(window_start, horizon + 1), values):
+    values = list(s.values(window_start, horizon + 1))
+    for n, v in enumerate(values, window_start):
         if not (0.0 <= v <= 0.5):
             raise ContractViolation(
                 f"schedule emitted {v} outside [0, 1/2] at step {n}")

@@ -77,13 +77,14 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) ->
 
 
 def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Unchecked norms along the last axis, by np.sum/np.max's own ufuncs."""
+    if kind == NormKind.L2:
+        return np.sqrt(np.add.reduce(a * a, axis=-1))
     if kind == NormKind.L1:
-        return np.sum(np.abs(a), axis=-1)
+        return np.add.reduce(np.abs(a), axis=-1)
     if kind == NormKind.LINF:
-        return np.max(np.abs(a), axis=-1)
-    if kind != NormKind.L2:
-        raise InvalidInputError(f"unknown norm kind {kind!r}")
-    return np.sqrt(np.sum(a * a, axis=-1))
+        return np.maximum.reduce(np.abs(a), axis=-1)
+    raise InvalidInputError(f"unknown norm kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,13 @@ class Domain:
         q = np.atleast_1d(np.asarray(p, dtype=float))
         if q.shape != (self.dimension,):
             return False
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             return False
         if self.shape == "box":
-            return bool(np.all(q >= np.array(self.lower) - tol)
-                        and np.all(q <= np.array(self.upper) + tol))
-        return dist(q, np.array(self.center), self.norm_kind) <= self.radius + tol
+            return bool((q >= np.array(self.lower) - tol).all()
+                        and (q <= np.array(self.upper) + tol).all())
+        return bool(_norm_last_axis(q - np.array(self.center), self.norm_kind)
+                    <= self.radius + tol)
 
     def to_dict(self) -> dict:
         if self.shape == "box":

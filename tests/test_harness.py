@@ -315,9 +315,13 @@ def with_iteration(**changes):
                "plan": {"mode": "random", "seed": 7.9, "count": 3}}, "seed"),
     ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
                "plan": {"mode": "random", "seed": 7, "count": 3.7}}, "count"),
+    ("schedule", {"name": "typed", "horizon": 10000.5,
+                  "schedule": {"kind": "constant", "value": 0.1}}, "horizon"),
+    ("schedule", {"name": "typed", "horizon": True,
+                  "schedule": {"kind": "constant", "value": 0.1}}, "horizon"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
-        "fractional-count"])
+        "fractional-count", "fractional-horizon", "bool-horizon"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -327,6 +331,26 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,payload,section,field", [
+    ("run", with_iteration(max_iters=50.0), "iteration", "max_iters"),
+    ("run", with_iteration(record_every=5.0), "iteration", "record_every"),
+    ("schedule", {"name": "typed", "horizon": 10000.0,
+                  "schedule": {"kind": "constant", "value": 0.1}},
+     None, "horizon"),
+], ids=["max_iters", "record_every", "horizon"])
+def test_integral_float_counts_run_and_echo_as_ints(tmp_path, command, payload,
+                                                     section, field):
+    """Integer fields follow the sample plan's rule: a whole-valued float is
+    that integer, echoed as an int."""
+    p = write_cfg(tmp_path, "typed.json", payload)
+    assert main([command, "--config", p, "--quiet", "--out",
+                 str(tmp_path)]) in (0, 1)
+    echo = json.loads((tmp_path / "typed_report.json").read_text())["config"]
+    value = echo[section][field] if section else echo[field]
+    expected = (payload[section] if section else payload)[field]
+    assert type(value) is int and value == expected
 
 
 SCALING_CHECK = {**SCALING_RUN, "checks": ["nonexpansive"],
@@ -363,3 +387,27 @@ def test_unexpected_error_exits_3_and_names_its_type(tmp_path, capsys,
                  "--quiet", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "KeyError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config,patched,field", [
+    ("run", "example1.json", "goebel_kirk_gap", "diagnostics.gap_tail_max"),
+    ("schedule", "tent_schedule.json", "verify_schedule", "report.diff_proxy"),
+], ids=["run-gap", "schedule-proxy"])
+def test_non_finite_report_value_exits_3_without_a_report(
+        tmp_path, capsys, monkeypatch, command, config, patched, field):
+    import dataclasses
+    import math
+
+    from fixedlab import harness
+
+    real = getattr(harness, patched)
+    bad = {"goebel_kirk_gap": {"tail_max": math.inf},
+           "verify_schedule": {"diff_proxy": math.nan}}[patched]
+    monkeypatch.setattr(harness, patched, lambda *args: dataclasses.replace(
+        real(*args), **bad))
+    assert main([command, "--config", cfg_path(config), "--quiet",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and field in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*_report.json"))

@@ -28,6 +28,7 @@ from fixedlab import (
     DomainError,
     GALLERY_BALL,
     GALLERY_BOX,
+    InvalidInputError,
     InvariantError,
     IterationConfig,
     IterationRuntimeError,
@@ -190,6 +191,16 @@ def test_non_finite_image_raises_with_step():
                            self_map=False)
     with pytest.raises(IterationRuntimeError) as exc:
         krasnoselskii_run(bad, [0.5], IterationConfig(lam=0.5, max_iters=5))
+    assert exc.value.step == 0
+
+
+def test_wrong_shape_image_raises_naming_the_map():
+    d = Domain.box([-1.0, -1.0], [1.0, 1.0])
+    grow = register_mapping(lambda p: np.append(p, 0.0), d, "grow_map",
+                            self_map=False)
+    with pytest.raises(IterationRuntimeError, match="grow_map") as exc:
+        krasnoselskii_run(grow, [0.5, 0.5],
+                          IterationConfig(lam=0.5, max_iters=5))
     assert exc.value.step == 0
 
 
@@ -417,6 +428,14 @@ def test_replay_rejects_wrong_mapping(example1_trace):
     other = scaling_map(Domain.box([0.0], [4.0]), 0.5)
     with pytest.raises(ContractViolation):
         replay_trace(example1_trace, other)
+
+
+def test_replay_rejects_a_non_finite_prediction(example1_trace):
+    d = Domain.box([0.0], [4.0])
+    nan_map = register_mapping(lambda p: p * float("nan"), d,
+                               example1_trace.mapping_labels[0], self_map=False)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        replay_trace(example1_trace, nan_map)
 
 
 def test_replay_flags_tampering(example1, example1_trace):

@@ -124,6 +124,49 @@ def test_tent_increment_bound_within_blocks():
         start += length
 
 
+# growth 1 and 1.6, and a fractional first block: ceil(2.5 * 1.6**j) is
+# 3, 4, 7, 11, 17, ... so block starts fall at 0, 3, 7, 14, 25, 42, ...
+VALUES_CASES = [(0.25, 200, 1.0), (0.25, 343, 1.6), (0.3, 2.5, 1.6),
+                (0.5, 7.5, 1.0)]
+
+
+@pytest.mark.parametrize("peak,first,growth", VALUES_CASES)
+def test_tent_values_match_independent_generator(peak, first, growth):
+    s = TentSchedule(peak=peak, first_block_length=first, growth=growth)
+    ref = reference_tent(peak, first, growth, 3000)
+    starts = [0, 1]
+    for n in range(1, len(ref)):
+        if ref[n] == 0.0:               # every block starts at 0
+            starts += [n - 1, n, n + 1]
+    for a in sorted(set(starts))[:40] + [1234, 2999, 3000]:
+        for b in (a, a + 1, a + 2, a + 17, a + 401, 3000):
+            if a <= b <= 3000:
+                assert list(s.values(a, b)) == ref[a:b], (a, b)
+
+
+def test_values_agree_with_alpha_for_every_schedule():
+    for s in (ConstantSchedule(0.3), DecaySchedule(0.5, rate=0.7),
+              DEFAULT_TENT):
+        assert list(s.values(90, 120)) == [s.alpha(n) for n in range(90, 120)]
+        assert list(s.values(7, 7)) == []
+        with pytest.raises(ContractViolation):
+            list(s.values(-1, 3))
+
+
+def test_verify_schedule_flat_tent_matches_generator_at_1e5():
+    """A growth-1 tent has 5*10**4 blocks before step 10**5; the walk must
+    visit each once, not once per step."""
+    horizon = 10**5
+    vals = reference_tent(0.25, 2, 1.0, horizon + 1)
+    start = horizon - horizon // 4
+    rep = verify_schedule(TentSchedule(0.25, 2, 1.0), horizon)
+    assert rep.window_start == start
+    assert rep.liminf_proxy == min(vals[start:horizon])
+    assert rep.limsup_proxy == max(vals[start:horizon])
+    assert rep.diff_proxy == max(
+        abs(b - a) for a, b in zip(vals[start:horizon], vals[start + 1:]))
+
+
 # --- the compliance report ----------------------------------------------------
 
 def test_verify_schedule_requires_horizon():
