@@ -117,8 +117,9 @@ class TentSchedule:
             end = block_start + length
             if n < end:
                 half = -(-length // 2)
+                # peak * half / half can round one ulp above peak.
                 for t in range(n - block_start, min(stop, end) - block_start):
-                    yield peak * min(t, length - t) / half
+                    yield min(peak, peak * min(t, length - t) / half)
                 n = end
             block_start = end
             j += 1

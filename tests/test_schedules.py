@@ -10,7 +10,7 @@ last bit.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixedlab import (
@@ -104,6 +104,8 @@ def test_module_level_alpha_helper():
        st.integers(min_value=2, max_value=50),
        st.floats(min_value=1.0, max_value=3.0),
        st.integers(min_value=0, max_value=5000))
+# An even-length block whose apex peak * half / half rounds above peak.
+@example(peak=0.22197896068376227, first=2, growth=1.099609375, n=220)
 @settings(max_examples=120, deadline=None)
 def test_tent_range_invariant(peak, first, growth, n):
     s = TentSchedule(peak=peak, first_block_length=first, growth=growth)
