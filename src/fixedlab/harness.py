@@ -9,8 +9,9 @@ is the one field that may differ.
 
 Exit codes: 0 all verdicts passed, 1 some check failed, 2 the config could
 not be resolved (missing, wrong-typed or non-finite values included), 3 an
-engine failed mid-run, a computed report value was not finite (no report is
-written) or an unexpected internal error occurred.
+engine failed mid-run, a computed report value was not finite or an
+unexpected internal error occurred. Files are written only once the report
+passes its checks, so exit 2 or 3 leaves none (barring an I/O failure).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .conditions import (BGammaMu, check_condition_B, check_condition_C,
                          check_quasi_nonexpansive, sweep_condition_B)
 from .errors import (ConfigError, InvariantError, IterationRuntimeError,
                      PreconditionError)
-from .iterate import (IterationConfig, Trace, goebel_kirk_gap,
+from .iterate import (IterationConfig, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
                       trace_to_csv, truncated_family_run, _fmt, _write_csv)
@@ -192,9 +193,7 @@ def _normalize_checks(entries) -> list[dict]:
     out = []
     for i, entry in enumerate(entries):
         spec = {"check": entry} if isinstance(entry, str) else dict(entry)
-        if "check" not in spec:
-            raise ConfigError(f"checks[{i}]: missing required field 'check'")
-        if spec["check"] not in _CHECKS:
+        if _need(spec, "check", f"checks[{i}]") not in _CHECKS:
             raise ConfigError(
                 f"checks[{i}]: unknown check {spec['check']!r}; "
                 f"known: {', '.join(_CHECKS)}")
@@ -220,6 +219,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
     _reject_non_finite(raw, "")
+    for key, kind in (("mappings", list), ("checks", list), ("sweep", dict), ("out", dict)):
+        if not isinstance(raw.get(key, kind()), kind):
+            raise ConfigError(f"{key}: expected a {kind.__name__}, got {raw[key]!r}")
 
     name = raw.get("name") or os.path.splitext(os.path.basename(path))[0]
     cfg = ExperimentConfig(name=name, echo={"name": name})
@@ -257,7 +259,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
             raise ConfigError(f"engine: unknown engine {raw['engine']!r}")
         cfg.engine = echo["engine"] = raw["engine"]
     if "checks" in raw:
-        cfg.checks = _normalize_checks(raw["checks"])
+        cfg.checks = _parsed("checks", _normalize_checks, raw["checks"])
         if cfg.checks:
             echo["checks"] = cfg.checks
     if "sweep" in raw:
@@ -272,25 +274,21 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         cfg.sweep = sw
         echo["sweep"] = dict(sw)
     cfg.out = dict(raw.get("out", {}))
+    for key, base in cfg.out.items():   # joined to --out: one plain file name
+        if not isinstance(base, str) or base in ("", ".", "..") \
+                or os.path.basename(base) != base:
+            raise ConfigError(f"out.{key}: expected a plain file name, got {base!r}")
     if cfg.out:
         echo["out"] = dict(cfg.out)
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each computes its report body and verdict, printing progress
-# through `say`; _drive loads the config and writes the report around it
+# subcommands: each returns (report body, verdict, {out key: (default suffix,
+# write(path))}) and prints through `say`; _drive writes every file
 # ---------------------------------------------------------------------------
 
 _Say = Callable[[str], None]
-
-
-def _out_path(cfg: ExperimentConfig, out_dir: Optional[str], key: str,
-              default_suffix: str) -> str:
-    base = cfg.out.get(key, f"{cfg.name}{default_suffix}")
-    root = out_dir or "."
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, base)
 
 
 #: How a subcommand reports a config part it needs but did not get.
@@ -313,19 +311,25 @@ def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
     t0 = time.perf_counter()
     cfg = load_config(config_path, seed)
     say: _Say = (lambda msg: None) if quiet else print
-    body, passed = compute(cfg, out_dir, say)
+    body, passed, files = compute(cfg, say)
+    root = out_dir or "."
+    path = {key: os.path.join(root, cfg.out.get(key, f"{cfg.name}{suffix}"))
+            for key, (suffix, _) in {**files, "report": ("_report.json", None)}.items()}
+    body.update({f"{key}_csv": os.path.basename(path[key]) for key in files})
     report = {"command": command, "config": cfg.echo, **body, "passed": passed,
               "duration_seconds": time.perf_counter() - t0}
-    _reject_non_finite(report, "", InvariantError)   # before a file exists
-    path = _out_path(cfg, out_dir, "report", "_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    _reject_non_finite(report, "", InvariantError)   # before any file exists
+    os.makedirs(root, exist_ok=True)
+    for key, (_, write) in files.items():
+        write(path[key])
+    with open(path["report"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    say(f"{'PASS' if passed else 'FAIL'} -> {path}")
+    say(f"{'PASS' if passed else 'FAIL'} -> {path['report']}")
     return (0 if passed else 1), report
 
 
-def _check(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+def _check(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "check", "mappings", "plan", "checks")
     verdicts = []
     for T in cfg.mappings:
@@ -345,10 +349,10 @@ def _check(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
     passed = all(v["passed"] for v in verdicts) and (
         commuting is None or commuting.passed)
     return {"verdicts": verdicts,
-            "commuting": commuting.to_dict() if commuting else None}, passed
+            "commuting": commuting.to_dict() if commuting else None}, passed, {}
 
 
-def _run(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+def _run(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "run", "iteration", "x0", "mappings")
     engine = cfg.engine or ("single" if len(cfg.mappings) == 1 else "multi")
     commuting = None
@@ -376,8 +380,6 @@ def _run(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
     schedule_report = None
     if cfg.schedule is not None and cfg.horizon is not None:
         schedule_report = verify_schedule(cfg.schedule, cfg.horizon).to_dict()
-    trace_path = _out_path(cfg, out_dir, "trace", "_trace.csv")
-    trace_to_csv(trace, trace_path)
     s = trace.summary()
     say(f"stop={s['stop_reason']} steps={s['total_steps']} "
         f"final_residual={s['final_residual']:.3e}")
@@ -394,11 +396,11 @@ def _run(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
             "residual_note": residual_note,
         },
         "schedule_report": schedule_report,
-        "trace_csv": os.path.basename(trace_path),
-    }, all(v.passed for v in (replay, *monotone, residual, commuting) if v)
+    }, all(v.passed for v in (replay, *monotone, residual, commuting) if v), {
+        "trace": ("_trace.csv", lambda path: trace_to_csv(trace, path))}
 
 
-def _schedule(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+def _schedule(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "schedule", "schedule", "horizon")
     rep = verify_schedule(cfg.schedule, cfg.horizon)
     say(f"liminf_proxy={rep.liminf_proxy:.6g} "
@@ -406,10 +408,10 @@ def _schedule(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
         f"diff_proxy={rep.diff_proxy:.6g}")
     for flag in rep.flags():
         say(f"flag: {flag}")
-    return {"report": rep.to_dict()}, rep.compliant
+    return {"report": rep.to_dict()}, rep.compliant, {}
 
 
-def _sweep(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
+def _sweep(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "sweep", "sweep", "plan")
     if len(cfg.mappings) != 1:
         raise ConfigError(
@@ -418,20 +420,17 @@ def _sweep(cfg: ExperimentConfig, out_dir: Optional[str], say: _Say):
                               cfg.sweep["mu_grid"], cfg.plan,
                               pairing=cfg.sweep.get("pairing", "cross"))
     rows = table.to_rows()
-    table_path = _out_path(cfg, out_dir, "table", "_sweep.csv")
-    _write_csv(table_path, ["gamma", "mu", "status", "witness_x", "witness_y",
-                            "lhs", "rhs"],
-               ([_fmt(r["gamma"]), _fmt(r["mu"]), r["status"],
+    csv_rows = ([_fmt(r["gamma"]), _fmt(r["mu"]), r["status"],
                  ";".join(map(_fmt, r["witness_x"] or ())),
                  ";".join(map(_fmt, r["witness_y"] or ())),
                  "" if r["lhs"] is None else _fmt(r["lhs"]),
-                 "" if r["rhs"] is None else _fmt(r["rhs"])]
-                for r in rows))
+                 "" if r["rhs"] is None else _fmt(r["rhs"])] for r in rows)
+    header = ["gamma", "mu", "status", "witness_x", "witness_y", "lhs", "rhs"]
     for c in table.cells:
         say(f"gamma={c.gamma:g} mu={c.mu:g}: {c.status}")
-    return {"mapping": table.mapping_label, "pairing": table.pairing,
-            "cells": rows, "table_csv": os.path.basename(table_path),
-            }, table.all_passed
+    return ({"mapping": table.mapping_label, "pairing": table.pairing, "cells": rows},
+            table.all_passed,
+            {"table": ("_sweep.csv", lambda path: _write_csv(path, header, csv_rows))})
 
 
 def cmd_check(config_path: str, out_dir: Optional[str] = None,

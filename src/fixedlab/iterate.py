@@ -38,7 +38,7 @@ from .errors import (ContractViolation, DomainError, InvalidInputError,
                      InvariantError, IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
 from .schedules import AlphaSchedule
-from .vecspace import Domain, Vector, _blend, _norm_last_axis, as_vector
+from .vecspace import Domain, _blend, _norm_last_axis, as_vector
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -92,9 +92,9 @@ class IterationConfig:
                 raise ContractViolation(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.residual_tol < 0.0:
+        if not (0.0 <= self.residual_tol < math.inf):
             raise ContractViolation(
-                f"residual_tol must be >= 0, got {self.residual_tol}")
+                f"residual_tol must be finite and >= 0, got {self.residual_tol}")
         if self.record_every < 1:
             raise ContractViolation(
                 f"record_every must be >= 1, got {self.record_every}")

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InvalidInputError, PreconditionError
-from .vecspace import (Domain, NormKind, SamplePlan, Vector, as_vector, dist,
-                       norm, sample)
+from .errors import ContractViolation, DomainError, InvalidInputError
+from .vecspace import Domain, SamplePlan, Vector, as_vector, dist, sample
 from .verdicts import Verdict, Witness
 
 FIXED_POINT_TOL = 1e-10
@@ -53,8 +52,8 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
     point must lie in the domain and satisfy ||T(z) - z|| <= 1e-10 under the
     domain norm; a point claimed twice is kept once, where first seen.
     """
-    kfp = {}
-    for z in map(as_vector, known_fixed_points or ()):
+    kfp = _distinct(map(as_vector, known_fixed_points or ()))
+    for z in kfp:
         if not domain.contains(z):
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} lies outside the domain")
@@ -63,7 +62,6 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
         if gap > FIXED_POINT_TOL:
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} moves by {gap:.3e}")
-        kfp.setdefault(z.tobytes(), z)
     if self_map:
         for p in sample(domain, plan or _DEFAULT_REGISTRATION_PLAN):
             image = as_vector(fn(p))
@@ -71,7 +69,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
                 raise ContractViolation(
                     f"mapping {label!r} is not a self-map: {p.tolist()} -> {image.tolist()}")
     return Mapping(fn=fn, domain=domain, label=label,
-                   known_fixed_points=tuple(kfp.values()), self_map=self_map)
+                   known_fixed_points=tuple(kfp), self_map=self_map)
 
 
 def evaluate(T: Mapping, x) -> Vector:
@@ -86,22 +84,21 @@ def evaluate(T: Mapping, x) -> Vector:
     return as_vector(T.fn(v))
 
 
-def _fixed_by(candidates: Sequence[Vector], fns: Sequence[Callable],
-              domain: Domain, tol: float = FIXED_POINT_TOL) -> list[Vector]:
-    """The distinct candidates, in first-seen order, that every fn fixes."""
-    out: list[Vector] = []
-    seen = set()
-    for z in candidates:
-        key = z.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if all(dist(as_vector(fn(z)), z, domain.norm_kind) <= tol for fn in fns):
-            out.append(z)
-    return out
+def _distinct(points: Iterable[Vector]) -> list[Vector]:
+    """The points in first-seen order, each byte pattern once."""
+    return list({z.tobytes(): z for z in points}.values())
 
 
-def compose(S: Mapping, T: Mapping, plan: Optional[SamplePlan] = None) -> Mapping:
+def _fixed_by(candidates: Iterable[Vector], fns: Sequence[Callable],
+              domain: Domain) -> list[Vector]:
+    """The distinct candidates, in first-seen order, that lie in the domain
+    and that every fn fixes within FIXED_POINT_TOL."""
+    return [z for z in _distinct(candidates) if domain.contains(z) and all(
+        dist(as_vector(fn(z)), z, domain.norm_kind) <= FIXED_POINT_TOL
+        for fn in fns)]
+
+
+def compose(S: Mapping, T: Mapping) -> Mapping:
     """The composite x -> S(T(x)), registered on the shared domain.
 
     Pointwise the composite equals evaluate(S, evaluate(T, x)) bitwise: the
@@ -120,7 +117,7 @@ def compose(S: Mapping, T: Mapping, plan: Optional[SamplePlan] = None) -> Mappin
     candidates = _fixed_by((*S.known_fixed_points, *T.known_fixed_points),
                            [composite], S.domain)
     return register_mapping(composite, S.domain, f"{S.label}∘{T.label}",
-                            known_fixed_points=candidates or None, plan=plan)
+                            known_fixed_points=candidates)
 
 
 def check_commuting(S: Mapping, T: Mapping, plan: SamplePlan) -> Verdict:
@@ -201,16 +198,15 @@ def make_family(members: Sequence[Mapping],
     return fam
 
 
-def common_fixed_points(family: MappingFamily,
-                        tol: float = FIXED_POINT_TOL) -> tuple[Vector, ...]:
-    """Known fixed points that every member actually fixes within `tol`.
+def common_fixed_points(family: MappingFamily) -> tuple[Vector, ...]:
+    """Known fixed points that every member actually fixes within 1e-10.
 
     Candidates come from the members' known_fixed_points lists and are
     re-verified by evaluation, so the result never trusts a stale claim.
     """
     return tuple(_fixed_by(
         [z for m in family.members for z in m.known_fixed_points],
-        [t.fn for t in family.members], family.domain, tol))
+        [t.fn for t in family.members], family.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +216,7 @@ def common_fixed_points(family: MappingFamily,
 def piecewise_map(domain: Domain, default: float,
                   cases: Sequence[tuple[float, float]],
                   label: str = "piecewise",
-                  known_fixed_points: Optional[Sequence] = None,
-                  plan: Optional[SamplePlan] = None) -> Mapping:
+                  known_fixed_points: Optional[Sequence] = None) -> Mapping:
     """1-d map equal to `default` except at finitely many exact coordinates.
 
     Case matching is exact float equality; the exceptional coordinates are
@@ -235,7 +230,7 @@ def piecewise_map(domain: Domain, default: float,
         return np.array([_table.get(float(p[0]), _default)])
 
     return register_mapping(fn, domain, label,
-                            known_fixed_points=known_fixed_points, plan=plan)
+                            known_fixed_points=known_fixed_points)
 
 
 def example1_map(domain: Optional[Domain] = None) -> Mapping:
@@ -249,15 +244,9 @@ def example1_map(domain: Optional[Domain] = None) -> Mapping:
                          label="example1", known_fixed_points=[[0.0]])
 
 
-def _origin_if_inside(domain: Domain) -> Optional[list[np.ndarray]]:
-    """[origin] when the domain holds it: a linear map's one sure fixed point."""
-    origin = np.zeros(domain.dimension)
-    return [origin] if domain.contains(origin) else None
-
-
 def identity_map(domain: Domain, label: str = "identity") -> Mapping:
-    return register_mapping(lambda p: p, domain, label,
-                            known_fixed_points=_origin_if_inside(domain))
+    """x -> x, as scaling by 1 (1.0 * x is x bitwise)."""
+    return scaling_map(domain, 1.0, label)
 
 
 def constant_map(domain: Domain, value: Sequence[float],
@@ -274,8 +263,7 @@ def constant_map(domain: Domain, value: Sequence[float],
 
 
 def affine_map(domain: Domain, matrix: Sequence[Sequence[float]],
-               shift: Sequence[float], label: str = "affine",
-               plan: Optional[SamplePlan] = None) -> Mapping:
+               shift: Sequence[float], label: str = "affine") -> Mapping:
     """x -> A x + b. If I - A is invertible and the solution lies in the
     domain, its fixed point is recorded."""
     A = np.asarray(matrix, dtype=float)
@@ -286,18 +274,15 @@ def affine_map(domain: Domain, matrix: Sequence[Sequence[float]],
             f"affine map shapes {A.shape}/{b.shape} do not fit dimension {d}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("non-finite entry in affine matrix")
-    kfp = None
-    try:
-        z = np.linalg.solve(np.eye(d) - A, b)
-        if domain.contains(z) and dist(A @ z + b, z, domain.norm_kind) <= FIXED_POINT_TOL:
-            kfp = [z]
-    except np.linalg.LinAlgError:
-        pass
 
     def fn(p, _A=A, _b=b):
         return _A @ p + _b
 
-    return register_mapping(fn, domain, label, known_fixed_points=kfp, plan=plan)
+    try:
+        kfp = _fixed_by([np.linalg.solve(np.eye(d) - A, b)], [fn], domain)
+    except np.linalg.LinAlgError:
+        kfp = None
+    return register_mapping(fn, domain, label, known_fixed_points=kfp)
 
 
 def scaling_map(domain: Domain, factor: float,
@@ -308,7 +293,8 @@ def scaling_map(domain: Domain, factor: float,
         return _a * p
 
     return register_mapping(fn, domain, label or f"scaling({a})",
-                            known_fixed_points=_origin_if_inside(domain))
+                            known_fixed_points=_fixed_by(
+                                [np.zeros(domain.dimension)], [fn], domain))
 
 
 def rotation_scaling_map(domain: Domain, angle: float, factor: float = 1.0,
@@ -323,7 +309,8 @@ def rotation_scaling_map(domain: Domain, angle: float, factor: float = 1.0,
         return _R @ p
 
     return register_mapping(fn, domain, label or f"rotation_scaling({angle:g},{factor:g})",
-                            known_fixed_points=_origin_if_inside(domain))
+                            known_fixed_points=_fixed_by(
+                                [np.zeros(domain.dimension)], [fn], domain))
 
 
 def translation_map(domain: Domain, offset: Sequence[float],

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import ContractViolation, PreconditionError
 
@@ -37,8 +37,15 @@ def _index(n: int) -> int:
     return n
 
 
+class AlphaSchedule:
+    """The schedule interface: each kind yields `values(start, stop)` lazily."""
+
+    def alpha(self, n: int) -> float:
+        return next(self.values(n, n + 1))
+
+
 @dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(AlphaSchedule):
     value: float
 
     def __post_init__(self):
@@ -50,25 +57,22 @@ class ConstantSchedule:
         """alpha(start), ..., alpha(stop - 1), made one at a time."""
         return itertools.repeat(self.value, max(0, stop - _index(start)))
 
-    def alpha(self, n: int) -> float:
-        return next(self.values(n, n + 1))
-
     def to_dict(self) -> dict:
         return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
-class DecaySchedule:
+class DecaySchedule(AlphaSchedule):
     """alpha_n = min(1/2, scale/(n+1)**rate); nonincreasing, tends to 0."""
 
     scale: float
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0.0:
-            raise ContractViolation(f"decay scale must be >= 0, got {self.scale}")
-        if self.rate <= 0.0:
-            raise ContractViolation(f"decay rate must be > 0, got {self.rate}")
+        if not (0.0 <= self.scale < math.inf):
+            raise ContractViolation(f"decay scale must be finite and >= 0, got {self.scale}")
+        if not (0.0 < self.rate < math.inf):
+            raise ContractViolation(f"decay rate must be finite and > 0, got {self.rate}")
 
     def values(self, start: int, stop: int) -> Iterator[float]:
         """alpha(start), ..., alpha(stop - 1), made one at a time."""
@@ -76,15 +80,12 @@ class DecaySchedule:
         return (min(0.5, scale / (n + 1) ** rate)
                 for n in range(_index(start), stop))
 
-    def alpha(self, n: int) -> float:
-        return next(self.values(n, n + 1))
-
     def to_dict(self) -> dict:
         return {"kind": "decay", "scale": self.scale, "rate": self.rate}
 
 
 @dataclass(frozen=True)
-class TentSchedule:
+class TentSchedule(AlphaSchedule):
     """Triangular waves over geometrically growing blocks.
 
     Block j occupies L_j = ceil(first_block_length * growth**j) consecutive
@@ -101,12 +102,12 @@ class TentSchedule:
         if not (0.0 < self.peak <= 0.5):
             raise ContractViolation(
                 f"tent peak must lie in (0, 1/2], got {self.peak}")
-        if self.first_block_length < 2:
+        if not (2 <= self.first_block_length < math.inf):
+            raise ContractViolation("tent first_block_length must be finite "
+                                    f"and >= 2, got {self.first_block_length}")
+        if not (1.0 <= self.growth < math.inf):
             raise ContractViolation(
-                f"tent first_block_length must be >= 2, got {self.first_block_length}")
-        if self.growth < 1.0:
-            raise ContractViolation(
-                f"tent growth must be >= 1, got {self.growth}")
+                f"tent growth must be finite and >= 1, got {self.growth}")
 
     def values(self, start: int, stop: int) -> Iterator[float]:
         """alpha(start), ..., alpha(stop - 1), visiting each block once."""
@@ -124,16 +125,11 @@ class TentSchedule:
             block_start = end
             j += 1
 
-    def alpha(self, n: int) -> float:
-        return next(self.values(n, n + 1))
-
     def to_dict(self) -> dict:
         return {"kind": "tent", "peak": self.peak,
                 "first_block_length": self.first_block_length,
                 "growth": self.growth}
 
-
-AlphaSchedule = Union[ConstantSchedule, DecaySchedule, TentSchedule]
 
 # Chosen so that at horizon 1e5 the whole last quarter lies inside one
 # block that contains its apex and ends two steps past the horizon; the
@@ -211,14 +207,17 @@ def verify_schedule(s: AlphaSchedule, horizon: int) -> ScheduleReport:
     if horizon < 10:
         raise PreconditionError(f"verify_schedule needs horizon >= 10, got {horizon}")
     window_start = horizon - horizon // 4
-    values = list(s.values(window_start, horizon + 1))
-    for n, v in enumerate(values, window_start):
+    lo, hi, step, prev = math.inf, -math.inf, 0.0, None
+    for n, v in enumerate(s.values(window_start, horizon + 1), window_start):
         if not (0.0 <= v <= 0.5):
             raise ContractViolation(
                 f"schedule emitted {v} outside [0, 1/2] at step {n}")
-    window = values[:-1]
-    diffs = [abs(b - a) for a, b in zip(values[:-1], values[1:])]
+        if prev is not None:   # prev runs over the window, v one step ahead
+            lo = prev if prev < lo else lo
+            hi = prev if prev > hi else hi
+            if abs(v - prev) > step:
+                step = abs(v - prev)
+        prev = v
     return ScheduleReport(
         schedule=s.to_dict(), horizon=horizon, window_start=window_start,
-        liminf_proxy=min(window), limsup_proxy=max(window),
-        diff_proxy=max(diffs))
+        liminf_proxy=lo, limsup_proxy=hi, diff_proxy=step)

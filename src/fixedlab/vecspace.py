@@ -13,7 +13,7 @@ paths produce bitwise-identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -172,14 +172,17 @@ class SamplePlan:
     count: Optional[int] = None
     epsilon: float = 1e-9
 
+    def __post_init__(self):
+        if not (0.0 < self.epsilon < math.inf):
+            raise InvalidInputError(
+                f"plan epsilon must be positive and finite, got {self.epsilon}")
+
     @staticmethod
     def grid(resolution: Union[int, Sequence[int]], epsilon: float = 1e-9) -> "SamplePlan":
         res = tuple(_whole(r, "resolution") for r in
                     ([resolution] if np.ndim(resolution) == 0 else resolution))
         if not res or any(r < 2 for r in res):
             raise InvalidInputError(f"grid resolution must be >= 2 per axis, got {res}")
-        if not (epsilon > 0):
-            raise InvalidInputError(f"plan epsilon must be positive, got {epsilon}")
         return SamplePlan(mode="grid", resolution=res, epsilon=float(epsilon))
 
     @staticmethod
@@ -187,8 +190,6 @@ class SamplePlan:
         seed, count = _whole(seed, "seed"), _whole(count, "count")
         if count < 1:
             raise InvalidInputError(f"random sample count must be >= 1, got {count}")
-        if not (epsilon > 0):
-            raise InvalidInputError(f"plan epsilon must be positive, got {epsilon}")
         return SamplePlan(mode="random", seed=seed, count=count, epsilon=float(epsilon))
 
     def to_dict(self) -> dict:

@@ -319,9 +319,22 @@ def with_iteration(**changes):
                   "schedule": {"kind": "constant", "value": 0.1}}, "horizon"),
     ("schedule", {"name": "typed", "horizon": True,
                   "schedule": {"kind": "constant", "value": 0.1}}, "horizon"),
+    # wrong-typed sections and entries
+    ("run", {**SCALING_RUN, "mappings": None}, "mappings"),
+    ("check", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "checks": [None]}, "checks"),
+    ("check", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "checks": [{"check": ["nonexpansive"]}]}, "checks"),
+    ("sweep", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "sweep": "gamma_grid"}, "sweep"),
+    ("run", {**SCALING_RUN, "out": ["report"]}, "out"),
+    ("run", {**SCALING_RUN, "out": {"report": "sub/typed.json"}}, "out.report"),
+    ("run", {**SCALING_RUN, "out": {"trace": 5}}, "out.trace"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
-        "fractional-count", "fractional-horizon", "bool-horizon"])
+        "fractional-count", "fractional-horizon", "bool-horizon",
+        "null-mappings", "null-check", "list-check-name", "string-sweep",
+        "list-out", "out-path-with-directory", "number-out-name"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -411,3 +424,4 @@ def test_non_finite_report_value_exits_3_without_a_report(
     assert err.startswith("runtime error:") and field in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_report.json"))
+    assert not list(tmp_path.iterdir())   # no CSV either

@@ -8,6 +8,7 @@ blocks sequentially instead of mapping n -> block; both must agree to the
 last bit.
 """
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,9 @@ from fixedlab import (
     ContractViolation,
     DEFAULT_TENT,
     DecaySchedule,
+    IterationConfig,
     PreconditionError,
+    SamplePlan,
     TentSchedule,
     alpha,
     verify_schedule,
@@ -169,7 +172,57 @@ def test_verify_schedule_flat_tent_matches_generator_at_1e5():
         abs(b - a) for a, b in zip(vals[start:horizon], vals[start + 1:]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DecaySchedule(math.nan),
+    lambda: DecaySchedule(0.5, math.nan),
+    lambda: DecaySchedule(math.inf),
+    lambda: DecaySchedule(0.5, math.inf),
+    lambda: TentSchedule(0.25, math.nan, 1.0),
+    lambda: TentSchedule(0.25, math.inf, 1.0),
+    lambda: TentSchedule(0.25, 2, math.nan),
+    lambda: TentSchedule(0.25, 2, math.inf),
+    lambda: IterationConfig(lam=0.5, max_iters=10, residual_tol=math.nan),
+    lambda: IterationConfig(lam=0.5, max_iters=10, residual_tol=math.inf),
+    lambda: SamplePlan.grid(5, epsilon=math.inf),
+    lambda: SamplePlan.random(1, 5, epsilon=math.inf),
+], ids=["decay-scale-nan", "decay-rate-nan", "decay-scale-inf",
+        "decay-rate-inf", "tent-first-nan", "tent-first-inf", "tent-growth-nan",
+        "tent-growth-inf", "residual-tol-nan", "residual-tol-inf",
+        "grid-epsilon-inf", "random-epsilon-inf"])
+def test_constructors_refuse_nan_and_inf(make):
+    """A range test NaN slips past, or an infinity where a finite value is
+    needed, would build an object that misbehaves later or never."""
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # --- the compliance report ----------------------------------------------------
+
+@pytest.mark.parametrize("schedule", [DecaySchedule(0.5, 0.5),
+                                      TentSchedule(0.25, 600, 1.0)],
+                         ids=["decay", "flat-tent"])
+def test_verify_schedule_streams_its_window(schedule):
+    """The 5*10**4-value tail window at horizon 2*10**5 is walked, not held
+    (two lists of it took about 4 MiB)."""
+    tracemalloc.start()
+    try:
+        verify_schedule(schedule, 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_decay_report_matches_generator_window():
+    horizon = 10**5
+    vals = reference_decay(0.5, 0.5, horizon + 1)
+    start = horizon - horizon // 4
+    rep = verify_schedule(DecaySchedule(0.5, 0.5), horizon)
+    assert rep.liminf_proxy == min(vals[start:horizon])
+    assert rep.limsup_proxy == max(vals[start:horizon])
+    assert rep.diff_proxy == max(
+        abs(b - a) for a, b in zip(vals[start:horizon], vals[start + 1:]))
+
 
 def test_verify_schedule_requires_horizon():
     with pytest.raises(PreconditionError):
