@@ -90,6 +90,14 @@ def _count(d: dict, key: str, where: str, default=_REQUIRED):
     return v if v is None else _whole(v, key)
 
 
+def _file_name(field: str, value) -> str:
+    """value, once checked to be one plain file name: it is joined to --out."""
+    if not isinstance(value, str) or value in ("", ".", "..") \
+            or os.path.basename(value) != value or "\0" in value:
+        raise ConfigError(f"{field}: expected a plain file name, got {value!r}")
+    return value
+
+
 def _parsed(where: str, parse, *args):
     """parse(*args), with a bad value reported as a ConfigError naming `where`."""
     try:
@@ -223,7 +231,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         if not isinstance(raw.get(key, kind()), kind):
             raise ConfigError(f"{key}: expected a {kind.__name__}, got {raw[key]!r}")
 
-    name = raw.get("name") or os.path.splitext(os.path.basename(path))[0]
+    name = _file_name("name", raw["name"] if "name" in raw
+                      else os.path.splitext(os.path.basename(path))[0])
     cfg = ExperimentConfig(name=name, echo={"name": name})
     echo = cfg.echo   # each section echoes its resolved form as it is parsed
     if "domain" in raw:
@@ -274,10 +283,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         cfg.sweep = sw
         echo["sweep"] = dict(sw)
     cfg.out = dict(raw.get("out", {}))
-    for key, base in cfg.out.items():   # joined to --out: one plain file name
-        if not isinstance(base, str) or base in ("", ".", "..") \
-                or os.path.basename(base) != base:
-            raise ConfigError(f"out.{key}: expected a plain file name, got {base!r}")
+    for key, base in cfg.out.items():
+        _file_name(f"out.{key}", base)
     if cfg.out:
         echo["out"] = dict(cfg.out)
     return cfg
@@ -315,6 +322,11 @@ def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
     root = out_dir or "."
     path = {key: os.path.join(root, cfg.out.get(key, f"{cfg.name}{suffix}"))
             for key, (suffix, _) in {**files, "report": ("_report.json", None)}.items()}
+    owner: dict[str, str] = {}
+    for key, p in path.items():
+        if owner.setdefault(p, key) != key:
+            raise ConfigError(f"out.{owner[p]} and out.{key} both name "
+                              f"{os.path.basename(p)!r}")
     body.update({f"{key}_csv": os.path.basename(path[key]) for key in files})
     report = {"command": command, "config": cfg.echo, **body, "passed": passed,
               "duration_seconds": time.perf_counter() - t0}

@@ -7,7 +7,9 @@ function of its inputs, so everything can be shared freely across threads.
 Built for desk scale: low dimension, domain diameters up to ~1e3, plain
 double precision with no compensated summation. The l2 norm is computed as
 sqrt(sum(v*v)) rather than through BLAS so that scalar and vectorized code
-paths produce bitwise-identical values.
+paths produce bitwise-identical values: per-vector norms share one
+np.add.reduce, and `pairwise_norm` adds coordinate by coordinate in that
+reduction's own order, so its matrices never hold a (rows, cols, d) array.
 """
 
 from __future__ import annotations
@@ -70,10 +72,45 @@ def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
 def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
     """Matrix of ||A[i] - B[j]|| values, shape (len(A), len(B)).
 
-    Shares `norm`'s reduction, so entries are bitwise equal to the
-    corresponding scalar computation.
+    Works one coordinate at a time on (len(A), len(B)) arrays, never on a
+    (len(A), len(B), d) difference, and combines the coordinates in
+    np.add.reduce's own order (`_by_coordinate`), so every entry is
+    bitwise equal to the corresponding scalar `dist`.
     """
-    return _norm_last_axis(A[:, None, :] - B[None, :, :], kind)
+    if kind not in (NormKind.L1, NormKind.L2, NormKind.LINF):
+        raise InvalidInputError(f"unknown norm kind {kind!r}")
+
+    def term(k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        t = np.subtract.outer(A[:, k], B[:, k], out=out)
+        return np.multiply(t, t, out=t) if kind == NormKind.L2 else np.abs(t, out=t)
+
+    acc = _by_coordinate(np.maximum if kind == NormKind.LINF else np.add,
+                         term, 0, A.shape[1])
+    return np.sqrt(acc, out=acc) if kind == NormKind.L2 else acc
+
+
+def _by_coordinate(op, term, lo: int, n: int) -> np.ndarray:
+    """op-combination of term(lo), ..., term(lo + n - 1) in the order numpy's
+    pairwise summation adds n values: in sequence below 8, in 8 running
+    partials combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
+    rest in sequence up to 128, and as two halves split at a multiple of 8
+    above. (np.maximum gives the same result in any order.)
+    """
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        acc = _by_coordinate(op, term, lo, half)
+        return op(acc, _by_coordinate(op, term, lo + half, n - half), out=acc)
+    m = 8 if n >= 8 else 1
+    r, buf = [term(lo + j) for j in range(m)], None
+    for k in range(m, n - n % m):
+        buf = term(lo + k, buf)
+        op(r[k % m], buf, out=r[k % m])
+    while len(r) > 1:
+        r = [op(r[j], r[j + 1], out=r[j]) for j in range(0, len(r), 2)]
+    for k in range(n - n % m, n):
+        buf = term(lo + k, buf)
+        op(r[0], buf, out=r[0])
+    return r[0]
 
 
 def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:

@@ -330,11 +330,13 @@ def with_iteration(**changes):
     ("run", {**SCALING_RUN, "out": ["report"]}, "out"),
     ("run", {**SCALING_RUN, "out": {"report": "sub/typed.json"}}, "out.report"),
     ("run", {**SCALING_RUN, "out": {"trace": 5}}, "out.trace"),
+    ("run", {**SCALING_RUN, "out": {"report": "r\0.json"}}, "out.report"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
         "null-mappings", "null-check", "list-check-name", "string-sweep",
-        "list-out", "out-path-with-directory", "number-out-name"])
+        "list-out", "out-path-with-directory", "number-out-name",
+        "nul-out-name"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -343,6 +345,32 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [["a"], "a/b", "", "..", "a\0b"],
+                         ids=["list", "with-directory", "empty", "dotdot", "nul"])
+def test_bad_name_is_config_error(tmp_path, capsys, name):
+    """`name` prefixes every output file, so it follows the out.* rule."""
+    p = write_cfg(tmp_path, "typed.json", {**SCALING_RUN, "name": name})
+    assert main(["run", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: name:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [{"report": "x.csv", "trace": "x.csv"},
+                                 {"trace": "example1_report.json"}],
+                         ids=["both-explicit", "explicit-vs-default"])
+def test_colliding_out_paths_exit_2_before_any_file(tmp_path, capsys, out):
+    with open(cfg_path("example1.json"), encoding="utf-8") as fh:
+        payload = {**json.load(fh), "out": out}
+    p = write_cfg(tmp_path, "example1.json", payload)
+    assert main(["run", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "out.report" in err and "out.trace" in err
     assert not (tmp_path / "out").exists()
 
 

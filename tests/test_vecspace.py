@@ -7,6 +7,7 @@ convex_combination must skip zero weights so that a weight vector like
 """
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,36 @@ def test_pairwise_matches_scalar_dist_bitwise():
         for i in range(6):
             for j in range(5):
                 assert M[i, j] == dist(A[i], B[j], kind), (i, j, kind)
+
+
+@pytest.mark.parametrize("d", [*range(1, 40), 64, 128, 129, 257, 300])
+def test_pairwise_matches_scalar_dist_bitwise_for_every_dimension(d):
+    """The coordinate-wise kernel keeps np.add.reduce's summation order:
+    terms from 1e-300 to 1e3 make any other order show in the last bits."""
+    rng = np.random.default_rng(d)
+    A = rng.uniform(-1.0, 1.0, size=(4, d)) * 10.0 ** rng.integers(-300, 4, size=(4, d))
+    B = rng.uniform(-1.0, 1.0, size=(5, d)) * 10.0 ** rng.integers(-300, 4, size=(5, d))
+    B[0] = A[1]   # a coincident pair: exactly 0.0
+    for kind in NormKind:
+        M = pairwise_norm(A, B, kind)
+        assert M[1, 0] == 0.0
+        for i in range(4):
+            for j in range(5):
+                assert M[i, j] == dist(A[i], B[j], kind), (d, i, j, kind)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_pairwise_norm_holds_no_tile_by_dimension_temporary(d):
+    rng = np.random.default_rng(0)
+    A, B = rng.uniform(size=(256, d)), rng.uniform(size=(2500, d))
+    for kind in NormKind:
+        tracemalloc.start()
+        try:
+            pairwise_norm(A, B, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 256 * 2500 * 8, (kind, peak)
 
 
 def test_as_vector_rejects_bad_input():
