@@ -18,6 +18,7 @@ and the verdicts agree exactly (same scan, bitwise-identical arithmetic).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -68,7 +69,7 @@ _TILE = 256
 class _Tile(dict):
     """Distances from the sample rows `rows` to every column, each computed
     when a check first asks for it. Key "ab" holds ||a_i - b_j||, where x is
-    a sample point, T its image and z a column of a fixed-point check;
+    a sample point, T its image and z a known fixed point of the map;
     `disp` holds every sample point's ||x_i - Tx_i||."""
 
     def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind):
@@ -88,23 +89,21 @@ def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.nd
     return X, TX, _norm_last_axis(X - TX, T.domain.norm_kind)
 
 
-def _scan(T: Mapping, plan: SamplePlan, checks, images=None,
-          cols: Optional[np.ndarray] = None) -> list[Verdict]:
-    """Run every check over the ordered (x_i, cols[j]) pairs of the sample
-    points x_i and, by default, cols = the sample. `images` is `_images(T,
-    plan)` where the caller already has it.
+def _scan(T: Mapping, plan: SamplePlan, checks, images) -> list[Verdict]:
+    """Run every check over the ordered (x_i, c_j) pairs of the sample
+    points x_i and the check's columns c_j: the sample itself ("x") or T's
+    known fixed points ("z"). `images` is `_images(T, plan)`.
 
-    A check is (label, params, parts), where parts(tile) gives its parts on
-    the tile's pairs as (premise, lhs, rhs, detail): pair (i, j) violates a
-    part when premise[i, j] holds (a None premise always holds) and
-    lhs[i, j] > rhs[i, j] + epsilon. Where parts first fail on the same
+    A check is (label, params, cols, parts), where parts(tile) gives its
+    parts on the tile's pairs as (premise, lhs, rhs, detail): pair (i, j)
+    violates a part when premise[i, j] holds (a None premise always holds)
+    and lhs[i, j] > rhs[i, j] + epsilon. Where parts first fail on the same
     pair, the earlier part is the witness. The scan walks row tiles in
     order, so the first tile with a hit holds the row-major first witness;
     a check retires there, and the scan stops once every check has retired.
     """
-    X, TX, disp = images or _images(T, plan)
-    cols = X if cols is None else cols
-    pts = {"x": X, "T": TX, "z": cols}
+    X, TX, disp = images
+    pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
     found: dict[int, Witness] = {}   # check index -> its first witness
     for lo in range(0, len(X), _TILE):
         live = [k for k in range(len(checks)) if k not in found]
@@ -113,7 +112,7 @@ def _scan(T: Mapping, plan: SamplePlan, checks, images=None,
         tile = _Tile(pts, disp, slice(lo, lo + _TILE), T.domain.norm_kind)
         for k in live:
             hit = None
-            for premise, lhs, rhs, detail in checks[k][2](tile):
+            for premise, lhs, rhs, detail in checks[k][3](tile):
                 viol = lhs > rhs + plan.epsilon
                 if premise is not None:
                     viol &= premise
@@ -122,19 +121,59 @@ def _scan(T: Mapping, plan: SamplePlan, checks, images=None,
                     hit = (flat, lhs, rhs, detail)
             if hit is not None:
                 flat, lhs, rhs, detail = hit
-                i, j = divmod(flat, len(cols))
+                i, j = divmod(flat, lhs.shape[1])
                 found[k] = Witness.at(X[lo + i], lhs=lhs[i, j], rhs=rhs[i, j],
-                                      y=cols[j], detail=detail)
+                                      y=pts[checks[k][2]][j], detail=detail)
     return [Verdict(condition_label=label, passed=k not in found,
-                    checked_pairs=len(X) * len(cols), witness=found.get(k),
+                    checked_pairs=len(X) * len(pts[cols]), witness=found.get(k),
                     plan=plan, params=params)
-            for k, (label, params, _) in enumerate(checks)]
+            for k, (label, params, cols, _) in enumerate(checks)]
+
+
+def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
+    """One Verdict per request, in order, from one `_scan` of one sample.
+
+    A request is prepare(T, plan, images) -> (checks, finish): images()
+    is `_images(T, plan)`, computed once, and finish(the checks' verdicts)
+    is the request's Verdict. Each request is prepared, then the images
+    made, before the next, so errors come in the one-by-one order.
+    """
+    images = functools.cache(lambda: _images(T, plan))
+    prepared = []
+    for request in requests:
+        checks, finish = request(T, plan, images)
+        if not T.known_fixed_points and any(c[2] == "z" for c in checks):
+            raise PreconditionError(
+                f"mapping {T.label!r} has no known fixed points to check against")
+        prepared.append((checks, finish))
+        images()
+    verdicts = iter(_scan(T, plan, [c for checks, _ in prepared for c in checks],
+                          images()))
+    out = []
+    for checks, finish in prepared:   # a loop, so a warning's stacklevel is fixed
+        out.append(finish([next(verdicts) for _ in checks]))
+    return out
+
+
+# Each check is described once, by a private function that makes its
+# request; both its public check_* function and `harness._CHECKS` call it.
+
+def _one(check):
+    """The request that runs `check` and keeps its verdict."""
+    return lambda T, plan, images: ([check], lambda vs: vs[0])
+
+
+def _nonexpansive():
+    return _one(("nonexpansive", (), "x", lambda t: [(None, t["TT"], t["xx"], None)]))
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
     """||Tx - Ty|| <= ||x - y|| + epsilon over all ordered sample pairs."""
-    return _scan(T, plan, [
-        ("nonexpansive", (), lambda t: [(None, t["TT"], t["xx"], None)])])[0]
+    return _checks(T, plan, [_nonexpansive()])[0]
+
+
+def _quasi_nonexpansive(label: str = "quasi_nonexpansive", params: tuple = ()):
+    return _one((label, params, "z", lambda t: [(None, t["Tz"], t["xz"], None)]))
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -142,12 +181,11 @@ def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
 
     Requires a nonempty known_fixed_points list.
     """
-    if not T.known_fixed_points:
-        raise PreconditionError(
-            f"mapping {T.label!r} has no known fixed points to check against")
-    return _scan(T, plan, [
-        ("quasi_nonexpansive", (), lambda t: [(None, t["Tz"], t["xz"], None)])],
-        cols=np.stack(T.known_fixed_points))[0]
+    return _checks(T, plan, [_quasi_nonexpansive()])[0]
+
+
+def _lemma3(p: BGammaMu):
+    return _quasi_nonexpansive("fixed_point_shrink", (("gamma", p.gamma), ("mu", p.mu)))
 
 
 def check_lemma3(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -159,9 +197,17 @@ def check_lemma3(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
     for maps satisfying the two-parameter condition, so the hypothesis
     parameters are recorded in the verdict for the report.
     """
-    return replace(check_quasi_nonexpansive(T, plan),
-                   condition_label="fixed_point_shrink",
-                   params=(("gamma", p.gamma), ("mu", p.mu)))
+    return _checks(T, plan, [_lemma3(p)])[0]
+
+
+def _condition_c(lam: float, label: str = "condition_C_lambda"):
+    """condition_C_lambda, or under another label with no parameters."""
+    lam = float(lam)
+    if not (0.0 < lam < 1.0):
+        raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
+    params = (("lambda", lam),) if label == "condition_C_lambda" else ()
+    return _one((label, params, "x", lambda t: [
+        (lam * t.disp[t.rows, None] <= t["xx"], t["TT"], t["xx"], None)]))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -169,18 +215,12 @@ def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdic
 
     lam must lie strictly inside (0, 1). The premise carries no slack.
     """
-    lam = float(lam)
-    if not (0.0 < lam < 1.0):
-        raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
-    return _scan(T, plan, [
-        ("condition_C_lambda", (("lambda", lam),), lambda t: [
-            (lam * t.disp[t.rows, None] <= t["xx"], t["TT"], t["xx"], None)])])[0]
+    return _checks(T, plan, [_condition_c(lam)])[0]
 
 
 def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
     """The lam = 1/2 instance, under its own label."""
-    return replace(check_condition_C_lambda(T, 0.5, plan),
-                   condition_label="condition_C", params=())
+    return _checks(T, plan, [_condition_c(0.5, "condition_C")])[0]
 
 
 def _condition_b(p: BGammaMu):
@@ -189,12 +229,56 @@ def _condition_b(p: BGammaMu):
         premise = p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
         rhs = (1.0 - p.gamma) * t["xx"] + p.mu * (t["xT"] + t["Tx"])
         return [(premise, t["TT"], rhs, None)]
-    return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), parts
+    return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", parts
 
 
 def check_condition_B(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
     """The two-parameter condition; see the module docstring for the display."""
-    return _scan(T, plan, [_condition_b(p)])[0]
+    return _checks(T, plan, [_one(_condition_b(p))])[0]
+
+
+def _prop1(theta: float, p: BGammaMu):
+    """check_prop1's request: its finish step warns when the condition_B
+    check fails and gives part (i)'s witness, if any, without a pair scan."""
+    theta = _within("theta", float(theta), 1.0)
+    params = (("theta", theta), ("gamma", p.gamma), ("mu", p.mu))
+    half = theta / 2.0
+
+    def prepare(T, plan, images):
+        X, TX, dxTx = images()
+        TTX = np.stack([evaluate(T, tx) for tx in TX])
+        dTxTtx = _norm_last_axis(TX - TTX, T.domain.norm_kind)
+        eps = plan.epsilon
+        viol_i = dTxTtx > dxTx + eps
+        i = int(np.argmax(viol_i))   # first point violating part (i)
+
+        def parts(t):
+            d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
+            # (ii) fails where both alternatives fail: the first as the
+            # inequality, the second as the premise
+            return [(half * dd > t["Tx"] + eps, np.broadcast_to(half * d, t["xx"].shape),
+                     t["xx"], "part (ii)"),
+                    (None, (1.0 - p.mu) * t["xT"],
+                     (3.0 - theta) * d + (1.0 - half) * t["xx"]
+                     + p.mu * (2.0 * d + t["Tx"] + 2.0 * dd), "part (iii)")]
+
+        def finish(verdicts):
+            pre, *rest = verdicts
+            if not pre.passed:   # stacklevel 4: the caller of check_prop1
+                warnings.warn(
+                    f"condition_B(gamma={p.gamma}, mu={p.mu}) fails for {T.label!r} "
+                    "on this plan; the property check may fail too", stacklevel=4)
+            if rest:
+                return rest[0]
+            return Verdict(condition_label="prop1", passed=False,
+                           checked_pairs=len(X) ** 2,
+                           witness=Witness.at(X[i], lhs=dTxTtx[i], rhs=dxTx[i],
+                                              detail="part (i)"),
+                           plan=plan, params=params)
+
+        return [_condition_b(p)] + (
+            [] if viol_i[i] else [("prop1", params, "x", parts)]), finish
+    return prepare
 
 
 def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -215,38 +299,7 @@ def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verd
     takes precedence over (ii) and (iii). If the underlying condition check
     fails on this plan a warning is emitted but the check proceeds.
     """
-    theta = _within("theta", float(theta), 1.0)
-    params = (("theta", theta), ("gamma", p.gamma), ("mu", p.mu))
-    images = X, TX, dxTx = _images(T, plan)
-    TTX = np.stack([evaluate(T, tx) for tx in TX])
-    dTxTtx = _norm_last_axis(TX - TTX, T.domain.norm_kind)
-    eps = plan.epsilon
-    viol_i = dTxTtx > dxTx + eps
-    i = int(np.argmax(viol_i))   # first point violating part (i)
-    half = theta / 2.0
-
-    def parts(t):
-        d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
-        # (ii) fails where both alternatives fail: the first as the
-        # inequality, the second as the premise
-        return [(half * dd > t["Tx"] + eps, np.broadcast_to(half * d, t["xx"].shape),
-                 t["xx"], "part (ii)"),
-                (None, (1.0 - p.mu) * t["xT"],
-                 (3.0 - theta) * d + (1.0 - half) * t["xx"]
-                 + p.mu * (2.0 * d + t["Tx"] + 2.0 * dd), "part (iii)")]
-
-    pre, *rest = _scan(T, plan, [_condition_b(p)]
-                       + ([] if viol_i[i] else [("prop1", params, parts)]), images)
-    if not pre.passed:
-        warnings.warn(
-            f"condition_B(gamma={p.gamma}, mu={p.mu}) fails for {T.label!r} on "
-            "this plan; the property check may fail too", stacklevel=2)
-    if rest:
-        return rest[0]
-    return Verdict(condition_label="prop1", passed=False, checked_pairs=len(X) ** 2,
-                   witness=Witness.at(X[i], lhs=dTxTtx[i], rhs=dxTx[i],
-                                      detail="part (i)"),
-                   plan=plan, params=params)
+    return _checks(T, plan, [_prop1(theta, p)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +363,7 @@ def sweep_condition_B(T: Mapping, gamma_grid: Sequence[float],
         else list(zip(gammas, mus))
     cells = [SweepCell(gamma=g, mu=m, status="skipped") for g, m in pairs]
     scanned = [k for k, (g, m) in enumerate(pairs) if 2.0 * m <= g]
-    verdicts = _scan(T, plan, [_condition_b(BGammaMu(*pairs[k])) for k in scanned])
+    verdicts = _checks(T, plan, [_one(_condition_b(BGammaMu(*pairs[k]))) for k in scanned])
     for k, v in zip(scanned, verdicts):
         cells[k] = replace(cells[k], status="pass" if v.passed else "fail", verdict=v)
     return SweepTable(mapping_label=T.label, cells=tuple(cells), plan=plan,

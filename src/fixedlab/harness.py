@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .conditions import (BGammaMu, check_condition_B, check_condition_C,
-                         check_condition_C_lambda, check_lemma3,
-                         check_nonexpansive, check_prop1,
-                         check_quasi_nonexpansive, sweep_condition_B)
+from .conditions import (BGammaMu, sweep_condition_B, _checks, _condition_b,
+                         _condition_c, _lemma3, _nonexpansive, _one, _prop1,
+                         _quasi_nonexpansive)
 from .errors import (ConfigError, InvariantError, IterationRuntimeError,
                      PreconditionError)
 from .iterate import (IterationConfig, goebel_kirk_gap,
@@ -173,38 +172,39 @@ def _parse_iteration(d: dict) -> tuple[IterationConfig, Optional[tuple[float, ..
     return cfg, x0
 
 
-def _gamma_mu(spec: dict) -> BGammaMu:
-    return BGammaMu(_number(spec, "gamma", "check"), _number(spec, "mu", "check"))
+def _gamma_mu(spec: dict, at: str) -> BGammaMu:
+    return BGammaMu(_number(spec, "gamma", at), _number(spec, "mu", at))
 
 
 #: Every check a config may request, in the order error messages list them.
-#: Entries run as entry(spec, T, plan) and look the check function up when
-#: called; "commuting" certifies the whole family and has no per-map entry.
+#: entry(spec, at) is the check's request for `conditions._checks`, and a
+#: bad parameter raises naming `at`; "commuting" certifies the whole family
+#: and has no per-map entry.
 _CHECKS = {
-    "nonexpansive": lambda spec, T, plan: check_nonexpansive(T, plan),
-    "quasi_nonexpansive":
-        lambda spec, T, plan: check_quasi_nonexpansive(T, plan),
-    "fixed_point_shrink":
-        lambda spec, T, plan: check_lemma3(T, _gamma_mu(spec), plan),
-    "condition_C": lambda spec, T, plan: check_condition_C(T, plan),
-    "condition_C_lambda": lambda spec, T, plan: check_condition_C_lambda(
-        T, _number(spec, "lambda", "check"), plan),
-    "condition_B":
-        lambda spec, T, plan: check_condition_B(T, _gamma_mu(spec), plan),
-    "prop1": lambda spec, T, plan: check_prop1(
-        T, _number(spec, "theta", "check"), _gamma_mu(spec), plan),
+    "nonexpansive": lambda spec, at: _nonexpansive(),
+    "quasi_nonexpansive": lambda spec, at: _quasi_nonexpansive(),
+    "fixed_point_shrink": lambda spec, at: _lemma3(_gamma_mu(spec, at)),
+    "condition_C": lambda spec, at: _condition_c(0.5, "condition_C"),
+    "condition_C_lambda":
+        lambda spec, at: _condition_c(_number(spec, "lambda", at)),
+    "condition_B": lambda spec, at: _one(_condition_b(_gamma_mu(spec, at))),
+    "prop1": lambda spec, at: _prop1(_number(spec, "theta", at),
+                                     _gamma_mu(spec, at)),
     "commuting": None,
 }
 
 
 def _normalize_checks(entries) -> list[dict]:
+    """The check specs, each once its parameters resolve to a request."""
     out = []
     for i, entry in enumerate(entries):
+        at = f"checks[{i}]"
         spec = {"check": entry} if isinstance(entry, str) else dict(entry)
-        if _need(spec, "check", f"checks[{i}]") not in _CHECKS:
-            raise ConfigError(
-                f"checks[{i}]: unknown check {spec['check']!r}; "
-                f"known: {', '.join(_CHECKS)}")
+        if _need(spec, "check", at) not in _CHECKS:
+            raise ConfigError(f"{at}: unknown check {spec['check']!r}; "
+                              f"known: {', '.join(_CHECKS)}")
+        if _CHECKS[spec["check"]]:
+            _parsed(at, _CHECKS[spec["check"]], spec, at)
         out.append(spec)
     return out
 
@@ -275,9 +275,9 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         sw = raw["sweep"]
         for k in ("gamma_grid", "mu_grid"):
             grid = _need(sw, k, "sweep")
-            if not (isinstance(grid, list) and all(map(_is_number, grid))):
-                raise ConfigError(f"sweep.{k}: expected a list of numbers, "
-                                  f"got {grid!r}")
+            if not (isinstance(grid, list) and grid and all(map(_is_number, grid))):
+                raise ConfigError(f"sweep.{k}: expected a non-empty list of "
+                                  f"numbers, got {grid!r}")
         if sw.get("pairing", "cross") not in ("cross", "zip"):
             raise ConfigError(f"sweep: unknown pairing {sw.get('pairing')!r}")
         cfg.sweep = sw
@@ -291,8 +291,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (report body, verdict, {out key: (default suffix,
-# write(path))}) and prints through `say`; _drive writes every file
+# subcommands: each returns (report body, verdict, {out key: write(path)})
+# and prints through `say`; _drive writes every file
 # ---------------------------------------------------------------------------
 
 _Say = Callable[[str], None]
@@ -313,26 +313,27 @@ def _require(cfg: ExperimentConfig, command: str, *parts: str) -> None:
             raise ConfigError(f"{command}: config {_MISSING[part]}")
 
 
-def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
-           seed: Optional[int], quiet: bool) -> tuple[int, dict]:
+def _drive(command: str, compute, files: dict[str, str], config_path: str,
+           out_dir: Optional[str], seed: Optional[int], quiet: bool) -> tuple[int, dict]:
+    """`files` maps each output key but the report to its default suffix."""
     t0 = time.perf_counter()
     cfg = load_config(config_path, seed)
-    say: _Say = (lambda msg: None) if quiet else print
-    body, passed, files = compute(cfg, say)
     root = out_dir or "."
     path = {key: os.path.join(root, cfg.out.get(key, f"{cfg.name}{suffix}"))
-            for key, (suffix, _) in {**files, "report": ("_report.json", None)}.items()}
+            for key, suffix in {**files, "report": "_report.json"}.items()}
     owner: dict[str, str] = {}
     for key, p in path.items():
         if owner.setdefault(p, key) != key:
             raise ConfigError(f"out.{owner[p]} and out.{key} both name "
                               f"{os.path.basename(p)!r}")
+    say: _Say = (lambda msg: None) if quiet else print
+    body, passed, writers = compute(cfg, say)
     body.update({f"{key}_csv": os.path.basename(path[key]) for key in files})
     report = {"command": command, "config": cfg.echo, **body, "passed": passed,
               "duration_seconds": time.perf_counter() - t0}
     _reject_non_finite(report, "", InvariantError)   # before any file exists
     os.makedirs(root, exist_ok=True)
-    for key, (_, write) in files.items():
+    for key, write in writers.items():
         write(path[key])
     with open(path["report"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
@@ -343,12 +344,11 @@ def _drive(command: str, compute, config_path: str, out_dir: Optional[str],
 
 def _check(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "check", "mappings", "plan", "checks")
+    requests = [_CHECKS[s["check"]](s, "check") for s in cfg.checks
+                if s["check"] != "commuting"]
     verdicts = []
-    for T in cfg.mappings:
-        for spec in cfg.checks:
-            if spec["check"] == "commuting":
-                continue
-            v = _CHECKS[spec["check"]](spec, T, cfg.plan)
+    for T in cfg.mappings if requests else ():
+        for v in _checks(T, cfg.plan, requests):   # one scan per mapping
             verdicts.append({"mapping": T.label, **v.to_dict()})
             say(f"[{'PASS' if v.passed else 'FAIL'}] {T.label}: "
                 f"{v.condition_label}{dict(v.params) if v.params else ''}")
@@ -409,7 +409,7 @@ def _run(cfg: ExperimentConfig, say: _Say):
         },
         "schedule_report": schedule_report,
     }, all(v.passed for v in (replay, *monotone, residual, commuting) if v), {
-        "trace": ("_trace.csv", lambda path: trace_to_csv(trace, path))}
+        "trace": lambda path: trace_to_csv(trace, path)}
 
 
 def _schedule(cfg: ExperimentConfig, say: _Say):
@@ -442,31 +442,33 @@ def _sweep(cfg: ExperimentConfig, say: _Say):
         say(f"gamma={c.gamma:g} mu={c.mu:g}: {c.status}")
     return ({"mapping": table.mapping_label, "pairing": table.pairing, "cells": rows},
             table.all_passed,
-            {"table": ("_sweep.csv", lambda path: _write_csv(path, header, csv_rows))})
+            {"table": lambda path: _write_csv(path, header, csv_rows)})
 
 
 def cmd_check(config_path: str, out_dir: Optional[str] = None,
               seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Run the configured condition checks; exit 0 only if all pass."""
-    return _drive("check", _check, config_path, out_dir, seed, quiet)
+    return _drive("check", _check, {}, config_path, out_dir, seed, quiet)
 
 
 def cmd_run(config_path: str, out_dir: Optional[str] = None,
             seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Execute the configured iteration; write trace CSV and JSON report."""
-    return _drive("run", _run, config_path, out_dir, seed, quiet)
+    return _drive("run", _run, {"trace": "_trace.csv"}, config_path, out_dir,
+                  seed, quiet)
 
 
 def cmd_schedule(config_path: str, out_dir: Optional[str] = None,
                  seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Verify the configured schedule's tail behavior at the horizon."""
-    return _drive("schedule", _schedule, config_path, out_dir, seed, quiet)
+    return _drive("schedule", _schedule, {}, config_path, out_dir, seed, quiet)
 
 
 def cmd_sweep(config_path: str, out_dir: Optional[str] = None,
               seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Sweep the two-parameter condition over the configured grids."""
-    return _drive("sweep", _sweep, config_path, out_dir, seed, quiet)
+    return _drive("sweep", _sweep, {"table": "_sweep.csv"}, config_path,
+                  out_dir, seed, quiet)
 
 
 # ---------------------------------------------------------------------------

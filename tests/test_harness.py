@@ -331,12 +331,19 @@ def with_iteration(**changes):
     ("run", {**SCALING_RUN, "out": {"report": "sub/typed.json"}}, "out.report"),
     ("run", {**SCALING_RUN, "out": {"trace": 5}}, "out.trace"),
     ("run", {**SCALING_RUN, "out": {"report": "r\0.json"}}, "out.report"),
+    # an empty grid would make a vacuous "passed" over zero cells
+    ("sweep", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "sweep": {"gamma_grid": [], "mu_grid": [0.0]}},
+     "sweep.gamma_grid: expected a non-empty list of numbers"),
+    ("sweep", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "sweep": {"gamma_grid": [0.0], "mu_grid": [], "pairing": "zip"}},
+     "sweep.mu_grid: expected a non-empty list of numbers"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
         "null-mappings", "null-check", "list-check-name", "string-sweep",
         "list-out", "out-path-with-directory", "number-out-name",
-        "nul-out-name"])
+        "nul-out-name", "empty-gamma-grid", "empty-mu-grid"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -371,6 +378,60 @@ def test_colliding_out_paths_exit_2_before_any_file(tmp_path, capsys, out):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "out.report" in err and "out.trace" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"check": "condition_C_lambda", "lambda": 1.5},
+     "checks[2]: lambda must lie in (0, 1), got 1.5"),
+    ({"check": "condition_B", "gamma": 0.2, "mu": 0.3},
+     "checks[2]: need 2*mu <= gamma, got gamma=0.2, mu=0.3"),
+    ({"check": "fixed_point_shrink", "gamma": 1.5, "mu": 0.25},
+     "checks[2]: gamma must lie in [0, 1], got 1.5"),
+    ({"check": "prop1", "theta": 1.5, "gamma": 0.5, "mu": 0.25},
+     "checks[2]: theta must lie in [0, 1], got 1.5"),
+    ({"check": "prop1", "theta": 0.5, "gamma": "0.5", "mu": 0.25},
+     "checks[2].gamma: expected a number, got '0.5'"),
+    ({"check": "condition_B", "gamma": 0.5},
+     "checks[2]: missing required field 'mu'"),
+], ids=["lambda", "two-mu-above-gamma", "gamma", "theta", "string-gamma",
+        "missing-mu"])
+def test_bad_check_parameter_exits_2_before_any_sample(tmp_path, capsys,
+                                                       monkeypatch, entry,
+                                                       message):
+    from fixedlab import conditions
+
+    monkeypatch.setattr(conditions, "sample",
+                        lambda *args: pytest.fail("sampled before the error"))
+    p = write_cfg(tmp_path, "typed.json", {
+        **SCALING_RUN, "plan": {"mode": "grid", "resolution": 4},
+        "checks": ["nonexpansive", "condition_C", entry]})
+    assert main(["check", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,config,out,compute", [
+    ("run", "five_scalings_tent.json",
+     {"trace": "five_scalings_tent_report.json"}, "multi_map_run"),
+    ("sweep", "example1_sweep.json",
+     {"report": "table.csv", "table": "table.csv"}, "sweep_condition_B"),
+], ids=["run", "sweep"])
+def test_colliding_out_paths_exit_2_before_any_compute(tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       config, out, compute):
+    from fixedlab import harness
+
+    monkeypatch.setattr(harness, compute,
+                        lambda *args, **kwargs: pytest.fail(f"{compute} ran"))
+    with open(cfg_path(config), encoding="utf-8") as fh:
+        payload = {**json.load(fh), "out": out}
+    p = write_cfg(tmp_path, config, payload)
+    assert main([command, "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out.") and "both name" in err
     assert not (tmp_path / "out").exists()
 
 

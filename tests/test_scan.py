@@ -4,7 +4,10 @@ The scan walks the sample in row tiles and stops once every check it runs
 has found its first row-major witness. Tiling is an implementation detail:
 verdicts must not depend on the tile size, `checked_pairs` always counts
 the plan's ordered pairs, and memory stays linear in the sample size.
+Several checks of one mapping run as one scan, and their verdicts equal
+those of the checks run one by one.
 """
+import json
 import tracemalloc
 import warnings
 
@@ -17,8 +20,12 @@ from fixedlab import (
     GALLERY_BOX,
     BGammaMu,
     Domain,
+    DomainError,
+    InvalidInputError,
+    PreconditionError,
     SamplePlan,
     affine_map,
+    builtin_gallery,
     check_condition_B,
     check_condition_C,
     check_condition_C_lambda,
@@ -27,11 +34,14 @@ from fixedlab import (
     check_prop1,
     check_quasi_nonexpansive,
     example1_map,
+    main,
+    piecewise_map,
     register_mapping,
     scaling_map,
     sweep_condition_B,
+    translation_map,
 )
-from fixedlab import conditions
+from fixedlab import conditions, harness
 
 GAMMAS = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 MUS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -118,3 +128,149 @@ def test_scan_memory_is_linear_in_the_sample(run):
     # a passing check, or sweep cell, has scanned every tile
     assert result.passed if hasattr(result, "passed") else "pass" in result.statuses()
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# --- one scan for all the checks of a mapping ---------------------------------
+
+P = BGammaMu(0.5, 0.25)
+
+#: Every check kind as (config entry, the same check run on its own).
+SEPARATE = [
+    ({"check": "nonexpansive"}, lambda T, plan: check_nonexpansive(T, plan)),
+    ({"check": "quasi_nonexpansive"},
+     lambda T, plan: check_quasi_nonexpansive(T, plan)),
+    ({"check": "fixed_point_shrink", "gamma": 0.5, "mu": 0.25},
+     lambda T, plan: check_lemma3(T, P, plan)),
+    ({"check": "condition_C"}, lambda T, plan: check_condition_C(T, plan)),
+    ({"check": "condition_C_lambda", "lambda": 0.9},
+     lambda T, plan: check_condition_C_lambda(T, 0.9, plan)),
+    ({"check": "condition_B", "gamma": 0.5, "mu": 0.25},
+     lambda T, plan: check_condition_B(T, P, plan)),
+    ({"check": "condition_B", "gamma": 0.0, "mu": 0.0},
+     lambda T, plan: check_condition_B(T, BGammaMu(0.0, 0.0), plan)),
+    ({"check": "prop1", "theta": 0.5, "gamma": 0.5, "mu": 0.25},
+     lambda T, plan: check_prop1(T, 0.5, P, plan)),
+    ({"check": "prop1", "theta": 1.0, "gamma": 1.0, "mu": 0.5},
+     lambda T, plan: check_prop1(T, 1.0, BGammaMu(1.0, 0.5), plan)),
+]
+
+#: Request orders: as listed, reversed, and shuffled with repeated checks.
+ORDERS = [list(range(len(SEPARATE))), list(range(len(SEPARATE)))[::-1],
+          [7, 0, 7, 5, 2, 8, 1, 1, 6, 3, 4, 0]]
+
+
+def _stretcher():
+    """T(0) = 1 but T(1) = 3: prop1 fails its per-point part (i)."""
+    return piecewise_map(Domain.box([0.0], [4.0]), 3.0, cases=[(0.0, 1.0)],
+                         label="stretcher", known_fixed_points=[[3.0]])
+
+
+EQUIVALENCE_CASES = CASES + [(_stretcher, SamplePlan.grid(5))] + [
+    (lambda m=m: m, SamplePlan.grid(6)) for m in builtin_gallery()]
+
+
+def _recorded(run):
+    """run()'s reprs and the messages of the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reprs = [repr(v) for v in run()]
+    return reprs, [str(w.message) for w in caught]
+
+
+def _requests(order):
+    return [harness._CHECKS[SEPARATE[k][0]["check"]](SEPARATE[k][0], "check")
+            for k in order]
+
+
+@pytest.mark.parametrize("make,plan", EQUIVALENCE_CASES, ids=[
+    "example1", "clip_double", "affine", "l1_scaling", "stretcher",
+    *(f"gallery{i}" for i in range(len(builtin_gallery())))])
+def test_one_scan_equals_the_checks_run_one_by_one(monkeypatch, make, plan):
+    T = make()
+    n = len(conditions.sample(T.domain, plan))
+    for tile in (1, 7, n + 1):
+        monkeypatch.setattr(conditions, "_TILE", tile)
+        for order in ORDERS:
+            want = _recorded(lambda: [SEPARATE[k][1](T, plan) for k in order])
+            got = _recorded(lambda: conditions._checks(T, plan, _requests(order)))
+            assert got == want, (tile, order)
+
+
+def test_equivalence_cases_reach_both_prop1_short_cuts():
+    """The cases above include a part (i) witness, which skips the pair
+    scan of parts (ii) and (iii), and a failing precondition, which warns."""
+    stretcher, plan = _stretcher(), SamplePlan.grid(5)
+    (v,), _ = _recorded(lambda: conditions._checks(stretcher, plan, _requests([7])))
+    assert "detail='part (i)'" in v
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check_prop1(_clip_double(), 0.5, P, SamplePlan.grid(8))
+    (w,) = caught
+    assert "fails for 'clip_double'" in str(w.message)
+    assert w.filename == __file__   # the warning points at the caller
+
+
+def _first_error(run):
+    with pytest.raises(ValueError) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def _nan_map():
+    """No fixed points, and every image is NaN: drawing the images fails."""
+    return register_mapping(lambda p: np.full_like(p, np.nan), GALLERY_BOX,
+                            "nan_map", self_map=False)
+
+
+@pytest.mark.parametrize("make,order,error", [
+    (lambda: translation_map(GALLERY_BOX, [0.5, 0.0]), [7, 1], DomainError),
+    (lambda: translation_map(GALLERY_BOX, [0.5, 0.0]), [1, 7], PreconditionError),
+    (lambda: translation_map(GALLERY_BOX, [0.5, 0.0]), [0, 1, 7],
+     PreconditionError),
+    (_nan_map, [0, 1], InvalidInputError),
+    (_nan_map, [1, 0], PreconditionError),
+], ids=["prop1-first", "quasi-first", "quasi-second", "images-first",
+        "images-second"])
+def test_one_scan_raises_the_first_error_of_the_one_by_one_run(make, order, error):
+    """Neither map has fixed points, so quasi_nonexpansive raises. A
+    translation leaves the box, so prop1 cannot map its images again."""
+    T, plan = make(), SamplePlan.grid(4)
+    want = _first_error(lambda: [SEPARATE[k][1](T, plan) for k in order])
+    assert want[0] is error
+    assert _first_error(lambda: conditions._checks(T, plan, _requests(order))) == want
+
+
+def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkeypatch):
+    """nonexpansive, condition_C, condition_B and prop1 on a passing map:
+    N raw map calls for the images, N for prop1's second images, and the
+    four (N, N) distance arrays xx, TT, xT and Tx once each."""
+    calls, entries = [], []
+    real_build, real_norm = harness.build_mapping, conditions.pairwise_norm
+
+    def build(desc, domain):
+        m = real_build(desc, domain)
+        fn = m.fn
+        m.fn = lambda x: calls.append(1) or fn(x)
+        return m
+
+    def norm(A, B, kind):
+        entries.append(len(A) * len(B))
+        return real_norm(A, B, kind)
+
+    monkeypatch.setattr(harness, "build_mapping", build)
+    monkeypatch.setattr(conditions, "pairwise_norm", norm)
+    config = tmp_path / "cost.json"
+    config.write_text(json.dumps({
+        "name": "cost",
+        "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "mappings": [{"name": "affine", "matrix": [[0.6, 0.1], [-0.1, 0.5]],
+                      "shift": [0.2, -0.1]}],
+        "plan": {"mode": "grid", "resolution": 20},
+        "checks": ["nonexpansive", "condition_C",
+                   {"check": "condition_B", "gamma": 0.7, "mu": 0.35},
+                   {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}]}))
+    assert main(["check", "--config", str(config), "--quiet",
+                 "--out", str(tmp_path / "out")]) == 0
+    n = 20 * 20   # two tiles of 256 rows
+    assert len(calls) == 2 * n
+    assert sum(entries) == 4 * n * n
