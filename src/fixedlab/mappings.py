@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DomainError, InvalidInputError
-from .vecspace import Domain, SamplePlan, Vector, as_vector, dist, sample
+from .vecspace import Domain, SamplePlan, Vector, _freeze, as_vector, dist, sample
 from .verdicts import Verdict, Witness
 
 FIXED_POINT_TOL = 1e-10
@@ -73,7 +73,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
 
 
 def evaluate(T: Mapping, x) -> Vector:
-    """T(x) with input validation: x must be finite and inside T's domain."""
+    """T(x), checked: x finite and in T's domain, T(x) finite and of x's shape."""
     v = as_vector(x)
     if v.shape != (T.domain.dimension,):
         raise DomainError(
@@ -81,7 +81,26 @@ def evaluate(T: Mapping, x) -> Vector:
             f"{T.domain.dimension}-d domain")
     if not T.domain.contains(v):
         raise DomainError(f"{v.tolist()} is outside the domain of {T.label!r}")
-    return as_vector(T.fn(v))
+    image = as_vector(T.fn(v))
+    if image.shape != v.shape:
+        raise DomainError(f"{T.label!r} maps {v.tolist()} to an image of shape "
+                          f"{image.shape} on a {v.shape[0]}-d domain")
+    return image
+
+
+def _evaluate_rows(T: Mapping, X: np.ndarray) -> np.ndarray:
+    """np.stack([evaluate(T, x) for x in X]) for a float array X: T.fn runs
+    once per read-only row, each image is copied as it comes, and rows and
+    images are checked as whole arrays. On a failure the per-point loop runs."""
+    try:
+        if X.shape[1:] == (T.domain.dimension,) and T.domain.contains_rows(X).all():
+            TX = np.array([np.array(T.fn(x), dtype=float) for x in _freeze(X.copy())])
+            TX = TX[:, None] if TX.ndim == 1 else TX   # scalar images, as as_vector reads them
+            if TX.shape == X.shape and len(X) and np.isfinite(TX).all():
+                return TX
+    except Exception:   # T.fn may raise anything; the loop below re-raises in order
+        pass
+    return np.stack([evaluate(T, x) for x in X])
 
 
 def _distinct(points: Iterable[Vector]) -> list[Vector]:

@@ -176,15 +176,16 @@ class Domain:
     def contains(self, p: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership with absolute tolerance `tol` (see MEMBERSHIP_TOL)."""
         q = np.atleast_1d(np.asarray(p, dtype=float))
-        if q.shape != (self.dimension,):
-            return False
-        if not np.isfinite(q).all():
-            return False
+        return q.shape == (self.dimension,) and bool(self.contains_rows(q, tol))
+
+    def contains_rows(self, Q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Membership of each row of an (n, dimension) array, or of one
+        (dimension,) point as `contains`: a non-finite row is never a member."""
         if self.shape == "box":
-            return bool((q >= np.array(self.lower) - tol).all()
-                        and (q <= np.array(self.upper) + tol).all())
-        return bool(_norm_last_axis(q - np.array(self.center), self.norm_kind)
-                    <= self.radius + tol)
+            inside = (Q >= np.array(self.lower) - tol) & (Q <= np.array(self.upper) + tol)
+            return inside.all(axis=-1) & np.isfinite(Q).all(axis=-1)
+        return (_norm_last_axis(Q - np.array(self.center), self.norm_kind)
+                <= self.radius + tol) & np.isfinite(Q).all(axis=-1)
 
     def to_dict(self) -> dict:
         if self.shape == "box":
