@@ -70,16 +70,16 @@ _TILE = 16
 class _Tile(dict):
     """Distances from the sample rows `rows` to every column, each computed
     when a check first asks for it. Key "ab" holds ||a_i - b_j||, where x is
-    a sample point, T its image and z a known fixed point of the map;
-    `disp` holds every sample point's ||x_i - Tx_i||."""
+    a sample point, T its image and z a known fixed point, and "xT+Tx" the
+    sum of two; `disp` holds every sample point's ||x_i - Tx_i||."""
 
     def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind):
         super().__init__()
         self.pts, self.disp, self.rows, self.kind = pts, disp, rows, kind
 
     def __missing__(self, key: str) -> np.ndarray:
-        a, b = key
-        d = self[key] = pairwise_norm(self.pts[a][self.rows], self.pts[b], self.kind)
+        d = self[key] = (self["xT"] + self["Tx"] if key == "xT+Tx" else pairwise_norm(
+            self.pts[key[0]][self.rows], self.pts[key[1]], self.kind))
         return d
 
 
@@ -160,7 +160,7 @@ def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
 
 
 # Each check is described once, by a private function that makes its
-# request; both its public check_* function and `harness._CHECKS` call it.
+# request; both its public check_* function and `harness._CHECKS` use it.
 
 def _one(check):
     """The request that runs `check` and keeps its verdict."""
@@ -231,7 +231,7 @@ def _condition_b(p: BGammaMu):
     """The two-parameter condition as a check for `_scan`."""
     def parts(t):
         premise = p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
-        rhs = (1.0 - p.gamma) * t["xx"] + p.mu * (t["xT"] + t["Tx"])
+        rhs = (1.0 - p.gamma) * t["xx"] + p.mu * t["xT+Tx"]
         return [(premise, t["TT"], rhs, None)]
     return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", parts
 

@@ -34,10 +34,11 @@ from .iterate import (IterationConfig, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
                       trace_to_csv, truncated_family_run, _fmt, _write_csv)
-from .mappings import Mapping, build_mapping, make_family
+from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _pick, _read,
+                       build_mapping, make_family)
 from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
                         TentSchedule, verify_schedule)
-from .vecspace import Domain, SamplePlan, _whole, as_vector
+from .vecspace import Domain, SamplePlan, as_vector
 
 __all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
            "cmd_schedule", "cmd_sweep", "main"]
@@ -62,47 +63,62 @@ class ExperimentConfig:
     out: dict = field(default_factory=dict)
 
 
-_REQUIRED = object()
-
-
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return d[key]
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(d: dict, key: str, where: str, default=_REQUIRED):
-    """d[key] as a JSON number; null is taken only where the default is null."""
-    v = _need(d, key, where) if default is _REQUIRED else d.get(key, default)
-    if not (_is_number(v) or (v is None and default is None)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return v
+# Parse steps: parse(value, its key path) is the value as the program reads
+# it, or a ConfigError naming the path.
+
+def _test(ok, expected: str, read=lambda v: v):
+    """The parse step that reads v where ok(v) holds."""
+    def parse(v, at: str):
+        if not ok(v):
+            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
+        return read(v)
+    return parse
 
 
-def _count(d: dict, key: str, where: str, default=_REQUIRED):
-    """d[key] as an int by `_whole`'s rule: 50.0 is 50, while 7.5 is an error."""
-    v = _number(d, key, where, default)
-    return v if v is None else _whole(v, key)
+_number = _test(_is_number, "a number")
+_count = _test(lambda v: _is_number(v) and v == int(v), "a whole number", int)
+_horizon = _test(lambda v: _is_number(v) and v == int(v) and v >= 10,
+                 "a whole number >= 10", int)
+_list = _test(lambda v: isinstance(v, list), "a list")
+_grid = _test(lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+              "a non-empty list of numbers")
+# a file name is joined to --out, so it must name no other directory
+_file_name = _test(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                   and os.path.basename(v) == v and "\0" not in v,
+                   "a plain file name")
 
 
-def _file_name(field: str, value) -> str:
-    """value, once checked to be one plain file name: it is joined to --out."""
-    if not isinstance(value, str) or value in ("", ".", "..") \
-            or os.path.basename(value) != value or "\0" in value:
-        raise ConfigError(f"{field}: expected a plain file name, got {value!r}")
-    return value
+def _one_of(*options):
+    return _test(lambda v: v in options, f"one of {', '.join(map(repr, options))}")
+
+
+def _nullable(parse):
+    return lambda v, at: None if v is None else parse(v, at)
+
+
+def _point(v, at: str) -> tuple[float, ...]:
+    return tuple(float(c) for c in _parsed(at, as_vector, v))
+
+
+def _section(tag: Optional[str], rows):
+    """The parse step of a config object: node[tag] picks its row (make,
+    keys) of `rows`, or, with no tag, rows is the row. The object read is
+    make(*values), or, where make is None, a copy of node as written."""
+    def parse(node, at: str):
+        make, values = (_pick(node, at, tag, rows) if tag
+                        else (rows[0], _read(node, at, rows[1])))
+        return _parsed(at, make, *values) if make else dict(node)
+    return parse
 
 
 def _parsed(where: str, parse, *args):
     """parse(*args), with a bad value reported as a ConfigError naming `where`."""
     try:
         return parse(*args)
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -121,97 +137,66 @@ def _reject_non_finite(node, where: str,
             _reject_non_finite(v, f"{where}[{i}]", error)
 
 
-def _parse_domain(d: dict) -> Domain:
-    shape = _need(d, "shape", "domain")
-    norm = d.get("norm", "l2")
-    if shape == "box":
-        return Domain.box(_need(d, "lower", "domain"),
-                          _need(d, "upper", "domain"), norm)
-    if shape == "ball":
-        return Domain.ball(_need(d, "center", "domain"),
-                           _need(d, "radius", "domain"), norm)
-    raise ConfigError(f"domain: unknown shape {shape!r}")
+# The config's tables. A row (make, keys) reads an object: keys maps each key
+# it may hold to (parse step, default or _REQUIRED), in make's argument order.
 
+_ANY, _NUMBER, _COUNT = (_any, _REQUIRED), (_number, _REQUIRED), (_count, _REQUIRED)
+_GAMMA_MU = {"gamma": _NUMBER, "mu": _NUMBER}
 
-def _parse_plan(d: dict, seed_override: Optional[int]) -> SamplePlan:
-    mode = _need(d, "mode", "plan")
-    eps = _number(d, "epsilon", "plan", 1e-9)
-    if mode == "grid":
-        return SamplePlan.grid(_need(d, "resolution", "plan"), epsilon=eps)
-    if mode == "random":
-        seed = _number(d, "seed", "plan") if seed_override is None else seed_override
-        return SamplePlan.random(seed, _number(d, "count", "plan"), epsilon=eps)
-    raise ConfigError(f"plan: unknown mode {mode!r}")
+_DOMAINS = {
+    "box": (Domain.box, {"lower": _ANY, "upper": _ANY, "norm": (_any, "l2")}),
+    "ball": (Domain.ball, {"center": _ANY, "radius": _NUMBER, "norm": (_any, "l2")})}
 
+_PLANS = {
+    "grid": (SamplePlan.grid, {"resolution": _ANY, "epsilon": (_number, 1e-9)}),
+    "random": (SamplePlan.random, {"seed": _COUNT, "count": _COUNT,
+                                   "epsilon": (_number, 1e-9)})}
 
-def _parse_schedule(d: dict) -> AlphaSchedule:
-    kind = _need(d, "kind", "schedule")
-    if kind == "constant":
-        return ConstantSchedule(_number(d, "value", "schedule"))
-    if kind == "decay":
-        return DecaySchedule(_number(d, "scale", "schedule"),
-                             _number(d, "rate", "schedule", 1.0))
-    if kind == "tent":
-        return TentSchedule(_number(d, "peak", "schedule"),
-                            _number(d, "first_block_length", "schedule"),
-                            _number(d, "growth", "schedule"))
-    raise ConfigError(f"schedule: unknown kind {kind!r}")
+#: kind -> (class, keys): the keys are those of the class's to_dict.
+_SCHEDULES = {
+    "constant": (ConstantSchedule, {"value": _NUMBER}),
+    "decay": (DecaySchedule, {"scale": _NUMBER, "rate": (_number, 1.0)}),
+    "tent": (TentSchedule, {"peak": _NUMBER, "first_block_length": _NUMBER,
+                            "growth": _NUMBER})}
 
+#: The iteration section reads as (IterationConfig, x0).
+_ITERATION = (lambda *v: (IterationConfig(*v[:-1]), v[-1]), {
+    "lambda": _NUMBER, "max_iters": _COUNT,
+    "residual_tol": (_number, 0.0), "truncation_K": (_nullable(_count), None),
+    "record_every": (_count, 1), "gamma": (_nullable(_number), None),
+    "x0": (_nullable(_point), None)})
 
-def _parse_iteration(d: dict) -> tuple[IterationConfig, Optional[tuple[float, ...]]]:
-    cfg = IterationConfig(
-        lam=_number(d, "lambda", "iteration"),
-        max_iters=_count(d, "max_iters", "iteration"),
-        residual_tol=_number(d, "residual_tol", "iteration", 0.0),
-        truncation_K=_count(d, "truncation_K", "iteration", None),
-        record_every=_count(d, "record_every", "iteration", 1),
-        gamma=_number(d, "gamma", "iteration", None))
-    x0 = d.get("x0")
-    if x0 is not None:
-        x0 = tuple(float(c) for c in as_vector(x0))
-    return cfg, x0
-
-
-def _gamma_mu(spec: dict, at: str) -> BGammaMu:
-    return BGammaMu(_number(spec, "gamma", at), _number(spec, "mu", at))
-
-
-#: Every check a config may request, in the order error messages list them.
-#: entry(spec, at) is the check's request for `conditions._checks`, and a
-#: bad parameter raises naming `at`; "commuting" certifies the whole family
-#: and has no per-map entry.
+#: Every check a config may request, in the order error messages list them,
+#: with the maker of its request for `conditions._checks`; "commuting"
+#: certifies the whole family and has no per-map request.
 _CHECKS = {
-    "nonexpansive": lambda spec, at: _nonexpansive(),
-    "quasi_nonexpansive": lambda spec, at: _quasi_nonexpansive(),
-    "fixed_point_shrink": lambda spec, at: _lemma3(_gamma_mu(spec, at)),
-    "condition_C": lambda spec, at: _condition_c(0.5, "condition_C"),
-    "condition_C_lambda":
-        lambda spec, at: _condition_c(_number(spec, "lambda", at)),
-    "condition_B": lambda spec, at: _one(_condition_b(_gamma_mu(spec, at))),
-    "prop1": lambda spec, at: _prop1(_number(spec, "theta", at),
-                                     _gamma_mu(spec, at)),
-    "commuting": None,
+    "nonexpansive": (_nonexpansive, {}),
+    "quasi_nonexpansive": (_quasi_nonexpansive, {}),
+    "fixed_point_shrink": (lambda g, m: _lemma3(BGammaMu(g, m)), _GAMMA_MU),
+    "condition_C": (lambda: _condition_c(0.5, "condition_C"), {}),
+    "condition_C_lambda": (_condition_c, {"lambda": _NUMBER}),
+    "condition_B": (lambda g, m: _one(_condition_b(BGammaMu(g, m))), _GAMMA_MU),
+    "prop1": (lambda theta, g, m: _prop1(theta, BGammaMu(g, m)),
+              {"theta": _NUMBER, **_GAMMA_MU}),
+    "commuting": (lambda: None, {}),
 }
 
+_request = _section("check", _CHECKS)
 
-def _normalize_checks(entries) -> list[dict]:
-    """The check specs, each once its parameters resolve to a request."""
-    out = []
-    for i, entry in enumerate(entries):
-        at = f"checks[{i}]"
-        spec = {"check": entry} if isinstance(entry, str) else dict(entry)
-        if _need(spec, "check", at) not in _CHECKS:
-            raise ConfigError(f"{at}: unknown check {spec['check']!r}; "
-                              f"known: {', '.join(_CHECKS)}")
-        if _CHECKS[spec["check"]]:
-            _parsed(at, _CHECKS[spec["check"]], spec, at)
-        out.append(spec)
-    return out
+
+def _check_specs(v, at: str) -> list[dict]:
+    """The check entries, each as a spec object once it names a request."""
+    specs = [{"check": e} if isinstance(e, str) else e for e in _list(v, at)]
+    for i, spec in enumerate(specs):
+        _request(spec, f"{at}[{i}]")
+    return [dict(spec) for spec in specs]
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
     """Read and resolve a JSON experiment config.
 
+    Each object is read by its table above: every value is parsed, absent
+    keys take their defaults, and a key that no row names is refused.
     seed_override replaces the seed of a random sample plan (a no-op for
     grid plans) and is reflected in the echo, so a report always names the
     seed that actually ran. NaN, infinities and literals that overflow to
@@ -227,67 +212,41 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
     _reject_non_finite(raw, "")
-    for key, kind in (("mappings", list), ("checks", list), ("sweep", dict), ("out", dict)):
-        if not isinstance(raw.get(key, kind()), kind):
-            raise ConfigError(f"{key}: expected a {kind.__name__}, got {raw[key]!r}")
-
-    name = _file_name("name", raw["name"] if "name" in raw
-                      else os.path.splitext(os.path.basename(path))[0])
-    cfg = ExperimentConfig(name=name, echo={"name": name})
-    echo = cfg.echo   # each section echoes its resolved form as it is parsed
-    if "domain" in raw:
-        cfg.domain = _parsed("domain", _parse_domain, raw["domain"])
-        echo["domain"] = cfg.domain.to_dict()
-    if "mappings" in raw:
-        if cfg.domain is None:
-            raise ConfigError("mappings given without a domain")
-        for i, desc in enumerate(raw["mappings"]):
-            cfg.mappings.append(
-                _parsed(f"mappings[{i}]", build_mapping, desc, cfg.domain))
-        if cfg.mappings:
-            echo["mappings"] = [dict(d) for d in raw["mappings"]]
-    if "plan" in raw:
-        cfg.plan = _parsed("plan", _parse_plan, raw["plan"], seed_override)
-        echo["plan"] = cfg.plan.to_dict()
-    if "schedule" in raw:
-        cfg.schedule = _parsed("schedule", _parse_schedule, raw["schedule"])
-        echo["schedule"] = cfg.schedule.to_dict()
-    if "horizon" in raw:
-        h = _parsed("horizon", _whole, raw["horizon"], "value")
-        if h < 10:
-            raise ConfigError(f"horizon: must be an integer >= 10, got {h!r}")
-        cfg.horizon = echo["horizon"] = h
-    if "iteration" in raw:
-        cfg.iteration, cfg.x0 = _parsed("iteration", _parse_iteration,
-                                        raw["iteration"])
-        echo["iteration"] = cfg.iteration.to_dict()
-        if cfg.x0 is not None:
-            echo["iteration"]["x0"] = list(cfg.x0)
-    if "engine" in raw:
-        if raw["engine"] not in ("single", "multi", "truncated"):
-            raise ConfigError(f"engine: unknown engine {raw['engine']!r}")
-        cfg.engine = echo["engine"] = raw["engine"]
-    if "checks" in raw:
-        cfg.checks = _parsed("checks", _normalize_checks, raw["checks"])
-        if cfg.checks:
-            echo["checks"] = cfg.checks
-    if "sweep" in raw:
-        sw = raw["sweep"]
-        for k in ("gamma_grid", "mu_grid"):
-            grid = _need(sw, k, "sweep")
-            if not (isinstance(grid, list) and grid and all(map(_is_number, grid))):
-                raise ConfigError(f"sweep.{k}: expected a non-empty list of "
-                                  f"numbers, got {grid!r}")
-        if sw.get("pairing", "cross") not in ("cross", "zip"):
-            raise ConfigError(f"sweep: unknown pairing {sw.get('pairing')!r}")
-        cfg.sweep = sw
-        echo["sweep"] = dict(sw)
-    cfg.out = dict(raw.get("out", {}))
-    for key, base in cfg.out.items():
-        _file_name(f"out.{key}", base)
-    if cfg.out:
-        echo["out"] = dict(cfg.out)
-    return cfg
+    plan = raw.get("plan")
+    if seed_override is not None and isinstance(plan, dict) and plan.get("mode") == "random":
+        raw["plan"] = {**plan, "seed": seed_override}
+    (name, domain, descriptors, plan, schedule, horizon, (iteration, x0), engine,
+     checks, sweep, out) = _read(raw, "", {
+        "name": (_file_name, os.path.splitext(os.path.basename(path))[0]),
+        "domain": (_section("shape", _DOMAINS), None),
+        "mappings": (_list, []),
+        "plan": (_section("mode", _PLANS), None),
+        "schedule": (_section("kind", _SCHEDULES), None),
+        "horizon": (_horizon, None),
+        "iteration": (_section(None, _ITERATION), (None, None)),
+        "engine": (_one_of("single", "multi", "truncated"), None),
+        "checks": (_check_specs, []),
+        "sweep": (_section(None, (None, {
+            "gamma_grid": (_grid, _REQUIRED), "mu_grid": (_grid, _REQUIRED),
+            "pairing": (_one_of("cross", "zip"), "cross")})), None),
+        "out": (_section(None, (None, dict.fromkeys(
+            ("report", "trace", "table"), (_file_name, None)))), {}),
+    })
+    if "mappings" in raw and domain is None:
+        raise ConfigError("mappings given without a domain")
+    mappings = []
+    for i, desc in enumerate(descriptors):
+        _pick(desc, f"mappings[{i}]", "name", _MAPPINGS)   # names a bad key's path
+        mappings.append(_parsed(f"mappings[{i}]", build_mapping, desc, domain))
+    echo = {"name": name, "domain": domain and domain.to_dict(),
+            "mappings": [dict(d) for d in descriptors],
+            "plan": plan and plan.to_dict(), "schedule": schedule and schedule.to_dict(),
+            "horizon": horizon, "iteration": iteration and {
+                **iteration.to_dict(), **({"x0": list(x0)} if x0 else {})},
+            "engine": engine, "checks": checks, "sweep": sweep, "out": out}
+    return ExperimentConfig(name, {k: v for k, v in echo.items() if v}, domain,
+                            mappings, plan, schedule, horizon, iteration, x0,
+                            engine, checks, sweep, out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +303,7 @@ def _drive(command: str, compute, files: dict[str, str], config_path: str,
 
 def _check(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "check", "mappings", "plan", "checks")
-    requests = [_CHECKS[s["check"]](s, "check") for s in cfg.checks
-                if s["check"] != "commuting"]
+    requests = [_request(s, "check") for s in cfg.checks if s["check"] != "commuting"]
     verdicts = []
     for T in cfg.mappings if requests else ():
         for v in _checks(T, cfg.plan, requests):   # one scan per mapping

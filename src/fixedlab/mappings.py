@@ -9,6 +9,7 @@ in which case only evaluation-time input checks guard them.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InvalidInputError
+from .errors import ConfigError, ContractViolation, DomainError, InvalidInputError
 from .vecspace import Domain, SamplePlan, Vector, _freeze, as_vector, dist, sample
 from .verdicts import Verdict, Witness
 
@@ -243,7 +244,14 @@ def piecewise_map(domain: Domain, default: float,
     """
     if domain.dimension != 1:
         raise ContractViolation("piecewise_map is 1-dimensional")
-    table = {float(x): float(v) for x, v in cases}
+    table = {}
+    for j, case in enumerate(cases):
+        try:
+            x, v = case
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"cases[{j}]: expected an [x, value] pair, got {case!r}") from None
+        table[float(x)] = float(v)
 
     def fn(p, _table=table, _default=float(default)):
         return np.array([_table.get(float(p[0]), _default)])
@@ -368,43 +376,75 @@ def builtin_gallery() -> list[Mapping]:
     ]
 
 
+# ---------------------------------------------------------------------------
+# config descriptors
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _any(value, at: str):
+    """The parse step that takes a value as given, for its builder to check."""
+    return value
+
+
+def _read(node, where: str, keys: dict, error=ConfigError) -> list:
+    """The JSON object `node` read by `keys`, which maps each key node may
+    hold to (parse, default): one value per key, parse(value, its key path)
+    if given, else the default, and an error if that is _REQUIRED. A key
+    that `keys` does not name is refused. Every error names its path."""
+    if not isinstance(node, dict):
+        raise error(f"{where}: expected an object, got {node!r}")
+    prefix = f"{where}." if where else ""
+    for key in node:
+        if key not in keys:
+            raise error(f"{prefix}{key}: unknown key; known: {', '.join(keys)}")
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in node:
+            raise error(f"{where}: missing required field {key!r}")
+    return [parse(node[key], prefix + key) if key in node else default
+            for key, (parse, default) in keys.items()]
+
+
+def _pick(node, where: str, tag: str, rows: dict, error=ConfigError):
+    """(make, values): the row (make, keys) of `rows` that node[tag] names,
+    and the values `_read` takes from node by that row's keys."""
+    if not isinstance(node, dict) or tag not in node:
+        raise error(f"{where}: expected an object with a {tag!r}, got {node!r}")
+    if not isinstance(node[tag], str) or node[tag] not in rows:
+        raise error(f"{where}: unknown {tag} {node[tag]!r}; known: {', '.join(rows)}")
+    make, keys = rows[node[tag]]
+    return make, _read(node, where, {tag: (_any, _REQUIRED), **keys}, error)[1:]
+
+
+def _descriptor(build) -> tuple:
+    """build's row: its parameters after the domain, with their defaults, and
+    "fixed_points", the one key for extra fixed points (not known_fixed_points)."""
+    params = list(inspect.signature(build).parameters.values())[1:]
+    return build, {**{p.name: (_any, _REQUIRED if p.default is p.empty else p.default)
+                      for p in params if p.name != "known_fixed_points"},
+                   "fixed_points": (_any, ())}
+
+
+#: Every builtin mapping a descriptor may name, in the order errors list them.
+_MAPPINGS = {name: _descriptor(build) for name, build in {
+    "example1": example1_map, "identity": identity_map,
+    "constant": constant_map, "affine": affine_map, "scaling": scaling_map,
+    "rotation_scaling": rotation_scaling_map, "piecewise": piecewise_map,
+    "translation": translation_map}.items()}
+
+
 def build_mapping(descriptor: dict, domain: Domain) -> Mapping:
     """Construct a mapping on `domain` from a config descriptor.
 
-    Recognized names: example1, identity, constant, affine, scaling,
-    rotation_scaling, piecewise, translation. Extra fixed points may be
-    supplied under "fixed_points"; they are verified at registration.
+    descriptor["name"] picks a builder of `_MAPPINGS`: example1, identity,
+    constant, affine, scaling, rotation_scaling, piecewise or translation.
+    The other keys are its parameters after `domain`, and "fixed_points",
+    extra fixed points verified at registration; any other key is refused.
     """
-    if "name" not in descriptor:
-        raise ContractViolation("mapping descriptor lacks a 'name'")
-    name = descriptor["name"]
-    extra = descriptor.get("fixed_points")
-    try:
-        if name == "example1":
-            m = example1_map(domain)
-        elif name == "identity":
-            m = identity_map(domain)
-        elif name == "constant":
-            m = constant_map(domain, descriptor["value"])
-        elif name == "affine":
-            m = affine_map(domain, descriptor["matrix"], descriptor["shift"],
-                           label=descriptor.get("label", "affine"))
-        elif name == "scaling":
-            m = scaling_map(domain, descriptor["factor"])
-        elif name == "rotation_scaling":
-            m = rotation_scaling_map(domain, descriptor["angle"],
-                                     descriptor.get("factor", 1.0))
-        elif name == "piecewise":
-            m = piecewise_map(domain, descriptor["default"],
-                              [(c[0], c[1]) for c in descriptor["cases"]],
-                              label=descriptor.get("label", "piecewise"))
-        elif name == "translation":
-            m = translation_map(domain, descriptor["offset"])
-        else:
-            raise ContractViolation(f"unknown builtin mapping {name!r}")
-    except KeyError as exc:
-        raise ContractViolation(
-            f"mapping descriptor {name!r} lacks required key {exc.args[0]!r}") from exc
+    build, (*args, extra) = _pick(descriptor, "mapping", "name", _MAPPINGS,
+                                  ContractViolation)
+    m = build(domain, *args)
     if extra:
         # registration verifies them and keeps a re-declared point once
         m.known_fixed_points = register_mapping(

@@ -1,10 +1,15 @@
-"""Property: one mutation of a shipped config never crashes the CLI.
+"""Properties: one mutation of a shipped config never crashes the CLI, and
+one misspelt or unknown key is always refused.
 
 A mutation drops one key or list entry, retypes one value (string, bool,
 null, list), negates one number or writes the literal 1e400 in its place.
 Whatever the mutant, `main` exits 0, 1, 2 or 3 without a traceback; exit 0
 or 1 writes exactly one report whose `passed` matches the code, and exit 2
 or 3 leaves the out directory without a single file.
+
+A key mutation renames one key of one object by one letter, or inserts a
+key that no object takes. Every such mutant exits 2 with a message naming
+the key path, and writes no file.
 """
 import contextlib
 import io
@@ -12,7 +17,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixedlab import main
@@ -96,3 +101,73 @@ def test_mutated_config_gets_a_documented_exit(mutation):
             f.endswith(".csv") for f in written if f not in reports)
         with open(os.path.join(out, reports[0]), encoding="utf-8") as fh:
             assert json.load(fh)["passed"] == (code == 0)
+
+
+#: Every shipped config, with the subcommand that reads all of its sections.
+ALL = {**COMMANDS, "five_scalings_tent": "run"}
+RAW_ALL = {name: _load(name) for name in ALL}
+
+#: The key that picks an object's row, by the top-level section it sits in.
+TAGS = {"domain": "shape", "plan": "mode", "schedule": "kind",
+        "checks": "check", "mappings": "name"}
+
+
+def _objects(node, path=()):
+    """Key paths to every JSON object in the tree, the root included."""
+    if isinstance(node, dict):
+        yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _objects(value, (*path, key))
+
+
+def _render(path) -> str:
+    """A key path as the loader's messages write it: checks[2].gamma."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+@st.composite
+def key_mutations(draw):
+    name = draw(st.sampled_from(sorted(ALL)))
+    path = draw(st.sampled_from(list(_objects(RAW_ALL[name]))))
+    doc = json.loads(json.dumps(RAW_ALL[name]))
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    if draw(st.booleans()):   # rename one key by one letter
+        old = draw(st.sampled_from(sorted(obj)))
+        i = draw(st.integers(0, len(old) - 1))
+        new = old[:i] + draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz")) + old[i + 1:]
+        assume(new not in obj)
+        items = list(obj.items())
+        obj.clear()
+        obj.update((new if k == old else k, v) for k, v in items)
+        tag = TAGS.get(path[0]) if path and len(path) <= 2 else None
+        # a renamed tag leaves the object with no row to read it by
+        expected = _render(path) if old == tag else _render((*path, new))
+    else:                     # insert a key that no object takes
+        new = draw(st.sampled_from(["foo", "lable", "record_evry", "pairng"]))
+        obj[new] = draw(st.sampled_from([0.5, "x", None, [1]]))
+        expected = _render((*path, new))
+    return name, doc, expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(key_mutations())
+def test_misspelt_or_unknown_key_exits_2_naming_its_path(mutation):
+    name, doc, expected = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, f"{name}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([ALL[name], "--config", config, "--out", out, "--quiet"])
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"config error: {expected}"), err.getvalue()
+        assert not (os.path.isdir(out) and os.listdir(out))

@@ -514,3 +514,83 @@ def test_non_finite_report_value_exits_3_without_a_report(
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*_report.json"))
     assert not list(tmp_path.iterdir())   # no CSV either
+
+
+# --- one table per section: unknown keys ------------------------------------
+
+def _with(config, edit):
+    with open(cfg_path(config), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize("command,config,edit,path", [
+    ("run", "three_scalings.json",
+     lambda c: c.update(shedule=c.pop("schedule")), "shedule"),
+    ("run", "example1.json",
+     lambda c: c["iteration"].update(record_evry=2), "iteration.record_evry"),
+    ("check", "example1_check.json",
+     lambda c: c["plan"].update(sed=3), "plan.sed"),
+    ("schedule", "constant_schedule.json",
+     lambda c: c["schedule"].update(rat=1.0), "schedule.rat"),
+    ("sweep", "example1_sweep.json",
+     lambda c: c["sweep"].update(pairng="zip"), "sweep.pairng"),
+    ("run", "example1.json",
+     lambda c: c.update(out={"foo": "x.json"}), "out.foo"),
+    ("run", "three_scalings.json",
+     lambda c: c["mappings"][0].update(lable="x"), "mappings[0].lable"),
+    ("check", "example1_check.json",
+     lambda c: c.update(checks=[{"check": "condition_C", "lambda": 0.9}]),
+     "checks[0].lambda"),
+    ("check", "example1_check.json",
+     lambda c: c.update(checks=[{"check": "nonexpansive", "gamma": 0.3}]),
+     "checks[0].gamma"),
+], ids=["top-level", "iteration", "plan", "schedule", "sweep", "out",
+        "mapping", "condition_C-lambda", "nonexpansive-gamma"])
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, command,
+                                             config, edit, path):
+    """A key that no row of its section reads would be echoed but ignored."""
+    p = write_cfg(tmp_path, config, _with(config, edit))
+    assert main([command, "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: unknown key")
+    assert not (tmp_path / "out").exists()
+
+
+def test_piecewise_case_must_be_a_pair(tmp_path, capsys):
+    p = write_cfg(tmp_path, "pw.json", _with("example1_check.json", lambda c: c.update(
+        mappings=[{"name": "piecewise", "default": 0.0,
+                   "cases": [[4.0, 2.0], [1.0, 0.5, 99]]}])))
+    assert main(["check", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: mappings[0]: cases[1]: expected an [x, value] pair, "
+        "got [1.0, 0.5, 99]\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("desc", [
+    {"name": "identity"}, {"name": "scaling", "factor": 0.5},
+    {"name": "rotation_scaling", "angle": 0.5, "factor": 0.5},
+    {"name": "constant", "value": [0.1, 0.2]},
+    {"name": "translation", "offset": [0.0, 0.0]},
+    {"name": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "shift": [0.0, 0.0]},
+], ids=lambda d: d["name"])
+def test_every_mapping_with_a_label_parameter_honours_it(tmp_path, desc):
+    p = write_cfg(tmp_path, "lab.json", {
+        "name": "lab", "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "mappings": [{**desc, "label": "mine"}],
+        "plan": {"mode": "grid", "resolution": 3}, "checks": ["nonexpansive"]})
+    _, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    assert [v["mapping"] for v in report["verdicts"]] == ["mine"]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_echo_reloads_to_the_same_echo(tmp_path, name):
+    """The echo holds only keys the loader reads, so it loads under the same
+    strict rule and resolves to itself."""
+    echo = load_config(cfg_path(name)).echo
+    again = load_config(write_cfg(tmp_path, "echo.json", echo)).echo
+    assert again == echo
+    assert json.dumps(again) == json.dumps(echo)   # key order too

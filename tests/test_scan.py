@@ -178,8 +178,7 @@ def _recorded(run):
 
 
 def _requests(order):
-    return [harness._CHECKS[SEPARATE[k][0]["check"]](SEPARATE[k][0], "check")
-            for k in order]
+    return [harness._request(SEPARATE[k][0], "check") for k in order]
 
 
 @pytest.mark.parametrize("make,plan", EQUIVALENCE_CASES, ids=[
@@ -271,6 +270,6 @@ def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkey
                    {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}]}))
     assert main(["check", "--config", str(config), "--quiet",
                  "--out", str(tmp_path / "out")]) == 0
-    n = 20 * 20   # two tiles of 256 rows
+    n = 20 * 20   # 25 tiles of 16 rows
     assert len(calls) == 2 * n
     assert sum(entries) == 4 * n * n
