@@ -34,8 +34,8 @@ from .iterate import (IterationConfig, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
                       trace_to_csv, truncated_family_run, _fmt, _write_csv)
-from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _pick, _read,
-                       build_mapping, make_family)
+from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _is_number,
+                       _number, _pick, _read, _test, build_mapping, make_family)
 from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
                         TentSchedule, verify_schedule)
 from .vecspace import Domain, SamplePlan, as_vector
@@ -63,23 +63,9 @@ class ExperimentConfig:
     out: dict = field(default_factory=dict)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # Parse steps: parse(value, its key path) is the value as the program reads
-# it, or a ConfigError naming the path.
+# it, or a ConfigError naming the path (`mappings._test` makes them).
 
-def _test(ok, expected: str, read=lambda v: v):
-    """The parse step that reads v where ok(v) holds."""
-    def parse(v, at: str):
-        if not ok(v):
-            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
-        return read(v)
-    return parse
-
-
-_number = _test(_is_number, "a number")
 _count = _test(lambda v: _is_number(v) and v == int(v), "a whole number", int)
 _horizon = _test(lambda v: _is_number(v) and v == int(v) and v >= 10,
                  "a whole number >= 10", int)
@@ -390,11 +376,12 @@ def _sweep(cfg: ExperimentConfig, say: _Say):
                               cfg.sweep["mu_grid"], cfg.plan,
                               pairing=cfg.sweep.get("pairing", "cross"))
     rows = table.to_rows()
-    csv_rows = ([_fmt(r["gamma"]), _fmt(r["mu"]), r["status"],
-                 ";".join(map(_fmt, r["witness_x"] or ())),
-                 ";".join(map(_fmt, r["witness_y"] or ())),
-                 "" if r["lhs"] is None else _fmt(r["lhs"]),
-                 "" if r["rhs"] is None else _fmt(r["rhs"])] for r in rows)
+    csv_rows = (",".join([_fmt(r["gamma"]), _fmt(r["mu"]), r["status"],
+                          ";".join(map(_fmt, r["witness_x"] or ())),
+                          ";".join(map(_fmt, r["witness_y"] or ())),
+                          "" if r["lhs"] is None else _fmt(r["lhs"]),
+                          "" if r["rhs"] is None else _fmt(r["rhs"])]) + "\n"
+                for r in rows)
     header = ["gamma", "mu", "status", "witness_x", "witness_y", "lhs", "rhs"]
     for c in table.cells:
         say(f"gamma={c.gamma:g} mu={c.mu:g}: {c.status}")

@@ -38,7 +38,7 @@ from .errors import (ContractViolation, DomainError, InvalidInputError,
                      InvariantError, IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
 from .schedules import AlphaSchedule
-from .vecspace import Domain, _blend, _norm_last_axis, as_vector
+from .vecspace import Domain, _blend, _norm_floats, _norm_last_axis, as_vector
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -200,6 +200,25 @@ _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
 }
 
 
+def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
+          lam: float, n: int, finite: bool = True):
+    """The step rule at x = x_n, a float list: (images T_k x_n, w_n - x_n,
+    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats. Each map gets a fresh
+    float64 copy of x; an image of the wrong shape, or, if `finite`, with a
+    non-finite coordinate, raises IterationRuntimeError at step n."""
+    images = []
+    for t in members:
+        img = np.asarray(t.fn(np.array(x)), dtype=float)
+        floats = img.tolist()
+        if img.shape != (len(x),) or finite and not all(map(math.isfinite, floats)):
+            raise IterationRuntimeError(
+                f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
+        images.append(floats)
+    w = _blend(images, wts)
+    return (images, [a - b for a, b in zip(w, x)],
+            [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
+
+
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                 cfg: IterationConfig, s: Optional[AlphaSchedule],
                 fixed_points: Sequence[np.ndarray]) -> Trace:
@@ -207,20 +226,18 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         warnings.warn(
             f"gamma context {cfg.gamma} exceeds {GAMMA_WARN_THRESHOLD}; the "
             "shipped experiments only probe small values", stacklevel=3)
-    x = np.asarray(as_vector(x0), dtype=float).copy()
+    x = as_vector(x0)
     if x.shape[0] != domain.dimension:
         raise DomainError(
             f"start point has dimension {x.shape[0]}, domain needs {domain.dimension}")
     if not domain.contains(x):
         raise DomainError(f"start point {x.tolist()} lies outside the domain")
     # in the loop only images and iterates are checked; distances are not
+    x = x.tolist()
     kind = domain.norm_kind
-    fns = [t.fn for t in members]
-    labels = [t.label for t in members]
     rule, m = _WEIGHT_RULES[engine], len(members)
     fps = [np.asarray(z, dtype=float) for z in fixed_points]
     lam = cfg.lam
-    carry = 1.0 - lam
     records: list[TraceStep] = []
     alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     for n, a_n in enumerate(alphas):
@@ -228,15 +245,8 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         if any(c < 0.0 for c in wts) or abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
             raise InvariantError(
                 f"blend weights {wts} invalid at step {n} (alpha={a_n})")
-        images = []
-        for fn, lbl in zip(fns, labels):
-            img = np.asarray(fn(x), dtype=float)
-            if img.shape != x.shape or not np.isfinite(img).all():
-                raise IterationRuntimeError(
-                    f"mapping {lbl!r} returned an invalid image at step {n}", step=n)
-            images.append(img)
-        w = _blend(images, wts)
-        residual = float(_norm_last_axis(w - x, kind))
+        images, w_x, x_next = _step(members, x, wts, lam, n)
+        residual = _norm_floats(w_x, kind)
         stop = None
         if residual <= cfg.residual_tol:
             stop = STOP_TOL
@@ -245,23 +255,21 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         stride = cfg.record_every if n < DECIMATION_START else cfg.record_every * 10
         if n % stride == 0 or stop is not None:
             # ||T_k x - x|| per map, then ||z - x|| (bitwise ||x - z||) per z
-            d = _norm_last_axis(np.array(images + fps) - x, kind).tolist()
+            d = _norm_last_axis(np.array(images + fps) - np.array(x), kind).tolist()
             records.append(TraceStep(
-                step=n, x=tuple(x.tolist()), residual=residual,
+                step=n, x=tuple(x), residual=residual,
                 map_residuals=tuple(d[:m]), alpha=a_n,
                 fp_distances=tuple(d[m:])))
         if stop is not None:
             return Trace(engine=engine, records=tuple(records), lam=lam,
                          stop_reason=stop, total_steps=n, config=cfg,
-                         mapping_labels=tuple(labels),
+                         mapping_labels=tuple(t.label for t in members),
                          fixed_points=tuple(tuple(map(float, z)) for z in fps),
                          domain=domain,
                          schedule=None if s is None else s.to_dict())
-        x_next = lam * w + carry * x
         if not domain.contains(x_next):
             raise IterationRuntimeError(
-                f"iterate left the domain at step {n + 1}: {x_next.tolist()}",
-                step=n + 1)
+                f"iterate left the domain at step {n + 1}: {x_next}", step=n + 1)
         x = x_next
     raise InvariantError(f"schedule values ended before step {cfg.max_iters}")
 
@@ -409,9 +417,9 @@ def asymptotic_radius(t: Trace, x, window: int) -> float:
 def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     """Recompute each recorded step from its predecessor and compare.
 
-    Uses the stored alpha and lam, the engine's own weight rule, and the
-    supplied mappings (which must match the trace's labels). Pass iff every
-    stride-1 record pair reproduces within 1e-12.
+    Uses the stored alpha and lam, the engine's own weight rule and step
+    (`_step`), and the supplied mappings (which must match the trace's
+    labels). Pass iff every stride-1 record pair reproduces within 1e-12.
     """
     members = (maps,) if isinstance(maps, Mapping) else maps.members
     # a truncated trace names only the active members; accept the full family
@@ -424,13 +432,12 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
     rule, m = _WEIGHT_RULES[t.engine], len(members)
-    lam = t.lam
-    carry = 1.0 - lam
     diff = np.empty((len(j), X.shape[1]))   # predicted minus recorded x_{n+1}
     for i, k in enumerate(j):
-        x = X[k]
-        images = [np.asarray(mem.fn(x), dtype=float) for mem in members]
-        diff[i] = lam * _blend(images, rule(t.records[k].alpha, m)) + carry * x
+        rec = t.records[k]
+        # non-finite images are left to the finiteness check on diff below
+        diff[i] = _step(members, rec.x, rule(rec.alpha, m), t.lam, rec.step,
+                        finite=False)[2]
     diff -= X[j + 1]
     dev = _norm_last_axis(diff, t.domain.norm_kind)
     bad = np.flatnonzero(~(dev <= REPLAY_TOL))   # NaN included
@@ -456,14 +463,14 @@ def _fmt(v: float) -> str:
 
 
 def _write_csv(dest: Union[str, IO[str]], header: Sequence[str],
-               rows: Iterable[Sequence[str]]) -> None:
-    """Write a header line and then each row as it is produced."""
+               lines: Iterable[str]) -> None:
+    """Write a header line and then each line (newline included) as it comes."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8") as fh:
-            _write_csv(fh, header, rows)
+            _write_csv(fh, header, lines)
         return
     dest.write(",".join(header) + "\n")
-    dest.writelines(",".join(row) + "\n" for row in rows)
+    dest.writelines(lines)
 
 
 def trace_to_csv(t: Trace, dest: Union[str, IO[str]]) -> None:
@@ -479,7 +486,7 @@ def trace_to_csv(t: Trace, dest: Union[str, IO[str]]) -> None:
     header = (["step"] + [f"x_{i}" for i in range(d)] + ["residual"]
               + [f"residual_{i + 1}" for i in range(m)] + ["alpha"]
               + [f"dist_{i + 1}" for i in range(k)])
-    _write_csv(dest, header, (
-        [str(r.step)] + [_fmt(c) for c in r.x] + [_fmt(r.residual)]
-        + [_fmt(v) for v in r.map_residuals] + [_fmt(r.alpha)]
-        + [_fmt(v) for v in r.fp_distances] for r in t.records))
+    # '%.17g' % v is format(v, ".17g"): one template per trace, not per field
+    row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
+    _write_csv(dest, header, (row % (r.step, *r.x, r.residual, *r.map_residuals,
+                                     r.alpha, *r.fp_distances) for r in t.records))

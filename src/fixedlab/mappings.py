@@ -23,7 +23,18 @@ from .verdicts import Verdict, Witness
 
 FIXED_POINT_TOL = 1e-10
 
-_DEFAULT_REGISTRATION_PLAN = SamplePlan.grid(5)
+
+def _registration_sample(domain: Domain) -> list[Vector]:
+    """The default self-map sample: the 5-per-axis grid up to d = 5 (at most
+    3 125 points), else 3 125 of its points: the four on each axis through the
+    centre besides it, then ones drawn with seed 0; a ball keeps those inside."""
+    d = domain.dimension
+    if d <= 5:
+        return sample(domain, SamplePlan.grid(5))
+    k = np.concatenate([2 + np.kron(np.eye(d, dtype=int), [[-2], [-1], [1], [2]]),
+                        np.random.default_rng(0).integers(0, 5, (5 ** 5, d))])[:5 ** 5]
+    pts = np.linspace(*domain.bounding_box(), 5)[k, np.arange(d)]
+    return [_freeze(p) for p in pts[domain.contains_rows(pts)]]
 
 
 @dataclass(eq=False)
@@ -48,8 +59,9 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
                      self_map: bool = True) -> Mapping:
     """Build a Mapping, checking the self-map property and fixed points.
 
-    The self-map check is empirical: every point of `plan` (default: a
-    5-per-axis grid) must map back into the domain. Each claimed fixed
+    The self-map check is empirical: every point of `plan` must map back
+    into the domain. The default is a 5-per-axis grid, bounded to 3 125 of
+    its points above d = 5 (see `_registration_sample`). Each claimed fixed
     point must lie in the domain and satisfy ||T(z) - z|| <= 1e-10 under the
     domain norm; a point claimed twice is kept once, where first seen.
     """
@@ -64,7 +76,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} moves by {gap:.3e}")
     if self_map:
-        for p in sample(domain, plan or _DEFAULT_REGISTRATION_PLAN):
+        for p in sample(domain, plan) if plan else _registration_sample(domain):
             image = as_vector(fn(p))
             if not domain.contains(image):
                 raise ContractViolation(
@@ -388,6 +400,22 @@ def _any(value, at: str):
     return value
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _test(ok, expected: str, read=lambda v: v):
+    """The parse step that reads v where ok(v) holds."""
+    def parse(v, at: str):
+        if not ok(v):
+            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
+        return read(v)
+    return parse
+
+
+_number = _test(_is_number, "a number")
+
+
 def _read(node, where: str, keys: dict, error=ConfigError) -> list:
     """The JSON object `node` read by `keys`, which maps each key node may
     hold to (parse, default): one value per key, parse(value, its key path)
@@ -417,11 +445,17 @@ def _pick(node, where: str, tag: str, rows: dict, error=ConfigError):
     return make, _read(node, where, {tag: (_any, _REQUIRED), **keys}, error)[1:]
 
 
+#: Parse steps of the parameters a builder would take of any type (float("0.5")).
+_PARAMS = {"factor": _number, "angle": _number, "default": _number,
+           "label": _test(lambda v: isinstance(v, str), "a string")}
+
+
 def _descriptor(build) -> tuple:
-    """build's row: its parameters after the domain, with their defaults, and
+    """build's row: its parameters after the domain, parsed by _PARAMS, and
     "fixed_points", the one key for extra fixed points (not known_fixed_points)."""
     params = list(inspect.signature(build).parameters.values())[1:]
-    return build, {**{p.name: (_any, _REQUIRED if p.default is p.empty else p.default)
+    return build, {**{p.name: (_PARAMS.get(p.name, _any),
+                               _REQUIRED if p.default is p.empty else p.default)
                       for p in params if p.name != "known_fixed_points"},
                    "fixed_points": (_any, ())}
 

@@ -10,11 +10,15 @@ sqrt(sum(v*v)) rather than through BLAS so that scalar and vectorized code
 paths produce bitwise-identical values: per-vector norms share one
 np.add.reduce, and `pairwise_norm` adds coordinate by coordinate in that
 reduction's own order, so its matrices never hold a (rows, cols, d) array.
+The norm of one point held as a float list (`_norm_floats`, used by the
+engines and `Domain.contains`) folds its terms in that same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -84,33 +88,46 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) ->
         t = np.subtract.outer(A[:, k], B[:, k], out=out)
         return np.multiply(t, t, out=t) if kind == NormKind.L2 else np.abs(t, out=t)
 
-    acc = _by_coordinate(np.maximum if kind == NormKind.LINF else np.add,
-                         term, 0, A.shape[1])
+    op = np.maximum if kind == NormKind.LINF else np.add
+    acc = _by_coordinate(lambda a, b: op(a, b, out=a), term, 0, A.shape[1])
     return np.sqrt(acc, out=acc) if kind == NormKind.L2 else acc
 
 
-def _by_coordinate(op, term, lo: int, n: int) -> np.ndarray:
+def _by_coordinate(op, term, lo: int, n: int):
     """op-combination of term(lo), ..., term(lo + n - 1) in the order numpy's
     pairwise summation adds n values: in sequence below 8, in 8 running
     partials combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
     rest in sequence up to 128, and as two halves split at a multiple of 8
-    above. (np.maximum gives the same result in any order.)
+    above. (np.maximum gives the same result in any order.) op returns the
+    combination: of floats, or in place of arrays, where term(k, buf) may reuse buf.
     """
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        acc = _by_coordinate(op, term, lo, half)
-        return op(acc, _by_coordinate(op, term, lo + half, n - half), out=acc)
-    m = 8 if n >= 8 else 1
-    r, buf = [term(lo + j) for j in range(m)], None
-    for k in range(m, n - n % m):
+        return op(_by_coordinate(op, term, lo, half),
+                  _by_coordinate(op, term, lo + half, n - half))
+    if n < 8:
+        return functools.reduce(op, map(term, range(lo, lo + n)))
+    r, buf = [term(lo + j) for j in range(8)], None
+    for k in range(8, n - n % 8):
         buf = term(lo + k, buf)
-        op(r[k % m], buf, out=r[k % m])
+        r[k % 8] = op(r[k % 8], buf)
     while len(r) > 1:
-        r = [op(r[j], r[j + 1], out=r[j]) for j in range(0, len(r), 2)]
-    for k in range(n - n % m, n):
+        r = [op(r[j], r[j + 1]) for j in range(0, len(r), 2)]
+    for k in range(n - n % 8, n):
         buf = term(lo + k, buf)
-        op(r[0], buf, out=r[0])
+        r[0] = op(r[0], buf)
     return r[0]
+
+
+def _norm_floats(v: Sequence[float], kind: NormKind) -> float:
+    """The norm of a float list, equal bit for bit to _norm_last_axis: the
+    same IEEE operations, summed in its order by `_by_coordinate`."""
+    if kind == NormKind.LINF:
+        return max(map(abs, v))
+    l2 = kind == NormKind.L2
+    t = [c * c for c in v] if l2 else list(map(abs, v))
+    s = _by_coordinate(operator.add, lambda k, _=None: t[k], 0, len(t))
+    return math.sqrt(s) if l2 else s
 
 
 def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:
@@ -173,10 +190,16 @@ class Domain:
         # For l1/l2/linf balls the coordinate extent is always +-radius.
         return c - self.radius, c + self.radius
 
-    def contains(self, p: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Membership with absolute tolerance `tol` (see MEMBERSHIP_TOL)."""
-        q = np.atleast_1d(np.asarray(p, dtype=float))
-        return q.shape == (self.dimension,) and bool(self.contains_rows(q, tol))
+    def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Membership with absolute tolerance `tol` (see MEMBERSHIP_TOL),
+        decided on floats by the rule of `contains_rows`, bit for bit."""
+        q = np.array(p, dtype=float, ndmin=1)
+        if q.shape != (self.dimension,) or not all(map(math.isfinite, q := q.tolist())):
+            return False
+        if self.shape == "box":
+            return all(lo - tol <= c <= up + tol for lo, c, up in zip(self.lower, q, self.upper))
+        return _norm_floats([c - z for c, z in zip(q, self.center)],
+                            self.norm_kind) <= self.radius + tol
 
     def contains_rows(self, Q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one
@@ -328,18 +351,17 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
     arrays = [np.asarray(p, dtype=float) for p in points]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ContractViolation("points of mixed dimension in convex combination")
-    return _freeze(_blend(arrays, ws).copy())
+    return _freeze(np.reshape(_blend([a.ravel().tolist() for a in arrays], ws), arrays[0].shape))
 
 
-def _blend(points: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+def _blend(points: Sequence[Sequence[float]], weights: Sequence[float]) -> list[float]:
     """sum_k weights[k] * points[k] over the nonzero weights only (see
-    convex_combination for why zero terms are skipped)."""
+    convex_combination for why zero terms are skipped), on float lists."""
     acc = None
     for w, p in zip(weights, points):
         if w == 0.0:
             continue
-        term = w * p
-        acc = term if acc is None else acc + term
+        acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
     if acc is None:
         raise InvariantError("blend weights were all zero")
     return acc

@@ -74,16 +74,27 @@ def test_images_and_second_images_equal_the_per_point_stack(make, plan):
     assert got == want
 
 
+def _near_boundary(dom, rng, n=60):
+    """n points a few ULP either side of dom's boundary moved out by
+    MEMBERSHIP_TOL: radii of a radius-1 ball, or one coordinate of a box."""
+    d, ulps = dom.dimension, np.arange(-n // 2, n // 2)
+    if dom.shape == "ball":
+        u = rng.standard_normal((n, d))
+        u /= np.array([np.linalg.norm(r, {"l1": 1, "l2": 2, "linf": np.inf}[
+            dom.norm_kind.value]) for r in u])[:, None]
+        return np.array(dom.center) + u * ((1.0 + 1e-9) + ulps * 2.0**-52)[:, None]
+    lo, up = dom.bounding_box()
+    Q = lo + (up - lo) * rng.uniform(0.1, 0.9, (n, d))
+    j = np.arange(n) % d
+    edge = np.where(np.arange(n) % 2, lo[j] - 1e-9, up[j] + 1e-9)
+    Q[np.arange(n), j] = edge + ulps * np.spacing(edge)
+    return Q
+
+
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
 def test_a_9d_ball_decides_rows_near_its_boundary_like_contains(kind):
     dom = Domain.ball(np.linspace(-0.3, 0.4, 9), 1.0, kind)
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal((60, 9))
-    u /= np.array([np.linalg.norm(r, {"l1": 1, "l2": 2, "linf": np.inf}[kind])
-                   for r in u])[:, None]
-    # radii a few ULP either side of radius + MEMBERSHIP_TOL
-    scale = (1.0 + 1e-9) + np.arange(-30, 30) * 2.0**-52
-    Q = np.array(dom.center) + u * scale[:, None]
+    Q = _near_boundary(dom, np.random.default_rng(9))
     Q = np.concatenate([Q, [[np.nan] * 9, [np.inf] + [0.0] * 8]])
     rows = dom.contains_rows(Q)
     assert rows.tolist() == [dom.contains(q) for q in Q]
@@ -92,6 +103,21 @@ def test_a_9d_ball_decides_rows_near_its_boundary_like_contains(kind):
     identity = register_mapping(lambda p: 1.0 * p, dom, "identity9", self_map=False)
     got, want = _both(identity, Q[:-2])
     assert got == want and want[0] is DomainError
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 130])
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_contains_decides_a_point_on_floats_like_contains_rows(kind, shape, d):
+    dom = (Domain.ball(np.linspace(-0.3, 0.4, d), 1.0, kind) if shape == "ball"
+           else Domain.box(np.linspace(-1.0, -0.2, d), np.linspace(0.1, 3.0, d), kind))
+    Q = _near_boundary(dom, np.random.default_rng(d))
+    Q = np.concatenate([Q, [[np.nan] * d, [np.inf] + [0.0] * (d - 1),
+                            [0.0] * (d - 1) + [-np.inf]]])
+    got = [dom.contains(q) for q in Q]
+    assert got == [bool(dom.contains_rows(q[None])[0]) for q in Q]
+    assert any(got) and not any(got[-3:]) and not all(got)
+    assert [dom.contains(q.tolist()) for q in Q] == got   # a float list, too
 
 
 def _map(fn, domain=GALLERY_BOX, label="odd"):

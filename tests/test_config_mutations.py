@@ -9,7 +9,8 @@ or 3 leaves the out directory without a single file.
 
 A key mutation renames one key of one object by one letter, or inserts a
 key that no object takes. Every such mutant exits 2 with a message naming
-the key path, and writes no file.
+the key path, and writes no file. So does a mapping parameter of the wrong
+type: a string factor or a label that is not a string.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -170,4 +172,24 @@ def test_misspelt_or_unknown_key_exits_2_naming_its_path(mutation):
             code = main([ALL[name], "--config", config, "--out", out, "--quiet"])
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith(f"config error: {expected}"), err.getvalue()
+        assert not (os.path.isdir(out) and os.listdir(out))
+
+
+@pytest.mark.parametrize("key,value", [("factor", "0.5"), ("label", ["a"]),
+                                       ("factor", True), ("label", 3)])
+def test_a_wrong_typed_mapping_value_exits_2_naming_its_path(key, value):
+    """A builder would take float("0.5") and any label; the reader may not."""
+    doc = json.loads(json.dumps(RAW_ALL["three_scalings"]))
+    doc["mappings"][0][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "three_scalings.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", config, "--out", out, "--quiet"])
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"config error: mappings[0].{key}: expected a"), \
+            err.getvalue()
         assert not (os.path.isdir(out) and os.listdir(out))

@@ -257,6 +257,44 @@ def test_truncated_engine_matches_reference_recurrence():
     assert t.records[100].x == (0.3505530678096851, 0.17527653390484255)
 
 
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("d", [9, 30])
+def test_multi_engine_matches_reference_recurrence_above_eight_dimensions(d, kind):
+    """From d = 8 on, a norm sums in 8 running partials; the engine's float
+    residuals must still equal the reference's array norms bit for bit."""
+    rng = np.random.default_rng(d)
+    dom = Domain.box([-4.0] * d, [4.0] * d, kind)
+    plan = SamplePlan.random(0, 8)
+    maps = [register_mapping(lambda p, A=A, b=b: A @ p + b, dom, f"affine{k}", plan=plan)
+            for k, (A, b) in enumerate(
+                (rng.uniform(-0.5, 0.5, (d, d)) / d, rng.uniform(-1.0, 1.0, d))
+                for _ in range(3))]
+    fam = make_family(maps)
+    x0 = rng.uniform(-3.0, 3.0, d)
+    cfg = IterationConfig(lam=0.5, max_iters=60, residual_tol=0.0)
+    t = multi_map_run(fam, TENT, x0, cfg)
+    fns = [m.fn for m in maps]
+
+    def reference(n):
+        return reference_averaged_run(fns, lambda k: multi_map_weights(TENT.alpha(k), 3),
+                                      0.5, x0, n, 0.0, kind)
+
+    iterates, stop, residual = reference(60)
+    assert t.total_steps == stop == 60 and len(t.records) == len(iterates) == 61
+    for rec, ref in zip(t.records, iterates):
+        assert rec.x == ref
+    for n in (0, 1, 7, 30, 60):
+        assert t.records[n].residual == reference(n)[2], n
+    assert t.final.residual == residual > 0.0
+
+
+def test_replay_of_a_wrong_shape_image_is_the_engines_error(example1_trace):
+    grow = register_mapping(lambda p: np.append(p, 0.0), Domain.box([0.0], [4.0]),
+                            example1_trace.mapping_labels[0], self_map=False)
+    with pytest.raises(IterationRuntimeError, match="returned an invalid image at step 0"):
+        replay_trace(example1_trace, grow)
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_zero_schedule_degenerates_to_single_map(m):
     factors = (0.9, 0.8, 0.7, 0.6, 0.5)[:m]

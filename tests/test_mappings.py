@@ -27,6 +27,8 @@ from fixedlab import (
     scaling_map,
     translation_map,
 )
+from fixedlab.mappings import _registration_sample
+from fixedlab.vecspace import sample
 
 
 def test_register_rejects_wrong_fixed_point():
@@ -40,6 +42,33 @@ def test_register_rejects_non_self_map():
     d = Domain.box([0.0], [1.0])
     with pytest.raises(ContractViolation):
         register_mapping(lambda p: p + 2.0, d, "escape")
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_default_registration_sample_is_the_5_grid_up_to_5_dimensions(d):
+    dom = Domain.ball([0.1] * d, 1.0)
+    want = sample(dom, SamplePlan.grid(5))
+    got = _registration_sample(dom)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("d", [6, 10, 40])
+def test_default_registration_sample_is_bounded_above_5_dimensions(d, kind, shape):
+    """5**d grid points would need GBs at d = 10 and break numpy's 32-axis
+    limit at d = 33; the sample is at most 3 125 fixed lattice points."""
+    dom = (Domain.box([-1.0] * d, [2.0] * d, kind) if shape == "box"
+           else Domain.ball([0.0] * d, 1.5, kind))
+    pts = _registration_sample(dom)
+    assert 4 * d <= len(pts) <= 5 ** 5
+    assert [p.tobytes() for p in pts] == [p.tobytes() for p in _registration_sample(dom)]
+    assert all(dom.contains(p) and not p.flags.writeable for p in pts)
+    lo, up = dom.bounding_box()
+    assert {float(p[d - 1]) for p in pts} >= {lo[d - 1], up[d - 1]}   # each axis spanned
+    scaling_map(dom, 0.5)   # registers
+    with pytest.raises(ContractViolation, match="is not a self-map"):
+        register_mapping(lambda p: 1.5 * p, dom, "stretch")
 
 
 def test_register_allows_non_self_map_when_flagged():

@@ -1,7 +1,8 @@
 """Vector primitives: norms, domains, sampling, convex combinations.
 
 The scan modules depend on two exact-arithmetic contracts checked here:
-pairwise_norm must agree bitwise with the scalar dist on every entry, and
+pairwise_norm must agree bitwise with the scalar dist on every entry (and
+the engines' float-list norm with the array norm), and
 convex_combination must skip zero weights so that a weight vector like
 [1.0, 0.0] returns the first point bit-for-bit.
 """
@@ -27,6 +28,7 @@ from fixedlab import (
     pairwise_norm,
     sample,
 )
+from fixedlab.vecspace import _norm_floats, _norm_last_axis
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -96,6 +98,20 @@ def test_pairwise_matches_scalar_dist_bitwise_for_every_dimension(d):
         for i in range(4):
             for j in range(5):
                 assert M[i, j] == dist(A[i], B[j], kind), (d, i, j, kind)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_float_list_norm_matches_the_array_norm_bitwise_for_every_dimension(kind):
+    """One point's norm on floats (engines, Domain.contains) folds in
+    np.add.reduce's order: any other order shows in the last bits, here with
+    terms from 5e-324 to 1e150, signed zeros and every branch of the order."""
+    rng = np.random.default_rng(11)
+    for d in [*range(1, 301), 511, 1024]:
+        v = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(-300, 151, d)
+        v[::7], v[1::11], v[2::13] = -0.0, 5e-324, -1e150
+        for w in (v, -v, np.zeros(d), -np.zeros(d)):
+            want = float(_norm_last_axis(w, kind))
+            assert _norm_floats(w.tolist(), kind).hex() == want.hex(), (d, kind)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
