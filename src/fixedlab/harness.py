@@ -35,10 +35,11 @@ from .iterate import (IterationConfig, goebel_kirk_gap,
                       multi_map_run, replay_trace, residual_vanishes_check,
                       trace_to_csv, truncated_family_run, _fmt, _write_csv)
 from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _is_number,
-                       _number, _pick, _read, _test, build_mapping, make_family)
+                       _number, _pick, _read, _test, _vector, build_mapping,
+                       make_family)
 from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
                         TentSchedule, verify_schedule)
-from .vecspace import Domain, SamplePlan, as_vector
+from .vecspace import Domain, SamplePlan
 
 __all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
            "cmd_schedule", "cmd_sweep", "main"]
@@ -70,8 +71,6 @@ _count = _test(lambda v: _is_number(v) and v == int(v), "a whole number", int)
 _horizon = _test(lambda v: _is_number(v) and v == int(v) and v >= 10,
                  "a whole number >= 10", int)
 _list = _test(lambda v: isinstance(v, list), "a list")
-_grid = _test(lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
-              "a non-empty list of numbers")
 # a file name is joined to --out, so it must name no other directory
 _file_name = _test(lambda v: isinstance(v, str) and v not in ("", ".", "..")
                    and os.path.basename(v) == v and "\0" not in v,
@@ -87,7 +86,7 @@ def _nullable(parse):
 
 
 def _point(v, at: str) -> tuple[float, ...]:
-    return tuple(float(c) for c in _parsed(at, as_vector, v))
+    return tuple(map(float, _vector(v, at)))
 
 
 def _section(tag: Optional[str], rows):
@@ -127,11 +126,12 @@ def _reject_non_finite(node, where: str,
 # it may hold to (parse step, default or _REQUIRED), in make's argument order.
 
 _ANY, _NUMBER, _COUNT = (_any, _REQUIRED), (_number, _REQUIRED), (_count, _REQUIRED)
+_VECTOR = (_vector, _REQUIRED)   # every coordinate list names its element paths
 _GAMMA_MU = {"gamma": _NUMBER, "mu": _NUMBER}
 
 _DOMAINS = {
-    "box": (Domain.box, {"lower": _ANY, "upper": _ANY, "norm": (_any, "l2")}),
-    "ball": (Domain.ball, {"center": _ANY, "radius": _NUMBER, "norm": (_any, "l2")})}
+    "box": (Domain.box, {"lower": _VECTOR, "upper": _VECTOR, "norm": (_any, "l2")}),
+    "ball": (Domain.ball, {"center": _VECTOR, "radius": _NUMBER, "norm": (_any, "l2")})}
 
 _PLANS = {
     "grid": (SamplePlan.grid, {"resolution": _ANY, "epsilon": (_number, 1e-9)}),
@@ -213,7 +213,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         "engine": (_one_of("single", "multi", "truncated"), None),
         "checks": (_check_specs, []),
         "sweep": (_section(None, (None, {
-            "gamma_grid": (_grid, _REQUIRED), "mu_grid": (_grid, _REQUIRED),
+            "gamma_grid": _VECTOR, "mu_grid": _VECTOR,
             "pairing": (_one_of("cross", "zip"), "cross")})), None),
         "out": (_section(None, (None, dict.fromkeys(
             ("report", "trace", "table"), (_file_name, None)))), {}),

@@ -203,14 +203,19 @@ _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
 def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
           lam: float, n: int, finite: bool = True):
     """The step rule at x = x_n, a float list: (images T_k x_n, w_n - x_n,
-    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats. Each map gets a fresh
-    float64 copy of x; an image of the wrong shape, or, if `finite`, with a
-    non-finite coordinate, raises IterationRuntimeError at step n."""
+    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats. A map whose fn carries a
+    float-list form `fn.floats` gets x itself, any other a fresh float64 copy;
+    an image of the wrong shape, or, if `finite`, with a non-finite
+    coordinate, raises IterationRuntimeError at step n."""
     images = []
     for t in members:
-        img = np.asarray(t.fn(np.array(x)), dtype=float)
-        floats = img.tolist()
-        if img.shape != (len(x),) or finite and not all(map(math.isfinite, floats)):
+        form = getattr(t.fn, "floats", None)
+        if form is None:
+            img = np.asarray(t.fn(np.array(x)), dtype=float)
+            floats = img.tolist() if img.ndim == 1 else ()
+        else:
+            floats = form(x)
+        if len(floats) != len(x) or finite and not all(map(math.isfinite, floats)):
             raise IterationRuntimeError(
                 f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
         images.append(floats)

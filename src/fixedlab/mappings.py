@@ -39,7 +39,11 @@ def _registration_sample(domain: Domain) -> list[Vector]:
 
 @dataclass(eq=False)
 class Mapping:
-    """A labelled point mapping on a fixed domain."""
+    """A labelled point mapping on a fixed domain.
+
+    A builtin map whose array form is elementwise also sets `fn.floats`, the
+    same map on a list of Python floats, which the engines' step calls
+    instead of fn; a wrapped or reassigned fn carries no such form."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Domain
@@ -268,6 +272,7 @@ def piecewise_map(domain: Domain, default: float,
     def fn(p, _table=table, _default=float(default)):
         return np.array([_table.get(float(p[0]), _default)])
 
+    fn.floats = lambda q, _t=table, _d=float(default): [_t.get(q[0], _d)]
     return register_mapping(fn, domain, label,
                             known_fixed_points=known_fixed_points)
 
@@ -297,6 +302,7 @@ def constant_map(domain: Domain, value: Sequence[float],
     def fn(p, _v=v):
         return _v
 
+    fn.floats = lambda q, _v=v.tolist(): list(_v)
     return register_mapping(fn, domain, label or f"constant{v.tolist()}",
                             known_fixed_points=[v])
 
@@ -331,6 +337,7 @@ def scaling_map(domain: Domain, factor: float,
     def fn(p, _a=a):
         return _a * p
 
+    fn.floats = lambda q, _a=a: [_a * c for c in q]
     return register_mapping(fn, domain, label or f"scaling({a})",
                             known_fixed_points=_fixed_by(
                                 [np.zeros(domain.dimension)], [fn], domain))
@@ -361,6 +368,8 @@ def translation_map(domain: Domain, offset: Sequence[float],
     def fn(p, _v=v):
         return p + _v
 
+    if v.shape == (domain.dimension,):   # else p + _v broadcasts or fails
+        fn.floats = lambda q, _v=v.tolist(): [c + o for c, o in zip(q, _v, strict=True)]
     return register_mapping(fn, domain, label or f"translation{v.tolist()}",
                             self_map=False)
 
@@ -416,6 +425,26 @@ def _test(ok, expected: str, read=lambda v: v):
 _number = _test(_is_number, "a number")
 
 
+def _list_of(item, expected: str, empty: bool = False):
+    """The parse step of a JSON list, non-empty unless `empty`, whose every
+    element item parses at its own path at[i]."""
+    def parse(v, at: str):
+        if not isinstance(v, list) or not (v or empty):
+            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
+        return [item(e, f"{at}[{i}]") for i, e in enumerate(v)]
+    return parse
+
+
+#: Coordinate lists, every element a JSON number (a bool or a string is
+#: refused): a point, a matrix, a list of points, a list of [x, value] pairs
+#: (whose length piecewise_map checks).
+_vector = _list_of(_number, "a non-empty list of numbers")
+_matrix = _list_of(_vector, "a non-empty list of rows")
+_points = _list_of(_vector, "a list of points", empty=True)
+_pairs = _list_of(_list_of(_number, "an [x, value] pair"), "a list of [x, value] pairs",
+                  empty=True)
+
+
 def _read(node, where: str, keys: dict, error=ConfigError) -> list:
     """The JSON object `node` read by `keys`, which maps each key node may
     hold to (parse, default): one value per key, parse(value, its key path)
@@ -447,7 +476,9 @@ def _pick(node, where: str, tag: str, rows: dict, error=ConfigError):
 
 #: Parse steps of the parameters a builder would take of any type (float("0.5")).
 _PARAMS = {"factor": _number, "angle": _number, "default": _number,
-           "label": _test(lambda v: isinstance(v, str), "a string")}
+           "label": _test(lambda v: isinstance(v, str), "a string"),
+           "value": _vector, "shift": _vector, "offset": _vector,
+           "matrix": _matrix, "cases": _pairs}
 
 
 def _descriptor(build) -> tuple:
@@ -457,7 +488,7 @@ def _descriptor(build) -> tuple:
     return build, {**{p.name: (_PARAMS.get(p.name, _any),
                                _REQUIRED if p.default is p.empty else p.default)
                       for p in params if p.name != "known_fixed_points"},
-                   "fixed_points": (_any, ())}
+                   "fixed_points": (_points, ())}
 
 
 #: Every builtin mapping a descriptor may name, in the order errors list them.

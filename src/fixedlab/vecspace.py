@@ -192,9 +192,13 @@ class Domain:
 
     def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership with absolute tolerance `tol` (see MEMBERSHIP_TOL),
-        decided on floats by the rule of `contains_rows`, bit for bit."""
-        q = np.array(p, dtype=float, ndmin=1)
-        if q.shape != (self.dimension,) or not all(map(math.isfinite, q := q.tolist())):
+        decided on floats by the rule of `contains_rows`, bit for bit. A list
+        of Python floats is read as it is, anything else through np.array."""
+        q = p
+        if type(p) is not list or not all(type(c) is float for c in p):
+            q = np.array(p, dtype=float, ndmin=1)
+            q = q.tolist() if q.ndim == 1 else ()
+        if len(q) != self.dimension or not all(map(math.isfinite, q)):
             return False
         if self.shape == "box":
             return all(lo - tol <= c <= up + tol for lo, c, up in zip(self.lower, q, self.upper))
@@ -279,13 +283,19 @@ def _axis_resolutions(plan: SamplePlan, d: int) -> tuple[int, ...]:
     return res
 
 
+#: Random l1-ball plans up to this dimension reject from the bounding box,
+#: whose acceptance is 1/d!; their draws are pinned. Above it they are exact.
+_L1_REJECTION_MAX_D = 3
+
+
 def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
     """Deterministic point sample of `domain` according to `plan`.
 
     Grid order is lexicographic with the first axis slowest; every produced
     point satisfies domain.contains. Grid sampling of a ball keeps the
     lattice points of the bounding box that fall inside the ball and raises
-    if none do (increase the resolution).
+    if none do (increase the resolution). A random plan on an l1 ball is
+    drawn by rejection up to d = 3 and exactly above (`_L1_REJECTION_MAX_D`).
     """
     d = domain.dimension
     if plan.mode == "grid":
@@ -316,6 +326,12 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
             unit = raw / norms[:, None]
             radii = domain.radius * rng.random(plan.count) ** (1.0 / d)
             pts = c + unit * radii[:, None]
+        elif domain.norm_kind == NormKind.L1 and d > _L1_REJECTION_MAX_D:
+            # exact: Y iid Laplace, W ~ Exp(1), c + r*Y/(||Y||_1 + W) is uniform
+            # on the l1 ball (Barthe, Guedon, Mendelson & Naor, Ann. Probab. 2005)
+            y = rng.laplace(size=(plan.count, d))
+            s = _norm_last_axis(y, NormKind.L1) + rng.exponential(size=plan.count)
+            pts = c + domain.radius * (y / s[:, None])
         else:
             # l1/linf balls: rejection-sample the bounding box, `count` per batch.
             lo, up = domain.bounding_box()

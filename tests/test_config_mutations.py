@@ -193,3 +193,74 @@ def test_a_wrong_typed_mapping_value_exits_2_naming_its_path(key, value):
         assert err.getvalue().startswith(f"config error: mappings[0].{key}: expected a"), \
             err.getvalue()
         assert not (os.path.isdir(out) and os.listdir(out))
+
+
+def _numbers_in_lists(node, path=()):
+    """Key paths to every number that is an element of a list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if isinstance(node, list) and isinstance(value, (int, float)) \
+                and not isinstance(value, bool):
+            yield (*path, key)
+        yield from _numbers_in_lists(value, (*path, key))
+
+
+#: One mutant per number inside a list of a shipped config, that number
+#: written as its decimal string: a coordinate, a matrix entry, a grid value.
+STRING_NUMBERS = [(name, path) for name in sorted(ALL)
+                  for path in _numbers_in_lists(RAW_ALL[name])]
+
+#: Coordinate keys no shipped config holds, on top of a shipped config.
+EXTRA_LISTS = {
+    "constant-value": ("three_scalings", {"name": "constant", "value": [0.1, 0.2]},
+                       ("value", 1)),
+    "translation-offset": ("three_scalings",
+                           {"name": "translation", "offset": [0.1, 0.2]}, ("offset", 0)),
+    "fixed-point": ("three_scalings", {"name": "scaling", "factor": 1.0,
+                                       "fixed_points": [[0.0, 0.0], [0.5, 0.5]]},
+                    ("fixed_points", 1, 0)),
+    "piecewise-case": ("example1_check", {"name": "piecewise", "default": 0.0,
+                                          "cases": [[4.0, 2.0], [1.0, 0.5]]},
+                       ("cases", 1, 1)),
+}
+
+
+def _exits_2_naming(name, doc, expected):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, f"{name}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([ALL[name], "--config", config, "--out", out, "--quiet"])
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"config error: {expected}: expected a number"), \
+            err.getvalue()
+        assert not (os.path.isdir(out) and os.listdir(out))
+
+
+def _as_string(doc, path):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = str(parent[path[-1]])
+    return doc
+
+
+@pytest.mark.parametrize("name,path", STRING_NUMBERS,
+                         ids=[f"{n}-{_render(p)}" for n, p in STRING_NUMBERS])
+def test_a_number_in_a_list_written_as_a_string_exits_2_naming_its_path(name, path):
+    """np.asarray(["0"], dtype=float) would read the string as 0.0."""
+    doc = _as_string(json.loads(json.dumps(RAW_ALL[name])), path)
+    _exits_2_naming(name, doc, _render(path))
+
+
+@pytest.mark.parametrize("case", sorted(EXTRA_LISTS))
+def test_a_mapping_coordinate_written_as_a_string_exits_2_naming_its_path(case):
+    name, descriptor, path = EXTRA_LISTS[case]
+    doc = json.loads(json.dumps(RAW_ALL[name]))
+    doc["mappings"] = [descriptor]
+    _exits_2_naming(name, _as_string(doc, ("mappings", 0, *path)),
+                    _render(("mappings", 0, *path)))

@@ -8,6 +8,7 @@ convex_combination must skip zero weights so that a weight vector like
 """
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,18 @@ def test_ball_contains():
     assert list(lo) == [-1.0, -1.0] and list(hi) == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("p", [[1, 0], [0.5, 1], [True, 0.5], [0.5], [0.5, 0.5, 0.0],
+                               [[0.5, 0.5]], ["0.5", "0.5"], [0.5, float("nan")],
+                               (0.6, 0.8), [0.6, 0.8]])
+def test_contains_reads_any_point_as_its_float_array(p):
+    """Only a list of Python floats skips np.array; any other point, a list
+    of ints, bools or strings included, is read as np.array(p, float)."""
+    for d in (Domain.ball([0.0, 0.0], 1.0, "l1"), Domain.box([0.0, 0.0], [0.5, 1.0])):
+        q = np.array(p, dtype=float, ndmin=1)
+        want = q.shape == (2,) and bool(d.contains_rows(q[None])[0])
+        assert d.contains(p) == want, (p, d.shape)
+
+
 def test_domain_to_dict_round_trip_keys():
     box = Domain.box([0.0], [4.0])
     ball = Domain.ball([0.0, 0.0], 1.0)
@@ -258,6 +271,34 @@ def test_ball_samples_are_pinned(kind, mode, digest):
     plans = ([SamplePlan.random(s, c) for s in (0, 1, 7, 123) for c in (1, 5, 40, 301)]
              if mode == "random" else [SamplePlan.grid(r) for r in (3, 4, 8, 11)])
     assert _sample_digest(kind, plans) == digest
+
+
+def _ks_uniform(u: np.ndarray) -> float:
+    """The Kolmogorov-Smirnov statistic of u against Uniform(0, 1)."""
+    u = np.sort(u)
+    i = np.arange(1, len(u) + 1)
+    return float(max((i / len(u) - u).max(), (u - (i - 1) / len(u)).max()))
+
+
+#: The KS statistic's 1 % critical value for 10**4 draws: 1.628 / sqrt(10**4).
+KS_CRITICAL = 0.01628
+
+
+@pytest.mark.parametrize("d", [4, 10, 40])
+def test_random_l1_ball_is_exact_and_fast_above_d3(d):
+    """Rejection from the bounding box accepts 1/d! of its draws; above
+    d = 3 the plan is drawn exactly, and is uniform on the ball: the l1
+    radius obeys P(||x - c||_1 <= t r) = t^d and one coordinate obeys
+    P(|x_1 - c_1| <= s r) = 1 - (1 - s)^d."""
+    c, r = np.linspace(-0.5, 0.5, d), 2.0
+    dom = Domain.ball(c, r, NormKind.L1)
+    t0 = time.perf_counter()
+    pts = np.stack(sample(dom, SamplePlan.random(11, 10**4)))
+    assert time.perf_counter() - t0 < 0.5
+    assert pts.shape == (10**4, d) and dom.contains_rows(pts).all()
+    radius = np.abs(pts - c).sum(axis=-1) / r
+    assert _ks_uniform(radius ** d) < KS_CRITICAL
+    assert _ks_uniform(1.0 - (1.0 - np.abs(pts[:, 0] - c[0]) / r) ** d) < KS_CRITICAL
 
 
 def test_convex_combination_weight_validation():
