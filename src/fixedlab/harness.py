@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
 from .conditions import (BGammaMu, sweep_condition_B, _checks, _condition_b,
@@ -37,8 +37,7 @@ from .iterate import (IterationConfig, goebel_kirk_gap,
 from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _is_number,
                        _number, _pick, _read, _test, _vector, build_mapping,
                        make_family)
-from .schedules import (AlphaSchedule, ConstantSchedule, DecaySchedule,
-                        TentSchedule, verify_schedule)
+from .schedules import AlphaSchedule, _KINDS, verify_schedule
 from .vecspace import Domain, SamplePlan
 
 __all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
@@ -138,12 +137,9 @@ _PLANS = {
     "random": (SamplePlan.random, {"seed": _COUNT, "count": _COUNT,
                                    "epsilon": (_number, 1e-9)})}
 
-#: kind -> (class, keys): the keys are those of the class's to_dict.
-_SCHEDULES = {
-    "constant": (ConstantSchedule, {"value": _NUMBER}),
-    "decay": (DecaySchedule, {"scale": _NUMBER, "rate": (_number, 1.0)}),
-    "tent": (TentSchedule, {"peak": _NUMBER, "first_block_length": _NUMBER,
-                            "growth": _NUMBER})}
+#: kind -> (class, keys): a schedule's keys are its class's fields, all numbers.
+_SCHEDULES = {kind: (cls, {f.name: (_number, _REQUIRED if f.default is MISSING else f.default)
+                           for f in fields(cls)}) for kind, cls in _KINDS.items()}
 
 #: The iteration section reads as (IterationConfig, x0).
 _ITERATION = (lambda *v: (IterationConfig(*v[:-1]), v[-1]), {

@@ -328,10 +328,6 @@ class GapReport:
     gaps: tuple[float, ...]
     tail_max: float
 
-    def to_dict(self) -> dict:
-        return {"steps": list(self.steps), "gaps": list(self.gaps),
-                "tail_max": self.tail_max}
-
 
 def _xs(records: Sequence[TraceStep]) -> np.ndarray:
     """The recorded iterates as one (len(records), d) array."""

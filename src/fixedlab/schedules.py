@@ -15,10 +15,11 @@ limits over the last quarter of the horizon. Proxies, not proofs.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .errors import ContractViolation, PreconditionError
 
@@ -43,9 +44,14 @@ class AlphaSchedule:
     def alpha(self, n: int) -> float:
         return next(self.values(n, n + 1))
 
+    def to_dict(self) -> dict:
+        """The schedule as its kind and its fields, the keys a config names."""
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
 
 @dataclass(frozen=True)
 class ConstantSchedule(AlphaSchedule):
+    kind: ClassVar[str] = "constant"
     value: float
 
     def __post_init__(self):
@@ -57,14 +63,12 @@ class ConstantSchedule(AlphaSchedule):
         """alpha(start), ..., alpha(stop - 1), made one at a time."""
         return itertools.repeat(self.value, max(0, stop - _index(start)))
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
-
 
 @dataclass(frozen=True)
 class DecaySchedule(AlphaSchedule):
     """alpha_n = min(1/2, scale/(n+1)**rate); nonincreasing, tends to 0."""
 
+    kind: ClassVar[str] = "decay"
     scale: float
     rate: float = 1.0
 
@@ -80,9 +84,6 @@ class DecaySchedule(AlphaSchedule):
         return (min(0.5, scale / (n + 1) ** rate)
                 for n in range(_index(start), stop))
 
-    def to_dict(self) -> dict:
-        return {"kind": "decay", "scale": self.scale, "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class TentSchedule(AlphaSchedule):
@@ -94,6 +95,7 @@ class TentSchedule(AlphaSchedule):
     once per even-length block and the value at both block ends is 0.
     """
 
+    kind: ClassVar[str] = "tent"
     peak: float
     first_block_length: float
     growth: float
@@ -125,11 +127,9 @@ class TentSchedule(AlphaSchedule):
             block_start = end
             j += 1
 
-    def to_dict(self) -> dict:
-        return {"kind": "tent", "peak": self.peak,
-                "first_block_length": self.first_block_length,
-                "growth": self.growth}
 
+#: kind -> class: the one rule that turns a schedule's to_dict back into it.
+_KINDS = {cls.kind: cls for cls in (ConstantSchedule, DecaySchedule, TentSchedule)}
 
 # Chosen so that at horizon 1e5 the whole last quarter lies inside one
 # block that contains its apex and ends two steps past the horizon; the
@@ -182,12 +182,7 @@ class ScheduleReport:
 
     def to_dict(self) -> dict:
         return {
-            "schedule": self.schedule,
-            "horizon": self.horizon,
-            "window_start": self.window_start,
-            "liminf_proxy": self.liminf_proxy,
-            "limsup_proxy": self.limsup_proxy,
-            "diff_proxy": self.diff_proxy,
+            **dataclasses.asdict(self),
             "liminf_ok": self.liminf_ok,
             "limsup_ok": self.limsup_ok,
             "diff_ok": self.diff_ok,

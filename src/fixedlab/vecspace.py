@@ -99,7 +99,7 @@ def _by_coordinate(op, term, lo: int, n: int):
     partials combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
     rest in sequence up to 128, and as two halves split at a multiple of 8
     above. (np.maximum gives the same result in any order.) op returns the
-    combination: of floats, or in place of arrays, where term(k, buf) may reuse buf.
+    combination in place of arrays, where term(k, buf) may reuse buf.
     """
     if n > 128:
         half = n // 2 - (n // 2) % 8
@@ -121,12 +121,12 @@ def _by_coordinate(op, term, lo: int, n: int):
 
 def _norm_floats(v: Sequence[float], kind: NormKind) -> float:
     """The norm of a float list, equal bit for bit to _norm_last_axis: the
-    same IEEE operations, summed in its order by `_by_coordinate`."""
+    same IEEE operations, summed in sequence below 8 terms, by np.add.reduce above."""
     if kind == NormKind.LINF:
         return max(map(abs, v))
     l2 = kind == NormKind.L2
     t = [c * c for c in v] if l2 else list(map(abs, v))
-    s = _by_coordinate(operator.add, lambda k, _=None: t[k], 0, len(t))
+    s = functools.reduce(operator.add, t) if len(t) < 8 else float(np.add.reduce(t))
     return math.sqrt(s) if l2 else s
 
 
@@ -190,8 +190,8 @@ class Domain:
         # For l1/l2/linf balls the coordinate extent is always +-radius.
         return c - self.radius, c + self.radius
 
-    def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Membership with absolute tolerance `tol` (see MEMBERSHIP_TOL),
+    def contains(self, p) -> bool:
+        """Membership with absolute tolerance MEMBERSHIP_TOL,
         decided on floats by the rule of `contains_rows`, bit for bit. A list
         of Python floats is read as it is, anything else through np.array."""
         q = p
@@ -201,18 +201,20 @@ class Domain:
         if len(q) != self.dimension or not all(map(math.isfinite, q)):
             return False
         if self.shape == "box":
-            return all(lo - tol <= c <= up + tol for lo, c, up in zip(self.lower, q, self.upper))
+            return all(lo - MEMBERSHIP_TOL <= c <= up + MEMBERSHIP_TOL
+                       for lo, c, up in zip(self.lower, q, self.upper))
         return _norm_floats([c - z for c, z in zip(q, self.center)],
-                            self.norm_kind) <= self.radius + tol
+                            self.norm_kind) <= self.radius + MEMBERSHIP_TOL
 
-    def contains_rows(self, Q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains_rows(self, Q: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one
         (dimension,) point as `contains`: a non-finite row is never a member."""
         if self.shape == "box":
-            inside = (Q >= np.array(self.lower) - tol) & (Q <= np.array(self.upper) + tol)
+            inside = ((Q >= np.array(self.lower) - MEMBERSHIP_TOL)
+                      & (Q <= np.array(self.upper) + MEMBERSHIP_TOL))
             return inside.all(axis=-1) & np.isfinite(Q).all(axis=-1)
         return (_norm_last_axis(Q - np.array(self.center), self.norm_kind)
-                <= self.radius + tol) & np.isfinite(Q).all(axis=-1)
+                <= self.radius + MEMBERSHIP_TOL) & np.isfinite(Q).all(axis=-1)
 
     def to_dict(self) -> dict:
         if self.shape == "box":
@@ -321,7 +323,7 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
         c = np.array(domain.center)
         if domain.norm_kind == NormKind.L2:
             raw = rng.standard_normal((plan.count, d))
-            norms = np.sqrt(np.sum(raw * raw, axis=-1))
+            norms = _norm_last_axis(raw, NormKind.L2)
             norms[norms == 0.0] = 1.0
             unit = raw / norms[:, None]
             radii = domain.radius * rng.random(plan.count) ** (1.0 / d)

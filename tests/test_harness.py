@@ -5,9 +5,12 @@ or its parameters were unusable, 3 the iteration itself broke down.
 """
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fixedlab
 from fixedlab import ConfigError, cmd_check, cmd_run, cmd_schedule, cmd_sweep, load_config, main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -141,6 +144,40 @@ def test_unknown_mapping_is_config_error(tmp_path):
         "checks": ["nonexpansive"],
     })
     assert main(["check", "--config", p, "--quiet", "--out", str(tmp_path)]) == 2
+
+
+def test_check_per_axis_resolution_runs_and_is_echoed(tmp_path):
+    p = write_cfg(tmp_path, "axes.json", {
+        "name": "axes",
+        "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "mappings": [{"name": "scaling", "factor": 0.5}],
+        "plan": {"mode": "grid", "resolution": [2, 3]},
+        "checks": ["nonexpansive"],
+    })
+    code, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    assert code == 0
+    assert report["config"]["plan"]["resolution"] == [2, 3]
+    assert report["verdicts"][0]["checked_pairs"] == 6 * 6
+
+
+def test_python_dash_m_fixedlab_reports_as_main(tmp_path):
+    """`python -m fixedlab` runs `main` in a fresh interpreter: same exit
+    code, same report but for the wall-clock duration."""
+    config = cfg_path("example1_check.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fixedlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fixedlab", "check", "--config", config,
+                           "--out", str(tmp_path / "m"), "--quiet"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert main(["check", "--config", config, "--out", str(tmp_path / "main"),
+                 "--quiet"]) == 1
+    reports = [json.loads((tmp_path / d / "example1_check_report.json").read_text())
+               for d in ("m", "main")]
+    for r in reports:
+        r.pop("duration_seconds")
+    assert reports[0] == reports[1]
 
 
 # --- run --------------------------------------------------------------------
@@ -296,6 +333,10 @@ SCALING_RUN = {
 }
 
 
+TWO_MAPPINGS = {**SCALING_RUN, "mappings": [*SCALING_RUN["mappings"],
+                                             {"name": "scaling", "factor": 0.5}]}
+
+
 def with_iteration(**changes):
     return {**SCALING_RUN, "iteration": {**SCALING_RUN["iteration"], **changes}}
 
@@ -338,12 +379,24 @@ def with_iteration(**changes):
     ("sweep", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
                "sweep": {"gamma_grid": [0.0], "mu_grid": [], "pairing": "zip"}},
      "sweep.mu_grid: expected a non-empty list of numbers"),
+    # refusals of a subcommand that cannot use the config as resolved
+    ("check", [SCALING_RUN], "must be a JSON object"),
+    ("check", {**SCALING_RUN, "plan": {"mode": "grid", "resolution": 3},
+               "checks": ["commuting"]},
+     "check: 'commuting' needs at least two mappings"),
+    ("run", TWO_MAPPINGS, "run: engine 'single' needs exactly one mapping, got 2"),
+    ("run", {**TWO_MAPPINGS, "engine": "multi"}, "run: engine 'multi' needs a schedule"),
+    ("sweep", {**TWO_MAPPINGS, "plan": {"mode": "grid", "resolution": 3},
+               "sweep": {"gamma_grid": [0.0], "mu_grid": [0.0]}},
+     "sweep: config must name exactly one mapping, got 2"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
         "null-mappings", "null-check", "list-check-name", "string-sweep",
         "list-out", "out-path-with-directory", "number-out-name",
-        "nul-out-name", "empty-gamma-grid", "empty-mu-grid"])
+        "nul-out-name", "empty-gamma-grid", "empty-mu-grid", "list-config",
+        "commuting-one-mapping", "single-engine-two-mappings",
+        "multi-engine-no-schedule", "sweep-two-mappings"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)

@@ -10,7 +10,10 @@ from fixedlab import (
     DomainError,
     GALLERY_BALL,
     GALLERY_BOX,
+    InvalidInputError,
+    MappingFamily,
     SamplePlan,
+    affine_map,
     build_mapping,
     builtin_gallery,
     check_commuting,
@@ -203,6 +206,31 @@ def test_gallery_contents(gallery):
     for m in gallery:
         for z in m.known_fixed_points:
             assert dist(evaluate(m, z), z, m.domain.norm_kind) <= 1e-10, m.label
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: piecewise_map(GALLERY_BOX, 0.0, []), ContractViolation, "1-dimensional"),
+    (lambda: constant_map(GALLERY_BOX, [2.0, 0.0]), ContractViolation, "outside the domain"),
+    (lambda: affine_map(GALLERY_BOX, [[0.5]], [0.0, 0.0]), ContractViolation,
+     "do not fit dimension 2"),
+    (lambda: affine_map(GALLERY_BOX, [[math.inf, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+     InvalidInputError, "non-finite entry"),
+    (lambda: rotation_scaling_map(Domain.box([0.0], [1.0]), 0.5), ContractViolation,
+     "needs a 2-d domain"),
+    (lambda: MappingFamily(()), ContractViolation, "at least one member"),
+], ids=["piecewise-2d", "constant-outside", "affine-wrong-shape", "affine-non-finite",
+        "rotation-1d", "empty-family"])
+def test_builder_refuses_what_its_contract_excludes(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_affine_map_with_singular_i_minus_a_records_no_fixed_point():
+    """x -> (x, y/2) fixes the whole first axis, but I - A has no inverse to
+    name one point, so none is recorded."""
+    T = affine_map(GALLERY_BOX, [[1.0, 0.0], [0.0, 0.5]], [0.0, 0.0])
+    assert T.known_fixed_points == ()
+    assert evaluate(T, [0.5, 0.5]).tolist() == [0.5, 0.25]
 
 
 def test_build_mapping_unknown_name():

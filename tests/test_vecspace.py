@@ -218,6 +218,15 @@ def test_grid_2d_order_is_first_axis_major():
                    (1.0, 10.0), (1.0, 10.5), (1.0, 11.0)]
 
 
+def test_per_axis_grid_resolution_is_the_lexicographic_lattice():
+    box = Domain.box([0.0, 10.0], [1.0, 11.0])
+    pts = sample(box, SamplePlan.grid([2, 3]))
+    assert [(p[0], p[1]) for p in pts] == [(0.0, 10.0), (0.0, 10.5), (0.0, 11.0),
+                                           (1.0, 10.0), (1.0, 10.5), (1.0, 11.0)]
+    with pytest.raises(InvalidInputError, match="3 axes but the domain has 2"):
+        sample(box, SamplePlan.grid([2, 3, 4]))
+
+
 def test_ball_grid_is_filtered_to_the_ball():
     d = Domain.ball([0.0, 0.0], 1.0)
     pts = sample(d, SamplePlan.grid(8))
@@ -311,6 +320,13 @@ def test_convex_combination_weight_validation():
         convex_combination(pts, [1.0])
 
 
+def test_convex_combination_refuses_zero_points_and_mixed_dimensions():
+    with pytest.raises(ContractViolation, match="zero points"):
+        convex_combination([], [])
+    with pytest.raises(ContractViolation, match="mixed dimension"):
+        convex_combination([as_vector([0.0]), as_vector([0.0, 1.0])], [0.5, 0.5])
+
+
 def test_zero_weights_are_skipped_bitwise():
     """Weight 0 must not contribute even a signed zero to the sum."""
     a = as_vector([-0.0, 2.0])
@@ -336,4 +352,4 @@ def test_convex_combination_stays_in_box(raw, seed):
     d = Domain.box([-1.0, -1.0], [1.0, 1.0])
     pts = sample(d, SamplePlan.random(seed, len(weights)))
     out = convex_combination(pts, weights)
-    assert d.contains(out, tol=1e-9)
+    assert d.contains(out)
