@@ -286,6 +286,9 @@ def _drive(command: str, compute, files: dict[str, str], config_path: str,
 def _check(cfg: ExperimentConfig, say: _Say):
     _require(cfg, "check", "mappings", "plan", "checks")
     requests = [_request(s, "check") for s in cfg.checks if s["check"] != "commuting"]
+    want_commuting = any(s["check"] == "commuting" for s in cfg.checks)
+    if want_commuting and len(cfg.mappings) < 2:
+        raise ConfigError("check: 'commuting' needs at least two mappings")
     verdicts = []
     for T in cfg.mappings if requests else ():
         for v in _checks(T, cfg.plan, requests):   # one scan per mapping
@@ -293,9 +296,7 @@ def _check(cfg: ExperimentConfig, say: _Say):
             say(f"[{'PASS' if v.passed else 'FAIL'}] {T.label}: "
                 f"{v.condition_label}{dict(v.params) if v.params else ''}")
     commuting = None
-    if any(s["check"] == "commuting" for s in cfg.checks):
-        if len(cfg.mappings) < 2:
-            raise ConfigError("check: 'commuting' needs at least two mappings")
+    if want_commuting:
         commuting = make_family(cfg.mappings, cfg.plan).commuting_certificate
         say(f"[{'PASS' if commuting.passed else 'FAIL'}] family: commuting")
     passed = all(v["passed"] for v in verdicts) and (

@@ -7,19 +7,31 @@ block j of length L_j = ceil(first_block_length * growth**j) the value
 climbs linearly from 0 to the peak and back, so the per-step increment
 peak/ceil(L_j/2) shrinks as the blocks grow.
 
-Every schedule yields its values lazily through `values(start, stop)`; the
-engines and `verify_schedule` draw from it, and `alpha(n)` is its first
-value. `verify_schedule` measures finite-horizon proxies for the three
-limits over the last quarter of the horizon. Proxies, not proofs.
+Each schedule makes its values as float64 chunks of at most `_CHUNK`
+steps, through a private `_chunks(start, stop)`. `AlphaSchedule.values` is
+defined once on top of it and yields them lazily as floats; the engines
+draw from it, and `alpha(n)` is its first value. A chunk applies the same
+IEEE operations, in the same order, as the scalar formula of its kind, so
+each value is bit for bit the formula's. The decay schedule raises its
+powers with Python's own `pow`: numpy's vectorised power may differ from
+it in the last bit.
+
+`verify_schedule` measures finite-horizon proxies for the three limits
+over the last quarter of the horizon, reducing one chunk at a time, so its
+memory does not grow with the horizon. Proxies, not proofs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import truediv
 from typing import ClassVar, Iterator
+
+import numpy as np
 
 from .errors import ContractViolation, PreconditionError
 
@@ -31,6 +43,10 @@ __all__ = [
 # a tail proxy below this counts as "vanished"; above it as "bounded away"
 PROXY_TOL = 1e-3
 
+# steps per chunk: a chunk's few arrays stay in cache, and a run that stops
+# early has paid for at most this many values it did not use
+_CHUNK = 4096
+
 
 def _index(n: int) -> int:
     if n < 0:
@@ -39,7 +55,17 @@ def _index(n: int) -> int:
 
 
 class AlphaSchedule:
-    """The schedule interface: each kind yields `values(start, stop)` lazily."""
+    """The schedule interface: each kind makes `_chunks(start, stop)`,
+    nonempty float64 arrays of alpha(start), ..., alpha(stop - 1) in order,
+    at most `_CHUNK` long."""
+
+    def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        raise NotImplementedError
+
+    def values(self, start: int, stop: int) -> Iterator[float]:
+        """alpha(start), ..., alpha(stop - 1), made a chunk at a time."""
+        chunks = self._chunks(_index(start), stop)
+        return chain.from_iterable(c.tolist() for c in chunks)
 
     def alpha(self, n: int) -> float:
         return next(self.values(n, n + 1))
@@ -59,9 +85,9 @@ class ConstantSchedule(AlphaSchedule):
             raise ContractViolation(
                 f"constant schedule value must lie in [0, 1/2], got {self.value}")
 
-    def values(self, start: int, stop: int) -> Iterator[float]:
-        """alpha(start), ..., alpha(stop - 1), made one at a time."""
-        return itertools.repeat(self.value, max(0, stop - _index(start)))
+    def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        for a in range(start, stop, _CHUNK):
+            yield np.full(min(stop - a, _CHUNK), self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -78,11 +104,38 @@ class DecaySchedule(AlphaSchedule):
         if not (0.0 < self.rate < math.inf):
             raise ContractViolation(f"decay rate must be finite and > 0, got {self.rate}")
 
-    def values(self, start: int, stop: int) -> Iterator[float]:
-        """alpha(start), ..., alpha(stop - 1), made one at a time."""
-        scale, rate = self.scale, self.rate
-        return (min(0.5, scale / (n + 1) ** rate)
-                for n in range(_index(start), stop))
+    def _raw(self, a: int, b: int) -> np.ndarray:
+        """scale/(n+1)**rate for n in [a, b), before the clamp."""
+        powers = map(pow, range(a + 1, b + 1), repeat(self.rate))
+        if isinstance(self.scale, int) and isinstance(self.rate, int):
+            # int / int rounds the exact quotient once, unlike float / float
+            return np.fromiter(map(truediv, repeat(self.scale), powers), float, b - a)
+        raw = np.fromiter(powers, float, b - a)
+        return np.divide(self.scale, raw, out=raw)
+
+    def _overflows(self, n: int) -> bool:
+        try:
+            self._raw(n, n + 1)
+        except OverflowError:
+            return True
+        return False
+
+    def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        for a in range(start, stop, _CHUNK):
+            b = min(stop, a + _CHUNK)
+            try:
+                raw = self._raw(a, b)
+            except OverflowError:
+                # (n+1)**rate grows with n: the steps before the first that
+                # overflows are still served, so a run that stops earlier
+                # never meets it
+                n = a + bisect_left(range(a, b), True, key=self._overflows)
+                if n > a:
+                    yield np.minimum(0.5, self._raw(a, n))
+                raise ContractViolation(
+                    f"decay rate {self.rate} overflows a float at step {n}: "
+                    f"{n + 1}**{self.rate} is too large") from None
+            yield np.minimum(0.5, raw, out=raw)
 
 
 @dataclass(frozen=True)
@@ -111,21 +164,34 @@ class TentSchedule(AlphaSchedule):
             raise ContractViolation(
                 f"tent growth must be finite and >= 1, got {self.growth}")
 
-    def values(self, start: int, stop: int) -> Iterator[float]:
-        """alpha(start), ..., alpha(stop - 1), visiting each block once."""
-        n, peak = _index(start), self.peak
-        block_start = j = 0
-        while n < stop:
-            length = math.ceil(self.first_block_length * self.growth ** j)
-            end = block_start + length
-            if n < end:
-                half = -(-length // 2)
-                # peak * half / half can round one ulp above peak.
-                for t in range(n - block_start, min(stop, end) - block_start):
-                    yield min(peak, peak * min(t, length - t) / half)
-                n = end
-            block_start = end
-            j += 1
+    def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
+        """Each chunk cut at block edges and filled in closed form, visiting
+        each block once."""
+        peak, block_start, length, j = self.peak, 0, 0, 0
+        for a in range(start, stop, _CHUNK):
+            b, n = min(stop, a + _CHUNK), a
+            starts, lengths, halves, counts = [], [], [], []   # one run per block met
+            while n < b:
+                while block_start + length <= n:   # the next block
+                    block_start += length
+                    length = math.ceil(self.first_block_length * self.growth ** j)
+                    j += 1
+                starts.append(block_start)
+                # int64 must hold L - t; cutting L to 2**62 leaves
+                # min(t, L - t) = t for every offset t below 2**61
+                lengths.append(min(length, 2**62))
+                halves.append(-(-length // 2))
+                counts.append(min(b, block_start + length) - n)
+                n += counts[-1]
+            t = np.arange(a, b)
+            t -= np.repeat(starts, counts)             # offset in its block
+            L_t = np.repeat(lengths, counts)
+            L_t -= t
+            v = peak * np.minimum(t, L_t, out=t)
+            # the formula's float / int rounds the int half to a float first
+            v /= np.repeat(np.array(halves, dtype=float), counts)
+            # peak * half / half can round one ulp above peak.
+            yield np.minimum(peak, v, out=v)
 
 
 #: kind -> class: the one rule that turns a schedule's to_dict back into it.
@@ -202,17 +268,24 @@ def verify_schedule(s: AlphaSchedule, horizon: int) -> ScheduleReport:
     if horizon < 10:
         raise PreconditionError(f"verify_schedule needs horizon >= 10, got {horizon}")
     window_start = horizon - horizon // 4
-    lo, hi, step, prev = math.inf, -math.inf, 0.0, None
-    for n, v in enumerate(s.values(window_start, horizon + 1), window_start):
-        if not (0.0 <= v <= 0.5):
+    lo, hi, step, prev, n = math.inf, -math.inf, 0.0, None, window_start
+    for c in s._chunks(window_start, horizon + 1):
+        if not (0.0 <= c.min() and c.max() <= 0.5):   # NaN included
+            i = int(np.flatnonzero(~((c >= 0.0) & (c <= 0.5)))[0])
             raise ContractViolation(
-                f"schedule emitted {v} outside [0, 1/2] at step {n}")
-        if prev is not None:   # prev runs over the window, v one step ahead
-            lo = prev if prev < lo else lo
-            hi = prev if prev > hi else hi
-            if abs(v - prev) > step:
-                step = abs(v - prev)
-        prev = v
+                f"schedule emitted {c[i].item()} outside [0, 1/2] at step {n + i}")
+        n += c.size
+        # prev runs over the window, its successor one step ahead: the
+        # values before each chunk's last, and the carried one before them
+        if prev is not None:
+            lo, hi = min(lo, prev), max(hi, prev)
+            step = max(step, abs(c[0].item() - prev))
+        if c.size > 1:
+            lo = min(lo, c[:-1].min().item())
+            hi = max(hi, c[:-1].max().item())
+            d = np.diff(c)
+            step = max(step, np.abs(d, out=d).max().item())
+        prev = c[-1].item()
     return ScheduleReport(
         schedule=s.to_dict(), horizon=horizon, window_start=window_start,
         liminf_proxy=lo, limsup_proxy=hi, diff_proxy=step)

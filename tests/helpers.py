@@ -2,11 +2,13 @@
 against.
 
 These deliberately re-derive results with the dumbest possible code:
-explicit double loops over sample points, scalar Python arithmetic, and a
-sequential block walk for the tent schedule. They share only the norm
-primitive with the package (so scalar values are comparable bit for bit) —
-the scan structure, the inequalities, and the recurrences are transcribed
-independently from their displayed forms.
+explicit double loops over sample points, scalar Python arithmetic, a
+sequential block walk for the tent schedule, and a value-by-value tail scan
+for the schedule report. They share only the norm primitive with the
+package (so scalar values are comparable bit for bit) — the scan structure,
+the inequalities, and the recurrences are transcribed independently from
+their displayed forms. The report scan reads the schedule's own `values`, so
+it referees the chunked reduction alone; the generators referee the values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 
+from fixedlab.errors import ContractViolation, PreconditionError
+from fixedlab.schedules import ScheduleReport
 from fixedlab.vecspace import NormKind, dist
 
 # ---------------------------------------------------------------------------
@@ -91,7 +95,8 @@ def oracle_quasi_nonexpansive(fn, points, fixed_points, eps, kind=NormKind.L2):
 
 
 # ---------------------------------------------------------------------------
-# schedule oracle: sequential block walk emitting the whole prefix
+# schedule oracles: sequential block walk emitting the whole prefix, and the
+# tail proxies taken one value at a time
 # ---------------------------------------------------------------------------
 
 
@@ -112,6 +117,28 @@ def reference_tent(peak, first_block_length, growth, count):
 
 def reference_decay(scale, rate, count):
     return [min(0.5, scale / (n + 1) ** rate) for n in range(count)]
+
+
+def reference_schedule_report(s, horizon):
+    """verify_schedule as one comparison loop over the values, one at a time."""
+    horizon = int(horizon)
+    if horizon < 10:
+        raise PreconditionError(f"verify_schedule needs horizon >= 10, got {horizon}")
+    window_start = horizon - horizon // 4
+    lo, hi, step, prev = math.inf, -math.inf, 0.0, None
+    for n, v in enumerate(s.values(window_start, horizon + 1), window_start):
+        if not (0.0 <= v <= 0.5):
+            raise ContractViolation(
+                f"schedule emitted {v} outside [0, 1/2] at step {n}")
+        if prev is not None:   # prev runs over the window, v one step ahead
+            lo = prev if prev < lo else lo
+            hi = prev if prev > hi else hi
+            if abs(v - prev) > step:
+                step = abs(v - prev)
+        prev = v
+    return ScheduleReport(
+        schedule=s.to_dict(), horizon=horizon, window_start=window_start,
+        liminf_proxy=lo, limsup_proxy=hi, diff_proxy=step)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,18 @@ def test_schedule_command_bad_horizon(tmp_path):
     assert main(["schedule", "--config", p, "--quiet", "--out", str(tmp_path)]) == 2
 
 
+def test_schedule_command_integer_zero_constant_reports_floats(tmp_path):
+    """The tail proxies are floats even when the config spells the constant
+    as the integer 0; the echoed schedule keeps the config's spelling."""
+    p = write_cfg(tmp_path, "zero.json", {
+        "name": "zero", "horizon": 100,
+        "schedule": {"kind": "constant", "value": 0}})
+    assert main(["schedule", "--config", p, "--quiet", "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "zero_report.json").read_text()
+    assert '"liminf_proxy": 0.0,' in text and '"limsup_proxy": 0.0,' in text
+    assert '"value": 0\n' in text
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_command_writes_frozen_table(tmp_path):
@@ -389,6 +401,19 @@ def with_iteration(**changes):
     ("sweep", {**TWO_MAPPINGS, "plan": {"mode": "grid", "resolution": 3},
                "sweep": {"gamma_grid": [0.0], "mu_grid": [0.0]}},
      "sweep: config must name exactly one mapping, got 2"),
+    # a decay so steep that (n+1)**rate leaves the float range
+    ("schedule", {"name": "steep", "horizon": 100,
+                  "schedule": {"kind": "decay", "scale": 0.5, "rate": 400}},
+     "decay rate 400 overflows a float at step 75: 76**400 is too large"),
+    ("schedule", {"name": "steep", "horizon": 100,
+                  "schedule": {"kind": "decay", "scale": 0.5, "rate": 400.5}},
+     "decay rate 400.5 overflows a float at step 75: 76**400.5 is too large"),
+    ("run", {**TWO_MAPPINGS, "engine": "multi",
+             "schedule": {"kind": "decay", "scale": 0.5, "rate": 400}},
+     "decay rate 400 overflows a float at step 5: 6**400 is too large"),
+    ("run", {**TWO_MAPPINGS, "engine": "multi",
+             "schedule": {"kind": "decay", "scale": 0.5, "rate": 400.5}},
+     "decay rate 400.5 overflows a float at step 5: 6**400.5 is too large"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
@@ -396,7 +421,9 @@ def with_iteration(**changes):
         "list-out", "out-path-with-directory", "number-out-name",
         "nul-out-name", "empty-gamma-grid", "empty-mu-grid", "list-config",
         "commuting-one-mapping", "single-engine-two-mappings",
-        "multi-engine-no-schedule", "sweep-two-mappings"])
+        "multi-engine-no-schedule", "sweep-two-mappings",
+        "schedule-decay-int-rate-overflows", "schedule-decay-float-rate-overflows",
+        "run-decay-int-rate-overflows", "run-decay-float-rate-overflows"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -462,6 +489,22 @@ def test_bad_check_parameter_exits_2_before_any_sample(tmp_path, capsys,
     assert main(["check", "--config", p, "--quiet", "--out",
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_commuting_with_one_mapping_exits_2_before_any_scan(tmp_path, capsys,
+                                                           monkeypatch):
+    from fixedlab import harness
+
+    monkeypatch.setattr(harness, "_checks",
+                        lambda *args: pytest.fail("scanned before the error"))
+    p = write_cfg(tmp_path, "typed.json", {
+        **SCALING_RUN, "plan": {"mode": "grid", "resolution": 4},
+        "checks": ["nonexpansive", "condition_C", "commuting"]})
+    assert main(["check", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: check: 'commuting' needs at least two mappings\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,12 @@ blocks sequentially instead of mapping n -> block; both must agree to the
 last bit.
 """
 import math
+import re
 import tracemalloc
+from dataclasses import dataclass
+from typing import ClassVar
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,8 @@ from fixedlab import (
     alpha,
     verify_schedule,
 )
-from helpers import reference_decay, reference_tent
+from fixedlab.schedules import _CHUNK, AlphaSchedule
+from helpers import reference_decay, reference_schedule_report, reference_tent
 
 # dyadic parameters -> every value below is exact in binary floating point
 TENT_PREFIX = [0.0, 0.125, 0.25, 0.125,
@@ -289,3 +294,147 @@ def test_report_to_dict_keys():
     for key in ("schedule", "horizon", "window_start", "liminf_proxy",
                 "limsup_proxy", "diff_proxy", "compliant", "flags"):
         assert key in d, key
+
+
+# --- chunk edges ----------------------------------------------------------------
+# Schedules make their values _CHUNK steps at a time and verify_schedule
+# reduces them chunk by chunk; both must match one value at a time.
+
+TENT_PARAMS = (st.floats(min_value=0.01, max_value=0.5),
+               st.one_of(st.integers(2, 60), st.floats(2.0, 60.0)),
+               st.one_of(st.just(1), st.floats(1.0, 2.0)))
+# int scale with int rate divides int by int: one rounding of the exact quotient
+DECAY_PARAMS = (st.one_of(st.integers(0, 3), st.floats(0.0, 10.0)),
+                st.one_of(st.integers(1, 5), st.floats(0.1, 3.0)))
+SCHEDULES = st.one_of(st.builds(TentSchedule, *TENT_PARAMS),
+                      st.builds(DecaySchedule, *DECAY_PARAMS),
+                      st.builds(ConstantSchedule, st.floats(0.0, 0.5)))
+
+
+def _edge_horizons():
+    """The shortest horizons, and horizons whose tail window starts or ends
+    within one step of a multiple of _CHUNK or is a chunk long give or take
+    one, so that it straddles a chunk edge by a single value."""
+    out = {10, 11, 12, 13}
+    for k in (1, 2, 3):
+        m = k * _CHUNK
+        out |= {m - 1, m, m + 1}
+        out |= {h for h in range(m, 2 * m) if abs(h - h // 4 - m) <= 1}
+        out |= {4 * (m + e) + r for e in (-2, -1, 0) for r in (0, 3)}
+    return sorted(out)
+
+
+@given(SCHEDULES, st.sampled_from(_edge_horizons()))
+@settings(max_examples=150, deadline=None)
+def test_verify_schedule_matches_value_by_value_reference(s, horizon):
+    got, ref = verify_schedule(s, horizon), reference_schedule_report(s, horizon)
+    assert got.window_start == ref.window_start
+    for field in ("liminf_proxy", "limsup_proxy", "diff_proxy"):
+        assert getattr(got, field).hex() == getattr(ref, field).hex(), field
+
+
+EDGE_STARTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 2]
+EDGE_LENGTHS = [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@given(*TENT_PARAMS, st.sampled_from(EDGE_STARTS), st.sampled_from(EDGE_LENGTHS))
+@settings(max_examples=60, deadline=None)
+def test_tent_values_match_generator_across_chunk_edges(peak, first, growth,
+                                                        a, length):
+    ref = reference_tent(peak, first, growth, a + length)
+    s = TentSchedule(peak, first, growth)
+    # the generator leaves out the clamp of an apex rounded one ulp high
+    assert _hex(s.values(a, a + length)) == _hex(min(peak, v) for v in ref[a:])
+
+
+@given(*DECAY_PARAMS, st.sampled_from(EDGE_STARTS), st.sampled_from(EDGE_LENGTHS))
+@settings(max_examples=60, deadline=None)
+def test_decay_values_match_generator_across_chunk_edges(scale, rate, a, length):
+    ref = reference_decay(scale, rate, a + length)
+    assert _hex(DecaySchedule(scale, rate).values(a, a + length)) == _hex(ref[a:])
+
+
+def test_decay_int_scale_over_int_power_rounds_the_exact_quotient():
+    """Past 2**53 the power is not a float: int / int rounds the exact
+    quotient once, where float / float would round the power first."""
+    got = list(DecaySchedule(1, 4).values(10000, 10010))
+    exact = [1 / (n + 1) ** 4 for n in range(10000, 10010)]
+    assert _hex(got) == _hex(exact)
+    assert exact != [1.0 / float((n + 1) ** 4) for n in range(10000, 10010)]
+
+
+@dataclass(frozen=True)
+class _Plateau(AlphaSchedule):
+    """1/4 at every step but those in [at, until), where it is `level`."""
+
+    kind: ClassVar[str] = "plateau"
+    level: float
+    at: int
+    until: int
+
+    def _chunks(self, start, stop):
+        for a in range(start, stop, _CHUNK):
+            c = np.full(min(stop - a, _CHUNK), 0.25)
+            c[max(0, self.at - a):max(0, self.until - a)] = self.level
+            yield c
+
+
+HORIZON = 12 * _CHUNK   # its window spans four chunks
+WINDOW_START = HORIZON - HORIZON // 4
+
+
+@pytest.mark.parametrize("offset", [100, _CHUNK, 2 * _CHUNK + 7],
+                         ids=["mid-chunk", "chunk-first", "third-chunk"])
+def test_verify_schedule_refuses_the_out_of_range_step(offset):
+    at = WINDOW_START + offset
+    message = f"schedule emitted 0.6 outside [0, 1/2] at step {at}"
+    for verify in (verify_schedule, reference_schedule_report):
+        with pytest.raises(ContractViolation, match=re.escape(message) + "$"):
+            verify(_Plateau(0.6, at, at + 1), HORIZON)
+
+
+@pytest.mark.parametrize("offset,limsup", [
+    (100, 0.5), (_CHUNK - 1, 0.5), (_CHUNK, 0.5), (HORIZON // 4, 0.25)],
+    ids=["mid-chunk", "chunk-last", "chunk-first", "horizon-alone"])
+def test_increment_across_a_chunk_edge_is_measured(offset, limsup):
+    """The one jump, 1/4 -> 1/2, lies between two chunks when the plateau
+    starts at a chunk's first value; at the horizon, the window's one-value
+    last chunk, it counts as an increment only."""
+    s = _Plateau(0.5, WINDOW_START + offset, HORIZON + 1)
+    for verify in (verify_schedule, reference_schedule_report):
+        rep = verify(s, HORIZON)
+        assert (rep.liminf_proxy, rep.limsup_proxy, rep.diff_proxy) == (0.25, limsup, 0.25)
+
+
+def test_integer_zero_constant_reports_float_proxies():
+    rep = verify_schedule(ConstantSchedule(0), 100)
+    assert (rep.liminf_proxy, rep.limsup_proxy, rep.diff_proxy) == (0.0, 0.0, 0.0)
+    assert all(type(v) is float
+               for v in (rep.liminf_proxy, rep.limsup_proxy, rep.diff_proxy))
+
+
+@pytest.mark.parametrize("rate", [400, 400.5], ids=["int-rate", "float-rate"])
+def test_steep_decay_serves_the_steps_before_its_overflow(rate):
+    """(n+1)**rate leaves the float range at n = 5; steps 0-4 are still
+    drawn, so a run that stops before step 5 never meets the refusal."""
+    s = DecaySchedule(0.5, rate)
+    assert list(s.values(0, 5)) == reference_decay(0.5, rate, 5)
+    values = s.values(0, 100)
+    assert [next(values) for _ in range(5)] == reference_decay(0.5, rate, 5)
+    with pytest.raises(ContractViolation,
+                       match=re.escape(f"decay rate {rate} overflows a float at step 5")):
+        next(values)
+
+
+@pytest.mark.parametrize("first,growth", [(1e19, 1.0), (2, 1e12)],
+                         ids=["first-block-past-int64", "second-block-past-2e12"])
+def test_tent_blocks_longer_than_int64_match_generator(first, growth):
+    s = TentSchedule(0.25, first, growth)
+    assert _hex(s.values(0, 100)) == _hex(reference_tent(0.25, first, growth, 100))
+    got, ref = verify_schedule(s, 100), reference_schedule_report(s, 100)
+    assert (got.liminf_proxy, got.limsup_proxy, got.diff_proxy) == \
+        (ref.liminf_proxy, ref.limsup_proxy, ref.diff_proxy)
