@@ -7,7 +7,8 @@ The package has three layers:
   analysis    conditions (sampled nonexpansiveness-type checks and the
               two-parameter sweep) and schedules (blend-weight sequences)
   experiments iterate (the averaged iteration engines and trace
-              diagnostics) and harness (the JSON-config CLI)
+              diagnostics) and harness (the JSON-config CLI, the only
+              module that reads configs)
 
 Everything is deterministic: grid sampling is lexicographic, random
 sampling is seeded, and every engine records enough per step that a trace
@@ -22,7 +23,7 @@ from .vecspace import (Domain, NormKind, SamplePlan, Vector, as_vector,
 from .verdicts import Verdict, Witness
 from .mappings import (GALLERY_AFFINE_MATRIX, GALLERY_AFFINE_SHIFT,
                        GALLERY_BALL, GALLERY_BOX, Mapping, MappingFamily,
-                       affine_map, build_mapping, builtin_gallery,
+                       affine_map, builtin_gallery,
                        check_commuting, common_fixed_points, compose,
                        constant_map, evaluate, example1_map, identity_map,
                        make_family, piecewise_map, register_mapping,
@@ -40,7 +41,7 @@ from .iterate import (GapReport, IterationConfig, Trace, TraceStep,
                       multi_map_weights, replay_trace,
                       residual_vanishes_check, trace_to_csv,
                       truncated_family_run, truncated_weights)
-from .harness import (ExperimentConfig, cmd_check, cmd_run, cmd_schedule,
-                      cmd_sweep, load_config, main)
+from .harness import (ExperimentConfig, build_mapping, cmd_check, cmd_run,
+                      cmd_schedule, cmd_sweep, load_config, main)
 
 __version__ = "0.1.0"

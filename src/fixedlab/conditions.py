@@ -160,7 +160,7 @@ def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
 
 
 # Each check is described once, by a private function that makes its
-# request; both its public check_* function and `harness._CHECKS` use it.
+# request; both its public check_* function and `_CHECKS` use it.
 
 def _one(check):
     """The request that runs `check` and keeps its verdict."""
@@ -304,6 +304,19 @@ def check_prop1(T: Mapping, theta: float, p: BGammaMu, plan: SamplePlan) -> Verd
     fails on this plan a warning is emitted but the check proceeds.
     """
     return _checks(T, plan, [_prop1(theta, p)])[0]
+
+
+#: Every per-map check a config may request, in the order error messages
+#: list them: name -> (request maker, the names of its parameters in order).
+_CHECKS = {
+    "nonexpansive": (_nonexpansive, ()),
+    "quasi_nonexpansive": (_quasi_nonexpansive, ()),
+    "fixed_point_shrink": (lambda g, m: _lemma3(BGammaMu(g, m)), ("gamma", "mu")),
+    "condition_C": (lambda: _condition_c(0.5, "condition_C"), ()),
+    "condition_C_lambda": (_condition_c, ("lambda",)),
+    "condition_B": (lambda g, m: _one(_condition_b(BGammaMu(g, m))), ("gamma", "mu")),
+    "prop1": (lambda theta, g, m: _prop1(theta, BGammaMu(g, m)), ("theta", "gamma", "mu")),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ schedule, iteration settings, checks or sweep grids); each subcommand
 consumes the parts it needs and writes a JSON report next to any CSV
 output. Reports echo the fully resolved config, and feeding that echo back
 in reproduces every verdict and trace byte for byte — wall-clock duration
-is the one field that may differ.
+is the one field that may differ. This is the only module that reads
+configs: its parse steps and tables hold the whole config syntax.
 
 Exit codes: 0 all verdicts passed, 1 some check failed, 2 the config could
 not be resolved (missing, wrong-typed or non-finite values included), 3 an
@@ -17,6 +18,7 @@ passes its checks, so exit 2 or 3 leaves none (barring an I/O failure).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -25,23 +27,22 @@ import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Optional
 
-from .conditions import (BGammaMu, sweep_condition_B, _checks, _condition_b,
-                         _condition_c, _lemma3, _nonexpansive, _one, _prop1,
-                         _quasi_nonexpansive)
-from .errors import (ConfigError, InvariantError, IterationRuntimeError,
-                     PreconditionError)
+from .conditions import _CHECKS, _checks, sweep_condition_B
+from .errors import (ConfigError, ContractViolation, InvariantError,
+                     IterationRuntimeError, PreconditionError)
 from .iterate import (IterationConfig, goebel_kirk_gap,
                       krasnoselskii_run, monotone_distance_check,
                       multi_map_run, replay_trace, residual_vanishes_check,
                       trace_to_csv, truncated_family_run, _fmt, _write_csv)
-from .mappings import (_MAPPINGS, _REQUIRED, Mapping, _any, _is_number,
-                       _number, _pick, _read, _test, _vector, build_mapping,
-                       make_family)
+from .mappings import (Mapping, affine_map, constant_map, example1_map,
+                       identity_map, make_family, piecewise_map,
+                       register_mapping, rotation_scaling_map, scaling_map,
+                       translation_map)
 from .schedules import AlphaSchedule, _KINDS, verify_schedule
 from .vecspace import Domain, SamplePlan
 
-__all__ = ["ExperimentConfig", "load_config", "cmd_check", "cmd_run",
-           "cmd_schedule", "cmd_sweep", "main"]
+__all__ = ["ExperimentConfig", "build_mapping", "load_config", "cmd_check",
+           "cmd_run", "cmd_schedule", "cmd_sweep", "main"]
 
 
 @dataclass
@@ -64,8 +65,30 @@ class ExperimentConfig:
 
 
 # Parse steps: parse(value, its key path) is the value as the program reads
-# it, or a ConfigError naming the path (`mappings._test` makes them).
+# it, or a ConfigError naming the path.
 
+_REQUIRED = object()
+
+
+def _any(value, at: str):
+    """The parse step that takes a value as given, for its builder to check."""
+    return value
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _test(ok, expected: str, read=lambda v: v):
+    """The parse step that reads v where ok(v) holds."""
+    def parse(v, at: str):
+        if not ok(v):
+            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
+        return read(v)
+    return parse
+
+
+_number = _test(_is_number, "a number")
 _count = _test(lambda v: _is_number(v) and v == int(v), "a whole number", int)
 _horizon = _test(lambda v: _is_number(v) and v == int(v) and v >= 10,
                  "a whole number >= 10", int)
@@ -84,8 +107,57 @@ def _nullable(parse):
     return lambda v, at: None if v is None else parse(v, at)
 
 
+def _list_of(item, expected: str, empty: bool = False):
+    """The parse step of a JSON list, non-empty unless `empty`, whose every
+    element item parses at its own path at[i]."""
+    def parse(v, at: str):
+        if not isinstance(v, list) or not (v or empty):
+            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
+        return [item(e, f"{at}[{i}]") for i, e in enumerate(v)]
+    return parse
+
+
+#: Coordinate lists, every element a JSON number (a bool or a string is
+#: refused): a point, a matrix, a list of points, a list of [x, value] pairs
+#: (whose length piecewise_map checks).
+_vector = _list_of(_number, "a non-empty list of numbers")
+_matrix = _list_of(_vector, "a non-empty list of rows")
+_points = _list_of(_vector, "a list of points", empty=True)
+_pairs = _list_of(_list_of(_number, "an [x, value] pair"), "a list of [x, value] pairs",
+                  empty=True)
+
+
 def _point(v, at: str) -> tuple[float, ...]:
     return tuple(map(float, _vector(v, at)))
+
+
+def _read(node, where: str, keys: dict, error=ConfigError) -> list:
+    """The JSON object `node` read by `keys`, which maps each key node may
+    hold to (parse, default): one value per key, parse(value, its key path)
+    if given, else the default, and an error if that is _REQUIRED. A key
+    that `keys` does not name is refused. Every error names its path."""
+    if not isinstance(node, dict):
+        raise error(f"{where}: expected an object, got {node!r}")
+    prefix = f"{where}." if where else ""
+    for key in node:
+        if key not in keys:
+            raise error(f"{prefix}{key}: unknown key; known: {', '.join(keys)}")
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in node:
+            raise error(f"{where}: missing required field {key!r}")
+    return [parse(node[key], prefix + key) if key in node else default
+            for key, (parse, default) in keys.items()]
+
+
+def _pick(node, where: str, tag: str, rows: dict, error=ConfigError):
+    """(make, values): the row (make, keys) of `rows` that node[tag] names,
+    and the values `_read` takes from node by that row's keys."""
+    if not isinstance(node, dict) or tag not in node:
+        raise error(f"{where}: expected an object with a {tag!r}, got {node!r}")
+    if not isinstance(node[tag], str) or node[tag] not in rows:
+        raise error(f"{where}: unknown {tag} {node[tag]!r}; known: {', '.join(rows)}")
+    make, keys = rows[node[tag]]
+    return make, _read(node, where, {tag: (_any, _REQUIRED), **keys}, error)[1:]
 
 
 def _section(tag: Optional[str], rows):
@@ -95,16 +167,11 @@ def _section(tag: Optional[str], rows):
     def parse(node, at: str):
         make, values = (_pick(node, at, tag, rows) if tag
                         else (rows[0], _read(node, at, rows[1])))
-        return _parsed(at, make, *values) if make else dict(node)
+        try:   # a bad value is reported as a ConfigError naming `at`
+            return make(*values) if make else dict(node)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{at}: {exc}") from exc
     return parse
-
-
-def _parsed(where: str, parse, *args):
-    """parse(*args), with a bad value reported as a ConfigError naming `where`."""
-    try:
-        return parse(*args)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _reject_non_finite(node, where: str,
@@ -126,7 +193,6 @@ def _reject_non_finite(node, where: str,
 
 _ANY, _NUMBER, _COUNT = (_any, _REQUIRED), (_number, _REQUIRED), (_count, _REQUIRED)
 _VECTOR = (_vector, _REQUIRED)   # every coordinate list names its element paths
-_GAMMA_MU = {"gamma": _NUMBER, "mu": _NUMBER}
 
 _DOMAINS = {
     "box": (Domain.box, {"lower": _VECTOR, "upper": _VECTOR, "norm": (_any, "l2")}),
@@ -148,22 +214,58 @@ _ITERATION = (lambda *v: (IterationConfig(*v[:-1]), v[-1]), {
     "record_every": (_count, 1), "gamma": (_nullable(_number), None),
     "x0": (_nullable(_point), None)})
 
-#: Every check a config may request, in the order error messages list them,
-#: with the maker of its request for `conditions._checks`; "commuting"
-#: certifies the whole family and has no per-map request.
-_CHECKS = {
-    "nonexpansive": (_nonexpansive, {}),
-    "quasi_nonexpansive": (_quasi_nonexpansive, {}),
-    "fixed_point_shrink": (lambda g, m: _lemma3(BGammaMu(g, m)), _GAMMA_MU),
-    "condition_C": (lambda: _condition_c(0.5, "condition_C"), {}),
-    "condition_C_lambda": (_condition_c, {"lambda": _NUMBER}),
-    "condition_B": (lambda g, m: _one(_condition_b(BGammaMu(g, m))), _GAMMA_MU),
-    "prop1": (lambda theta, g, m: _prop1(theta, BGammaMu(g, m)),
-              {"theta": _NUMBER, **_GAMMA_MU}),
-    "commuting": (lambda: None, {}),
-}
+#: Parse steps of the parameters a builder would take of any type (float("0.5")).
+_PARAMS = {"factor": _number, "angle": _number, "default": _number,
+           "label": _test(lambda v: isinstance(v, str), "a string"),
+           "value": _vector, "shift": _vector, "offset": _vector,
+           "matrix": _matrix, "cases": _pairs}
 
-_request = _section("check", _CHECKS)
+
+def _descriptor(build) -> tuple:
+    """build's row: its parameters after the domain, parsed by _PARAMS, and
+    "fixed_points", the one key for extra fixed points (not known_fixed_points)."""
+    params = list(inspect.signature(build).parameters.values())[1:]
+    return build, {**{p.name: (_PARAMS[p.name],
+                               _REQUIRED if p.default is p.empty else p.default)
+                      for p in params if p.name != "known_fixed_points"},
+                   "fixed_points": (_points, ())}
+
+
+#: Every builtin mapping a descriptor may name, in the order errors list them.
+_MAPPINGS = {name: _descriptor(build) for name, build in {
+    "example1": example1_map, "identity": identity_map,
+    "constant": constant_map, "affine": affine_map, "scaling": scaling_map,
+    "rotation_scaling": rotation_scaling_map, "piecewise": piecewise_map,
+    "translation": translation_map}.items()}
+
+
+def build_mapping(descriptor: dict, domain: Domain) -> Mapping:
+    """Construct a mapping on `domain` from a config descriptor.
+
+    descriptor["name"] picks a builder of `_MAPPINGS`: example1, identity,
+    constant, affine, scaling, rotation_scaling, piecewise or translation.
+    The other keys are its parameters after `domain`, and "fixed_points",
+    extra fixed points verified at registration; any other key is refused.
+    Errors name the descriptor's key paths from "mapping".
+    """
+    build, (*args, extra) = _pick(descriptor, "mapping", "name", _MAPPINGS,
+                                  ContractViolation)
+    m = build(domain, *args)
+    if extra:
+        # registration verifies them and keeps a re-declared point once
+        m.known_fixed_points = register_mapping(
+            m.fn, domain, m.label, [*m.known_fixed_points, *extra],
+            self_map=False).known_fixed_points
+    return m
+
+
+#: Every check a config may request, in the order error messages list them:
+#: the checks of `conditions._CHECKS`, every parameter a number, then
+#: "commuting", which certifies the whole family and has no per-map request.
+_request = _section("check", {
+    **{name: (make, dict.fromkeys(params, _NUMBER))
+       for name, (make, params) in _CHECKS.items()},
+    "commuting": (lambda: None, {})})
 
 
 def _check_specs(v, at: str) -> list[dict]:
@@ -218,8 +320,12 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         raise ConfigError("mappings given without a domain")
     mappings = []
     for i, desc in enumerate(descriptors):
-        _pick(desc, f"mappings[{i}]", "name", _MAPPINGS)   # names a bad key's path
-        mappings.append(_parsed(f"mappings[{i}]", build_mapping, desc, domain))
+        try:
+            mappings.append(build_mapping(desc, domain))
+        except (ValueError, TypeError) as exc:   # its key paths start at "mapping"
+            msg = str(exc)
+            raise ConfigError(f"mappings[{i}]{msg[7:]}" if msg.startswith(
+                ("mapping.", "mapping:")) else f"mappings[{i}]: {msg}") from exc
     echo = {"name": name, "domain": domain and domain.to_dict(),
             "mappings": [dict(d) for d in descriptors],
             "plan": plan and plan.to_dict(), "schedule": schedule and schedule.to_dict(),
@@ -248,43 +354,7 @@ _MISSING = {"mappings": "names no mappings", "plan": "has no sample plan",
             "horizon": "has no horizon", "sweep": "has no sweep grids"}
 
 
-def _require(cfg: ExperimentConfig, command: str, *parts: str) -> None:
-    for part in parts:
-        if not getattr(cfg, part):
-            raise ConfigError(f"{command}: config {_MISSING[part]}")
-
-
-def _drive(command: str, compute, files: dict[str, str], config_path: str,
-           out_dir: Optional[str], seed: Optional[int], quiet: bool) -> tuple[int, dict]:
-    """`files` maps each output key but the report to its default suffix."""
-    t0 = time.perf_counter()
-    cfg = load_config(config_path, seed)
-    root = out_dir or "."
-    path = {key: os.path.join(root, cfg.out.get(key, f"{cfg.name}{suffix}"))
-            for key, suffix in {**files, "report": "_report.json"}.items()}
-    owner: dict[str, str] = {}
-    for key, p in path.items():
-        if owner.setdefault(p, key) != key:
-            raise ConfigError(f"out.{owner[p]} and out.{key} both name "
-                              f"{os.path.basename(p)!r}")
-    say: _Say = (lambda msg: None) if quiet else print
-    body, passed, writers = compute(cfg, say)
-    body.update({f"{key}_csv": os.path.basename(path[key]) for key in files})
-    report = {"command": command, "config": cfg.echo, **body, "passed": passed,
-              "duration_seconds": time.perf_counter() - t0}
-    _reject_non_finite(report, "", InvariantError)   # before any file exists
-    os.makedirs(root, exist_ok=True)
-    for key, write in writers.items():
-        write(path[key])
-    with open(path["report"], "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    say(f"{'PASS' if passed else 'FAIL'} -> {path['report']}")
-    return (0 if passed else 1), report
-
-
 def _check(cfg: ExperimentConfig, say: _Say):
-    _require(cfg, "check", "mappings", "plan", "checks")
     requests = [_request(s, "check") for s in cfg.checks if s["check"] != "commuting"]
     want_commuting = any(s["check"] == "commuting" for s in cfg.checks)
     if want_commuting and len(cfg.mappings) < 2:
@@ -306,7 +376,6 @@ def _check(cfg: ExperimentConfig, say: _Say):
 
 
 def _run(cfg: ExperimentConfig, say: _Say):
-    _require(cfg, "run", "iteration", "x0", "mappings")
     engine = cfg.engine or ("single" if len(cfg.mappings) == 1 else "multi")
     commuting = None
     if engine == "single":
@@ -354,7 +423,6 @@ def _run(cfg: ExperimentConfig, say: _Say):
 
 
 def _schedule(cfg: ExperimentConfig, say: _Say):
-    _require(cfg, "schedule", "schedule", "horizon")
     rep = verify_schedule(cfg.schedule, cfg.horizon)
     say(f"liminf_proxy={rep.liminf_proxy:.6g} "
         f"limsup_proxy={rep.limsup_proxy:.6g} "
@@ -365,7 +433,6 @@ def _schedule(cfg: ExperimentConfig, say: _Say):
 
 
 def _sweep(cfg: ExperimentConfig, say: _Say):
-    _require(cfg, "sweep", "sweep", "plan")
     if len(cfg.mappings) != 1:
         raise ConfigError(
             f"sweep: config must name exactly one mapping, got {len(cfg.mappings)}")
@@ -387,43 +454,80 @@ def _sweep(cfg: ExperimentConfig, say: _Say):
             {"table": lambda path: _write_csv(path, header, csv_rows)})
 
 
+#: command -> (compute, the config parts it needs, {each output key but the
+#: report: its default file suffix}, help text)
+_COMMANDS = {
+    "check": (_check, ("mappings", "plan", "checks"), {},
+              "run condition checks from a config"),
+    "run": (_run, ("iteration", "x0", "mappings"), {"trace": "_trace.csv"},
+            "execute an iteration experiment"),
+    "schedule": (_schedule, ("schedule", "horizon"), {},
+                 "verify a blend-weight schedule"),
+    "sweep": (_sweep, ("sweep", "plan"), {"table": "_sweep.csv"},
+              "sweep the two-parameter condition over grids"),
+}
+
+
+def _drive(command: str, config_path: str, out_dir: Optional[str],
+           seed: Optional[int], quiet: bool) -> tuple[int, dict]:
+    """Run the row of `_COMMANDS` named `command` on the config."""
+    compute, parts, files, _ = _COMMANDS[command]
+    t0 = time.perf_counter()
+    cfg = load_config(config_path, seed)
+    root = out_dir or "."
+    path = {key: os.path.join(root, cfg.out.get(key, f"{cfg.name}{suffix}"))
+            for key, suffix in {**files, "report": "_report.json"}.items()}
+    owner: dict[str, str] = {}
+    for key, p in path.items():
+        if owner.setdefault(p, key) != key:
+            raise ConfigError(f"out.{owner[p]} and out.{key} both name "
+                              f"{os.path.basename(p)!r}")
+    for part in parts:
+        if not getattr(cfg, part):
+            raise ConfigError(f"{command}: config {_MISSING[part]}")
+    say: _Say = (lambda msg: None) if quiet else print
+    body, passed, writers = compute(cfg, say)
+    body.update({f"{key}_csv": os.path.basename(path[key]) for key in files})
+    report = {"command": command, "config": cfg.echo, **body, "passed": passed,
+              "duration_seconds": time.perf_counter() - t0}
+    _reject_non_finite(report, "", InvariantError)   # before any file exists
+    os.makedirs(root, exist_ok=True)
+    for key, write in writers.items():
+        write(path[key])
+    with open(path["report"], "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+    say(f"{'PASS' if passed else 'FAIL'} -> {path['report']}")
+    return (0 if passed else 1), report
+
+
 def cmd_check(config_path: str, out_dir: Optional[str] = None,
               seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Run the configured condition checks; exit 0 only if all pass."""
-    return _drive("check", _check, {}, config_path, out_dir, seed, quiet)
+    return _drive("check", config_path, out_dir, seed, quiet)
 
 
 def cmd_run(config_path: str, out_dir: Optional[str] = None,
             seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Execute the configured iteration; write trace CSV and JSON report."""
-    return _drive("run", _run, {"trace": "_trace.csv"}, config_path, out_dir,
-                  seed, quiet)
+    return _drive("run", config_path, out_dir, seed, quiet)
 
 
 def cmd_schedule(config_path: str, out_dir: Optional[str] = None,
                  seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Verify the configured schedule's tail behavior at the horizon."""
-    return _drive("schedule", _schedule, {}, config_path, out_dir, seed, quiet)
+    return _drive("schedule", config_path, out_dir, seed, quiet)
 
 
 def cmd_sweep(config_path: str, out_dir: Optional[str] = None,
               seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
     """Sweep the two-parameter condition over the configured grids."""
-    return _drive("sweep", _sweep, {"table": "_sweep.csv"}, config_path,
-                  out_dir, seed, quiet)
+    return _drive("sweep", config_path, out_dir, seed, quiet)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "check": (cmd_check, "run condition checks from a config"),
-    "run": (cmd_run, "execute an iteration experiment"),
-    "schedule": (cmd_schedule, "verify a blend-weight schedule"),
-    "sweep": (cmd_sweep, "sweep the two-parameter condition over grids"),
-}
-
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -432,7 +536,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "averaged iteration runs, schedule verification, and "
                     "parameter sweeps, all driven by JSON configs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (*_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="path to a JSON config")
         sp.add_argument("--out", default=None, help="output directory (default: .)")
@@ -442,8 +546,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="suppress progress lines")
     args = parser.parse_args(argv)
     try:
-        code, _ = _COMMANDS[args.command][0](args.config, args.out, args.seed,
-                                             args.quiet)
+        code, _ = _drive(args.command, args.config, args.out, args.seed, args.quiet)
         return code
     except IterationRuntimeError as exc:
         print(f"runtime error at step {exc.step}: {exc}", file=sys.stderr)

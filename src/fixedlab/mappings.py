@@ -9,7 +9,6 @@ in which case only evaluation-time input checks guard them.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DomainError, InvalidInputError
+from .errors import ContractViolation, DomainError, InvalidInputError
 from .vecspace import Domain, SamplePlan, Vector, _freeze, as_vector, dist, sample
 from .verdicts import Verdict, Witness
 
@@ -395,124 +394,3 @@ def builtin_gallery() -> list[Mapping]:
         scaling_map(GALLERY_BALL, 0.5),
         rotation_scaling_map(GALLERY_BALL, math.pi / 6, 0.8),
     ]
-
-
-# ---------------------------------------------------------------------------
-# config descriptors
-# ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-
-
-def _any(value, at: str):
-    """The parse step that takes a value as given, for its builder to check."""
-    return value
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _test(ok, expected: str, read=lambda v: v):
-    """The parse step that reads v where ok(v) holds."""
-    def parse(v, at: str):
-        if not ok(v):
-            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
-        return read(v)
-    return parse
-
-
-_number = _test(_is_number, "a number")
-
-
-def _list_of(item, expected: str, empty: bool = False):
-    """The parse step of a JSON list, non-empty unless `empty`, whose every
-    element item parses at its own path at[i]."""
-    def parse(v, at: str):
-        if not isinstance(v, list) or not (v or empty):
-            raise ConfigError(f"{at}: expected {expected}, got {v!r}")
-        return [item(e, f"{at}[{i}]") for i, e in enumerate(v)]
-    return parse
-
-
-#: Coordinate lists, every element a JSON number (a bool or a string is
-#: refused): a point, a matrix, a list of points, a list of [x, value] pairs
-#: (whose length piecewise_map checks).
-_vector = _list_of(_number, "a non-empty list of numbers")
-_matrix = _list_of(_vector, "a non-empty list of rows")
-_points = _list_of(_vector, "a list of points", empty=True)
-_pairs = _list_of(_list_of(_number, "an [x, value] pair"), "a list of [x, value] pairs",
-                  empty=True)
-
-
-def _read(node, where: str, keys: dict, error=ConfigError) -> list:
-    """The JSON object `node` read by `keys`, which maps each key node may
-    hold to (parse, default): one value per key, parse(value, its key path)
-    if given, else the default, and an error if that is _REQUIRED. A key
-    that `keys` does not name is refused. Every error names its path."""
-    if not isinstance(node, dict):
-        raise error(f"{where}: expected an object, got {node!r}")
-    prefix = f"{where}." if where else ""
-    for key in node:
-        if key not in keys:
-            raise error(f"{prefix}{key}: unknown key; known: {', '.join(keys)}")
-    for key, (_, default) in keys.items():
-        if default is _REQUIRED and key not in node:
-            raise error(f"{where}: missing required field {key!r}")
-    return [parse(node[key], prefix + key) if key in node else default
-            for key, (parse, default) in keys.items()]
-
-
-def _pick(node, where: str, tag: str, rows: dict, error=ConfigError):
-    """(make, values): the row (make, keys) of `rows` that node[tag] names,
-    and the values `_read` takes from node by that row's keys."""
-    if not isinstance(node, dict) or tag not in node:
-        raise error(f"{where}: expected an object with a {tag!r}, got {node!r}")
-    if not isinstance(node[tag], str) or node[tag] not in rows:
-        raise error(f"{where}: unknown {tag} {node[tag]!r}; known: {', '.join(rows)}")
-    make, keys = rows[node[tag]]
-    return make, _read(node, where, {tag: (_any, _REQUIRED), **keys}, error)[1:]
-
-
-#: Parse steps of the parameters a builder would take of any type (float("0.5")).
-_PARAMS = {"factor": _number, "angle": _number, "default": _number,
-           "label": _test(lambda v: isinstance(v, str), "a string"),
-           "value": _vector, "shift": _vector, "offset": _vector,
-           "matrix": _matrix, "cases": _pairs}
-
-
-def _descriptor(build) -> tuple:
-    """build's row: its parameters after the domain, parsed by _PARAMS, and
-    "fixed_points", the one key for extra fixed points (not known_fixed_points)."""
-    params = list(inspect.signature(build).parameters.values())[1:]
-    return build, {**{p.name: (_PARAMS.get(p.name, _any),
-                               _REQUIRED if p.default is p.empty else p.default)
-                      for p in params if p.name != "known_fixed_points"},
-                   "fixed_points": (_points, ())}
-
-
-#: Every builtin mapping a descriptor may name, in the order errors list them.
-_MAPPINGS = {name: _descriptor(build) for name, build in {
-    "example1": example1_map, "identity": identity_map,
-    "constant": constant_map, "affine": affine_map, "scaling": scaling_map,
-    "rotation_scaling": rotation_scaling_map, "piecewise": piecewise_map,
-    "translation": translation_map}.items()}
-
-
-def build_mapping(descriptor: dict, domain: Domain) -> Mapping:
-    """Construct a mapping on `domain` from a config descriptor.
-
-    descriptor["name"] picks a builder of `_MAPPINGS`: example1, identity,
-    constant, affine, scaling, rotation_scaling, piecewise or translation.
-    The other keys are its parameters after `domain`, and "fixed_points",
-    extra fixed points verified at registration; any other key is refused.
-    """
-    build, (*args, extra) = _pick(descriptor, "mapping", "name", _MAPPINGS,
-                                  ContractViolation)
-    m = build(domain, *args)
-    if extra:
-        # registration verifies them and keeps a re-declared point once
-        m.known_fixed_points = register_mapping(
-            m.fn, domain, m.label, [*m.known_fixed_points, *extra],
-            self_map=False).known_fixed_points
-    return m

@@ -167,14 +167,25 @@ class TentSchedule(AlphaSchedule):
     def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Each chunk cut at block edges and filled in closed form, visiting
         each block once."""
-        peak, block_start, length, j = self.peak, 0, 0, 0
+        block_start, length, j = 0, 0, 0
         for a in range(start, stop, _CHUNK):
             b, n = min(stop, a + _CHUNK), a
-            starts, lengths, halves, counts = [], [], [], []   # one run per block met
+            # one run per block met
+            starts, lengths, halves, counts = runs = [], [], [], []
             while n < b:
                 while block_start + length <= n:   # the next block
                     block_start += length
-                    length = math.ceil(self.first_block_length * self.growth ** j)
+                    try:
+                        length = math.ceil(self.first_block_length * self.growth ** j)
+                    except OverflowError:
+                        # as for a steep decay, the steps before the block
+                        # are still served
+                        if counts:
+                            yield self._fill(a, n, runs)
+                        raise ContractViolation(
+                            f"tent growth {self.growth} overflows a float at block "
+                            f"{j}, step {block_start}: {self.first_block_length}"
+                            f"*{self.growth}**{j} is too large") from None
                     j += 1
                 starts.append(block_start)
                 # int64 must hold L - t; cutting L to 2**62 leaves
@@ -183,15 +194,20 @@ class TentSchedule(AlphaSchedule):
                 halves.append(-(-length // 2))
                 counts.append(min(b, block_start + length) - n)
                 n += counts[-1]
-            t = np.arange(a, b)
-            t -= np.repeat(starts, counts)             # offset in its block
-            L_t = np.repeat(lengths, counts)
-            L_t -= t
-            v = peak * np.minimum(t, L_t, out=t)
-            # the formula's float / int rounds the int half to a float first
-            v /= np.repeat(np.array(halves, dtype=float), counts)
-            # peak * half / half can round one ulp above peak.
-            yield np.minimum(peak, v, out=v)
+            yield self._fill(a, b, runs)
+
+    def _fill(self, a: int, b: int, runs) -> np.ndarray:
+        """The values of steps a, ..., b - 1 from `_chunks`' runs."""
+        starts, lengths, halves, counts = runs
+        t = np.arange(a, b)
+        t -= np.repeat(starts, counts)             # offset in its block
+        L_t = np.repeat(lengths, counts)
+        L_t -= t
+        v = self.peak * np.minimum(t, L_t, out=t)
+        # the formula's float / int rounds the int half to a float first
+        v /= np.repeat(np.array(halves, dtype=float), counts)
+        # peak * half / half can round one ulp above peak.
+        return np.minimum(self.peak, v, out=v)
 
 
 #: kind -> class: the one rule that turns a schedule's to_dict back into it.

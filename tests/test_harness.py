@@ -349,6 +349,16 @@ TWO_MAPPINGS = {**SCALING_RUN, "mappings": [*SCALING_RUN["mappings"],
                                              {"name": "scaling", "factor": 0.5}]}
 
 
+WIDE_TENT = {"kind": "tent", "peak": 0.25, "first_block_length": 2, "growth": 1e308}
+SCHEDULE_ONLY = {"name": "typed", "horizon": 100,
+                 "schedule": {"kind": "constant", "value": 0.1}}
+GRID = {"mode": "grid", "resolution": 3}
+
+
+def without(payload, *keys):
+    return {k: v for k, v in payload.items() if k not in keys}
+
+
 def with_iteration(**changes):
     return {**SCALING_RUN, "iteration": {**SCALING_RUN["iteration"], **changes}}
 
@@ -414,6 +424,50 @@ def with_iteration(**changes):
     ("run", {**TWO_MAPPINGS, "engine": "multi",
              "schedule": {"kind": "decay", "scale": 0.5, "rate": 400.5}},
      "decay rate 400.5 overflows a float at step 5: 6**400.5 is too large"),
+    # a tent whose second block, at step 2, is too long for a float
+    ("schedule", {"name": "wide", "horizon": 100, "schedule": WIDE_TENT},
+     "tent growth 1e+308 overflows a float at block 1, step 2: "
+     "2*1e+308**1 is too large"),
+    ("run", {**TWO_MAPPINGS, "engine": "multi", "schedule": WIDE_TENT,
+             "iteration": {**SCALING_RUN["iteration"], "max_iters": 10}},
+     "tent growth 1e+308 overflows a float at block 1, step 2: "
+     "2*1e+308**1 is too large"),
+    # a part the subcommand needs is missing: refused after the out-path
+    # check and before the subcommand's own checks
+    ("check", {**SCHEDULE_ONLY, "plan": GRID, "checks": ["nonexpansive"]},
+     "config error: check: config names no mappings\n"),
+    ("check", {**SCALING_RUN, "checks": ["nonexpansive"]},
+     "config error: check: config has no sample plan\n"),
+    ("check", {**SCALING_RUN, "plan": GRID}, "config error: check: config requests no checks\n"),
+    ("run", without(SCALING_RUN, "iteration"),
+     "config error: run: config has no iteration settings\n"),
+    ("run", {**TWO_MAPPINGS, "iteration": {"lambda": 0.5, "max_iters": 5}},
+     "config error: run: config gives no iteration x0\n"),
+    ("run", without(SCALING_RUN, "domain", "mappings"),
+     "config error: run: config names no mappings\n"),
+    ("schedule", {**SCALING_RUN, "horizon": 100},
+     "config error: schedule: config has no schedule descriptor\n"),
+    ("schedule", without(SCHEDULE_ONLY, "horizon"),
+     "config error: schedule: config has no horizon\n"),
+    ("sweep", {**TWO_MAPPINGS, "plan": GRID},
+     "config error: sweep: config has no sweep grids\n"),
+    ("sweep", {**SCALING_RUN, "sweep": {"gamma_grid": [0.0], "mu_grid": [0.0]}},
+     "config error: sweep: config has no sample plan\n"),
+    ("run", {**without(SCALING_RUN, "iteration"),
+             "out": {"report": "x.csv", "trace": "x.csv"}},
+     "config error: out.trace and out.report both name 'x.csv'\n"),
+    # unknown names and keys, with the full list of the known ones
+    ("check", {**SCALING_RUN, "plan": GRID, "checks": ["nonexpansve"]},
+     "config error: checks[0]: unknown check 'nonexpansve'; known: nonexpansive, "
+     "quasi_nonexpansive, fixed_point_shrink, condition_C, condition_C_lambda, "
+     "condition_B, prop1, commuting\n"),
+    ("run", {**SCALING_RUN, "mappings": [{"name": "scalng"}]},
+     "config error: mappings[0]: unknown name 'scalng'; known: example1, identity, "
+     "constant, affine, scaling, rotation_scaling, piecewise, translation\n"),
+    ("run", {**SCALING_RUN, "mappings": [{"name": "example1", "factr": 0.5}]},
+     "config error: mappings[0].factr: unknown key; known: name, fixed_points\n"),
+    ("check", {**SCALING_RUN, "plan": GRID, "checks": [{"check": "prop1", "thta": 0.5}]},
+     "config error: checks[0].thta: unknown key; known: check, theta, gamma, mu\n"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
@@ -423,7 +477,14 @@ def with_iteration(**changes):
         "commuting-one-mapping", "single-engine-two-mappings",
         "multi-engine-no-schedule", "sweep-two-mappings",
         "schedule-decay-int-rate-overflows", "schedule-decay-float-rate-overflows",
-        "run-decay-int-rate-overflows", "run-decay-float-rate-overflows"])
+        "run-decay-int-rate-overflows", "run-decay-float-rate-overflows",
+        "schedule-tent-growth-overflows", "run-tent-growth-overflows",
+        "check-no-mappings", "check-no-plan", "check-no-checks",
+        "run-no-iteration", "run-no-x0", "run-no-mappings",
+        "schedule-no-schedule", "schedule-no-horizon", "sweep-no-grids",
+        "sweep-no-plan", "out-collision-before-missing-part",
+        "unknown-check-name", "unknown-mapping-name", "unknown-mapping-key",
+        "unknown-check-key"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -433,6 +494,16 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_that_stops_before_a_tent_overflow_exits_0(tmp_path):
+    """max_iters 1 draws only steps of block 0, before the block that overflows."""
+    p = write_cfg(tmp_path, "wide.json", {
+        **TWO_MAPPINGS, "engine": "multi", "schedule": WIDE_TENT,
+        "iteration": {**SCALING_RUN["iteration"], "max_iters": 1}})
+    assert main(["run", "--config", p, "--quiet", "--out",
+                 str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "typed_report.json").exists()
 
 
 @pytest.mark.parametrize("name", [["a"], "a/b", "", "..", "a\0b"],

@@ -7,6 +7,7 @@ the within-block shape. The independent generator in helpers.py walks the
 blocks sequentially instead of mapping n -> block; both must agree to the
 last bit.
 """
+import itertools
 import math
 import re
 import tracemalloc
@@ -428,6 +429,22 @@ def test_steep_decay_serves_the_steps_before_its_overflow(rate):
     with pytest.raises(ContractViolation,
                        match=re.escape(f"decay rate {rate} overflows a float at step 5")):
         next(values)
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_wide_tent_serves_the_steps_before_its_overflow(start):
+    """Block 1, from step 2, is 2e308 steps long: steps 0-1 are still drawn,
+    then the block that overflows is refused, naming its growth and step."""
+    s = TentSchedule(0.25, 2, 1e308)
+    assert list(s.values(0, 2)) == [0.0, 0.25]
+    values = s.values(start, 100)
+    assert list(itertools.islice(values, 2 - start)) == [0.0, 0.25][start:]
+    with pytest.raises(ContractViolation, match=re.escape(
+            "tent growth 1e+308 overflows a float at block 1, step 2: "
+            "2*1e+308**1 is too large")):
+        next(values)
+    with pytest.raises(ContractViolation, match="at block 1, step 2"):
+        verify_schedule(s, 100)
 
 
 @pytest.mark.parametrize("first,growth", [(1e19, 1.0), (2, 1e12)],
