@@ -363,12 +363,14 @@ def translation_map(domain: Domain, offset: Sequence[float],
     """x -> x + offset. Never a self-map of a bounded set, so it registers
     without the self-map check; useful as a commutativity counterexample."""
     v = as_vector(offset)
+    if v.shape != (domain.dimension,):
+        raise ContractViolation(f"translation offset has {v.size} coordinates, "
+                                f"domain has {domain.dimension}")
 
     def fn(p, _v=v):
         return p + _v
 
-    if v.shape == (domain.dimension,):   # else p + _v broadcasts or fails
-        fn.floats = lambda q, _v=v.tolist(): [c + o for c, o in zip(q, _v, strict=True)]
+    fn.floats = lambda q, _v=v.tolist(): [c + o for c, o in zip(q, _v, strict=True)]
     return register_mapping(fn, domain, label or f"translation{v.tolist()}",
                             self_map=False)
 

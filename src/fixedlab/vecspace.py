@@ -8,10 +8,10 @@ Built for desk scale: low dimension, domain diameters up to ~1e3, plain
 double precision with no compensated summation. The l2 norm is computed as
 sqrt(sum(v*v)) rather than through BLAS so that scalar and vectorized code
 paths produce bitwise-identical values: per-vector norms share one
-np.add.reduce, and `pairwise_norm` adds coordinate by coordinate in that
-reduction's own order, so its matrices never hold a (rows, cols, d) array.
-The norm of one point held as a float list (`_norm_floats`, used by the
-engines and `Domain.contains`) folds its terms in that same order.
+np.add.reduce. `pairwise_norm` and `_norm_floats` (one point as a float
+list, used by the engines and `Domain.contains`) fold a sum of fewer than
+`_IN_SEQUENCE_BELOW` terms in that reduction's sequence and hand a longer
+one to it; `pairwise_norm` never holds a (rows, cols, d) array.
 """
 
 from __future__ import annotations
@@ -73,60 +73,44 @@ def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
     return norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), kind)
 
 
-def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
-    """Matrix of ||A[i] - B[j]|| values, shape (len(A), len(B)).
+#: np.add.reduce adds fewer than this many terms in sequence, left to right;
+#: from here on numpy's pairwise summation adds them in 8 running partials.
+_IN_SEQUENCE_BELOW = 8
 
-    Works one coordinate at a time on (len(A), len(B)) arrays, never on a
-    (len(A), len(B), d) difference, and combines the coordinates in
-    np.add.reduce's own order (`_by_coordinate`), so every entry is
-    bitwise equal to the corresponding scalar `dist`.
-    """
+
+def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
+    """Matrix of ||A[i] - B[j]|| values, shape (len(A), len(B)), each bitwise
+    equal to the scalar `dist`. Below `_IN_SEQUENCE_BELOW` coordinates it
+    folds them in sequence on (len(A), len(B)) arrays; from there on row i is
+    `_norm_last_axis` of A[i] - B in C order, where numpy reduces each entry's
+    contiguous terms as it does one vector's."""
     if kind not in (NormKind.L1, NormKind.L2, NormKind.LINF):
         raise InvalidInputError(f"unknown norm kind {kind!r}")
+    if A.shape[1] >= _IN_SEQUENCE_BELOW:
+        out = np.empty((len(A), len(B)))
+        for i, a in enumerate(A):
+            out[i] = _norm_last_axis(np.subtract(a, B, order="C"), kind)
+        return out
 
-    def term(k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        t = np.subtract.outer(A[:, k], B[:, k], out=out)
+    def term(k: int) -> np.ndarray:
+        t = np.subtract.outer(A[:, k], B[:, k])
         return np.multiply(t, t, out=t) if kind == NormKind.L2 else np.abs(t, out=t)
 
     op = np.maximum if kind == NormKind.LINF else np.add
-    acc = _by_coordinate(lambda a, b: op(a, b, out=a), term, 0, A.shape[1])
+    acc = functools.reduce(lambda a, b: op(a, b, out=a), map(term, range(A.shape[1])))
     return np.sqrt(acc, out=acc) if kind == NormKind.L2 else acc
-
-
-def _by_coordinate(op, term, lo: int, n: int):
-    """op-combination of term(lo), ..., term(lo + n - 1) in the order numpy's
-    pairwise summation adds n values: in sequence below 8, in 8 running
-    partials combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
-    rest in sequence up to 128, and as two halves split at a multiple of 8
-    above. (np.maximum gives the same result in any order.) op returns the
-    combination in place of arrays, where term(k, buf) may reuse buf.
-    """
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return op(_by_coordinate(op, term, lo, half),
-                  _by_coordinate(op, term, lo + half, n - half))
-    if n < 8:
-        return functools.reduce(op, map(term, range(lo, lo + n)))
-    r, buf = [term(lo + j) for j in range(8)], None
-    for k in range(8, n - n % 8):
-        buf = term(lo + k, buf)
-        r[k % 8] = op(r[k % 8], buf)
-    while len(r) > 1:
-        r = [op(r[j], r[j + 1]) for j in range(0, len(r), 2)]
-    for k in range(n - n % 8, n):
-        buf = term(lo + k, buf)
-        r[0] = op(r[0], buf)
-    return r[0]
 
 
 def _norm_floats(v: Sequence[float], kind: NormKind) -> float:
     """The norm of a float list, equal bit for bit to _norm_last_axis: the
-    same IEEE operations, summed in sequence below 8 terms, by np.add.reduce above."""
+    same IEEE operations, summed in sequence below `_IN_SEQUENCE_BELOW`
+    terms and by np.add.reduce from there on."""
     if kind == NormKind.LINF:
         return max(map(abs, v))
     l2 = kind == NormKind.L2
     t = [c * c for c in v] if l2 else list(map(abs, v))
-    s = functools.reduce(operator.add, t) if len(t) < 8 else float(np.add.reduce(t))
+    s = (functools.reduce(operator.add, t) if len(t) < _IN_SEQUENCE_BELOW
+         else float(np.add.reduce(t)))
     return math.sqrt(s) if l2 else s
 
 

@@ -353,6 +353,7 @@ WIDE_TENT = {"kind": "tent", "peak": 0.25, "first_block_length": 2, "growth": 1e
 SCHEDULE_ONLY = {"name": "typed", "horizon": 100,
                  "schedule": {"kind": "constant", "value": 0.1}}
 GRID = {"mode": "grid", "resolution": 3}
+BOX = {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
 
 
 def without(payload, *keys):
@@ -468,6 +469,13 @@ def with_iteration(**changes):
      "config error: mappings[0].factr: unknown key; known: name, fixed_points\n"),
     ("check", {**SCALING_RUN, "plan": GRID, "checks": [{"check": "prop1", "thta": 0.5}]},
      "config error: checks[0].thta: unknown key; known: check, theta, gamma, mu\n"),
+    # a translation offset of the wrong length: refused, not broadcast
+    ("run", {**SCALING_RUN, "domain": BOX,
+             "mappings": [{"name": "translation", "offset": [0.5]}]},
+     "config error: mappings[0]: translation offset has 1 coordinates, domain has 2\n"),
+    ("check", {**SCALING_RUN, "domain": BOX, "plan": GRID, "checks": ["nonexpansive"],
+               "mappings": [{"name": "translation", "offset": [0.1, 0.2, 0.3]}]},
+     "config error: mappings[0]: translation offset has 3 coordinates, domain has 2\n"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
@@ -484,7 +492,7 @@ def with_iteration(**changes):
         "schedule-no-schedule", "schedule-no-horizon", "sweep-no-grids",
         "sweep-no-plan", "out-collision-before-missing-part",
         "unknown-check-name", "unknown-mapping-name", "unknown-mapping-key",
-        "unknown-check-key"])
+        "unknown-check-key", "short-translation-offset", "long-translation-offset"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)

@@ -85,10 +85,10 @@ def test_pairwise_matches_scalar_dist_bitwise():
                 assert M[i, j] == dist(A[i], B[j], kind), (i, j, kind)
 
 
-@pytest.mark.parametrize("d", [*range(1, 40), 64, 128, 129, 257, 300])
+@pytest.mark.parametrize("d", [*range(1, 40), 64, 128, 129, 257, 300, 511, 1024])
 def test_pairwise_matches_scalar_dist_bitwise_for_every_dimension(d):
-    """The coordinate-wise kernel keeps np.add.reduce's summation order:
-    terms from 1e-300 to 1e3 make any other order show in the last bits."""
+    """pairwise_norm keeps np.add.reduce's summation order: terms from
+    1e-300 to 1e3 make any other order show in the last bits."""
     rng = np.random.default_rng(d)
     A = rng.uniform(-1.0, 1.0, size=(4, d)) * 10.0 ** rng.integers(-300, 4, size=(4, d))
     B = rng.uniform(-1.0, 1.0, size=(5, d)) * 10.0 ** rng.integers(-300, 4, size=(5, d))
@@ -99,6 +99,20 @@ def test_pairwise_matches_scalar_dist_bitwise_for_every_dimension(d):
         for i in range(4):
             for j in range(5):
                 assert M[i, j] == dist(A[i], B[j], kind), (d, i, j, kind)
+
+
+@pytest.mark.parametrize("d", [5, 30])
+def test_pairwise_norm_bits_do_not_depend_on_memory_layout(d):
+    """Fortran-ordered and strided inputs give the C-ordered inputs' bits:
+    numpy reduces a Fortran-ordered difference one column at a time."""
+    rng = np.random.default_rng(d)
+    A = rng.uniform(-1.0, 1.0, size=(4, d)) * 10.0 ** rng.integers(-300, 4, size=(4, d))
+    B = rng.uniform(-1.0, 1.0, size=(50, d)) * 10.0 ** rng.integers(-300, 4, size=(50, d))
+    for kind in NormKind:
+        want = pairwise_norm(A, B, kind).tobytes()
+        for a, b in [(np.asfortranarray(A), np.asfortranarray(B)),
+                     (np.repeat(A, 2, axis=1)[:, ::2], np.repeat(B, 2, axis=1)[:, ::2])]:
+            assert pairwise_norm(a, b, kind).tobytes() == want, (d, kind)
 
 
 @pytest.mark.parametrize("kind", list(NormKind))
@@ -115,7 +129,7 @@ def test_float_list_norm_matches_the_array_norm_bitwise_for_every_dimension(kind
             assert _norm_floats(w.tolist(), kind).hex() == want.hex(), (d, kind)
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 30, 64])
 def test_pairwise_norm_holds_no_tile_by_dimension_temporary(d):
     rng = np.random.default_rng(0)
     A, B = rng.uniform(size=(256, d)), rng.uniform(size=(2500, d))
