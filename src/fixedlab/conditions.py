@@ -85,7 +85,7 @@ class _Tile(dict):
 
 def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample points X, their images TX and the displacements ||x_i - Tx_i||."""
-    X = np.stack(sample(T.domain, plan))
+    X = sample(T.domain, plan)
     TX = _evaluate_rows(T, X)
     return X, TX, _norm_last_axis(X - TX, T.domain.norm_kind)
 

@@ -176,10 +176,17 @@ def _section(tag: Optional[str], rows):
 
 def _reject_non_finite(node, where: str,
                        error: Callable[[str], Exception] = ConfigError) -> None:
-    """Raise error(message naming the key path) on the first NaN or infinity
-    (1e400 parses to inf) in the tree."""
+    """Raise error(message naming the key path) on the first number in the
+    tree with no finite float value: NaN, an infinity (1e400 parses to inf)
+    or an int too large for a float (1 and 400 zeros)."""
     if isinstance(node, float) and not math.isfinite(node):
         raise error(f"{where}: non-finite number {node!r}")
+    if isinstance(node, int):
+        try:
+            float(node)
+        except OverflowError:
+            raise error(f"{where}: integer of {len(str(abs(node)))} digits "
+                        "is too large for a float") from None
     if isinstance(node, dict):
         for k, v in node.items():
             _reject_non_finite(v, f"{where}.{k}" if where else str(k), error)
@@ -197,6 +204,10 @@ _VECTOR = (_vector, _REQUIRED)   # every coordinate list names its element paths
 _DOMAINS = {
     "box": (Domain.box, {"lower": _VECTOR, "upper": _VECTOR, "norm": (_any, "l2")}),
     "ball": (Domain.ball, {"center": _VECTOR, "radius": _NUMBER, "norm": (_any, "l2")})}
+
+#: The most points a plan may sample. A scan's memory peaks at 1.24-1.38 kB
+#: per point (tracemalloc, condition_B and prop1 at d = 2): 325-360 MB here.
+_MAX_PLAN_POINTS = 2**18
 
 _PLANS = {
     "grid": (SamplePlan.grid, {"resolution": _ANY, "epsilon": (_number, 1e-9)}),
@@ -295,10 +306,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
-    _reject_non_finite(raw, "")
     plan = raw.get("plan")
     if seed_override is not None and isinstance(plan, dict) and plan.get("mode") == "random":
         raw["plan"] = {**plan, "seed": seed_override}
+    _reject_non_finite(raw, "")
     (name, domain, descriptors, plan, schedule, horizon, (iteration, x0), engine,
      checks, sweep, out) = _read(raw, "", {
         "name": (_file_name, os.path.splitext(os.path.basename(path))[0]),
@@ -318,6 +329,14 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     })
     if "mappings" in raw and domain is None:
         raise ConfigError("mappings given without a domain")
+    if plan is not None:   # refused before anything is sampled
+        res = plan.resolution or ()
+        points = plan.count if plan.mode == "random" else math.prod(
+            res * (domain.dimension if domain and len(res) == 1 else 1))
+        if points > _MAX_PLAN_POINTS:
+            raise ConfigError(
+                f"plan.{'count' if plan.mode == 'random' else 'resolution'}: the plan "
+                f"samples up to {points} points, above the bound of {_MAX_PLAN_POINTS}")
     mappings = []
     for i, desc in enumerate(descriptors):
         try:

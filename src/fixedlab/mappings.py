@@ -23,7 +23,7 @@ from .verdicts import Verdict, Witness
 FIXED_POINT_TOL = 1e-10
 
 
-def _registration_sample(domain: Domain) -> list[Vector]:
+def _registration_sample(domain: Domain) -> np.ndarray:
     """The default self-map sample: the 5-per-axis grid up to d = 5 (at most
     3 125 points), else 3 125 of its points: the four on each axis through the
     centre besides it, then ones drawn with seed 0; a ball keeps those inside."""
@@ -33,7 +33,7 @@ def _registration_sample(domain: Domain) -> list[Vector]:
     k = np.concatenate([2 + np.kron(np.eye(d, dtype=int), [[-2], [-1], [1], [2]]),
                         np.random.default_rng(0).integers(0, 5, (5 ** 5, d))])[:5 ** 5]
     pts = np.linspace(*domain.bounding_box(), 5)[k, np.arange(d)]
-    return [_freeze(p) for p in pts[domain.contains_rows(pts)]]
+    return _freeze(pts[domain.contains_rows(pts)])
 
 
 @dataclass(eq=False)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -99,9 +100,10 @@ class DecaySchedule(AlphaSchedule):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.scale < math.inf):
+        # an int past the float range is not finite either
+        if not (0.0 <= self.scale <= sys.float_info.max):
             raise ContractViolation(f"decay scale must be finite and >= 0, got {self.scale}")
-        if not (0.0 < self.rate < math.inf):
+        if not (0.0 < self.rate <= sys.float_info.max):
             raise ContractViolation(f"decay rate must be finite and > 0, got {self.rate}")
 
     def _raw(self, a: int, b: int) -> np.ndarray:
@@ -114,8 +116,13 @@ class DecaySchedule(AlphaSchedule):
         return np.divide(self.scale, raw, out=raw)
 
     def _overflows(self, n: int) -> bool:
+        """Whether (n+1)**rate leaves the float range, decided from its
+        binary exponent; only a power near 2**1024 is built to decide it."""
+        e = self.rate * math.log2(n + 1)
+        if e < 1023 or e > 1025:
+            return e > 1025
         try:
-            self._raw(n, n + 1)
+            float(pow(n + 1, self.rate))
         except OverflowError:
             return True
         return False
@@ -123,19 +130,17 @@ class DecaySchedule(AlphaSchedule):
     def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
         for a in range(start, stop, _CHUNK):
             b = min(stop, a + _CHUNK)
-            try:
-                raw = self._raw(a, b)
-            except OverflowError:
-                # (n+1)**rate grows with n: the steps before the first that
-                # overflows are still served, so a run that stops earlier
-                # never meets it
-                n = a + bisect_left(range(a, b), True, key=self._overflows)
-                if n > a:
-                    yield np.minimum(0.5, self._raw(a, n))
+            # (n+1)**rate grows with n: the steps before the first that
+            # overflows are still served, so a run that stops earlier
+            # never meets it
+            n = a + bisect_left(range(a, b), True, key=self._overflows)
+            if n > a:
+                raw = self._raw(a, n)
+                yield np.minimum(0.5, raw, out=raw)
+            if n < b:
                 raise ContractViolation(
                     f"decay rate {self.rate} overflows a float at step {n}: "
-                    f"{n + 1}**{self.rate} is too large") from None
-            yield np.minimum(0.5, raw, out=raw)
+                    f"{n + 1}**{self.rate} is too large")
 
 
 @dataclass(frozen=True)

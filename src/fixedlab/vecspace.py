@@ -1,8 +1,8 @@
 """Finite-dimensional normed-space primitives.
 
-Vectors are read-only float64 numpy arrays. Domains (boxes and balls) and
-sample plans are frozen value types; every operation here is a pure
-function of its inputs, so everything can be shared freely across threads.
+Vectors are read-only float64 arrays; a sample is one read-only (N, d)
+array. Domains (boxes and balls) and sample plans are frozen value types,
+and every operation is a pure function of its inputs, safe across threads.
 
 Built for desk scale: low dimension, domain diameters up to ~1e3, plain
 double precision with no compensated summation. The l2 norm is computed as
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolation, InvalidInputError, InvariantError
+from .errors import ContractViolation, InvalidInputError
 
 Vector = np.ndarray
 
@@ -274,8 +274,9 @@ def _axis_resolutions(plan: SamplePlan, d: int) -> tuple[int, ...]:
 _L1_REJECTION_MAX_D = 3
 
 
-def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
-    """Deterministic point sample of `domain` according to `plan`.
+def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
+    """Deterministic point sample of `domain` according to `plan`, as one
+    read-only (N, d) float64 array: row i is point i, a read-only view.
 
     Grid order is lexicographic with the first axis slowest; every produced
     point satisfies domain.contains. Grid sampling of a ball keeps the
@@ -288,8 +289,7 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
         lo, up = domain.bounding_box()
         res = _axis_resolutions(plan, d)
         axes = [np.linspace(lo[i], up[i], res[i]) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, d)
         if domain.shape == "ball":
             pts = pts[_norm_last_axis(pts - domain.center, domain.norm_kind)
                       <= domain.radius]
@@ -297,7 +297,7 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
                 raise InvalidInputError(
                     "grid too coarse for ball domain: no lattice point falls "
                     "inside; increase the resolution")
-        return [_freeze(p.copy()) for p in pts]
+        return _freeze(pts)
 
     rng = np.random.default_rng(plan.seed)
     if domain.shape == "box":
@@ -327,7 +327,7 @@ def sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
                 pts = np.concatenate(
                     [pts, cand[_norm_last_axis(cand - c, domain.norm_kind) <= domain.radius]])
             pts = pts[:plan.count]
-    return [_freeze(p.copy()) for p in pts]
+    return _freeze(pts)
 
 
 def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -> Vector:
@@ -358,12 +358,11 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
 
 def _blend(points: Sequence[Sequence[float]], weights: Sequence[float]) -> list[float]:
     """sum_k weights[k] * points[k] over the nonzero weights only (see
-    convex_combination for why zero terms are skipped), on float lists."""
+    convex_combination for why zero terms are skipped), on float lists.
+    Callers pass weights that sum to 1, so at least one is nonzero."""
     acc = None
     for w, p in zip(weights, points):
         if w == 0.0:
             continue
         acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
-    if acc is None:
-        raise InvariantError("blend weights were all zero")
     return acc

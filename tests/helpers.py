@@ -9,6 +9,8 @@ package (so scalar values are comparable bit for bit) — the scan structure,
 the inequalities, and the recurrences are transcribed independently from
 their displayed forms. The report scan reads the schedule's own `values`, so
 it referees the chunked reduction alone; the generators referee the values.
+The sample oracle is the package's sampler from when it returned a list of
+copies, kept as it was, so it shares the sampler's private helpers.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import math
 
 import numpy as np
 
-from fixedlab.errors import ContractViolation, PreconditionError
+from fixedlab.errors import ContractViolation, InvalidInputError, PreconditionError
 from fixedlab.schedules import ScheduleReport
-from fixedlab.vecspace import NormKind, dist
+from fixedlab.vecspace import (_L1_REJECTION_MAX_D, Domain, NormKind, SamplePlan, Vector,
+                               _axis_resolutions, _freeze, _norm_last_axis, dist)
 
 # ---------------------------------------------------------------------------
 # condition oracles: double loop, x-major, first violation wins
@@ -175,3 +178,66 @@ def reference_averaged_run(fns, weights_of, lam, x0, max_iters, residual_tol,
 def grid_points_1d(lo, hi, resolution):
     """The package's 1-d grid convention, rebuilt with np.linspace."""
     return [np.array([v]) for v in np.linspace(lo, hi, resolution)]
+
+
+# ---------------------------------------------------------------------------
+# sample oracle: the list of separately frozen copies that `sample` returned
+# before it returned one array, kept as it was
+# ---------------------------------------------------------------------------
+
+
+def reference_sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
+    """Deterministic point sample of `domain` according to `plan`.
+
+    Grid order is lexicographic with the first axis slowest; every produced
+    point satisfies domain.contains. Grid sampling of a ball keeps the
+    lattice points of the bounding box that fall inside the ball and raises
+    if none do (increase the resolution). A random plan on an l1 ball is
+    drawn by rejection up to d = 3 and exactly above (`_L1_REJECTION_MAX_D`).
+    """
+    d = domain.dimension
+    if plan.mode == "grid":
+        lo, up = domain.bounding_box()
+        res = _axis_resolutions(plan, d)
+        axes = [np.linspace(lo[i], up[i], res[i]) for i in range(d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        if domain.shape == "ball":
+            pts = pts[_norm_last_axis(pts - domain.center, domain.norm_kind)
+                      <= domain.radius]
+            if pts.shape[0] == 0:
+                raise InvalidInputError(
+                    "grid too coarse for ball domain: no lattice point falls "
+                    "inside; increase the resolution")
+        return [_freeze(p.copy()) for p in pts]
+
+    rng = np.random.default_rng(plan.seed)
+    if domain.shape == "box":
+        lo, up = domain.bounding_box()
+        pts = rng.uniform(lo, up, size=(plan.count, d))
+    else:
+        c = np.array(domain.center)
+        if domain.norm_kind == NormKind.L2:
+            raw = rng.standard_normal((plan.count, d))
+            norms = _norm_last_axis(raw, NormKind.L2)
+            norms[norms == 0.0] = 1.0
+            unit = raw / norms[:, None]
+            radii = domain.radius * rng.random(plan.count) ** (1.0 / d)
+            pts = c + unit * radii[:, None]
+        elif domain.norm_kind == NormKind.L1 and d > _L1_REJECTION_MAX_D:
+            # exact: Y iid Laplace, W ~ Exp(1), c + r*Y/(||Y||_1 + W) is uniform
+            # on the l1 ball (Barthe, Guedon, Mendelson & Naor, Ann. Probab. 2005)
+            y = rng.laplace(size=(plan.count, d))
+            s = _norm_last_axis(y, NormKind.L1) + rng.exponential(size=plan.count)
+            pts = c + domain.radius * (y / s[:, None])
+        else:
+            # l1/linf balls: rejection-sample the bounding box, `count` per batch.
+            lo, up = domain.bounding_box()
+            pts = np.empty((0, d))
+            while len(pts) < plan.count:
+                cand = rng.uniform(lo, up, size=(plan.count, d))
+                pts = np.concatenate(
+                    [pts, cand[_norm_last_axis(cand - c, domain.norm_kind) <= domain.radius]])
+            pts = pts[:plan.count]
+    return [_freeze(p.copy()) for p in pts]
+

@@ -94,6 +94,7 @@ def test_mutated_config_gets_a_documented_exit(mutation):
                          "--quiet"])
         assert code in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert "internal error:" not in err.getvalue()
         written = sorted(os.listdir(out)) if os.path.isdir(out) else []
         if code >= 2:
             assert written == [], err.getvalue()

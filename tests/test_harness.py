@@ -476,6 +476,28 @@ def with_iteration(**changes):
     ("check", {**SCALING_RUN, "domain": BOX, "plan": GRID, "checks": ["nonexpansive"],
                "mappings": [{"name": "translation", "offset": [0.1, 0.2, 0.3]}]},
      "config error: mappings[0]: translation offset has 3 coordinates, domain has 2\n"),
+    # a plan too large for memory: refused before anything is sampled
+    ("check", {"name": "typed", "domain": BOX, "plan": {"mode": "grid", "resolution": 10**6},
+               "mappings": [{"name": "scaling", "factor": 0.5},
+                            {"name": "scaling", "factor": 0.9}], "checks": ["commuting"]},
+     "config error: plan.resolution: the plan samples up to 1000000000000 points, "
+     "above the bound of 262144\n"),
+    ("check", {**SCALING_RUN, "plan": {"mode": "random", "seed": 1, "count": 2**18 + 1},
+               "checks": ["nonexpansive"]},
+     "config error: plan.count: the plan samples up to 262145 points, "
+     "above the bound of 262144\n"),
+    # an int rate past the float range, refused without building its power
+    ("schedule", {"name": "steep", "horizon": 10,
+                  "schedule": {"kind": "decay", "scale": 0.5, "rate": 3000000}},
+     "decay rate 3000000 overflows a float at step 8: 9**3000000 is too large"),
+    ("schedule", {"name": "steep", "horizon": 100,
+                  "schedule": {"kind": "decay", "scale": 1, "rate": 400}},
+     "decay rate 400 overflows a float at step 75: 76**400 is too large"),
+    ("check", {**SCALING_RUN, "domain": {**SCALING_RUN["domain"], "radius": 0},
+               "plan": GRID, "checks": ["nonexpansive"]},
+     "config error: domain: ball radius must be finite and positive, got 0\n"),
+    ("run", with_iteration(x0=[0.5]),
+     "config error: start point has dimension 1, domain needs 2\n"),
 ], ids=["string-lambda", "string-schedule-value", "fractional-max_iters",
         "fractional-record_every", "fractional-resolution", "fractional-seed",
         "fractional-count", "fractional-horizon", "bool-horizon",
@@ -492,7 +514,9 @@ def with_iteration(**changes):
         "schedule-no-schedule", "schedule-no-horizon", "sweep-no-grids",
         "sweep-no-plan", "out-collision-before-missing-part",
         "unknown-check-name", "unknown-mapping-name", "unknown-mapping-key",
-        "unknown-check-key", "short-translation-offset", "long-translation-offset"])
+        "unknown-check-key", "short-translation-offset", "long-translation-offset",
+        "grid-past-budget", "random-count-past-budget", "decay-huge-int-rate",
+        "decay-int-over-int-rate-overflows", "zero-ball-radius", "short-x0"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
     p = write_cfg(tmp_path, "typed.json", payload)
@@ -634,20 +658,47 @@ SCALING_CHECK = {**SCALING_RUN, "checks": ["nonexpansive"],
                  "plan": {"mode": "grid", "resolution": 4, "epsilon": "RAW"}}
 
 
+#: An int with no float value: float() of it raises OverflowError.
+BIG = "1" + "0" * 400
+RANDOM_CHECK = {**SCALING_RUN, "checks": ["nonexpansive"],
+                "plan": {"mode": "random", "seed": 1, "count": 5}}
+DECAY_SCHEDULE = {"name": "typed", "horizon": 100,
+                  "schedule": {"kind": "decay", "scale": 0.5, "rate": 1.0}}
+
+
 @pytest.mark.parametrize("command,payload,literal,field", [
     ("check", SCALING_CHECK, "1e400", "plan.epsilon"),   # overflows to inf
     ("check", SCALING_CHECK, "NaN", "plan.epsilon"),
     ("check", SCALING_CHECK, "-Infinity", "plan.epsilon"),
     ("run", with_iteration(max_iters="RAW"), "1e400", "iteration.max_iters"),
-], ids=["overflow", "nan", "negative-infinity", "overflow-max_iters"])
+    ("check", SCALING_CHECK, BIG, "plan.epsilon"),
+    ("check", {**SCALING_CHECK, "plan": GRID, "domain": {**BOX, "upper": [1.0, "RAW"]}},
+     BIG, "domain.upper[1]"),
+    ("check", {**SCALING_CHECK, "plan": GRID,
+               "domain": {**SCALING_RUN["domain"], "radius": "RAW"}}, BIG, "domain.radius"),
+    ("run", {**SCALING_RUN, "mappings": [{"name": "scaling", "factor": "RAW"}]},
+     BIG, "mappings[0].factor"),
+    ("run", with_iteration(x0=[0.5, "RAW"]), "-" + BIG, "iteration.x0[1]"),
+    ("schedule", {**DECAY_SCHEDULE, "schedule": {"kind": "decay", "scale": "RAW"}},
+     BIG, "schedule.scale"),
+    ("schedule", {**DECAY_SCHEDULE, "schedule": {"kind": "decay", "scale": 0.5,
+                                                 "rate": "RAW"}}, BIG, "schedule.rate"),
+    ("check", {**RANDOM_CHECK, "plan": {**RANDOM_CHECK["plan"], "seed": "RAW"}},
+     BIG, "plan.seed"),
+    ("check", RANDOM_CHECK, BIG, "plan.seed"),   # no "RAW": the literal is --seed
+], ids=["overflow", "nan", "negative-infinity", "overflow-max_iters", "big-int-epsilon",
+        "big-int-box-coordinate", "big-int-radius", "big-int-factor", "big-int-x0",
+        "big-int-decay-scale", "big-int-decay-rate", "big-int-seed", "big-int-cli-seed"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, command, payload,
                                            literal, field):
     p = tmp_path / "raw.json"
-    p.write_text(json.dumps(payload).replace('"RAW"', literal))
-    assert main([command, "--config", str(p), "--quiet", "--out",
+    text = json.dumps(payload)
+    seed = [] if '"RAW"' in text else ["--seed", literal]
+    p.write_text(text.replace('"RAW"', literal))
+    assert main([command, "--config", str(p), *seed, "--quiet", "--out",
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and field in err
+    assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -14,6 +14,7 @@ Exactness notes, verified here rather than assumed:
 import dataclasses
 import io
 import math
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from fixedlab import (
     truncated_family_run,
     truncated_weights,
 )
+from fixedlab.schedules import AlphaSchedule
 from helpers import reference_averaged_run
 
 TENT = TentSchedule(peak=0.25, first_block_length=343, growth=1.6)
@@ -104,6 +106,8 @@ def test_multi_map_weights_frozen():
     assert multi_map_weights(0.0, 4) == [1.0, 0.0, 0.0, 0.0]
     assert multi_map_weights(0.5, 3) == [0.25, 0.5, 0.25]
     assert multi_map_weights(0.5, 1) == [1.0]
+    with pytest.raises(ContractViolation, match=r"^need at least one map, got m=0$"):
+        multi_map_weights(0.5, 0)
 
 
 def test_truncated_weights_frozen():
@@ -114,6 +118,8 @@ def test_truncated_weights_frozen():
         truncated_weights(1.0, 3)
     with pytest.raises(ContractViolation):
         truncated_weights(-0.1, 3)
+    with pytest.raises(ContractViolation, match=r"^need at least one map, got K=0$"):
+        truncated_weights(0.5, 0)
 
 
 @given(st.floats(min_value=0.0, max_value=0.5),
@@ -460,6 +466,39 @@ def test_replay_multi_and_truncated():
     tk = truncated_family_run(fam, TENT, [0.6, 0.3], cfg)
     assert replay_trace(tm, fam).passed
     assert replay_trace(tk, fam).passed    # full family; replay uses first K
+
+
+@dataclasses.dataclass(frozen=True)
+class _Cut(AlphaSchedule):
+    """`value` at steps 0 .. steps - 1, and no values after them."""
+
+    kind: ClassVar[str] = "cut"
+    value: float
+    steps: int
+
+    def _chunks(self, start, stop):
+        if start < min(stop, self.steps):
+            yield np.full(min(stop, self.steps) - start, self.value)
+
+
+def test_engine_refuses_the_weights_of_an_alpha_above_one_half():
+    """verify_schedule range-checks alpha; the engine checks the weights."""
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=60, residual_tol=0.0)
+    with pytest.raises(InvariantError, match=r"invalid at step 0 \(alpha=0\.9\)$"):
+        multi_map_run(fam, _Cut(0.9, 100), [0.6, 0.3], cfg)
+
+
+def test_engine_refuses_a_schedule_whose_values_end_early():
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=60, residual_tol=0.0)
+    with pytest.raises(InvariantError, match=r"^schedule values ended before step 60$"):
+        multi_map_run(fam, _Cut(0.1, 5), [0.6, 0.3], cfg)
+
+
+def test_replay_refuses_an_unknown_engine_kind(example1, example1_trace):
+    with pytest.raises(ContractViolation, match=r"^unknown engine kind 'bogus'$"):
+        replay_trace(dataclasses.replace(example1_trace, engine="bogus"), example1)
 
 
 def test_replay_rejects_wrong_mapping(example1_trace):

@@ -31,6 +31,7 @@ from fixedlab import (
     alpha,
     verify_schedule,
 )
+from fixedlab import schedules
 from fixedlab.schedules import _CHUNK, AlphaSchedule
 from helpers import reference_decay, reference_schedule_report, reference_tent
 
@@ -183,6 +184,8 @@ def test_verify_schedule_flat_tent_matches_generator_at_1e5():
     lambda: DecaySchedule(0.5, math.nan),
     lambda: DecaySchedule(math.inf),
     lambda: DecaySchedule(0.5, math.inf),
+    lambda: DecaySchedule(10**400),
+    lambda: DecaySchedule(0.5, 10**400),
     lambda: TentSchedule(0.25, math.nan, 1.0),
     lambda: TentSchedule(0.25, math.inf, 1.0),
     lambda: TentSchedule(0.25, 2, math.nan),
@@ -192,8 +195,8 @@ def test_verify_schedule_flat_tent_matches_generator_at_1e5():
     lambda: SamplePlan.grid(5, epsilon=math.inf),
     lambda: SamplePlan.random(1, 5, epsilon=math.inf),
 ], ids=["decay-scale-nan", "decay-rate-nan", "decay-scale-inf",
-        "decay-rate-inf", "tent-first-nan", "tent-first-inf", "tent-growth-nan",
-        "tent-growth-inf", "residual-tol-nan", "residual-tol-inf",
+        "decay-rate-inf", "decay-scale-past-float", "decay-rate-past-float",
+        "tent-first-nan", "tent-first-inf", "tent-growth-nan", "tent-growth-inf", "residual-tol-nan", "residual-tol-inf",
         "grid-epsilon-inf", "random-epsilon-inf"])
 def test_constructors_refuse_nan_and_inf(make):
     """A range test NaN slips past, or an infinity where a finite value is
@@ -411,6 +414,11 @@ def test_increment_across_a_chunk_edge_is_measured(offset, limsup):
         assert (rep.liminf_proxy, rep.limsup_proxy, rep.diff_proxy) == (0.25, limsup, 0.25)
 
 
+def test_the_schedule_interface_makes_no_values_itself():
+    with pytest.raises(NotImplementedError):
+        next(AlphaSchedule().values(0, 1))
+
+
 def test_integer_zero_constant_reports_float_proxies():
     rep = verify_schedule(ConstantSchedule(0), 100)
     assert (rep.liminf_proxy, rep.limsup_proxy, rep.diff_proxy) == (0.0, 0.0, 0.0)
@@ -429,6 +437,29 @@ def test_steep_decay_serves_the_steps_before_its_overflow(rate):
     with pytest.raises(ContractViolation,
                        match=re.escape(f"decay rate {rate} overflows a float at step 5")):
         next(values)
+
+
+@pytest.mark.parametrize("scale,rate,step", [
+    (0.5, 3_000_000, 1), (1, 3_000_000, 1), (1, 400, 5), (0.5, 400, 5), (0.5, 400.5, 5),
+], ids=["int-rate", "int-over-int", "int-over-int-400", "int-rate-400", "float-rate-400"])
+def test_steep_decay_is_refused_before_any_power_past_the_float_range(monkeypatch, scale,
+                                                                     rate, step):
+    """With an int rate pow is exact, so the powers of rate 3 000 000 have
+    millions of bits. Whether a step's power leaves the float range is
+    decided first, so no pow call returns more than about 2**1100, and an int
+    scale over an int rate is refused there as the float paths are."""
+    def bounded_pow(base, exp):
+        if exp * math.log2(base) > 1100:
+            pytest.fail(f"built {base}**{exp}")
+        return pow(base, exp)
+
+    monkeypatch.setattr(schedules, "pow", bounded_pow, raising=False)
+    s = DecaySchedule(scale, rate)
+    assert list(s.values(0, step)) == reference_decay(scale, rate, step)
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"decay rate {rate} overflows a float at step {step}: "
+            f"{step + 1}**{rate} is too large")):
+        list(s.values(0, 100))
 
 
 @pytest.mark.parametrize("start", [0, 1])

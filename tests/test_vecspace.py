@@ -30,6 +30,7 @@ from fixedlab import (
     sample,
 )
 from fixedlab.vecspace import _norm_floats, _norm_last_axis
+from helpers import reference_sample
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -55,6 +56,13 @@ def test_norm_accepts_string_kind():
     assert norm([3.0, -4.0], "l2") == 5.0
     with pytest.raises(ValueError):
         norm([1.0], "l3")
+
+
+def test_norm_refuses_a_non_finite_coordinate_and_pairwise_norm_an_unknown_kind():
+    with pytest.raises(InvalidInputError, match=r"^non-finite coordinate in \[nan\]$"):
+        norm([math.nan])
+    with pytest.raises(InvalidInputError, match=r"^unknown norm kind 'l3'$"):
+        pairwise_norm(np.zeros((2, 2)), np.zeros((3, 2)), "l3")
 
 
 @given(vector_pairs())
@@ -294,6 +302,64 @@ def test_ball_samples_are_pinned(kind, mode, digest):
     plans = ([SamplePlan.random(s, c) for s in (0, 1, 7, 123) for c in (1, 5, 40, 301)]
              if mode == "random" else [SamplePlan.grid(r) for r in (3, 4, 8, 11)])
     assert _sample_digest(kind, plans) == digest
+
+
+@st.composite
+def domains_and_plans(draw):
+    """A box or a ball in 1 to 6 dimensions under any norm, with a grid
+    plan (one resolution or one per axis) or a random plan, of at most a
+    few thousand points."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(list(NormKind)))
+    coord = st.floats(-10.0, 10.0)
+    if draw(st.booleans()):
+        lo = draw(st.lists(coord, min_size=d, max_size=d))
+        dom = Domain.box(lo, [c + draw(st.floats(0.0, 5.0)) for c in lo], kind)
+    else:
+        dom = Domain.ball(draw(st.lists(coord, min_size=d, max_size=d)),
+                          draw(st.floats(0.1, 5.0)), kind)
+    top = max(2, int(4096 ** (1 / d)))
+    if draw(st.booleans()):
+        res = draw(st.integers(2, top) | st.lists(st.integers(2, top), min_size=d, max_size=d))
+        return dom, SamplePlan.grid(res)
+    return dom, SamplePlan.random(draw(st.integers(0, 2**32)), draw(st.integers(1, 300)))
+
+
+def _outcome(sampler, domain, plan):
+    try:
+        return sampler(domain, plan)
+    except InvalidInputError as exc:   # a ball grid with no lattice point inside
+        return str(exc)
+
+
+@given(domains_and_plans())
+@settings(max_examples=200, deadline=None)
+def test_sample_is_the_stacked_list_of_copies_bit_for_bit_and_read_only(case):
+    dom, plan = case
+    got = _outcome(sample, dom, plan)
+    want = _outcome(reference_sample, dom, plan)
+    if isinstance(want, str):
+        assert got == want
+        return
+    want = np.stack(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    assert not any(row.flags.writeable for row in got)
+
+
+def test_a_grid_sample_holds_only_its_coordinates():
+    """A 300 x 300 grid is 1.4 MiB of coordinates; a list of 90 000
+    separately frozen copies held 11.8 MiB."""
+    box = Domain.box([0.0, 0.0], [1.0, 1.0])
+    tracemalloc.start()
+    try:
+        pts = sample(box, SamplePlan.grid(300))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pts.nbytes == 300 * 300 * 2 * 8
+    assert held <= 1.2 * pts.nbytes and peak <= 1.2 * pts.nbytes, (held, peak)
 
 
 def _ks_uniform(u: np.ndarray) -> float:
