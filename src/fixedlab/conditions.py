@@ -67,19 +67,42 @@ class BGammaMu:
 _TILE = 16
 
 
+class _Buffers(dict):
+    """The arrays a scan reuses on every tile, each made on first use: key
+    (name, cols) holds `rows` rows of one entry per point of pts[cols],
+    bools for the name "viol" and floats otherwise."""
+
+    def __init__(self, rows: int, pts: dict):
+        super().__init__()
+        self.rows, self.pts = rows, pts
+
+    def __missing__(self, key: tuple) -> np.ndarray:
+        b = self[key] = np.empty((self.rows, len(self.pts[key[1]])),
+                                 bool if key[0] == "viol" else float)
+        return b
+
+
 class _Tile(dict):
     """Distances from the sample rows `rows` to every column, each computed
-    when a check first asks for it. Key "ab" holds ||a_i - b_j||, where x is
-    a sample point, T its image and z a known fixed point, and "xT+Tx" the
-    sum of two; `disp` holds every sample point's ||x_i - Tx_i||."""
+    into the scan's buffers when a check first asks for it. Key "ab" holds
+    ||a_i - b_j||, where x is a sample point, T its image and z a known
+    fixed point, and "xT+Tx" the sum of two; `disp` holds every sample
+    point's ||x_i - Tx_i||."""
 
-    def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind):
+    def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind, bufs: _Buffers):
         super().__init__()
-        self.pts, self.disp, self.rows, self.kind = pts, disp, rows, kind
+        self.pts, self.disp, self.rows, self.kind, self.bufs = pts, disp, rows, kind, bufs
+
+    def out(self, name: str, cols: str = "x") -> np.ndarray:
+        """The scan's buffer (name, cols), cut to this tile's rows: its
+        entries hold whatever the last tile left there."""
+        return self.bufs[name, cols][:self.rows.stop - self.rows.start]
 
     def __missing__(self, key: str) -> np.ndarray:
-        d = self[key] = (self["xT"] + self["Tx"] if key == "xT+Tx" else pairwise_norm(
-            self.pts[key[0]][self.rows], self.pts[key[1]], self.kind))
+        out = self.out(key, key[-1])
+        d = self[key] = (np.add(self["xT"], self["Tx"], out=out) if key == "xT+Tx"
+                         else pairwise_norm(self.pts[key[0]][self.rows], self.pts[key[1]],
+                                            self.kind, out=out))
         return d
 
 
@@ -97,34 +120,40 @@ def _scan(T: Mapping, plan: SamplePlan, checks, images) -> list[Verdict]:
 
     A check is (label, params, cols, parts), where parts(tile) gives its
     parts on the tile's pairs as (premise, lhs, rhs, detail): pair (i, j)
-    violates a part when premise[i, j] holds (a None premise always holds)
-    and lhs[i, j] > rhs[i, j] + epsilon. Where parts first fail on the same
-    pair, the earlier part is the witness. The scan walks row tiles in
-    order, so the first tile with a hit holds the row-major first witness;
-    a check retires there, and the scan stops once every check has retired.
+    violates a part when lhs[i, j] > rhs[i, j] + epsilon and premise(tile)
+    [i, j] holds (a None premise always holds). The premise is evaluated
+    only on a tile where the conclusion fails. A part may write into the
+    tile's "tmp" buffer, which the comparison then reuses. Where parts first
+    fail on the same pair, the earlier part is the witness. The scan walks
+    row tiles in order, so the first tile with a hit holds the row-major
+    first witness; a check retires there, and the scan stops once every
+    check has retired.
     """
     X, TX, disp = images
     pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
+    bufs = _Buffers(min(_TILE, len(X)), pts)
     found: dict[int, Witness] = {}   # check index -> its first witness
     for lo in range(0, len(X), _TILE):
         live = [k for k in range(len(checks)) if k not in found]
         if not live:
             break
-        tile = _Tile(pts, disp, slice(lo, lo + _TILE), T.domain.norm_kind)
+        tile = _Tile(pts, disp, slice(lo, min(lo + _TILE, len(X))), T.domain.norm_kind, bufs)
         for k in live:
-            hit = None
+            cols, hit = checks[k][2], None
             for premise, lhs, rhs, detail in checks[k][3](tile):
-                viol = lhs > rhs + plan.epsilon
-                if premise is not None:
-                    viol &= premise
+                viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", cols)),
+                                  out=tile.out("viol", cols))
                 flat = int(np.argmax(viol))   # first True in row-major order
+                if viol.flat[flat] and premise is not None:
+                    viol &= premise(tile)
+                    flat = int(np.argmax(viol))
                 if viol.flat[flat] and (hit is None or flat < hit[0]):
-                    hit = (flat, lhs, rhs, detail)
+                    # read now: the next part may overwrite the buffers
+                    i, j = divmod(flat, viol.shape[1])
+                    hit = (flat, Witness.at(X[lo + i], lhs=lhs[i, j], rhs=rhs[i, j],
+                                            y=pts[cols][j], detail=detail))
             if hit is not None:
-                flat, lhs, rhs, detail = hit
-                i, j = divmod(flat, lhs.shape[1])
-                found[k] = Witness.at(X[lo + i], lhs=lhs[i, j], rhs=rhs[i, j],
-                                      y=pts[checks[k][2]][j], detail=detail)
+                found[k] = hit[1]
     return [Verdict(condition_label=label, passed=k not in found,
                     checked_pairs=len(X) * len(pts[cols]), witness=found.get(k),
                     plan=plan, params=params)
@@ -210,8 +239,10 @@ def _condition_c(lam: float, label: str = "condition_C_lambda"):
     if not (0.0 < lam < 1.0):
         raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
     params = (("lambda", lam),) if label == "condition_C_lambda" else ()
-    return _one((label, params, "x", lambda t: [
-        (lam * t.disp[t.rows, None] <= t["xx"], t["TT"], t["xx"], None)]))
+
+    def premise(t):
+        return lam * t.disp[t.rows, None] <= t["xx"]
+    return _one((label, params, "x", lambda t: [(premise, t["TT"], t["xx"], None)]))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -229,9 +260,13 @@ def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
 
 def _condition_b(p: BGammaMu):
     """The two-parameter condition as a check for `_scan`."""
+    def premise(t):
+        return p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
+
     def parts(t):
-        premise = p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
-        rhs = (1.0 - p.gamma) * t["xx"] + p.mu * t["xT+Tx"]
+        # (1 - gamma)*xx + mu*(xT + Tx), operation for operation
+        rhs = np.multiply(1.0 - p.gamma, t["xx"], out=t.out("rhs"))
+        rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
         return [(premise, t["TT"], rhs, None)]
     return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", parts
 
@@ -256,15 +291,23 @@ def _prop1(theta: float, p: BGammaMu):
         viol_i = dTxTtx > dxTx + eps
         i = int(np.argmax(viol_i))   # first point violating part (i)
 
+        def premise_ii(t):
+            return half * dTxTtx[t.rows, None] > t["Tx"] + eps
+
         def parts(t):
             d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
+            # (iii)'s sides, operation for operation: (1 - mu)*xT and
+            # (3 - theta)*d + (1 - theta/2)*xx + mu*(2*d + Tx + 2*dd)
+            rhs = np.multiply(1.0 - half, t["xx"], out=t.out("rhs"))
+            rhs = np.add((3.0 - theta) * d, rhs, out=rhs)
+            mu_terms = np.add(2.0 * d, t["Tx"], out=t.out("tmp"))
+            mu_terms += 2.0 * dd
+            rhs += np.multiply(p.mu, mu_terms, out=mu_terms)
             # (ii) fails where both alternatives fail: the first as the
             # inequality, the second as the premise
-            return [(half * dd > t["Tx"] + eps, np.broadcast_to(half * d, t["xx"].shape),
-                     t["xx"], "part (ii)"),
-                    (None, (1.0 - p.mu) * t["xT"],
-                     (3.0 - theta) * d + (1.0 - half) * t["xx"]
-                     + p.mu * (2.0 * d + t["Tx"] + 2.0 * dd), "part (iii)")]
+            return [(premise_ii, np.broadcast_to(half * d, t["xx"].shape), t["xx"], "part (ii)"),
+                    (None, np.multiply(1.0 - p.mu, t["xT"], out=t.out("lhs")), rhs,
+                     "part (iii)")]
 
         def finish(verdicts):
             pre, *rest = verdicts

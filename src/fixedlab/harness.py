@@ -205,9 +205,13 @@ _DOMAINS = {
     "box": (Domain.box, {"lower": _VECTOR, "upper": _VECTOR, "norm": (_any, "l2")}),
     "ball": (Domain.ball, {"center": _VECTOR, "radius": _NUMBER, "norm": (_any, "l2")})}
 
-#: The most points a plan may sample. A scan's memory peaks at 1.24-1.38 kB
-#: per point (tracemalloc, condition_B and prop1 at d = 2): 325-360 MB here.
+#: The most points a plan may sample. A scan's memory peaks at 1.08-1.23 kB
+#: per point (tracemalloc, condition_B and prop1 at d = 2): 285-325 MB here.
 _MAX_PLAN_POINTS = 2**18
+
+#: The longest horizon a config may ask for. The tail window is a quarter
+#: of it, and the decay, the slowest kind, takes about 160 ns a value: 4 s.
+_MAX_HORIZON = 10**8
 
 _PLANS = {
     "grid": (SamplePlan.grid, {"resolution": _ANY, "epsilon": (_number, 1e-9)}),
@@ -304,6 +308,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:   # e.g. an integer past Python's digit limit
+        raise ConfigError(f"config {path!r} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
     plan = raw.get("plan")
@@ -329,6 +335,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     })
     if "mappings" in raw and domain is None:
         raise ConfigError("mappings given without a domain")
+    if horizon is not None and horizon > _MAX_HORIZON:
+        raise ConfigError(f"horizon: {horizon} is above the bound of {_MAX_HORIZON}")
     if plan is not None:   # refused before anything is sampled
         res = plan.resolution or ()
         points = plan.count if plan.mode == "random" else math.prod(

@@ -171,7 +171,15 @@ class TentSchedule(AlphaSchedule):
 
     def _chunks(self, start: int, stop: int) -> Iterator[np.ndarray]:
         """Each chunk cut at block edges and filled in closed form, visiting
-        each block once."""
+        each block once; at growth 1 every block is L steps long, so a
+        step's offset in its block is its remainder mod L."""
+        if self.growth == 1:
+            length = math.ceil(self.first_block_length)
+            L = min(length, 2**62)   # int64 must hold L - t, as below
+            for a in range(start, stop, _CHUNK):
+                t = np.arange(a, min(stop, a + _CHUNK)) % L
+                yield self._fill(t, L - t, -(-length // 2))
+            return
         block_start, length, j = 0, 0, 0
         for a in range(start, stop, _CHUNK):
             b, n = min(stop, a + _CHUNK), a
@@ -186,7 +194,7 @@ class TentSchedule(AlphaSchedule):
                         # as for a steep decay, the steps before the block
                         # are still served
                         if counts:
-                            yield self._fill(a, n, runs)
+                            yield self._fill(*self._offsets(a, n, runs))
                         raise ContractViolation(
                             f"tent growth {self.growth} overflows a float at block "
                             f"{j}, step {block_start}: {self.first_block_length}"
@@ -199,18 +207,23 @@ class TentSchedule(AlphaSchedule):
                 halves.append(-(-length // 2))
                 counts.append(min(b, block_start + length) - n)
                 n += counts[-1]
-            yield self._fill(a, b, runs)
+            yield self._fill(*self._offsets(a, b, runs))
 
-    def _fill(self, a: int, b: int, runs) -> np.ndarray:
-        """The values of steps a, ..., b - 1 from `_chunks`' runs."""
+    @staticmethod
+    def _offsets(a: int, b: int, runs) -> tuple:
+        """(t, L - t, half) of steps a, ..., b - 1 from `_chunks`' runs."""
         starts, lengths, halves, counts = runs
         t = np.arange(a, b)
         t -= np.repeat(starts, counts)             # offset in its block
         L_t = np.repeat(lengths, counts)
         L_t -= t
+        return t, L_t, np.repeat(np.array(halves, dtype=float), counts)
+
+    def _fill(self, t: np.ndarray, L_t: np.ndarray, half) -> np.ndarray:
+        """The values at offsets t of blocks L = t + L_t long, halves `half`."""
         v = self.peak * np.minimum(t, L_t, out=t)
         # the formula's float / int rounds the int half to a float first
-        v /= np.repeat(np.array(halves, dtype=float), counts)
+        v /= np.asarray(half, dtype=float)
         # peak * half / half can round one ulp above peak.
         return np.minimum(self.peak, v, out=v)
 

@@ -78,27 +78,31 @@ def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
 _IN_SEQUENCE_BELOW = 8
 
 
-def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2) -> np.ndarray:
+def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Matrix of ||A[i] - B[j]|| values, shape (len(A), len(B)), each bitwise
-    equal to the scalar `dist`. Below `_IN_SEQUENCE_BELOW` coordinates it
-    folds them in sequence on (len(A), len(B)) arrays; from there on row i is
-    `_norm_last_axis` of A[i] - B in C order, where numpy reduces each entry's
-    contiguous terms as it does one vector's."""
+    equal to the scalar `dist`, written into `out` if given. Below
+    `_IN_SEQUENCE_BELOW` coordinates it folds them in sequence on
+    (len(A), len(B)) arrays, with at most one such array besides the result;
+    from there on row i is `_norm_last_axis` of A[i] - B in C order, where
+    numpy reduces each entry's contiguous terms as it does one vector's."""
     if kind not in (NormKind.L1, NormKind.L2, NormKind.LINF):
         raise InvalidInputError(f"unknown norm kind {kind!r}")
-    if A.shape[1] >= _IN_SEQUENCE_BELOW:
+    if out is None:
         out = np.empty((len(A), len(B)))
+    if A.shape[1] >= _IN_SEQUENCE_BELOW:
         for i, a in enumerate(A):
             out[i] = _norm_last_axis(np.subtract(a, B, order="C"), kind)
         return out
 
-    def term(k: int) -> np.ndarray:
-        t = np.subtract.outer(A[:, k], B[:, k])
+    def term(k: int, t: Optional[np.ndarray] = None) -> np.ndarray:
+        t = np.subtract.outer(A[:, k], B[:, k], out=t)
         return np.multiply(t, t, out=t) if kind == NormKind.L2 else np.abs(t, out=t)
 
     op = np.maximum if kind == NormKind.LINF else np.add
-    acc = functools.reduce(lambda a, b: op(a, b, out=a), map(term, range(A.shape[1])))
-    return np.sqrt(acc, out=acc) if kind == NormKind.L2 else acc
+    functools.reduce(lambda acc, k: op(acc, term(k), out=acc), range(1, A.shape[1]),
+                     term(0, out))
+    return np.sqrt(out, out=out) if kind == NormKind.L2 else out
 
 
 def _norm_floats(v: Sequence[float], kind: NormKind) -> float:

@@ -486,6 +486,12 @@ def with_iteration(**changes):
                "checks": ["nonexpansive"]},
      "config error: plan.count: the plan samples up to 262145 points, "
      "above the bound of 262144\n"),
+    # a horizon whose tail window would take minutes: refused at load
+    ("schedule", {**SCHEDULE_ONLY, "horizon": 10**15},
+     "config error: horizon: 1000000000000000 is above the bound of 100000000\n"),
+    ("run", {**TWO_MAPPINGS, "engine": "multi", "horizon": 1e8 + 1,
+             "schedule": {"kind": "decay", "scale": 0.5, "rate": 0.5}},
+     "config error: horizon: 100000001 is above the bound of 100000000\n"),
     # an int rate past the float range, refused without building its power
     ("schedule", {"name": "steep", "horizon": 10,
                   "schedule": {"kind": "decay", "scale": 0.5, "rate": 3000000}},
@@ -515,7 +521,8 @@ def with_iteration(**changes):
         "sweep-no-plan", "out-collision-before-missing-part",
         "unknown-check-name", "unknown-mapping-name", "unknown-mapping-key",
         "unknown-check-key", "short-translation-offset", "long-translation-offset",
-        "grid-past-budget", "random-count-past-budget", "decay-huge-int-rate",
+        "grid-past-budget", "random-count-past-budget", "schedule-horizon-past-budget",
+        "run-horizon-past-budget", "decay-huge-int-rate",
         "decay-int-over-int-rate-overflows", "zero-ball-radius", "short-x0"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
@@ -526,6 +533,25 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_too_long_to_read_is_a_config_error_naming_the_file(tmp_path, capsys):
+    """json.load refuses an int literal past Python's digit limit with a
+    ValueError that names neither the file nor a key."""
+    p = tmp_path / "long.json"
+    p.write_text('{"name": "long", "value": ' + "1" * 5000 + "}")
+    assert main(["check", "--config", str(p), "--quiet", "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {str(p)!r} cannot be read:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_horizon_is_accepted(tmp_path):
+    """The bound itself passes the load; the schedule run is not started."""
+    p = write_cfg(tmp_path, "h.json", {**SCHEDULE_ONLY, "horizon": 10**8})
+    assert load_config(p).horizon == 10**8
 
 
 def test_run_that_stops_before_a_tent_overflow_exits_0(tmp_path):

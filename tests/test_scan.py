@@ -90,9 +90,9 @@ def test_scan_stops_at_the_first_witness_tile(monkeypatch):
     calls = []
     real = conditions.pairwise_norm
 
-    def counted(A, B, kind):
+    def counted(A, B, kind, **kw):
         calls.append(len(A))
-        return real(A, B, kind)
+        return real(A, B, kind, **kw)
 
     monkeypatch.setattr(conditions, "pairwise_norm", counted)
     monkeypatch.setattr(conditions, "_TILE", 16)
@@ -106,6 +106,59 @@ def test_scan_stops_at_the_first_witness_tile(monkeypatch):
     v = check_nonexpansive(_clip_double(), plan)
     assert not v.passed and v.checked_pairs == 64 * 64
     assert calls == [16, 16]
+
+
+def _counted_premises(monkeypatch) -> list:
+    """Route every condition_B premise through a wrapper; the list it
+    returns collects the first row of each tile a premise is evaluated on."""
+    calls = []
+    real = conditions._condition_b
+
+    def counted(p):
+        label, params, cols, parts = real(p)
+        return label, params, cols, lambda t: [
+            (lambda t, f=premise: calls.append(t.rows.start) or f(t), *rest)
+            for premise, *rest in parts(t)]
+
+    monkeypatch.setattr(conditions, "_condition_b", counted)
+    return calls
+
+
+def test_a_sweep_that_passes_evaluates_no_premise(monkeypatch):
+    calls = _counted_premises(monkeypatch)
+    monkeypatch.setattr(conditions, "_TILE", 16)
+    T = affine_map(GALLERY_BOX, GALLERY_AFFINE_MATRIX, GALLERY_AFFINE_SHIFT)
+    plan = SamplePlan.grid(20)   # 400 points: 25 tiles
+    # each (gamma, 2 * gamma) diagonal cell passes: its conclusion never fails
+    table = sweep_condition_B(T, GAMMAS, MUS, plan, pairing="zip")
+    assert table.statuses() == ["pass"] * 6
+    assert calls == []
+    # the cross sweep has failing cells: each premise evaluated there is on
+    # a tile where the conclusion fails, and the verdicts are unchanged
+    table = sweep_condition_B(T, GAMMAS, MUS, plan)
+    assert "fail" in table.statuses() and calls
+    monkeypatch.undo()
+    assert sweep_condition_B(T, GAMMAS, MUS, plan) == table
+
+
+def test_scan_buffers_are_made_once_per_scan_not_per_tile(monkeypatch):
+    made = []
+    real = conditions._Buffers.__missing__
+
+    def counted(self, key):
+        made.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(conditions._Buffers, "__missing__", counted)
+    monkeypatch.setattr(conditions, "_TILE", 16)
+    T = affine_map(GALLERY_BOX, GALLERY_AFFINE_MATRIX, GALLERY_AFFINE_SHIFT)
+    counts = []
+    for resolution in (8, 25):   # 64 points in 4 tiles, 625 points in 40
+        made.clear()
+        verdicts = _all_verdicts(T, SamplePlan.grid(resolution))
+        assert all(v.passed for v in verdicts[:-1])   # every tile scanned
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("run", [
@@ -252,9 +305,9 @@ def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkey
         m.fn = lambda x: calls.append(1) or fn(x)
         return m
 
-    def norm(A, B, kind):
+    def norm(A, B, kind, **kw):
         entries.append(len(A) * len(B))
-        return real_norm(A, B, kind)
+        return real_norm(A, B, kind, **kw)
 
     monkeypatch.setattr(harness, "build_mapping", build)
     monkeypatch.setattr(conditions, "pairwise_norm", norm)

@@ -10,6 +10,7 @@ last bit.
 import itertools
 import math
 import re
+import signal
 import tracemalloc
 from dataclasses import dataclass
 from typing import ClassVar
@@ -360,6 +361,32 @@ def test_tent_values_match_generator_across_chunk_edges(peak, first, growth,
 def test_decay_values_match_generator_across_chunk_edges(scale, rate, a, length):
     ref = reference_decay(scale, rate, a + length)
     assert _hex(DecaySchedule(scale, rate).values(a, a + length)) == _hex(ref[a:])
+
+
+@given(TENT_PARAMS[0], TENT_PARAMS[1], st.integers(0, 6 * _CHUNK),
+       st.integers(0, 2 * _CHUNK + 1))
+@settings(max_examples=60, deadline=None)
+def test_growth_one_tent_matches_the_block_walk_from_any_start(peak, first, a, length):
+    """At growth 1 a step's block comes in closed form: the values still
+    match the generator, which walks every block from step 0."""
+    ref = reference_tent(peak, first, 1, a + length)
+    s = TentSchedule(peak, first, 1.0)
+    assert _hex(s.values(a, a + length)) == _hex(min(peak, v) for v in ref[a:])
+
+
+def test_growth_one_tent_reaches_a_far_step_at_once():
+    def late(signum, frame):
+        raise TimeoutError("values(10**12, 10**12 + 4) still runs after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(2)
+    try:
+        got = list(TentSchedule(0.25, 2.5, 1).values(10**12, 10**12 + 4))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # 3-step blocks, half 2, and 10**12 is 1 mod 3: offsets 1, 2, 0, 1
+    assert got == [0.125, 0.125, 0.0, 0.125]
 
 
 def test_decay_int_scale_over_int_power_rounds_the_exact_quotient():
