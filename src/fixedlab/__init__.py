@@ -33,7 +33,7 @@ from .conditions import (BGammaMu, SweepCell, SweepTable, check_condition_B,
                          check_lemma3, check_nonexpansive, check_prop1,
                          check_quasi_nonexpansive, sweep_condition_B)
 from .schedules import (DEFAULT_TENT, AlphaSchedule, ConstantSchedule,
-                        DecaySchedule, ScheduleReport, TentSchedule, alpha,
+                        DecaySchedule, ScheduleReport, TentSchedule,
                         verify_schedule)
 from .iterate import (GapReport, IterationConfig, Trace, TraceStep,
                       asymptotic_radius, goebel_kirk_gap, krasnoselskii_run,
@@ -41,7 +41,7 @@ from .iterate import (GapReport, IterationConfig, Trace, TraceStep,
                       multi_map_weights, replay_trace,
                       residual_vanishes_check, trace_to_csv,
                       truncated_family_run, truncated_weights)
-from .harness import (ExperimentConfig, build_mapping, cmd_check, cmd_run,
-                      cmd_schedule, cmd_sweep, load_config, main)
+from .harness import (ExperimentConfig, build_mapping, load_config, main,
+                      run_command)
 
 __version__ = "0.1.0"

@@ -41,8 +41,7 @@ from .mappings import (Mapping, affine_map, constant_map, example1_map,
 from .schedules import AlphaSchedule, _KINDS, verify_schedule
 from .vecspace import Domain, SamplePlan
 
-__all__ = ["ExperimentConfig", "build_mapping", "load_config", "cmd_check",
-           "cmd_run", "cmd_schedule", "cmd_sweep", "main"]
+__all__ = ["ExperimentConfig", "build_mapping", "load_config", "run_command", "main"]
 
 
 @dataclass
@@ -90,8 +89,6 @@ def _test(ok, expected: str, read=lambda v: v):
 
 _number = _test(_is_number, "a number")
 _count = _test(lambda v: _is_number(v) and v == int(v), "a whole number", int)
-_horizon = _test(lambda v: _is_number(v) and v == int(v) and v >= 10,
-                 "a whole number >= 10", int)
 _list = _test(lambda v: isinstance(v, list), "a list")
 # a file name is joined to --out, so it must name no other directory
 _file_name = _test(lambda v: isinstance(v, str) and v not in ("", ".", "..")
@@ -105,6 +102,21 @@ def _one_of(*options):
 
 def _nullable(parse):
     return lambda v, at: None if v is None else parse(v, at)
+
+
+def _at_least(least: int):
+    """The parse step of a whole number >= least."""
+    return _test(lambda v: _is_number(v) and v == int(v) and v >= least,
+                 f"a whole number >= {least}", int)
+
+
+def _at_most(parse, bound: int):
+    """The parse step that reads v by parse and refuses it above bound."""
+    def read(v, at: str):
+        if (v := parse(v, at)) > bound:
+            raise ConfigError(f"{at}: {v} is above the bound of {bound}")
+        return v
+    return read
 
 
 def _list_of(item, expected: str, empty: bool = False):
@@ -213,9 +225,17 @@ _MAX_PLAN_POINTS = 2**18
 #: of it, and the decay, the slowest kind, takes about 160 ns a value: 4 s.
 _MAX_HORIZON = 10**8
 
+#: The most steps a run may take. Five maps take about 28 us a step and a
+#: kept record about 0.6 kB: 28 s and a 110 MB peak RSS here.
+_MAX_ITERS = 10**6
+
+#: The most (gamma, mu) cells a sweep may have. On a 2-point plan a cell
+#: takes about 40 us and 1.6 kB of RSS: 2.5 s and 107 MB here.
+_MAX_SWEEP_CELLS = 2**16
+
 _PLANS = {
     "grid": (SamplePlan.grid, {"resolution": _ANY, "epsilon": (_number, 1e-9)}),
-    "random": (SamplePlan.random, {"seed": _COUNT, "count": _COUNT,
+    "random": (SamplePlan.random, {"seed": (_at_least(0), _REQUIRED), "count": _COUNT,
                                    "epsilon": (_number, 1e-9)})}
 
 #: kind -> (class, keys): a schedule's keys are its class's fields, all numbers.
@@ -224,7 +244,7 @@ _SCHEDULES = {kind: (cls, {f.name: (_number, _REQUIRED if f.default is MISSING e
 
 #: The iteration section reads as (IterationConfig, x0).
 _ITERATION = (lambda *v: (IterationConfig(*v[:-1]), v[-1]), {
-    "lambda": _NUMBER, "max_iters": _COUNT,
+    "lambda": _NUMBER, "max_iters": (_at_most(_count, _MAX_ITERS), _REQUIRED),
     "residual_tol": (_number, 0.0), "truncation_K": (_nullable(_count), None),
     "record_every": (_count, 1), "gamma": (_nullable(_number), None),
     "x0": (_nullable(_point), None)})
@@ -323,7 +343,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         "mappings": (_list, []),
         "plan": (_section("mode", _PLANS), None),
         "schedule": (_section("kind", _SCHEDULES), None),
-        "horizon": (_horizon, None),
+        "horizon": (_at_most(_at_least(10), _MAX_HORIZON), None),
         "iteration": (_section(None, _ITERATION), (None, None)),
         "engine": (_one_of("single", "multi", "truncated"), None),
         "checks": (_check_specs, []),
@@ -335,8 +355,6 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     })
     if "mappings" in raw and domain is None:
         raise ConfigError("mappings given without a domain")
-    if horizon is not None and horizon > _MAX_HORIZON:
-        raise ConfigError(f"horizon: {horizon} is above the bound of {_MAX_HORIZON}")
     if plan is not None:   # refused before anything is sampled
         res = plan.resolution or ()
         points = plan.count if plan.mode == "random" else math.prod(
@@ -345,6 +363,12 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
             raise ConfigError(
                 f"plan.{'count' if plan.mode == 'random' else 'resolution'}: the plan "
                 f"samples up to {points} points, above the bound of {_MAX_PLAN_POINTS}")
+    if sweep is not None:
+        cells = len(sweep["gamma_grid"]) * (
+            len(sweep["mu_grid"]) if sweep.get("pairing", "cross") == "cross" else 1)
+        if cells > _MAX_SWEEP_CELLS:
+            raise ConfigError(f"sweep: the grids make {cells} cells, "
+                              f"above the bound of {_MAX_SWEEP_CELLS}")
     mappings = []
     for i, desc in enumerate(descriptors):
         try:
@@ -366,7 +390,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (report body, verdict, {out key: write(path)})
-# and prints through `say`; _drive writes every file
+# and prints through `say`; run_command writes every file
 # ---------------------------------------------------------------------------
 
 _Say = Callable[[str], None]
@@ -495,9 +519,12 @@ _COMMANDS = {
 }
 
 
-def _drive(command: str, config_path: str, out_dir: Optional[str],
-           seed: Optional[int], quiet: bool) -> tuple[int, dict]:
-    """Run the row of `_COMMANDS` named `command` on the config."""
+def run_command(command: str, config_path: str, out_dir: Optional[str] = None,
+                seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
+    """Run the row of `_COMMANDS` named `command` on the config: (exit code, report)."""
+    if command not in _COMMANDS:
+        raise ContractViolation(
+            f"unknown command {command!r}; known: {', '.join(_COMMANDS)}")
     compute, parts, files, _ = _COMMANDS[command]
     t0 = time.perf_counter()
     cfg = load_config(config_path, seed)
@@ -528,30 +555,6 @@ def _drive(command: str, config_path: str, out_dir: Optional[str],
     return (0 if passed else 1), report
 
 
-def cmd_check(config_path: str, out_dir: Optional[str] = None,
-              seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Run the configured condition checks; exit 0 only if all pass."""
-    return _drive("check", config_path, out_dir, seed, quiet)
-
-
-def cmd_run(config_path: str, out_dir: Optional[str] = None,
-            seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Execute the configured iteration; write trace CSV and JSON report."""
-    return _drive("run", config_path, out_dir, seed, quiet)
-
-
-def cmd_schedule(config_path: str, out_dir: Optional[str] = None,
-                 seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Verify the configured schedule's tail behavior at the horizon."""
-    return _drive("schedule", config_path, out_dir, seed, quiet)
-
-
-def cmd_sweep(config_path: str, out_dir: Optional[str] = None,
-              seed: Optional[int] = None, quiet: bool = False) -> tuple[int, dict]:
-    """Sweep the two-parameter condition over the configured grids."""
-    return _drive("sweep", config_path, out_dir, seed, quiet)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -573,7 +576,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="suppress progress lines")
     args = parser.parse_args(argv)
     try:
-        code, _ = _drive(args.command, args.config, args.out, args.seed, args.quiet)
+        code, _ = run_command(args.command, args.config, args.out, args.seed, args.quiet)
         return code
     except IterationRuntimeError as exc:
         print(f"runtime error at step {exc.step}: {exc}", file=sys.stderr)

@@ -34,8 +34,8 @@ from typing import Callable, IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ContractViolation, DomainError, InvalidInputError,
-                     InvariantError, IterationRuntimeError, PreconditionError)
+from .errors import (ContractViolation, DomainError, InvariantError,
+                     IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
 from .schedules import AlphaSchedule
 from .vecspace import Domain, _blend, _norm_floats, _norm_last_axis, as_vector
@@ -131,7 +131,6 @@ class TraceStep:
 class Trace:
     engine: str                          # "single" | "multi" | "truncated"
     records: tuple[TraceStep, ...]
-    lam: Optional[float]
     stop_reason: str                     # STOP_TOL | STOP_MAX_ITERS
     total_steps: int
     config: IterationConfig
@@ -152,7 +151,7 @@ class Trace:
             "stop_reason": self.stop_reason,
             "total_steps": self.total_steps,
             "recorded_steps": len(self.records),
-            "lambda": self.lam,
+            "lambda": self.config.lam,
             "schedule": self.schedule,
             "final_x": list(last.x),
             "final_residual": last.residual,
@@ -201,12 +200,12 @@ _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
 
 
 def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
-          lam: float, n: int, finite: bool = True):
+          lam: float, n: int):
     """The step rule at x = x_n, a float list: (images T_k x_n, w_n - x_n,
     x_{n+1} = lam*w_n + (1-lam)*x_n), all floats. A map whose fn carries a
     float-list form `fn.floats` gets x itself, any other a fresh float64 copy;
-    an image of the wrong shape, or, if `finite`, with a non-finite
-    coordinate, raises IterationRuntimeError at step n."""
+    an image of the wrong shape or with a non-finite coordinate raises
+    IterationRuntimeError at step n."""
     images = []
     for t in members:
         form = getattr(t.fn, "floats", None)
@@ -215,7 +214,7 @@ def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
             floats = img.tolist() if img.ndim == 1 else ()
         else:
             floats = form(x)
-        if len(floats) != len(x) or finite and not all(map(math.isfinite, floats)):
+        if len(floats) != len(x) or not all(map(math.isfinite, floats)):
             raise IterationRuntimeError(
                 f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
         images.append(floats)
@@ -242,7 +241,6 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     kind = domain.norm_kind
     rule, m = _WEIGHT_RULES[engine], len(members)
     fps = [np.asarray(z, dtype=float) for z in fixed_points]
-    lam = cfg.lam
     records: list[TraceStep] = []
     alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     for n, a_n in enumerate(alphas):
@@ -250,7 +248,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         if any(c < 0.0 for c in wts) or abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
             raise InvariantError(
                 f"blend weights {wts} invalid at step {n} (alpha={a_n})")
-        images, w_x, x_next = _step(members, x, wts, lam, n)
+        images, w_x, x_next = _step(members, x, wts, cfg.lam, n)
         residual = _norm_floats(w_x, kind)
         stop = None
         if residual <= cfg.residual_tol:
@@ -266,7 +264,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                 map_residuals=tuple(d[:m]), alpha=a_n,
                 fp_distances=tuple(d[m:])))
         if stop is not None:
-            return Trace(engine=engine, records=tuple(records), lam=lam,
+            return Trace(engine=engine, records=tuple(records),
                          stop_reason=stop, total_steps=n, config=cfg,
                          mapping_labels=tuple(t.label for t in members),
                          fixed_points=tuple(tuple(map(float, z)) for z in fps),
@@ -334,12 +332,10 @@ def _xs(records: Sequence[TraceStep]) -> np.ndarray:
     return np.array([r.x for r in records], dtype=float)
 
 
-def _unit_steps(t: Trace, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _unit_steps(t: Trace) -> tuple[np.ndarray, np.ndarray]:
     """(j, X): X holds every recorded iterate and j indexes each record whose
     successor is the very next step, the only pairs whose step rule lam can
     invert or replay."""
-    if t.lam is None:
-        raise ContractViolation(f"trace carries no lam; cannot {what}")
     steps = np.array([r.step for r in t.records])
     return np.flatnonzero(steps[1:] == steps[:-1] + 1), _xs(t.records)
 
@@ -352,10 +348,10 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     contribute nothing. tail_max is the maximum over the last quarter of
     the recovered series (the whole series if shorter than 4).
     """
-    j, X = _unit_steps(t, "invert the step rule")
+    j, X = _unit_steps(t)
     if not j.size:
         return GapReport(steps=(), gaps=(), tail_max=0.0)
-    lam = t.lam
+    lam = t.config.lam
     w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
     gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
     q = max(1, len(gaps) // 4)
@@ -419,8 +415,9 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     """Recompute each recorded step from its predecessor and compare.
 
     Uses the stored alpha and lam, the engine's own weight rule and step
-    (`_step`), and the supplied mappings (which must match the trace's
-    labels). Pass iff every stride-1 record pair reproduces within 1e-12.
+    (`_step`, so an image the engine refuses raises its error), and the
+    supplied mappings (which must match the trace's labels). Pass iff every
+    stride-1 record pair reproduces within 1e-12.
     """
     members = (maps,) if isinstance(maps, Mapping) else maps.members
     # a truncated trace names only the active members; accept the full family
@@ -429,23 +426,19 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     if labels != t.mapping_labels:
         raise ContractViolation(
             f"trace was produced by {list(t.mapping_labels)}, got {list(labels)}")
-    j, X = _unit_steps(t, "replay")
+    j, X = _unit_steps(t)
     if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
     rule, m = _WEIGHT_RULES[t.engine], len(members)
     diff = np.empty((len(j), X.shape[1]))   # predicted minus recorded x_{n+1}
     for i, k in enumerate(j):
         rec = t.records[k]
-        # non-finite images are left to the finiteness check on diff below
-        diff[i] = _step(members, rec.x, rule(rec.alpha, m), t.lam, rec.step,
-                        finite=False)[2]
+        diff[i] = _step(members, rec.x, rule(rec.alpha, m), t.config.lam, rec.step)[2]
     diff -= X[j + 1]
     dev = _norm_last_axis(diff, t.domain.norm_kind)
     bad = np.flatnonzero(~(dev <= REPLAY_TOL))   # NaN included
     if bad.size:
         i = int(bad[0])
-        if not np.isfinite(diff[i]).all():   # the maps are outside input
-            raise InvalidInputError(f"non-finite coordinate in {diff[i].tolist()!r}")
         rec = t.records[j[i]]
         return Verdict(condition_label="replay", passed=False,
                        checked_pairs=i + 1,

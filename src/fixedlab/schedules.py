@@ -38,7 +38,7 @@ from .errors import ContractViolation, PreconditionError
 
 __all__ = [
     "ConstantSchedule", "DecaySchedule", "TentSchedule", "AlphaSchedule",
-    "DEFAULT_TENT", "PROXY_TOL", "alpha", "verify_schedule", "ScheduleReport",
+    "DEFAULT_TENT", "PROXY_TOL", "verify_schedule", "ScheduleReport",
 ]
 
 # a tail proxy below this counts as "vanished"; above it as "bounded away"
@@ -237,11 +237,6 @@ _KINDS = {cls.kind: cls for cls in (ConstantSchedule, DecaySchedule, TentSchedul
 DEFAULT_TENT = TentSchedule(peak=0.25, first_block_length=343, growth=1.6)
 
 
-def alpha(s: AlphaSchedule, n: int) -> float:
-    """Schedule value at step n. Deterministic in (s, n)."""
-    return s.alpha(n)
-
-
 @dataclass(frozen=True)
 class ScheduleReport:
     schedule: dict
@@ -302,24 +297,20 @@ def verify_schedule(s: AlphaSchedule, horizon: int) -> ScheduleReport:
     if horizon < 10:
         raise PreconditionError(f"verify_schedule needs horizon >= 10, got {horizon}")
     window_start = horizon - horizon // 4
-    lo, hi, step, prev, n = math.inf, -math.inf, 0.0, None, window_start
+    lo, hi, step, n, last = math.inf, -math.inf, 0.0, window_start, np.empty(0)
     for c in s._chunks(window_start, horizon + 1):
         if not (0.0 <= c.min() and c.max() <= 0.5):   # NaN included
             i = int(np.flatnonzero(~((c >= 0.0) & (c <= 0.5)))[0])
             raise ContractViolation(
                 f"schedule emitted {c[i].item()} outside [0, 1/2] at step {n + i}")
         n += c.size
-        # prev runs over the window, its successor one step ahead: the
-        # values before each chunk's last, and the carried one before them
-        if prev is not None:
-            lo, hi = min(lo, prev), max(hi, prev)
-            step = max(step, abs(c[0].item() - prev))
-        if c.size > 1:
-            lo = min(lo, c[:-1].min().item())
-            hi = max(hi, c[:-1].max().item())
-            d = np.diff(c)
-            step = max(step, np.abs(d, out=d).max().item())
-        prev = c[-1].item()
+        # every value but the last is paired with its successor one step
+        # ahead, so the last value of a chunk leads the next chunk
+        c, last = np.concatenate((last, c)), c[-1:]
+        lo = c[:-1].min(initial=lo).item()
+        hi = c[:-1].max(initial=hi).item()
+        d = np.diff(c)
+        step = np.abs(d, out=d).max(initial=step).item()
     return ScheduleReport(
         schedule=s.to_dict(), horizon=horizon, window_start=window_start,
         liminf_proxy=lo, limsup_proxy=hi, diff_proxy=step)

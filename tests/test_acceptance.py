@@ -29,7 +29,6 @@ from fixedlab import (
     check_condition_B,
     check_condition_C,
     check_nonexpansive,
-    cmd_run,
     dist,
     evaluate,
     goebel_kirk_gap,
@@ -40,6 +39,7 @@ from fixedlab import (
     multi_map_weights,
     residual_vanishes_check,
     rotation_scaling_map,
+    run_command,
     scaling_map,
     sweep_condition_B,
     truncated_family_run,
@@ -149,7 +149,7 @@ def test_criterion_05_monotone_distance_on_shipped_configs(tmp_path):
     three_map_elapsed = None
     for name in run_configs:
         t0 = time.perf_counter()
-        code, report = cmd_run(_cfg(name), out_dir=str(tmp_path), quiet=True)
+        code, report = run_command("run", _cfg(name), out_dir=str(tmp_path), quiet=True)
         elapsed = time.perf_counter() - t0
         assert code == 0, name
         monotone = report["diagnostics"]["monotone"]

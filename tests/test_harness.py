@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fixedlab
-from fixedlab import ConfigError, cmd_check, cmd_run, cmd_schedule, cmd_sweep, load_config, main
+from fixedlab import ConfigError, ContractViolation, load_config, main, run_command
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -56,8 +56,8 @@ def test_load_config_shipped_files_parse():
 # --- check ------------------------------------------------------------------
 
 def test_check_example1_fails_with_witness(tmp_path):
-    code, report = cmd_check(cfg_path("example1_check.json"),
-                             out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("check", cfg_path("example1_check.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 1
     assert report["passed"] is False
     by_label = {v["condition"]: v for v in report["verdicts"]}
@@ -81,7 +81,7 @@ def test_check_passing_config(tmp_path):
         "checks": ["nonexpansive", "condition_C",
                    {"check": "condition_B", "gamma": 0.7, "mu": 0.35}],
     })
-    code, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("check", p, out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["passed"] is True
     assert len(report["verdicts"]) == 3
@@ -98,7 +98,7 @@ def test_check_fixed_point_shrink_entry(tmp_path):
         "checks": [{"check": "fixed_point_shrink", "gamma": 0.7, "mu": 0.35}],
     }
     p = write_cfg(tmp_path, "shrink.json", base)
-    code, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("check", p, out_dir=str(tmp_path), quiet=True)
     assert code == 0
     (v,) = report["verdicts"]
     assert v["condition"] == "fixed_point_shrink"
@@ -119,7 +119,7 @@ def test_check_commuting_entry(tmp_path):
         "plan": {"mode": "grid", "resolution": 6, "epsilon": 1e-9},
         "checks": ["nonexpansive", "commuting"],
     })
-    code, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("check", p, out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["commuting"]["passed"] is True
 
@@ -154,7 +154,7 @@ def test_check_per_axis_resolution_runs_and_is_echoed(tmp_path):
         "plan": {"mode": "grid", "resolution": [2, 3]},
         "checks": ["nonexpansive"],
     })
-    code, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("check", p, out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["config"]["plan"]["resolution"] == [2, 3]
     assert report["verdicts"][0]["checked_pairs"] == 6 * 6
@@ -183,8 +183,8 @@ def test_python_dash_m_fixedlab_reports_as_main(tmp_path):
 # --- run --------------------------------------------------------------------
 
 def test_run_example1_writes_trace_and_report(tmp_path):
-    code, report = cmd_run(cfg_path("example1.json"), out_dir=str(tmp_path),
-                           quiet=True)
+    code, report = run_command("run", cfg_path("example1.json"), out_dir=str(tmp_path),
+                               quiet=True)
     assert code == 0
     assert report["passed"] is True
     assert report["engine"] == "single"
@@ -200,8 +200,8 @@ def test_run_example1_writes_trace_and_report(tmp_path):
 
 
 def test_run_multi_includes_commuting_and_schedule(tmp_path):
-    code, report = cmd_run(cfg_path("three_scalings.json"),
-                           out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("run", cfg_path("three_scalings.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["engine"] == "multi"
     assert report["commuting"]["passed"] is True
@@ -210,8 +210,8 @@ def test_run_multi_includes_commuting_and_schedule(tmp_path):
 
 
 def test_run_truncated_config(tmp_path):
-    code, report = cmd_run(cfg_path("truncated_family.json"),
-                           out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("run", cfg_path("truncated_family.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["engine"] == "truncated"
     assert len(report["summary"]["mappings"]) == 2
@@ -244,11 +244,11 @@ def test_run_domain_escape_is_runtime_error(tmp_path, capsys):
 def test_run_replay_is_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    code, report = cmd_run(cfg_path("example1.json"), out_dir=str(a),
-                           quiet=True)
+    code, report = run_command("run", cfg_path("example1.json"), out_dir=str(a),
+                               quiet=True)
     assert code == 0
     echo = write_cfg(tmp_path, "echo.json", report["config"])
-    code2, report2 = cmd_run(echo, out_dir=str(b), quiet=True)
+    code2, report2 = run_command("run", echo, out_dir=str(b), quiet=True)
     assert code2 == 0
     report.pop("duration_seconds")
     report2.pop("duration_seconds")
@@ -260,16 +260,16 @@ def test_run_replay_is_byte_identical(tmp_path):
 # --- schedule -----------------------------------------------------------------
 
 def test_schedule_command_pass(tmp_path):
-    code, report = cmd_schedule(cfg_path("tent_schedule.json"),
-                                out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("schedule", cfg_path("tent_schedule.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 0
     assert report["passed"] is True
     assert report["report"]["limsup_proxy"] == 0.25
 
 
 def test_schedule_command_flags_constant(tmp_path):
-    code, report = cmd_schedule(cfg_path("constant_schedule.json"),
-                                out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("schedule", cfg_path("constant_schedule.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 1
     assert report["report"]["flags"]
 
@@ -298,8 +298,8 @@ def test_schedule_command_integer_zero_constant_reports_floats(tmp_path):
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_command_writes_frozen_table(tmp_path):
-    code, report = cmd_sweep(cfg_path("example1_sweep.json"),
-                             out_dir=str(tmp_path), quiet=True)
+    code, report = run_command("sweep", cfg_path("example1_sweep.json"),
+                               out_dir=str(tmp_path), quiet=True)
     assert code == 1      # two failing cells on the diagonal
     statuses = [row["status"] for row in report["cells"]]
     assert statuses == ["fail", "fail", "pass", "pass", "pass", "pass"]
@@ -321,15 +321,15 @@ def test_seed_override_rewrites_plan(tmp_path):
         "plan": {"mode": "random", "seed": 7, "count": 40, "epsilon": 1e-9},
         "checks": ["nonexpansive"],
     })
-    _, r7 = cmd_check(p, out_dir=str(tmp_path / "7"), quiet=True)
-    _, r99 = cmd_check(p, out_dir=str(tmp_path / "99"), seed=99, quiet=True)
+    _, r7 = run_command("check", p, out_dir=str(tmp_path / "7"), quiet=True)
+    _, r99 = run_command("check", p, out_dir=str(tmp_path / "99"), seed=99, quiet=True)
     assert r7["config"]["plan"]["seed"] == 7
     assert r99["config"]["plan"]["seed"] == 99
     native = write_cfg(tmp_path, "rand99.json",
                        {**json.loads((tmp_path / "rand.json").read_text()),
                         "plan": {"mode": "random", "seed": 99, "count": 40,
                                  "epsilon": 1e-9}})
-    _, rn = cmd_check(native, out_dir=str(tmp_path / "n"), quiet=True)
+    _, rn = run_command("check", native, out_dir=str(tmp_path / "n"), quiet=True)
     assert r99["verdicts"] == rn["verdicts"]
 
 
@@ -492,6 +492,19 @@ def with_iteration(**changes):
     ("run", {**TWO_MAPPINGS, "engine": "multi", "horizon": 1e8 + 1,
              "schedule": {"kind": "decay", "scale": 0.5, "rate": 0.5}},
      "config error: horizon: 100000001 is above the bound of 100000000\n"),
+    # a run or a sweep that would take minutes and gigabytes: refused at load
+    ("run", with_iteration(max_iters=10**6 + 1),
+     "config error: iteration.max_iters: 1000001 is above the bound of 1000000\n"),
+    ("sweep", {**SCALING_RUN, "plan": GRID, "sweep": {
+        "gamma_grid": [0.5] * 257, "mu_grid": [0.25] * 256}},
+     "config error: sweep: the grids make 65792 cells, above the bound of 65536\n"),
+    ("sweep", {**SCALING_RUN, "plan": GRID, "sweep": {
+        "gamma_grid": [0.5] * 65537, "mu_grid": [0.25] * 65537, "pairing": "zip"}},
+     "config error: sweep: the grids make 65537 cells, above the bound of 65536\n"),
+    # numpy's own refusal of a negative seed would name no key
+    ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
+               "plan": {"mode": "random", "seed": -1, "count": 3}},
+     "config error: plan.seed: expected a whole number >= 0, got -1\n"),
     # an int rate past the float range, refused without building its power
     ("schedule", {"name": "steep", "horizon": 10,
                   "schedule": {"kind": "decay", "scale": 0.5, "rate": 3000000}},
@@ -522,7 +535,9 @@ def with_iteration(**changes):
         "unknown-check-name", "unknown-mapping-name", "unknown-mapping-key",
         "unknown-check-key", "short-translation-offset", "long-translation-offset",
         "grid-past-budget", "random-count-past-budget", "schedule-horizon-past-budget",
-        "run-horizon-past-budget", "decay-huge-int-rate",
+        "run-horizon-past-budget", "max_iters-past-budget",
+        "cross-sweep-past-budget", "zip-sweep-past-budget", "negative-seed",
+        "decay-huge-int-rate",
         "decay-int-over-int-rate-overflows", "zero-ball-radius", "short-x0"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,
                                          field):
@@ -552,6 +567,24 @@ def test_largest_horizon_is_accepted(tmp_path):
     """The bound itself passes the load; the schedule run is not started."""
     p = write_cfg(tmp_path, "h.json", {**SCHEDULE_ONLY, "horizon": 10**8})
     assert load_config(p).horizon == 10**8
+
+
+def test_largest_max_iters_and_sweep_are_accepted(tmp_path):
+    """Each bound itself passes the load; nothing is run."""
+    p = write_cfg(tmp_path, "i.json", with_iteration(max_iters=10**6))
+    assert load_config(p).iteration.max_iters == 10**6
+    for pairing, n in (("cross", 256), ("zip", 2**16)):
+        p = write_cfg(tmp_path, f"{pairing}.json", {**SCALING_RUN, "plan": GRID, "sweep": {
+            "gamma_grid": [0.5] * n, "mu_grid": [0.25] * n, "pairing": pairing}})
+        assert len(load_config(p).sweep["gamma_grid"]) == n
+
+
+def test_run_command_refuses_an_unknown_command(tmp_path):
+    with pytest.raises(ContractViolation,
+                       match=r"^unknown command 'bogus'; known: check, run, schedule, sweep$"):
+        run_command("bogus", write_cfg(tmp_path, "c.json", SCHEDULE_ONLY),
+                    out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_that_stops_before_a_tent_overflow_exits_0(tmp_path):
@@ -712,9 +745,11 @@ DECAY_SCHEDULE = {"name": "typed", "horizon": 100,
     ("check", {**RANDOM_CHECK, "plan": {**RANDOM_CHECK["plan"], "seed": "RAW"}},
      BIG, "plan.seed"),
     ("check", RANDOM_CHECK, BIG, "plan.seed"),   # no "RAW": the literal is --seed
+    ("check", RANDOM_CHECK, "-1", "plan.seed"),   # numpy's refusal would name no key
 ], ids=["overflow", "nan", "negative-infinity", "overflow-max_iters", "big-int-epsilon",
         "big-int-box-coordinate", "big-int-radius", "big-int-factor", "big-int-x0",
-        "big-int-decay-scale", "big-int-decay-rate", "big-int-seed", "big-int-cli-seed"])
+        "big-int-decay-scale", "big-int-decay-rate", "big-int-seed", "big-int-cli-seed",
+        "negative-cli-seed"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, command, payload,
                                            literal, field):
     p = tmp_path / "raw.json"
@@ -834,7 +869,7 @@ def test_every_mapping_with_a_label_parameter_honours_it(tmp_path, desc):
         "name": "lab", "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
         "mappings": [{**desc, "label": "mine"}],
         "plan": {"mode": "grid", "resolution": 3}, "checks": ["nonexpansive"]})
-    _, report = cmd_check(p, out_dir=str(tmp_path), quiet=True)
+    _, report = run_command("check", p, out_dir=str(tmp_path), quiet=True)
     assert [v["mapping"] for v in report["verdicts"]] == ["mine"]
 
 

@@ -29,7 +29,6 @@ from fixedlab import (
     DomainError,
     GALLERY_BALL,
     GALLERY_BOX,
-    InvalidInputError,
     InvariantError,
     IterationConfig,
     IterationRuntimeError,
@@ -387,12 +386,6 @@ def test_gap_agrees_with_stored_residual(affine):
         assert abs(gap - by_step[step]) <= 1e-12
 
 
-def test_gap_requires_known_lambda(example1_trace):
-    broken = dataclasses.replace(example1_trace, lam=None)
-    with pytest.raises(ContractViolation):
-        goebel_kirk_gap(broken)
-
-
 def test_gap_skips_non_consecutive_records(example1):
     cfg = IterationConfig(lam=0.5, max_iters=40, record_every=5)
     t = krasnoselskii_run(example1, [3.0], cfg)
@@ -511,7 +504,8 @@ def test_replay_rejects_a_non_finite_prediction(example1_trace):
     d = Domain.box([0.0], [4.0])
     nan_map = register_mapping(lambda p: p * float("nan"), d,
                                example1_trace.mapping_labels[0], self_map=False)
-    with pytest.raises(InvalidInputError, match="non-finite"):
+    with pytest.raises(IterationRuntimeError,
+                       match="returned an invalid image at step 0"):
         replay_trace(example1_trace, nan_map)
 
 

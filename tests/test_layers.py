@@ -3,9 +3,11 @@
 Only `harness` reads configs, so only it raises ConfigError; the other
 modules export plain tables and functions. A private name one module takes
 from another is a seam between them, so each one is listed here: a new
-seam is a decision to make in review, not a side effect of an edit.
+seam is a decision to make in review, not a side effect of an edit. So is
+every name the package exports.
 """
 import ast
+import inspect
 import os
 
 import fixedlab
@@ -19,6 +21,37 @@ PRIVATE_IMPORTS = {
                 "schedules": {"_KINDS"}},
     "iterate": {"vecspace": {"_blend", "_norm_floats", "_norm_last_axis"}},
     "mappings": {"vecspace": {"_freeze"}},
+}
+
+
+#: every public name `fixedlab` exports, its submodules aside
+PUBLIC_NAMES = {
+    # errors
+    "ConfigError", "ContractViolation", "DomainError", "FixedLabError",
+    "InvalidInputError", "InvariantError", "IterationRuntimeError", "PreconditionError",
+    # vecspace and verdicts
+    "Domain", "NormKind", "SamplePlan", "Vector", "as_vector", "convex_combination",
+    "dist", "norm", "pairwise_norm", "sample", "Verdict", "Witness",
+    # mappings
+    "GALLERY_AFFINE_MATRIX", "GALLERY_AFFINE_SHIFT", "GALLERY_BALL", "GALLERY_BOX",
+    "Mapping", "MappingFamily", "affine_map", "builtin_gallery", "check_commuting",
+    "common_fixed_points", "compose", "constant_map", "evaluate", "example1_map",
+    "identity_map", "make_family", "piecewise_map", "register_mapping",
+    "rotation_scaling_map", "scaling_map", "translation_map",
+    # conditions
+    "BGammaMu", "SweepCell", "SweepTable", "check_condition_B", "check_condition_C",
+    "check_condition_C_lambda", "check_lemma3", "check_nonexpansive", "check_prop1",
+    "check_quasi_nonexpansive", "sweep_condition_B",
+    # schedules
+    "DEFAULT_TENT", "AlphaSchedule", "ConstantSchedule", "DecaySchedule",
+    "ScheduleReport", "TentSchedule", "verify_schedule",
+    # iterate
+    "GapReport", "IterationConfig", "Trace", "TraceStep", "asymptotic_radius",
+    "goebel_kirk_gap", "krasnoselskii_run", "monotone_distance_check", "multi_map_run",
+    "multi_map_weights", "replay_trace", "residual_vanishes_check", "trace_to_csv",
+    "truncated_family_run", "truncated_weights",
+    # harness
+    "ExperimentConfig", "build_mapping", "load_config", "main", "run_command",
 }
 
 
@@ -52,3 +85,9 @@ def test_private_imports_are_exactly_the_listed_seams():
         if name.startswith("_"):
             found.setdefault(module, {}).setdefault(source, set()).add(name)
     assert found == PRIVATE_IMPORTS
+
+
+def test_public_names_are_exactly_the_listed_exports():
+    exported = {name for name, v in vars(fixedlab).items()
+                if not name.startswith("_") and not inspect.ismodule(v)}
+    assert exported == PUBLIC_NAMES

@@ -29,7 +29,6 @@ from fixedlab import (
     PreconditionError,
     SamplePlan,
     TentSchedule,
-    alpha,
     verify_schedule,
 )
 from fixedlab import schedules
@@ -104,11 +103,6 @@ def test_tent_block_starts_are_zero():
     s = TentSchedule(peak=0.25, first_block_length=4, growth=2.0)
     for start in (0, 4, 12, 28):    # cumulative 4*2**j
         assert s.alpha(start) == 0.0
-
-
-def test_module_level_alpha_helper():
-    s = ConstantSchedule(0.2)
-    assert alpha(s, 7) == 0.2
 
 
 @given(st.floats(min_value=0.01, max_value=0.5),
@@ -487,6 +481,20 @@ def test_steep_decay_is_refused_before_any_power_past_the_float_range(monkeypatc
             f"decay rate {rate} overflows a float at step {step}: "
             f"{step + 1}**{rate} is too large")):
         list(s.values(0, 100))
+
+
+@pytest.mark.parametrize("rate,served", [(1024, 1), (1024.0, 1), (1023.5, 2)],
+                         ids=["int-1024", "float-1024", "float-1023.5"])
+def test_decay_power_near_the_float_limit_is_decided_exactly(rate, served):
+    """A power whose binary exponent lies in [1023, 1025] is built to decide
+    whether it overflows: 2**1024 does, 2**1023.5 does not, and 3**1023.5 is
+    refused from its exponent alone."""
+    s = DecaySchedule(0.5, rate)
+    assert list(s.values(0, served)) == reference_decay(0.5, rate, served)
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"decay rate {rate} overflows a float at step {served}: "
+            f"{served + 1}**{rate} is too large")):
+        list(s.values(0, served + 1))
 
 
 @pytest.mark.parametrize("start", [0, 1])
