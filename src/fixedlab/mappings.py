@@ -41,8 +41,12 @@ class Mapping:
     """A labelled point mapping on a fixed domain.
 
     A builtin map whose array form is elementwise also sets `fn.floats`, the
-    same map on a list of Python floats, which the engines' step calls
-    instead of fn; a wrapped or reassigned fn carries no such form."""
+    same map on the list of a point's d coordinates, each one a Python float
+    or a float64 column of rows. The engines' step calls it on floats and
+    replay on columns, instead of fn. It computes each coordinate by float
+    operations alone, so every row of a column gets the IEEE result it gets
+    as a float, and a constant coordinate may stay a float, which broadcasts.
+    A wrapped or reassigned fn carries no such form."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Domain
@@ -271,7 +275,6 @@ def piecewise_map(domain: Domain, default: float,
     def fn(p, _table=table, _default=float(default)):
         return np.array([_table.get(float(p[0]), _default)])
 
-    fn.floats = lambda q, _t=table, _d=float(default): [_t.get(q[0], _d)]
     return register_mapping(fn, domain, label,
                             known_fixed_points=known_fixed_points)
 

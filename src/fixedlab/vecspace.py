@@ -243,6 +243,8 @@ class SamplePlan:
     @staticmethod
     def random(seed: int, count: int, epsilon: float = 1e-9) -> "SamplePlan":
         seed, count = _whole(seed, "seed"), _whole(count, "count")
+        if seed < 0:   # numpy's own refusal would name no field
+            raise InvalidInputError(f"random sample seed must be >= 0, got {seed}")
         if count < 1:
             raise InvalidInputError(f"random sample count must be >= 1, got {count}")
         return SamplePlan(mode="random", seed=seed, count=count, epsilon=float(epsilon))

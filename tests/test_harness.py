@@ -501,6 +501,11 @@ def with_iteration(**changes):
     ("sweep", {**SCALING_RUN, "plan": GRID, "sweep": {
         "gamma_grid": [0.5] * 65537, "mu_grid": [0.25] * 65537, "pairing": "zip"}},
      "config error: sweep: the grids make 65537 cells, above the bound of 65536\n"),
+    # each budget alone holds, but the sweep would scan 2**37 pairs
+    ("sweep", {**SCALING_RUN, "domain": BOX, "plan": {"mode": "grid", "resolution": 512},
+               "sweep": {"gamma_grid": [0.5, 0.6], "mu_grid": [0.25]}},
+     "config error: sweep: 2 cells of 262144**2 pairs make 137438953472 pairs, "
+     "above the bound of 68719476736\n"),
     # numpy's own refusal of a negative seed would name no key
     ("check", {**SCALING_RUN, "checks": ["nonexpansive"],
                "plan": {"mode": "random", "seed": -1, "count": 3}},
@@ -536,7 +541,8 @@ def with_iteration(**changes):
         "unknown-check-key", "short-translation-offset", "long-translation-offset",
         "grid-past-budget", "random-count-past-budget", "schedule-horizon-past-budget",
         "run-horizon-past-budget", "max_iters-past-budget",
-        "cross-sweep-past-budget", "zip-sweep-past-budget", "negative-seed",
+        "cross-sweep-past-budget", "zip-sweep-past-budget", "sweep-pairs-past-budget",
+        "negative-seed",
         "decay-huge-int-rate",
         "decay-int-over-int-rate-overflows", "zero-ball-radius", "short-x0"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload,

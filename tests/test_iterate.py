@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fixedlab import (
@@ -36,6 +36,7 @@ from fixedlab import (
     SamplePlan,
     TentSchedule,
     asymptotic_radius,
+    constant_map,
     dist,
     goebel_kirk_gap,
     identity_map,
@@ -54,6 +55,7 @@ from fixedlab import (
     truncated_family_run,
     truncated_weights,
 )
+from fixedlab import iterate
 from fixedlab.schedules import AlphaSchedule
 from helpers import reference_averaged_run
 
@@ -390,8 +392,8 @@ def test_gap_skips_non_consecutive_records(example1):
     cfg = IterationConfig(lam=0.5, max_iters=40, record_every=5)
     t = krasnoselskii_run(example1, [3.0], cfg)
     rep = goebel_kirk_gap(t)
-    assert rep.gaps == () or rep.gaps == []
-    assert rep.tail_max == 0.0
+    assert rep.gaps == ()
+    assert rep.tail_max is None   # a maximum over no pair is no number
 
 
 def test_monotone_distance_check_passes(example1_trace):
@@ -474,12 +476,15 @@ class _Cut(AlphaSchedule):
             yield np.full(min(stop, self.steps) - start, self.value)
 
 
-def test_engine_refuses_the_weights_of_an_alpha_above_one_half():
-    """verify_schedule range-checks alpha; the engine checks the weights."""
+@pytest.mark.parametrize("alpha, shown", [(0.9, r"0\.9"), (math.nan, "nan")],
+                         ids=["above-one-half", "nan"])
+def test_engine_refuses_the_weights_of_an_invalid_alpha(alpha, shown):
+    """verify_schedule range-checks alpha; the engine checks the weights,
+    whose sum is NaN, not off by more than the tolerance, for a NaN alpha."""
     fam = scaling_family([0.99, 0.98, 0.97])
     cfg = IterationConfig(lam=0.5, max_iters=60, residual_tol=0.0)
-    with pytest.raises(InvariantError, match=r"invalid at step 0 \(alpha=0\.9\)$"):
-        multi_map_run(fam, _Cut(0.9, 100), [0.6, 0.3], cfg)
+    with pytest.raises(InvariantError, match=rf"invalid at step 0 \(alpha={shown}\)$"):
+        multi_map_run(fam, _Cut(alpha, 100), [0.6, 0.3], cfg)
 
 
 def test_engine_refuses_a_schedule_whose_values_end_early():
@@ -515,6 +520,127 @@ def test_replay_flags_tampering(example1, example1_trace):
     doctored = dataclasses.replace(example1_trace, records=tuple(recs))
     v = replay_trace(doctored, example1)
     assert not v.passed
+
+
+# --- replay of every step -----------------------------------------------------------
+
+def _replay_members():
+    """Three maps on the unit ball: two with a float form, one without
+    (replayed row by row), and a constant whose zero weight must leave a
+    -0.0 blend coordinate as it is."""
+    return [scaling_map(GALLERY_BALL, 0.97),
+            rotation_scaling_map(GALLERY_BALL, 0.4, 0.9, label="rotation"),
+            constant_map(GALLERY_BALL, [0.25, 0.125])]
+
+
+@given(engine=st.sampled_from(["single", "multi", "truncated"]),
+       record_every=st.integers(1, 7), decimation_start=st.integers(0, 40),
+       max_iters=st.integers(1, 90), block=st.integers(2, 6),
+       growth=st.sampled_from([1.0, 1.6]), zero=st.booleans(),
+       x0=st.sampled_from([(0.6, 0.3), (0.5, -0.0), (-0.0, -0.0), (-0.3, 0.7)]),
+       rows=st.sampled_from([1, 3, 1024]))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_replay_repeats_every_step_of_an_engine_trace(
+        monkeypatch, engine, record_every, decimation_start, max_iters, block,
+        growth, zero, x0, rows):
+    """Decimated intervals included, every interval ends on its record bit
+    for bit, over tent edges (alpha 0) and the zero schedule alike, and
+    whether the intervals run in one lockstep block or in many."""
+    monkeypatch.setattr(iterate, "DECIMATION_START", decimation_start)
+    monkeypatch.setattr(iterate, "_LOCKSTEP_ROWS", rows)
+    members = _replay_members()
+    fam = make_family(members)
+    s = ConstantSchedule(0.0) if zero else TentSchedule(0.25, block, growth)
+    cfg = IterationConfig(lam=0.5, max_iters=max_iters, residual_tol=0.0,
+                          record_every=record_every, truncation_K=2)
+    t = (krasnoselskii_run(members[1], x0, cfg) if engine == "single" else
+         (multi_map_run if engine == "multi" else truncated_family_run)(fam, s, x0, cfg))
+    v = replay_trace(t, members[1] if engine == "single" else fam)
+    assert v.passed
+    assert v.checked_pairs == t.records[-1].step - t.records[0].step == t.total_steps
+    assert v.observed_max == (0.0 if t.total_steps else None)   # None over no step
+    steps = np.array([r.step for r in t.records])
+    X = np.array([r.x for r in t.records])
+    alphas = (np.zeros(t.total_steps + 1) if engine == "single"
+              else np.fromiter(s.values(0, t.total_steps + 1), float))
+    active = [members[1]] if engine == "single" else members[:len(t.mapping_labels)]
+    predicted = iterate._lockstep(active, engine, 0.5, steps, X, alphas)
+    assert predicted.tobytes() == X[1:].tobytes()
+
+
+def _decimated():
+    """A multi trace of 61 steps recorded every 5 steps and at its last: 14 records."""
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=61, residual_tol=0.0, record_every=5)
+    return multi_map_run(fam, TENT, [0.6, 0.3], cfg), fam
+
+
+def test_replay_of_a_decimated_trace_draws_one_alpha_stream(monkeypatch):
+    t, fam = _decimated()
+    calls = []
+    real = AlphaSchedule.values
+    monkeypatch.setattr(AlphaSchedule, "values",
+                        lambda s, a, b: calls.append((a, b)) or real(s, a, b))
+    v = replay_trace(t, fam)
+    assert v.passed and v.checked_pairs == 61 and v.observed_max == 0.0
+    assert calls == [(0, 62)]
+
+
+def test_a_record_nudged_by_1e_9_fails_at_its_interval():
+    t, fam = _decimated()
+    recs = list(t.records)
+    recs[4] = dataclasses.replace(recs[4], x=(recs[4].x[0] + 1e-9, recs[4].x[1]))
+    v = replay_trace(dataclasses.replace(t, records=tuple(recs)), fam)
+    assert not v.passed
+    assert v.checked_pairs == 20
+    assert v.witness.step == 20 and v.witness.x == recs[3].x
+    assert v.witness.lhs > 1e-10 and v.witness.rhs == 1e-12
+
+
+def test_a_doctored_alpha_fails_at_its_record():
+    t, fam = _decimated()
+    recs = list(t.records)
+    recs[6] = dataclasses.replace(recs[6], alpha=recs[6].alpha + 0.01)
+    v = replay_trace(dataclasses.replace(t, records=tuple(recs)), fam)
+    assert not v.passed
+    assert v.checked_pairs == 30
+    w = v.witness
+    assert (w.step, w.x, w.detail) == (30, recs[6].x, "alpha")
+    assert (w.lhs, w.rhs) == (recs[6].alpha, t.records[6].alpha)
+
+
+def test_replay_refuses_a_trace_without_the_schedule_it_needs():
+    t, fam = _decimated()
+    with pytest.raises(ContractViolation,
+                       match=r"^a 'multi' trace carries no schedule to replay$"):
+        replay_trace(dataclasses.replace(t, schedule=None), fam)
+    with pytest.raises(InvariantError, match=r"^schedule values ended before step 61$"):
+        replay_trace(dataclasses.replace(t, schedule=_Cut(TENT.alpha(0), 40)), fam)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("rows", [2, 1024])
+def test_replay_names_the_lowest_step_whose_image_is_invalid(monkeypatch, rows):
+    """x_n = n * 5e306. The replayed map overflows from step 8 on, which the
+    interval from step 5 reaches only at its fourth step: later intervals
+    fail at their first, at steps 10 to 25, in the same lockstep block or
+    in later ones."""
+    monkeypatch.setattr(iterate, "_LOCKSTEP_ROWS", rows)
+    box = Domain.box([0.0], [1.79e308])
+    cfg = IterationConfig(lam=0.5, max_iters=30, record_every=5)
+    t = krasnoselskii_run(translation_map(box, [1e307], label="shift"), [0.0], cfg)
+
+    def shift(p):   # the same shift up to x = 3.9e307, then inf
+        return p + 1e307 + 1.7e308 * (p > 3.9e307)
+
+    shift.floats = lambda q: [c + 1e307 + 1.7e308 * (c > 3.9e307) for c in q]
+    far = register_mapping(shift, box, "shift", self_map=False)
+    wrapped = dataclasses.replace(far, fn=lambda p, _fn=far.fn: _fn(p))   # no form
+    for m in (far, wrapped):
+        with pytest.raises(IterationRuntimeError,
+                           match=r"^mapping 'shift' returned an invalid image at step 8$"):
+            replay_trace(t, m)
 
 
 # --- CSV export -------------------------------------------------------------------

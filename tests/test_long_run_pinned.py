@@ -7,6 +7,13 @@ steps over three gentle scalings, a record every 100 steps (every 1000
 past step 10**4) and a flat tent of 200-step blocks. The sha256 literals
 were recorded before the engine step and the tent walk were rewritten, and
 are never re-recorded to fit a change.
+
+The one change: replay used to skip every interval longer than one step,
+so the report read `checked_pairs: 0` and a gap maximum of 0.0 over no
+pair. It now replays all 20 000 steps, and the gap over no pair is null.
+`REPORT_SHA_SKIPPING` is the report of that earlier replay; put its two
+values back into today's report and it must hash to it, so nothing else
+in the report has moved.
 """
 import hashlib
 import json
@@ -27,7 +34,8 @@ LONG_TENT = {
                   "residual_tol": 0.0, "record_every": 100},
 }
 
-REPORT_SHA = "5f4de832f26f5644c53cecfe2414815d52b1221eb996ac60bca037918b826fb5"
+REPORT_SHA = "5baedc8ff9022c3593334acde80b935bd99e423386742b8e769b572e2de9641f"
+REPORT_SHA_SKIPPING = "5f4de832f26f5644c53cecfe2414815d52b1221eb996ac60bca037918b826fb5"
 TRACE_SHA = "1d227a0d8e9e8bbcdc5cfdb3ee038e87593eedab11e6ce3159f62689cb2cf3f4"
 
 
@@ -46,4 +54,11 @@ def test_long_decimated_tent_run_is_pinned(tmp_path):
     assert report["summary"]["total_steps"] == 20000
     assert report["summary"]["recorded_steps"] == 111
     assert sha256(json.dumps(report, indent=2).encode()) == REPORT_SHA
+    diag = report["diagnostics"]
+    assert diag["replay"]["passed"] is True
+    assert diag["replay"]["checked_pairs"] == 20000
+    assert diag["replay"]["observed_max"] == 0.0
+    assert diag["gap_tail_max"] is None and diag["gap_pairs"] == 0
+    diag["replay"]["checked_pairs"], diag["gap_tail_max"] = 0, 0.0
+    assert sha256(json.dumps(report, indent=2).encode()) == REPORT_SHA_SKIPPING
     assert sha256((out / "long_tent_trace.csv").read_bytes()) == TRACE_SHA

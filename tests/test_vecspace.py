@@ -220,6 +220,8 @@ def test_plan_validation():
     for bad in ([2.5, 3], 4.5, True, [3, False]):
         with pytest.raises(InvalidInputError, match="resolution"):
             SamplePlan.grid(bad)
+    with pytest.raises(InvalidInputError, match=r"^random sample seed must be >= 0, got -1$"):
+        SamplePlan.random(-1, 3)
     for seed, count in ((7.9, 3), (7, 3.7), (True, 3), (1, True)):
         with pytest.raises(InvalidInputError, match="seed|count"):
             SamplePlan.random(seed, count)
