@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,43 +67,64 @@ class BGammaMu:
 _TILE = 16
 
 
+class _Check(NamedTuple):
+    """One condition as `_scan` runs it. `symmetric` is declared where the
+    check is described, never inferred: it says that the conclusion's two
+    sides at the pair (y, x) equal those at (x, y) bit for bit, so the scan
+    compares them once per unordered pair. `parts` is described at `_scan`."""
+
+    label: str
+    params: tuple
+    cols: str
+    symmetric: bool
+    parts: Callable
+
+
 class _Buffers(dict):
     """The arrays a scan reuses on every tile, each made on first use: key
-    (name, cols) holds `rows` rows of one entry per point of pts[cols],
-    bools for the name "viol" and floats otherwise."""
+    (name, cols) holds room for `rows` rows of one entry per point of
+    pts[cols], bools for the name "viol" and floats otherwise."""
 
     def __init__(self, rows: int, pts: dict):
         super().__init__()
         self.rows, self.pts = rows, pts
 
     def __missing__(self, key: tuple) -> np.ndarray:
-        b = self[key] = np.empty((self.rows, len(self.pts[key[1]])),
+        b = self[key] = np.empty(self.rows * len(self.pts[key[1]]),
                                  bool if key[0] == "viol" else float)
         return b
 
 
-class _Tile(dict):
-    """Distances from the sample rows `rows` to every column, each computed
-    into the scan's buffers when a check first asks for it. Key "ab" holds
-    ||a_i - b_j||, where x is a sample point, T its image and z a known
-    fixed point, and "xT+Tx" the sum of two; `disp` holds every sample
-    point's ||x_i - Tx_i||."""
+class _Tile:
+    """Distances from the sample rows `rows` to the columns from `first`
+    on, each computed into the scan's buffers when a check first asks for
+    it. Key "ab" holds ||a_i - b_j||, where x is a sample point, T its
+    image and z a known fixed point, and "xT+Tx" the sum of two. A check
+    sets `first` before it reads: 0, or rows.start for a symmetric check,
+    which reads the upper part only. The checks that read every column go
+    first, so an array one of them reads is computed whole, and a
+    symmetric check reads its upper part."""
 
-    def __init__(self, pts: dict, disp: np.ndarray, rows: slice, kind, bufs: _Buffers):
-        super().__init__()
-        self.pts, self.disp, self.rows, self.kind, self.bufs = pts, disp, rows, kind, bufs
+    def __init__(self, pts: dict, rows: slice, kind, bufs: _Buffers):
+        self.pts, self.rows, self.kind, self.bufs, self.first = pts, rows, kind, bufs, 0
+        self.made: dict[str, tuple[int, np.ndarray]] = {}   # key -> (its first column, array)
 
     def out(self, name: str, cols: str = "x") -> np.ndarray:
-        """The scan's buffer (name, cols), cut to this tile's rows: its
-        entries hold whatever the last tile left there."""
-        return self.bufs[name, cols][:self.rows.stop - self.rows.start]
+        """The scan's buffer (name, cols) shaped as this tile's rows by the
+        columns from `first` on: its entries hold whatever the last tile
+        left there."""
+        shape = (self.rows.stop - self.rows.start, len(self.pts[cols]) - self.first)
+        return self.bufs[name, cols][:shape[0] * shape[1]].reshape(shape)
 
-    def __missing__(self, key: str) -> np.ndarray:
-        out = self.out(key, key[-1])
-        d = self[key] = (np.add(self["xT"], self["Tx"], out=out) if key == "xT+Tx"
-                         else pairwise_norm(self.pts[key[0]][self.rows], self.pts[key[1]],
-                                            self.kind, out=out))
-        return d
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self.made:
+            out = self.out(key, key[-1])
+            self.made[key] = self.first, (
+                np.add(self["xT"], self["Tx"], out=out) if key == "xT+Tx"
+                else pairwise_norm(self.pts[key[0]][self.rows], self.pts[key[1]][self.first:],
+                                   self.kind, out=out))
+        start, d = self.made[key]
+        return d[:, self.first - start:]
 
 
 def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,51 +134,64 @@ def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.nd
     return X, TX, _norm_last_axis(X - TX, T.domain.norm_kind)
 
 
-def _scan(T: Mapping, plan: SamplePlan, checks, images) -> list[Verdict]:
+def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Verdict]:
     """Run every check over the ordered (x_i, c_j) pairs of the sample
     points x_i and the check's columns c_j: the sample itself ("x") or T's
     known fixed points ("z"). `images` is `_images(T, plan)`.
 
-    A check is (label, params, cols, parts), where parts(tile) gives its
-    parts on the tile's pairs as (premise, lhs, rhs, detail): pair (i, j)
-    violates a part when lhs[i, j] > rhs[i, j] + epsilon and premise(tile)
-    [i, j] holds (a None premise always holds). The premise is evaluated
-    only on a tile where the conclusion fails. A part may write into the
-    tile's "tmp" buffer, which the comparison then reuses. Where parts first
-    fail on the same pair, the earlier part is the witness. The scan walks
-    row tiles in order, so the first tile with a hit holds the row-major
-    first witness; a check retires there, and the scan stops once every
-    check has retired.
+    parts(tile) gives a check's parts on the tile's pairs as (premise,
+    lhs, rhs, detail): the pair (x, y) violates a part when lhs > rhs +
+    epsilon and premise(||x - Tx||, ||y - Ty||, ||x - y||) holds, each
+    argument broadcast to the tile (a None premise always holds). A
+    premise is evaluated only on a tile where the conclusion fails. A part
+    may write into the tile's "tmp" buffer, which the comparison then
+    reuses. Where parts first fail on the same pair, the earlier part is
+    the witness.
+
+    The scan walks row tiles [lo, hi) in order. A check reads every column,
+    or, if symmetric, the columns from lo on: its entry (i, j) stands for
+    both (x_i, x_j) and (x_j, x_i), and its premise is evaluated in both
+    orientations. Each check keeps its row-major first candidate pair.
+    After tile [lo, hi) every pair in a row below hi has been seen, so a
+    check whose candidate lies in such a row has its first witness and
+    retires; the scan stops once every check has retired.
     """
     X, TX, disp = images
     pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
     bufs = _Buffers(min(_TILE, len(X)), pts)
-    found: dict[int, Witness] = {}   # check index -> its first witness
+    best: dict[int, tuple] = {}   # check index -> (row, column, part, witness)
     for lo in range(0, len(X), _TILE):
-        live = [k for k in range(len(checks)) if k not in found]
+        live = [k for k in range(len(checks)) if k not in best or best[k][0] >= lo]
         if not live:
             break
-        tile = _Tile(pts, disp, slice(lo, min(lo + _TILE, len(X))), T.domain.norm_kind, bufs)
-        for k in live:
-            cols, hit = checks[k][2], None
-            for premise, lhs, rhs, detail in checks[k][3](tile):
-                viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", cols)),
-                                  out=tile.out("viol", cols))
-                flat = int(np.argmax(viol))   # first True in row-major order
-                if viol.flat[flat] and premise is not None:
-                    viol &= premise(tile)
-                    flat = int(np.argmax(viol))
-                if viol.flat[flat] and (hit is None or flat < hit[0]):
-                    # read now: the next part may overwrite the buffers
-                    i, j = divmod(flat, viol.shape[1])
-                    hit = (flat, Witness.at(X[lo + i], lhs=lhs[i, j], rhs=rhs[i, j],
-                                            y=pts[cols][j], detail=detail))
-            if hit is not None:
-                found[k] = hit[1]
-    return [Verdict(condition_label=label, passed=k not in found,
-                    checked_pairs=len(X) * len(pts[cols]), witness=found.get(k),
-                    plan=plan, params=params)
-            for k, (label, params, cols, _) in enumerate(checks)]
+        tile = _Tile(pts, slice(lo, min(lo + _TILE, len(X))), T.domain.norm_kind, bufs)
+        for k in sorted(live, key=lambda k: checks[k].symmetric):   # whole rows first
+            check = checks[k]
+            tile.first = lo if check.symmetric else 0
+            # (premise arguments, orientation of an entry, first row, first column)
+            sides = [((disp[tile.rows, None], disp[None, tile.first:]), np.asarray,
+                      lo, tile.first)]
+            if check.symmetric:
+                sides.append((sides[0][0][::-1], np.transpose, tile.first, lo))
+            for part, (premise, lhs, rhs, detail) in enumerate(check.parts(tile)):
+                viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", check.cols)),
+                                  out=tile.out("viol", check.cols))
+                if not viol.any():
+                    continue
+                for args, orient, row0, col0 in sides:
+                    hits = orient(viol if premise is None
+                                  else viol & premise(*args, tile["xx"]))
+                    i, j = divmod(int(np.argmax(hits)), hits.shape[1])   # row-major first
+                    at = (row0 + i, col0 + j, part)
+                    if hits[i, j] and (k not in best or at < best[k][:3]):
+                        # read now: the next part may overwrite the buffers
+                        best[k] = (*at, Witness.at(
+                            X[at[0]], lhs=orient(lhs)[i, j], rhs=orient(rhs)[i, j],
+                            y=pts[check.cols][at[1]], detail=detail))
+    return [Verdict(condition_label=c.label, passed=k not in best,
+                    checked_pairs=len(X) * len(pts[c.cols]),
+                    witness=best[k][-1] if k in best else None, plan=plan, params=c.params)
+            for k, c in enumerate(checks)]
 
 
 def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
@@ -174,7 +208,7 @@ def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
     prepared = []
     for request in requests:
         checks, finish = request(T, plan, images)
-        if not T.known_fixed_points and any(c[2] == "z" for c in checks):
+        if not T.known_fixed_points and any(c.cols == "z" for c in checks):
             raise PreconditionError(
                 f"mapping {T.label!r} has no known fixed points to check against")
         keys = [repr(c[:3]) for c in checks]
@@ -197,7 +231,8 @@ def _one(check):
 
 
 def _nonexpansive():
-    return _one(("nonexpansive", (), "x", lambda t: [(None, t["TT"], t["xx"], None)]))
+    return _one(_Check("nonexpansive", (), "x", True,
+                       lambda t: [(None, t["TT"], t["xx"], None)]))
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -206,7 +241,7 @@ def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
 
 
 def _quasi_nonexpansive(label: str = "quasi_nonexpansive", params: tuple = ()):
-    return _one((label, params, "z", lambda t: [(None, t["Tz"], t["xz"], None)]))
+    return _one(_Check(label, params, "z", False, lambda t: [(None, t["Tz"], t["xz"], None)]))
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -240,9 +275,10 @@ def _condition_c(lam: float, label: str = "condition_C_lambda"):
         raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
     params = (("lambda", lam),) if label == "condition_C_lambda" else ()
 
-    def premise(t):
-        return lam * t.disp[t.rows, None] <= t["xx"]
-    return _one((label, params, "x", lambda t: [(premise, t["TT"], t["xx"], None)]))
+    def premise(dx, dy, xx):
+        return lam * dx <= xx
+    return _one(_Check(label, params, "x", True,
+                       lambda t: [(premise, t["TT"], t["xx"], None)]))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -260,15 +296,15 @@ def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
 
 def _condition_b(p: BGammaMu):
     """The two-parameter condition as a check for `_scan`."""
-    def premise(t):
-        return p.gamma * t.disp[t.rows, None] <= t["xx"] + p.mu * t.disp[None, :]
+    def premise(dx, dy, xx):
+        return p.gamma * dx <= xx + p.mu * dy
 
     def parts(t):
         # (1 - gamma)*xx + mu*(xT + Tx), operation for operation
         rhs = np.multiply(1.0 - p.gamma, t["xx"], out=t.out("rhs"))
         rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
         return [(premise, t["TT"], rhs, None)]
-    return "condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", parts
+    return _Check("condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", True, parts)
 
 
 def check_condition_B(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -291,9 +327,6 @@ def _prop1(theta: float, p: BGammaMu):
         viol_i = dTxTtx > dxTx + eps
         i = int(np.argmax(viol_i))   # first point violating part (i)
 
-        def premise_ii(t):
-            return half * dTxTtx[t.rows, None] > t["Tx"] + eps
-
         def parts(t):
             d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
             # (iii)'s sides, operation for operation: (1 - mu)*xT and
@@ -304,8 +337,9 @@ def _prop1(theta: float, p: BGammaMu):
             mu_terms += 2.0 * dd
             rhs += np.multiply(p.mu, mu_terms, out=mu_terms)
             # (ii) fails where both alternatives fail: the first as the
-            # inequality, the second as the premise
-            return [(premise_ii, np.broadcast_to(half * d, t["xx"].shape), t["xx"], "part (ii)"),
+            # inequality, the second as the premise, read from this tile
+            return [(lambda *_: half * dd > t["Tx"] + eps,
+                     np.broadcast_to(half * d, t["xx"].shape), t["xx"], "part (ii)"),
                     (None, np.multiply(1.0 - p.mu, t["xT"], out=t.out("lhs")), rhs,
                      "part (iii)")]
 
@@ -324,7 +358,7 @@ def _prop1(theta: float, p: BGammaMu):
                            plan=plan, params=params)
 
         return [_condition_b(p)] + (
-            [] if viol_i[i] else [("prop1", params, "x", parts)]), finish
+            [] if viol_i[i] else [_Check("prop1", params, "x", False, parts)]), finish
     return prepare
 
 

@@ -154,7 +154,7 @@ class Domain:
         if not np.all(lo <= up):
             raise InvalidInputError(f"box lower bound exceeds upper: {lo.tolist()} vs {up.tolist()}")
         return Domain(shape="box", norm_kind=NormKind(norm_kind),
-                      lower=tuple(map(float, lo)), upper=tuple(map(float, up)))
+                      lower=tuple(map(float, lo)), upper=tuple(map(float, up)))._bounded()
 
     @staticmethod
     def ball(center: Sequence[float], radius: float,
@@ -164,7 +164,19 @@ class Domain:
         if not (math.isfinite(r) and r > 0):
             raise InvalidInputError(f"ball radius must be finite and positive, got {radius}")
         return Domain(shape="ball", norm_kind=NormKind(norm_kind),
-                      center=tuple(map(float, c)), radius=r)
+                      center=tuple(map(float, c)), radius=r)._bounded()
+
+    def _bounded(self) -> "Domain":
+        """self, once its bounding box has finite bounds and a finite extent
+        on every axis: a sample of a wider one would hold NaN points."""
+        with np.errstate(over="ignore"):
+            lo, up = self.bounding_box()
+            extent = up - lo
+        if not np.all(np.isfinite(extent)):
+            raise InvalidInputError(
+                f"the extent of the bounding box from {lo.tolist()} to {up.tolist()} "
+                "overflows a float")
+        return self
 
     @property
     def dimension(self) -> int:

@@ -241,3 +241,29 @@ def reference_sample(domain: Domain, plan: SamplePlan) -> list[Vector]:
             pts = pts[:plan.count]
     return [_freeze(p.copy()) for p in pts]
 
+
+
+def oracle_prop1(fn, points, theta, mu, eps, kind=NormKind.L2):
+    """(passed, witness) where witness = (x, y, lhs, rhs, part): the first
+    point failing part (i), else the first pair failing part (ii) or (iii),
+    (ii) first on one pair. (ii) fails where both its alternatives fail;
+    (iii) has its ||x - Ty|| term moved left."""
+    images = [fn(p) for p in points]
+    for x, tx in zip(points, images):
+        lhs, rhs = dist(tx, fn(tx), kind), dist(x, tx, kind)
+        if lhs > rhs + eps:
+            return False, (tuple(x), None, lhs, rhs, "part (i)")
+    for i, x in enumerate(points):
+        d_x_tx = dist(x, images[i], kind)
+        d_tx_ttx = dist(images[i], fn(images[i]), kind)
+        for j, y in enumerate(points):
+            d_xy = dist(x, y, kind)
+            d_tx_y = dist(images[i], y, kind)
+            if theta / 2 * d_x_tx > d_xy + eps and theta / 2 * d_tx_ttx > d_tx_y + eps:
+                return False, (tuple(x), tuple(y), theta / 2 * d_x_tx, d_xy, "part (ii)")
+            lhs = (1.0 - mu) * dist(x, images[j], kind)
+            rhs = ((3.0 - theta) * d_x_tx + (1.0 - theta / 2) * d_xy
+                   + mu * (2.0 * d_x_tx + d_tx_y + 2.0 * d_tx_ttx))
+            if lhs > rhs + eps:
+                return False, (tuple(x), tuple(y), lhs, rhs, "part (iii)")
+    return True, None

@@ -216,8 +216,8 @@ def test_prop1_shares_the_condition_b_check_of_the_same_scan(monkeypatch):
     real = conditions._condition_b
 
     def counted(p):
-        label, params, cols, parts = real(p)
-        return label, params, cols, lambda t: runs.append(t.rows.start) or parts(t)
+        check = real(p)
+        return check._replace(parts=lambda t: runs.append(t.rows.start) or check.parts(t))
 
     monkeypatch.setattr(conditions, "_condition_b", counted)
     monkeypatch.setattr(conditions, "_TILE", 16)

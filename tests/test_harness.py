@@ -4,14 +4,18 @@ Exit code contract: 0 all checks passed, 1 some check failed, 2 the config
 or its parameters were unusable, 3 the iteration itself broke down.
 """
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import fixedlab
 from fixedlab import ConfigError, ContractViolation, load_config, main, run_command
+from fixedlab.iterate import GAMMA_WARN_THRESHOLD
+from fixedlab.schedules import PROXY_TOL
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -887,3 +891,105 @@ def test_echo_reloads_to_the_same_echo(tmp_path, name):
     again = load_config(write_cfg(tmp_path, "echo.json", echo)).echo
     assert again == echo
     assert json.dumps(again) == json.dumps(echo)   # key order too
+
+
+# --- boundaries: each comparison at its edge, through main ----------------------
+
+def _main(tmp_path, command, payload):
+    """(exit code, the warnings raised, the report or None) of one `main`
+    run of `payload` written as a config; a run that exits 2 writes no file."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_cfg(tmp_path, "edge.json", payload),
+                     "--quiet", "--out", str(out)])
+    reports = sorted(out.glob("*.json")) if out.is_dir() else []
+    if code == 2:
+        assert not reports and not (out.is_dir() and os.listdir(out))
+    return code, caught, json.loads(reports[0].read_text()) if reports else None
+
+
+@pytest.mark.parametrize("domain", [
+    {"shape": "box", "lower": [-1e308], "upper": [1e308]},
+    {"shape": "ball", "center": [0.0, 0.0], "radius": 1e308},
+], ids=["box", "ball"])
+def test_a_domain_whose_extent_overflows_a_float_exits_2_naming_domain(
+        tmp_path, capsys, domain):
+    """Sampling such a domain made NaN points, and the error named a mapping."""
+    code, caught, _ = _main(tmp_path, "check", {
+        "name": "wide", "domain": domain, "mappings": [{"name": "scaling", "factor": 0.5}],
+        "plan": {"mode": "grid", "resolution": 5}, "checks": ["nonexpansive"]})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: domain: the extent of the bounding box"), err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_decay_rate_of_zero_is_refused(tmp_path, capsys):
+    code, *_ = _main(tmp_path, "schedule", {
+        "name": "flat_decay", "schedule": {"kind": "decay", "scale": 0.5, "rate": 0.0},
+        "horizon": 100})
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: schedule: decay rate must be finite and > 0, got 0.0")
+
+
+def test_a_schedule_whose_tail_max_is_the_tolerance_is_flagged(tmp_path):
+    """limsup_ok needs the tail maximum strictly above PROXY_TOL."""
+    code, _, report = _main(tmp_path, "schedule", {
+        "name": "at_tol", "schedule": {"kind": "constant", "value": PROXY_TOL},
+        "horizon": 100})
+    assert code == 1
+    rep = report["report"]
+    assert rep["limsup_proxy"] == PROXY_TOL and rep["liminf_ok"] and rep["diff_ok"]
+    assert rep["limsup_ok"] is False and not rep["compliant"]
+
+
+def test_prop1_part_i_allows_equality(tmp_path):
+    """At x = 0, ||Tx - TTx|| is ||x - Tx|| + epsilon exactly: T(0) = 1,
+    T(1) = 2 + 2**-20 and epsilon = 2**-20 are all exact."""
+    code, _, report = _main(tmp_path, "check", {
+        "name": "prop1_edge", "domain": {"shape": "box", "lower": [0.0], "upper": [4.0]},
+        "mappings": [{"name": "piecewise", "default": 1.0, "cases": [[1.0, 2.0 + 2.0**-20]]}],
+        "plan": {"mode": "grid", "resolution": 5, "epsilon": 2.0**-20},
+        "checks": [{"check": "prop1", "theta": 0.5, "gamma": 0.5, "mu": 0.25}]})
+    assert code == 0
+    assert report["verdicts"][0]["passed"] and report["verdicts"][0]["checked_pairs"] == 25
+
+
+def test_a_truncation_of_one_map_runs(tmp_path):
+    with open(cfg_path("truncated_family.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["iteration"].update(truncation_K=1, max_iters=50)
+    code, _, report = _main(tmp_path, "run", payload)
+    assert code == 0
+    assert report["config"]["iteration"]["truncation_K"] == 1
+    assert report["diagnostics"]["replay"]["passed"]
+
+
+def test_residuals_whose_tail_max_equals_their_head_max_vanish(tmp_path):
+    """T(0) = 2 and T(1) = -1 with lambda 1/2 walk 0, 1, 0, 1, ... exactly,
+    and every residual is 2.0."""
+    code, _, report = _main(tmp_path, "run", {
+        "name": "two_cycle", "domain": {"shape": "box", "lower": [-1.0], "upper": [2.0]},
+        "mappings": [{"name": "piecewise", "default": 0.5,
+                      "cases": [[0.0, 2.0], [1.0, -1.0]]}],
+        "engine": "single",
+        "iteration": {"lambda": 0.5, "x0": [0.0], "max_iters": 40, "residual_tol": 0.0}})
+    assert code == 0
+    v = report["diagnostics"]["residual_vanishes"]
+    assert v["passed"] and v["observed_max"] == 2.0 and v["checked_pairs"] == 41
+
+
+@pytest.mark.parametrize("gamma,warns", [
+    (GAMMA_WARN_THRESHOLD, False), (math.nextafter(GAMMA_WARN_THRESHOLD, 1.0), True)])
+def test_the_gamma_warning_starts_just_above_its_threshold(tmp_path, gamma, warns):
+    with open(cfg_path("affine_contraction.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["iteration"]["gamma"] = gamma
+    code, caught, _ = _main(tmp_path, "run", payload)
+    assert code == 0
+    assert [str(w.message) for w in caught if "gamma context" in str(w.message)] == (
+        [f"gamma context {gamma} exceeds {GAMMA_WARN_THRESHOLD}; the shipped "
+         "experiments only probe small values"] if warns else [])

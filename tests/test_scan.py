@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixedlab import (
     GALLERY_AFFINE_MATRIX,
@@ -42,6 +44,8 @@ from fixedlab import (
     translation_map,
 )
 from fixedlab import conditions, harness
+from helpers import (oracle_condition_b, oracle_condition_c_lambda, oracle_nonexpansive,
+                     oracle_prop1, oracle_quasi_nonexpansive)
 
 GAMMAS = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
 MUS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -115,10 +119,10 @@ def _counted_premises(monkeypatch) -> list:
     real = conditions._condition_b
 
     def counted(p):
-        label, params, cols, parts = real(p)
-        return label, params, cols, lambda t: [
-            (lambda t, f=premise: calls.append(t.rows.start) or f(t), *rest)
-            for premise, *rest in parts(t)]
+        check = real(p)
+        return check._replace(parts=lambda t: [
+            (lambda *args, f=premise, lo=t.rows.start: calls.append(lo) or f(*args), *rest)
+            for premise, *rest in check.parts(t)])
 
     monkeypatch.setattr(conditions, "_condition_b", counted)
     return calls
@@ -292,10 +296,18 @@ def test_one_scan_raises_the_first_error_of_the_one_by_one_run(make, order, erro
     assert _first_error(lambda: conditions._checks(T, plan, _requests(order))) == want
 
 
-def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkeypatch):
-    """nonexpansive, condition_C, condition_B and prop1 on a passing map:
-    N raw map calls for the images, N for prop1's second images, and the
-    four (N, N) distance arrays xx, TT, xT and Tx once each."""
+@pytest.mark.parametrize("checks,whole", [
+    (["nonexpansive", "condition_C", {"check": "condition_B", "gamma": 0.7, "mu": 0.35},
+      {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}], 3),
+    (["nonexpansive", {"check": "condition_B", "gamma": 0.7, "mu": 0.35}], 0),
+], ids=["with-prop1", "symmetric-only"])
+def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkeypatch,
+                                                                 checks, whole):
+    """Checks on a passing map: N raw map calls for the images, and N more
+    for prop1's second images. prop1 reads xx, xT and Tx on whole rows, so
+    those are (N, N) arrays computed once each; every other distance array
+    is read by symmetric checks only, and a tile [lo, lo + 16) computes it
+    on the columns from lo on."""
     calls, entries = [], []
     real_build, real_norm = harness.build_mapping, conditions.pairwise_norm
 
@@ -318,11 +330,100 @@ def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkey
         "mappings": [{"name": "affine", "matrix": [[0.6, 0.1], [-0.1, 0.5]],
                       "shift": [0.2, -0.1]}],
         "plan": {"mode": "grid", "resolution": 20},
-        "checks": ["nonexpansive", "condition_C",
-                   {"check": "condition_B", "gamma": 0.7, "mu": 0.35},
-                   {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}]}))
+        "checks": checks}))
     assert main(["check", "--config", str(config), "--quiet",
                  "--out", str(tmp_path / "out")]) == 0
     n = 20 * 20   # 25 tiles of 16 rows
-    assert len(calls) == 2 * n
-    assert sum(entries) == 4 * n * n
+    assert len(calls) == (2 if whole else 1) * n
+    upper = sum(16 * (n - lo) for lo in range(0, n, 16))
+    assert sum(entries) == whole * n * n + (4 - whole) * upper
+
+
+# --- the symmetric scan against the O(N^2) oracles ------------------------------
+
+def _table_map(d: int, k: int, images: tuple):
+    """The map of the box [0, k - 1]^d that sends grid point i of the k-per-
+    axis grid to grid point images[i] and every other point to itself, so
+    that its images map again and z = (1/2, ..., 1/2) is a fixed point."""
+    domain = Domain.box([0.0] * d, [k - 1.0] * d)
+    grid = conditions.sample(domain, SamplePlan.grid(k))
+    table = {tuple(p): grid[j] for p, j in zip(grid, images)}
+    return register_mapping(lambda p: table.get(tuple(p), p), domain, "table",
+                            known_fixed_points=[[0.5] * d])
+
+
+@st.composite
+def table_maps(draw):
+    """(d, k, images, lam, gamma, mu, theta): a map that moves a few grid
+    points and fixes the rest, and the checks' parameters."""
+    d = draw(st.sampled_from([1, 2]))
+    k = draw(st.integers(2, 12 if d == 1 else 4))
+    images = list(range(k ** d))
+    for i in draw(st.lists(st.integers(0, k ** d - 1), min_size=1, max_size=4)):
+        images[i] = draw(st.integers(0, k ** d - 1))
+    gamma = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    mu = draw(st.sampled_from([m for m in (0.0, 0.1, 0.25, 0.5) if 2.0 * m <= gamma]))
+    return (d, k, tuple(images), draw(st.sampled_from([0.1, 0.5, 0.9])), gamma, mu,
+            draw(st.sampled_from([0.2, 0.5, 1.0])))
+
+
+#: Grid point 0 of 0..9 goes to 9. condition_C_lambda(1/2) fails at
+#: (x_0, x_1) and (x_1, x_0), but its premise holds only at (x_1, x_0):
+#: the first witness is in the lower triangle, and in the tile's own rows
+#: (its diagonal block) at every tile size but 1.
+LOWER = (1, 10, (9, *range(1, 10)), 0.5, 0.5, 0.25, 0.5)
+
+
+#: condition_C_lambda(0.9) at tile size 1: tile 0 meets the failing pair
+#: (x_0, x_2), whose premise holds only as (x_2, x_0). Tile 1 then finds
+#: (x_1, x_2), which comes first: a check may not retire on a candidate
+#: in a row its tile has not reached.
+LATER = (1, 4, (3, 2, 0, 2), 0.9, 0.5, 0.25, 0.5)
+
+
+def _as_oracle(v):
+    w = v.witness
+    return (v.passed, w and (w.x, w.y, w.lhs, w.rhs) + ((w.detail,) if w.detail else ()))
+
+
+def test_the_lower_triangle_case_is_what_it_says():
+    d, k, images, lam, *_ = LOWER
+    T = _table_map(d, k, images)
+    pts = list(conditions.sample(T.domain, SamplePlan.grid(k)))
+    disp = [abs(float(T.fn(p)[0] - p[0])) for p in pts]
+    assert not lam * disp[0] <= abs(pts[0][0] - pts[1][0])   # premise fails at (x_0, x_1)
+    assert lam * disp[1] <= abs(pts[1][0] - pts[0][0])       # and holds at (x_1, x_0)
+    assert oracle_condition_c_lambda(T.fn, pts, lam, 1e-9)[1][:2] == ((1.0,), (0.0,))
+
+
+@example(LOWER)
+@example(LATER)
+@given(table_maps())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_the_scan_finds_the_oracles_first_witnesses_at_every_tile_size(case):
+    """A mixed scan (prop1 reads whole rows, quasi_nonexpansive the fixed
+    point) and a scan of symmetric checks alone give each oracle's verdict
+    and first witness, bit for bit, at tile sizes 1, 7, 16 and N + 1. LOWER
+    has a first witness below the diagonal, in its tile's diagonal block,
+    whose premise holds in one orientation only; LATER has a candidate
+    that a later tile beats. No pair (x, x) can fail these conclusions."""
+    d, k, images, lam, gamma, mu, theta = case
+    T, plan, p = _table_map(d, k, images), SamplePlan.grid(k), BGammaMu(gamma, mu)
+    pts = list(conditions.sample(T.domain, plan))
+    eps = plan.epsilon
+    symmetric = [oracle_nonexpansive(T.fn, pts, eps),
+                 oracle_condition_c_lambda(T.fn, pts, lam, eps),
+                 oracle_condition_b(T.fn, pts, gamma, mu, eps)]
+    mixed = symmetric + [oracle_prop1(T.fn, pts, theta, mu, eps),
+                         oracle_quasi_nonexpansive(T.fn, pts, [np.full(d, 0.5)], eps)]
+    requests = [conditions._nonexpansive(), conditions._condition_c(lam),
+                conditions._one(conditions._condition_b(p))]
+    for tile in (1, 7, 16, len(pts) + 1):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(conditions, "_TILE", tile)
+            warnings.simplefilter("ignore", UserWarning)   # prop1's precondition
+            got = conditions._checks(T, plan, requests + [
+                conditions._prop1(theta, p), conditions._quasi_nonexpansive()])
+            assert [_as_oracle(v) for v in got] == mixed, tile
+            got = conditions._checks(T, plan, requests)
+            assert [_as_oracle(v) for v in got] == symmetric, tile

@@ -109,6 +109,35 @@ def test_pairwise_matches_scalar_dist_bitwise_for_every_dimension(d):
                 assert M[i, j] == dist(A[i], B[j], kind), (d, i, j, kind)
 
 
+#: Coordinates of either sign: desk-scale values, subnormals and zeros, and
+#: values near 1e150, whose squares stay finite through a sum of 20 terms.
+mixed_coord = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e149, max_value=1e151).flatmap(lambda v: st.sampled_from([v, -v])))
+
+
+@st.composite
+def point_set_pairs(draw):
+    """Two (n, d) point sets, d on both sides of _IN_SEQUENCE_BELOW."""
+    d = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 20]))
+
+    def points():
+        n = draw(st.integers(1, 4))
+        return np.array(draw(st.lists(mixed_coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+    return points(), points()
+
+
+@given(point_set_pairs(), st.sampled_from(list(NormKind)))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_pairwise_norm_of_swapped_sets_is_the_transpose_bit_for_bit(sets, kind):
+    """The symmetric pair scan rests on this: a - b and b - a differ in sign
+    only, which squaring and abs drop, and the terms are summed in the same
+    order either way."""
+    A, B = sets
+    assert pairwise_norm(A, B, kind).tobytes() == pairwise_norm(B, A, kind).T.tobytes()
+
+
 @pytest.mark.parametrize("d", [5, 30])
 def test_pairwise_norm_bits_do_not_depend_on_memory_layout(d):
     """Fortran-ordered and strided inputs give the C-ordered inputs' bits:
