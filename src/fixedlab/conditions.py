@@ -124,6 +124,8 @@ class _Tile:
                 else pairwise_norm(self.pts[key[0]][self.rows], self.pts[key[1]][self.first:],
                                    self.kind, out=out))
         start, d = self.made[key]
+        # an array made on the upper columns cannot serve a whole row
+        assert start <= self.first, (key, start, self.first)
         return d[:, self.first - start:]
 
 

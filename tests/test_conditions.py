@@ -130,6 +130,21 @@ def test_condition_c_lambda_09_grid_sensitivity(example1, grid17):
     assert dict(v.params)["lambda"] == 0.9
 
 
+def test_condition_c_premise_holds_at_equality():
+    """T(0)=2, T(1)=3.5: at (0, 1) the premise is 1/2 * |0 - 2| == |0 - 1|,
+    and |T0 - T1| = 1.5 > 1. At (1, 0) the premise fails (1/2 * 2.5 > 1) and
+    no other pair violates, so the witness exists only because the premise
+    allows equality."""
+    m = piecewise_map(Domain.box([0.0], [4.0]), 3.0, cases=[(0.0, 2.0), (1.0, 3.5)])
+    plan = SamplePlan.grid(5)
+    v = check_condition_C(m, plan)
+    assert not v.passed
+    w = v.witness
+    assert (w.x[0], w.y[0], w.lhs, w.rhs) == (0.0, 1.0, 1.5, 1.0)
+    assert oracle_condition_c_lambda(m.fn, sample(m.domain, plan), 0.5, plan.epsilon) == (
+        False, ((0.0,), (1.0,), 1.5, 1.0))
+
+
 def test_condition_c_lambda_oracle_agreement(example1):
     plan = SamplePlan.grid(41)
     pts = grid_points_1d(0.0, 4.0, 41)

@@ -4,15 +4,16 @@ that no tier-1 test kills.
 Usage, from anywhere:
 
     python tools/mutants.py src/fixedlab/conditions.py [more modules] \
-        [--timeout 120] [--workdir DIR]
+        [--workdir DIR]
 
 The operator family is the comparison flip: `<` and `<=` swap, and so do
 `>` and `>=`. The tool copies the checkout into a temporary directory
 (under --workdir if given) and mutates only that copy, one comparison at a
-time. For each mutant it runs the tier-1 suite with `-x` and a per-mutant
-timeout, the test files that import the mutated module first, and prints
-one line: the mutant's place and text, then "killed", "timed out" (counted
-as killed) or "survived". The summary line follows.
+time. It times the unmutated suite once per module, then runs it on each
+mutant with `-x`, the test files that import the mutated module first,
+and a timeout of TIMEOUT_FACTOR times the unmutated run. It prints one
+line per mutant: the mutant's place and text, then "killed", "timed out"
+(counted as killed) or "survived". The summary line follows.
 
 A survivor is accepted only if `tools/equivalent_mutants.txt` lists it as
 `path | mutated source line, stripped | reason`. Exit status 1 if the
@@ -30,9 +31,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EQUIVALENT = os.path.join(ROOT, "tools", "equivalent_mutants.txt")
+
+# a mutant's run may take this many times the unmutated suite's before it
+# counts as timed out (an infinite loop): a run with -x is never longer
+# than the whole suite, so the margin only covers the machine's noise
+TIMEOUT_FACTOR = 3
 
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 
@@ -102,7 +109,7 @@ def test_files(copy: str, module: str) -> list[str]:
     return sorted(files, key=lambda f: not imports(f))
 
 
-def run_suite(copy: str, files: list[str], timeout: float) -> str:
+def run_suite(copy: str, files: list[str], timeout: float | None) -> str:
     """"passed", "failed" or "timed out": tier-1 with -x in the copy."""
     # no bytecode cache: two mutants of one size written in the same second
     # would share a cached module's source stamp
@@ -120,7 +127,6 @@ def run_suite(copy: str, files: list[str], timeout: float) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("modules", nargs="+", help="module paths, e.g. src/fixedlab/conditions.py")
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant run")
     ap.add_argument("--workdir", default=None, help="where the mutated copy is made")
     args = ap.parse_args()
     listed = equivalent()
@@ -136,15 +142,17 @@ def main() -> int:
             with open(target, "rb") as fh:
                 original = fh.read()
             files = test_files(copy, os.path.splitext(os.path.basename(rel))[0])
-            if run_suite(copy, files, args.timeout) != "passed":
+            began = time.monotonic()
+            if run_suite(copy, files, None) != "passed":
                 print(f"{rel}: the unmutated suite does not pass")
                 return 1
+            timeout = TIMEOUT_FACTOR * (time.monotonic() - began)
             try:
                 for line, mutated, text in mutants(original):
                     with open(target, "wb") as fh:
                         fh.write(mutated)
                     outcome = {"passed": "survived", "failed": "killed"}.get(
-                        run_suite(copy, files, args.timeout), "timed out")
+                        run_suite(copy, files, timeout), "timed out")
                     if outcome == "survived" and (rel, text) in listed:
                         outcome = "equivalent"
                     elif outcome == "survived":
