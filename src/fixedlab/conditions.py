@@ -96,37 +96,32 @@ class _Buffers(dict):
 
 
 class _Tile:
-    """Distances from the sample rows `rows` to the columns from `first`
-    on, each computed into the scan's buffers when a check first asks for
-    it. Key "ab" holds ||a_i - b_j||, where x is a sample point, T its
-    image and z a known fixed point, and "xT+Tx" the sum of two. A check
-    sets `first` before it reads: 0, or rows.start for a symmetric check,
-    which reads the upper part only. The checks that read every column go
-    first, so an array one of them reads is computed whole, and a
-    symmetric check reads its upper part."""
+    """Distances from the sample rows `rows` to the upper triangle's
+    columns: the sample points and images from rows.start on, and every
+    known fixed point. Key "ab" holds ||a_i - b_j||, where x is a sample
+    point, T its image and z a known fixed point, and "xT+Tx" the sum of
+    two; each is computed into the scan's buffers when a check first asks
+    for it."""
 
     def __init__(self, pts: dict, rows: slice, kind, bufs: _Buffers):
-        self.pts, self.rows, self.kind, self.bufs, self.first = pts, rows, kind, bufs, 0
-        self.made: dict[str, tuple[int, np.ndarray]] = {}   # key -> (its first column, array)
+        self.pts, self.rows, self.kind, self.bufs = pts, rows, kind, bufs
+        self.col0 = {"x": rows.start, "T": rows.start, "z": 0}   # pts[c][col0[c]] is column 0
+        self.made: dict[str, np.ndarray] = {}
 
     def out(self, name: str, cols: str = "x") -> np.ndarray:
-        """The scan's buffer (name, cols) shaped as this tile's rows by the
-        columns from `first` on: its entries hold whatever the last tile
-        left there."""
-        shape = (self.rows.stop - self.rows.start, len(self.pts[cols]) - self.first)
+        """The scan's buffer (name, cols) shaped as this tile's rows by its
+        columns: its entries hold whatever the last tile left there."""
+        shape = (self.rows.stop - self.rows.start, len(self.pts[cols]) - self.col0[cols])
         return self.bufs[name, cols][:shape[0] * shape[1]].reshape(shape)
 
     def __getitem__(self, key: str) -> np.ndarray:
         if key not in self.made:
             out = self.out(key, key[-1])
-            self.made[key] = self.first, (
-                np.add(self["xT"], self["Tx"], out=out) if key == "xT+Tx"
-                else pairwise_norm(self.pts[key[0]][self.rows], self.pts[key[1]][self.first:],
-                                   self.kind, out=out))
-        start, d = self.made[key]
-        # an array made on the upper columns cannot serve a whole row
-        assert start <= self.first, (key, start, self.first)
-        return d[:, self.first - start:]
+            self.made[key] = (np.add(self["xT"], self["Tx"], out=out) if key == "xT+Tx"
+                              else pairwise_norm(self.pts[key[0]][self.rows],
+                                                 self.pts[key[1]][self.col0[key[1]]:],
+                                                 self.kind, out=out))
+        return self.made[key]
 
 
 def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,22 +136,24 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
     points x_i and the check's columns c_j: the sample itself ("x") or T's
     known fixed points ("z"). `images` is `_images(T, plan)`.
 
-    parts(tile) gives a check's parts on the tile's pairs as (premise,
-    lhs, rhs, detail): the pair (x, y) violates a part when lhs > rhs +
-    epsilon and premise(||x - Tx||, ||y - Ty||, ||x - y||) holds, each
-    argument broadcast to the tile (a None premise always holds). A
+    parts(tile, flip) gives a check's parts on the tile's pairs as
+    (premise, lhs, rhs, detail): the pair (x, y) violates a part when lhs >
+    rhs + epsilon and premise(||x - Tx||, ||y - Ty||, ||x - y||) holds,
+    each argument broadcast to the tile (a None premise always holds). A
     premise is evaluated only on a tile where the conclusion fails. A part
     may write into the tile's "tmp" buffer, which the comparison then
     reuses. Where parts first fail on the same pair, the earlier part is
     the witness.
 
-    The scan walks row tiles [lo, hi) in order. A check reads every column,
-    or, if symmetric, the columns from lo on: its entry (i, j) stands for
-    both (x_i, x_j) and (x_j, x_i), and its premise is evaluated in both
-    orientations. Each check keeps its row-major first candidate pair.
-    After tile [lo, hi) every pair in a row below hi has been seen, so a
-    check whose candidate lies in such a row has its first witness and
-    retires; the scan stops once every check has retired.
+    The scan walks row tiles [lo, hi) in order over the tile's columns.
+    On the sample's own columns, an entry (i, j) stands for the pair
+    (x_i, x_j) and, flipped, for (x_j, x_i); a check's parts(tile, True)
+    give the flipped pairs' sides, and a symmetric check compares its
+    conclusion once, from parts(tile, False), and evaluates its premise
+    in both orientations. Each check keeps its row-major first candidate
+    pair. After tile [lo, hi) every pair in a row below hi has been seen,
+    so a check whose candidate lies in such a row has its first witness
+    and retires; the scan stops once every check has retired.
     """
     X, TX, disp = images
     pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
@@ -167,29 +164,27 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
         if not live:
             break
         tile = _Tile(pts, slice(lo, min(lo + _TILE, len(X))), T.domain.norm_kind, bufs)
-        for k in sorted(live, key=lambda k: checks[k].symmetric):   # whole rows first
-            check = checks[k]
-            tile.first = lo if check.symmetric else 0
-            # (premise arguments, orientation of an entry, first row, first column)
-            sides = [((disp[tile.rows, None], disp[None, tile.first:]), np.asarray,
-                      lo, tile.first)]
-            if check.symmetric:
-                sides.append((sides[0][0][::-1], np.transpose, tile.first, lo))
-            for part, (premise, lhs, rhs, detail) in enumerate(check.parts(tile)):
-                viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", check.cols)),
-                                  out=tile.out("viol", check.cols))
-                if not viol.any():
-                    continue
-                for args, orient, row0, col0 in sides:
-                    hits = orient(viol if premise is None
-                                  else viol & premise(*args, tile["xx"]))
-                    i, j = divmod(int(np.argmax(hits)), hits.shape[1])   # row-major first
-                    at = (row0 + i, col0 + j, part)
-                    if hits[i, j] and (k not in best or at < best[k][:3]):
-                        # read now: the next part may overwrite the buffers
-                        best[k] = (*at, Witness.at(
-                            X[at[0]], lhs=orient(lhs)[i, j], rhs=orient(rhs)[i, j],
-                            y=pts[check.cols][at[1]], detail=detail))
+        args = (disp[tile.rows, None], disp[None, lo:])   # the premise's, unflipped
+        for k in live:
+            c = checks[k]
+            flips = (False, True) if c.cols == "x" else (False,)
+            for group in [flips] if c.symmetric else [(f,) for f in flips]:   # one comparison each
+                for part, (premise, lhs, rhs, detail) in enumerate(c.parts(tile, group[0])):
+                    viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", c.cols)),
+                                      out=tile.out("viol", c.cols))
+                    if not viol.any():
+                        continue
+                    for flip in group:
+                        orient = np.transpose if flip else np.asarray
+                        hits = orient(viol if premise is None else
+                                      viol & premise(*args[::-1 if flip else 1], tile["xx"]))
+                        i, j = divmod(int(np.argmax(hits)), hits.shape[1])   # row-major first
+                        at = (lo + i, tile.col0[c.cols] + j, part)
+                        if hits[i, j] and (k not in best or at < best[k][:3]):
+                            # read now: the next part may overwrite the buffers
+                            best[k] = (*at, Witness.at(
+                                X[at[0]], lhs=orient(lhs)[i, j], rhs=orient(rhs)[i, j],
+                                y=pts[c.cols][at[1]], detail=detail))
     return [Verdict(condition_label=c.label, passed=k not in best,
                     checked_pairs=len(X) * len(pts[c.cols]),
                     witness=best[k][-1] if k in best else None, plan=plan, params=c.params)
@@ -234,7 +229,7 @@ def _one(check):
 
 def _nonexpansive():
     return _one(_Check("nonexpansive", (), "x", True,
-                       lambda t: [(None, t["TT"], t["xx"], None)]))
+                       lambda t, flip: [(None, t["TT"], t["xx"], None)]))
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -243,7 +238,7 @@ def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
 
 
 def _quasi_nonexpansive(label: str = "quasi_nonexpansive", params: tuple = ()):
-    return _one(_Check(label, params, "z", False, lambda t: [(None, t["Tz"], t["xz"], None)]))
+    return _one(_Check(label, params, "z", False, lambda t, flip: [(None, t["Tz"], t["xz"], None)]))
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -280,7 +275,7 @@ def _condition_c(lam: float, label: str = "condition_C_lambda"):
     def premise(dx, dy, xx):
         return lam * dx <= xx
     return _one(_Check(label, params, "x", True,
-                       lambda t: [(premise, t["TT"], t["xx"], None)]))
+                       lambda t, flip: [(premise, t["TT"], t["xx"], None)]))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -301,7 +296,7 @@ def _condition_b(p: BGammaMu):
     def premise(dx, dy, xx):
         return p.gamma * dx <= xx + p.mu * dy
 
-    def parts(t):
+    def parts(t, flip):
         # (1 - gamma)*xx + mu*(xT + Tx), operation for operation
         rhs = np.multiply(1.0 - p.gamma, t["xx"], out=t.out("rhs"))
         rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
@@ -329,20 +324,25 @@ def _prop1(theta: float, p: BGammaMu):
         viol_i = dTxTtx > dxTx + eps
         i = int(np.argmax(viol_i))   # first point violating part (i)
 
-        def parts(t):
-            d, dd = dxTx[t.rows, None], dTxTtx[t.rows, None]
-            # (iii)'s sides, operation for operation: (1 - mu)*xT and
-            # (3 - theta)*d + (1 - theta/2)*xx + mu*(2*d + Tx + 2*dd)
+        def parts(t, flip):
+            # the pair (x, y) is (x_i, x_j), or flipped (x_j, x_i): x's own
+            # values are the rows' or the columns', and ||x - Ty||, ||Tx - y||
+            # are xT and Tx or, flipped, Tx and xT, the same bits transposed
+            ix = (None, slice(t.rows.start, None)) if flip else (t.rows, None)
+            d, dd = dxTx[ix], dTxTtx[ix]
+            x_Ty, Tx_y = (t["Tx"], t["xT"]) if flip else (t["xT"], t["Tx"])
+            # (iii)'s sides, operation for operation: (1 - mu)*||x - Ty|| and
+            # (3 - theta)*d + (1 - theta/2)*xx + mu*(2*d + ||Tx - y|| + 2*dd)
             rhs = np.multiply(1.0 - half, t["xx"], out=t.out("rhs"))
             rhs = np.add((3.0 - theta) * d, rhs, out=rhs)
-            mu_terms = np.add(2.0 * d, t["Tx"], out=t.out("tmp"))
+            mu_terms = np.add(2.0 * d, Tx_y, out=t.out("tmp"))
             mu_terms += 2.0 * dd
             rhs += np.multiply(p.mu, mu_terms, out=mu_terms)
             # (ii) fails where both alternatives fail: the first as the
             # inequality, the second as the premise, read from this tile
-            return [(lambda *_: half * dd > t["Tx"] + eps,
+            return [(lambda *_: half * dd > Tx_y + eps,
                      np.broadcast_to(half * d, t["xx"].shape), t["xx"], "part (ii)"),
-                    (None, np.multiply(1.0 - p.mu, t["xT"], out=t.out("lhs")), rhs,
+                    (None, np.multiply(1.0 - p.mu, x_Ty, out=t.out("lhs")), rhs,
                      "part (iii)")]
 
         def finish(verdicts):

@@ -212,11 +212,12 @@ def _invalid_image(t: Mapping, n: int) -> IterationRuntimeError:
 
 def _image(t: Mapping, x: list[float], n: int) -> list[float]:
     """T x_n for x = x_n, a float list: `fn.floats(x)` where fn carries that
-    form, else fn on a fresh float64 copy. An image of the wrong shape or
-    with a non-finite coordinate raises IterationRuntimeError at step n."""
+    form, else fn on a fresh float64 copy, read as `as_vector` reads it (a
+    scalar is a 1-vector). An image of the wrong shape or with a non-finite
+    coordinate raises IterationRuntimeError at step n."""
     form = getattr(t.fn, "floats", None)
     if form is None:
-        img = np.asarray(t.fn(np.array(x)), dtype=float)
+        img = np.atleast_1d(np.asarray(t.fn(np.array(x)), dtype=float))
         floats = img.tolist() if img.ndim == 1 else ()
     else:
         floats = form(x)
@@ -427,25 +428,20 @@ def _column_images(t: Mapping, x: list[np.ndarray], steps: np.ndarray):
     """T at the rows of the coordinate columns x, taken at the given steps:
     (the image's d columns, None or the mask of the rows whose image is
     invalid; such a row's image is its x). A map whose fn carries the float
-    form takes the columns at once, any other each row through `_image`."""
+    form takes the columns at once if they come out valid; otherwise, and
+    for any other map, each row goes through `_image`."""
     form = getattr(t.fn, "floats", None)
-    if form is None:
-        rows, bad = np.array(x).T.tolist(), np.zeros(len(steps), bool)
-        for i, n in enumerate(steps.tolist()):
-            try:
-                rows[i] = _image(t, rows[i], n)
-            except IterationRuntimeError:
-                bad[i] = True
-        return list(np.array(rows).T), bad if bad.any() else None
-    img = form(x)
-    if len(img) != len(x):
-        return x, np.ones(len(steps), bool)
-    if all(np.isfinite(c).all() for c in img):
-        return img, None
-    bad = np.zeros(len(steps), bool)
-    for c in img:
-        bad |= ~np.isfinite(c)
-    return [np.where(bad, xc, c) for xc, c in zip(x, img)], bad
+    if form is not None:
+        img = form(x)
+        if len(img) == len(x) and all(np.isfinite(c).all() for c in img):
+            return img, None
+    rows, bad = np.array(x).T.tolist(), np.zeros(len(steps), bool)
+    for i, n in enumerate(steps.tolist()):
+        try:
+            rows[i] = _image(t, rows[i], n)
+        except IterationRuntimeError:
+            bad[i] = True
+    return list(np.array(rows).T), bad if bad.any() else None
 
 
 def _lockstep(members: Sequence[Mapping], engine: str, lam: float,

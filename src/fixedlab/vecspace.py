@@ -167,15 +167,16 @@ class Domain:
                       center=tuple(map(float, c)), radius=r)._bounded()
 
     def _bounded(self) -> "Domain":
-        """self, once its bounding box has finite bounds and a finite extent
-        on every axis: a sample of a wider one would hold NaN points."""
+        """self, once its bounding box has finite bounds and its extent a
+        finite norm in the domain's own norm: a sample of a wider one would
+        hold NaN points, or distances that overflow."""
         with np.errstate(over="ignore"):
             lo, up = self.bounding_box()
-            extent = up - lo
-        if not np.all(np.isfinite(extent)):
+            extent = _norm_last_axis(up - lo, self.norm_kind)
+        if not np.isfinite(extent):
             raise InvalidInputError(
                 f"the extent of the bounding box from {lo.tolist()} to {up.tolist()} "
-                "overflows a float")
+                f"overflows a float in the {self.norm_kind.value} norm")
         return self
 
     @property

@@ -217,7 +217,8 @@ def test_prop1_shares_the_condition_b_check_of_the_same_scan(monkeypatch):
 
     def counted(p):
         check = real(p)
-        return check._replace(parts=lambda t: runs.append(t.rows.start) or check.parts(t))
+        return check._replace(
+            parts=lambda t, flip: runs.append(t.rows.start) or check.parts(t, flip))
 
     monkeypatch.setattr(conditions, "_condition_b", counted)
     monkeypatch.setattr(conditions, "_TILE", 16)

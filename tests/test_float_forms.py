@@ -143,7 +143,7 @@ def test_the_engine_calls_a_reassigned_fn():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_non_finite_image_of_a_float_form_raises_at_its_step():
-    box = Domain.box([0.0], [1.79e308])
+    box = Domain.box([0.0], [1.79e308], "linf")   # in l2 the extent's square overflows
     T = translation_map(box, [1e307])
     cfg = IterationConfig(lam=0.5, max_iters=50)
     for m in (T, _hidden(T)):

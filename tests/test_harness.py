@@ -912,10 +912,15 @@ def _main(tmp_path, command, payload):
 @pytest.mark.parametrize("domain", [
     {"shape": "box", "lower": [-1e308], "upper": [1e308]},
     {"shape": "ball", "center": [0.0, 0.0], "radius": 1e308},
-], ids=["box", "ball"])
+    {"shape": "ball", "center": [0.0, 0.0], "radius": 1e200},
+    {"shape": "box", "lower": [-1e200, -1e200], "upper": [1e200, 1e200]},
+    {"shape": "box", "lower": [0.0, 0.0], "upper": [1e308, 1e308], "norm": "l1"},
+], ids=["box", "ball", "l2-ball-norm", "l2-box-norm", "l1-box-norm"])
 def test_a_domain_whose_extent_overflows_a_float_exits_2_naming_domain(
         tmp_path, capsys, domain):
-    """Sampling such a domain made NaN points, and the error named a mapping."""
+    """Sampling such a domain made NaN points, and the error named a mapping;
+    or, where only the extent's norm overflows, its distances were infinite
+    and the check passed on them (the l2 ball on its centre alone)."""
     code, caught, _ = _main(tmp_path, "check", {
         "name": "wide", "domain": domain, "mappings": [{"name": "scaling", "factor": 0.5}],
         "plan": {"mode": "grid", "resolution": 5}, "checks": ["nonexpansive"]})
@@ -924,6 +929,18 @@ def test_a_domain_whose_extent_overflows_a_float_exits_2_naming_domain(
     assert err.startswith("config error: domain: the extent of the bounding box"), err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_wide_linf_box_whose_extent_norm_is_finite_runs_clean(tmp_path):
+    """The l2 box of the same bounds is refused: its extent's squares overflow."""
+    code, caught, report = _main(tmp_path, "check", {
+        "name": "wide", "mappings": [{"name": "scaling", "factor": 0.5}],
+        "domain": {"shape": "box", "lower": [-1e200, -1e200], "upper": [1e200, 1e200],
+                   "norm": "linf"},
+        "plan": {"mode": "grid", "resolution": 5}, "checks": ["nonexpansive", "condition_C"]})
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert [(v["passed"], v["checked_pairs"]) for v in report["verdicts"]] == [(True, 625)] * 2
 
 
 def test_a_decay_rate_of_zero_is_refused(tmp_path, capsys):

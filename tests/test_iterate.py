@@ -627,7 +627,7 @@ def test_replay_names_the_lowest_step_whose_image_is_invalid(monkeypatch, rows):
     fail at their first, at steps 10 to 25, in the same lockstep block or
     in later ones."""
     monkeypatch.setattr(iterate, "_LOCKSTEP_ROWS", rows)
-    box = Domain.box([0.0], [1.79e308])
+    box = Domain.box([0.0], [1.79e308], "linf")   # in l2 the extent's square overflows
     cfg = IterationConfig(lam=0.5, max_iters=30, record_every=5)
     t = krasnoselskii_run(translation_map(box, [1e307], label="shift"), [0.0], cfg)
 
@@ -641,6 +641,24 @@ def test_replay_names_the_lowest_step_whose_image_is_invalid(monkeypatch, rows):
         with pytest.raises(IterationRuntimeError,
                            match=r"^mapping 'shift' returned an invalid image at step 8$"):
             replay_trace(t, m)
+
+
+def test_the_engine_reads_a_scalar_image_as_a_1_vector():
+    """As evaluate and the checks read it, so a scalar map runs and replays
+    as its 1-vector twin does, bit for bit; on a 2-d domain a scalar image
+    is still refused at step 0."""
+    box, cfg = Domain.box([0.0], [4.0]), IterationConfig(lam=0.5, max_iters=30)
+    half = register_mapping(lambda p: 0.5 * p[0], box, "half")
+    t = krasnoselskii_run(half, [4.0], cfg)
+    twin = krasnoselskii_run(register_mapping(lambda p: 0.5 * p, box, "half"), [4.0], cfg)
+    assert repr(t) == repr(twin)   # every float, its sign of zero included
+    v = replay_trace(t, half)
+    assert v.passed and v.checked_pairs == 30
+    flat = register_mapping(lambda p: 0.5 * p[0], Domain.box([0.0, 0.0], [4.0, 4.0]),
+                            "flat", self_map=False)
+    with pytest.raises(IterationRuntimeError,
+                       match=r"^mapping 'flat' returned an invalid image at step 0$"):
+        krasnoselskii_run(flat, [4.0, 4.0], cfg)
 
 
 # --- CSV export -------------------------------------------------------------------

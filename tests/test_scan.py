@@ -120,9 +120,9 @@ def _counted_premises(monkeypatch) -> list:
 
     def counted(p):
         check = real(p)
-        return check._replace(parts=lambda t: [
+        return check._replace(parts=lambda t, flip: [
             (lambda *args, f=premise, lo=t.rows.start: calls.append(lo) or f(*args), *rest)
-            for premise, *rest in check.parts(t)])
+            for premise, *rest in check.parts(t, flip)])
 
     monkeypatch.setattr(conditions, "_condition_b", counted)
     return calls
@@ -296,18 +296,17 @@ def test_one_scan_raises_the_first_error_of_the_one_by_one_run(make, order, erro
     assert _first_error(lambda: conditions._checks(T, plan, _requests(order))) == want
 
 
-@pytest.mark.parametrize("checks,whole", [
+@pytest.mark.parametrize("checks,prop1", [
     (["nonexpansive", "condition_C", {"check": "condition_B", "gamma": 0.7, "mu": 0.35},
-      {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}], 3),
-    (["nonexpansive", {"check": "condition_B", "gamma": 0.7, "mu": 0.35}], 0),
+      {"check": "prop1", "theta": 0.7, "gamma": 0.7, "mu": 0.35}], True),
+    (["nonexpansive", {"check": "condition_B", "gamma": 0.7, "mu": 0.35}], False),
 ], ids=["with-prop1", "symmetric-only"])
 def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkeypatch,
-                                                                 checks, whole):
+                                                                 checks, prop1):
     """Checks on a passing map: N raw map calls for the images, and N more
-    for prop1's second images. prop1 reads xx, xT and Tx on whole rows, so
-    those are (N, N) arrays computed once each; every other distance array
-    is read by symmetric checks only, and a tile [lo, lo + 16) computes it
-    on the columns from lo on."""
+    for prop1's second images. Every check reads the upper triangle only,
+    prop1 each entry in both orientations, so a tile [lo, lo + 16) computes
+    each of xx, TT, xT and Tx once, on the columns from lo on."""
     calls, entries = [], []
     real_build, real_norm = harness.build_mapping, conditions.pairwise_norm
 
@@ -334,9 +333,8 @@ def test_check_command_samples_maps_and_measures_each_pair_once(tmp_path, monkey
     assert main(["check", "--config", str(config), "--quiet",
                  "--out", str(tmp_path / "out")]) == 0
     n = 20 * 20   # 25 tiles of 16 rows
-    assert len(calls) == (2 if whole else 1) * n
-    upper = sum(16 * (n - lo) for lo in range(0, n, 16))
-    assert sum(entries) == whole * n * n + (4 - whole) * upper
+    assert len(calls) == (2 if prop1 else 1) * n
+    assert sum(entries) == 4 * sum(16 * (n - lo) for lo in range(0, n, 16)) == 332800
 
 
 # --- the symmetric scan against the O(N^2) oracles ------------------------------
@@ -381,6 +379,12 @@ LOWER = (1, 10, (9, *range(1, 10)), 0.5, 0.5, 0.25, 0.5)
 LATER = (1, 4, (3, 2, 0, 2), 0.9, 0.5, 0.25, 0.5)
 
 
+#: Grid 0, 1, 2 mapped to 0, 0, 2: prop1's first witness is (x_2, x_1),
+#: part (iii), below the diagonal, so at tile sizes 1 and 2 the scan finds
+#: it only by reading the upper entry (x_1, x_2) flipped.
+FLIPPED = (1, 3, (0, 0, 2), 0.5, 0.5, 0.25, 0.5)
+
+
 def _as_oracle(v):
     w = v.witness
     return (v.passed, w and (w.x, w.y, w.lhs, w.rhs) + ((w.detail,) if w.detail else ()))
@@ -398,15 +402,18 @@ def test_the_lower_triangle_case_is_what_it_says():
 
 @example(LOWER)
 @example(LATER)
+@example(FLIPPED)
 @given(table_maps())
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_the_scan_finds_the_oracles_first_witnesses_at_every_tile_size(case):
-    """A mixed scan (prop1 reads whole rows, quasi_nonexpansive the fixed
-    point) and a scan of symmetric checks alone give each oracle's verdict
-    and first witness, bit for bit, at tile sizes 1, 7, 16 and N + 1. LOWER
-    has a first witness below the diagonal, in its tile's diagonal block,
-    whose premise holds in one orientation only; LATER has a candidate
-    that a later tile beats. No pair (x, x) can fail these conclusions."""
+    """A mixed scan (prop1 reads each upper entry in both orientations,
+    quasi_nonexpansive the fixed point) and a scan of symmetric checks
+    alone give each oracle's verdict and first witness, bit for bit, at
+    tile sizes 1, 7, 16 and N + 1. LOWER has a first witness below the
+    diagonal, in its tile's diagonal block, whose premise holds in one
+    orientation only; LATER has a candidate that a later tile beats;
+    FLIPPED has prop1's first witness below the diagonal. No pair (x, x)
+    can fail these conclusions."""
     d, k, images, lam, gamma, mu, theta = case
     T, plan, p = _table_map(d, k, images), SamplePlan.grid(k), BGammaMu(gamma, mu)
     pts = list(conditions.sample(T.domain, plan))
