@@ -78,7 +78,11 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} lies outside the domain")
         image = as_vector(fn(z))
-        gap = dist(image, z, domain.norm_kind)
+        try:
+            gap = dist(image, z, domain.norm_kind)
+        except InvalidInputError as e:
+            raise ContractViolation(
+                f"mapping {label!r}: claimed fixed point {z.tolist()}: {e}") from e
         if gap > FIXED_POINT_TOL:
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} moves by {gap:.3e}")
@@ -131,10 +135,14 @@ def _distinct(points: Iterable[Vector]) -> list[Vector]:
 def _fixed_by(candidates: Iterable[Vector], fns: Sequence[Callable],
               domain: Domain) -> list[Vector]:
     """The distinct candidates, in first-seen order, that lie in the domain
-    and that every fn fixes within FIXED_POINT_TOL."""
-    return [z for z in _distinct(candidates) if domain.contains(z) and all(
-        dist(as_vector(fn(z)), z, domain.norm_kind) <= FIXED_POINT_TOL
-        for fn in fns)]
+    and that every fn fixes within FIXED_POINT_TOL; an image of another
+    shape than its candidate fixes nothing."""
+    def fixes(fn: Callable, z: Vector) -> bool:
+        image = as_vector(fn(z))
+        return image.shape == z.shape and dist(image, z, domain.norm_kind) <= FIXED_POINT_TOL
+
+    return [z for z in _distinct(candidates)
+            if domain.contains(z) and all(fixes(fn, z) for fn in fns)]
 
 
 def compose(S: Mapping, T: Mapping) -> Mapping:

@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,8 +69,11 @@ def norm(v: Union[float, Sequence[float], np.ndarray], kind: NormKind = NormKind
 
 
 def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
-    """Distance ||x - y|| under `kind`."""
-    return norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), kind)
+    """Distance ||x - y|| under `kind` between two points of one shape."""
+    a, b = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if a.shape != b.shape:
+        raise InvalidInputError(f"no distance between points of shapes {a.shape} and {b.shape}")
+    return norm(a - b, kind)
 
 
 #: np.add.reduce adds fewer than this many terms in sequence, left to right;
@@ -105,10 +108,10 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2,
     return np.sqrt(out, out=out) if kind == NormKind.L2 else out
 
 
-def _norm_floats(v: Sequence[float], kind: NormKind) -> float:
-    """The norm of a float list, equal bit for bit to _norm_last_axis: the
-    same IEEE operations, summed in sequence below `_IN_SEQUENCE_BELOW`
-    terms and by np.add.reduce from there on."""
+def _norm_floats(v: Iterable[float], kind: NormKind) -> float:
+    """The norm of floats given in order, equal bit for bit to
+    _norm_last_axis: the same IEEE operations, summed in sequence below
+    `_IN_SEQUENCE_BELOW` terms and by np.add.reduce from there on."""
     if kind == NormKind.LINF:
         return max(map(abs, v))
     l2 = kind == NormKind.L2
@@ -192,20 +195,29 @@ class Domain:
         return c - self.radius, c + self.radius
 
     def contains(self, p) -> bool:
-        """Membership with absolute tolerance MEMBERSHIP_TOL,
-        decided on floats by the rule of `contains_rows`, bit for bit. A list
-        of Python floats is read as it is, anything else through np.array."""
+        """Membership with absolute tolerance MEMBERSHIP_TOL, decided by the
+        rule `_member` on p as a float list: a list of Python floats is read
+        as it is, anything else through np.array."""
         q = p
         if type(p) is not list or not all(type(c) is float for c in p):
             q = np.array(p, dtype=float, ndmin=1)
             q = q.tolist() if q.ndim == 1 else ()
-        if len(q) != self.dimension or not all(map(math.isfinite, q)):
-            return False
+        return len(q) == self.dimension and self._member(q)
+
+    @functools.cached_property
+    def _member(self) -> Callable[[list[float]], bool]:
+        """The membership rule on a float list of the domain's dimension,
+        with its bounds and radius widened by MEMBERSHIP_TOL once: the rule
+        of `contains_rows`, bit for bit. A non-finite coordinate is never a
+        member: a box's finite bounds refuse it (NaN compares false), and a
+        ball tests for it, as the linf norm's max() may pass over a NaN."""
         if self.shape == "box":
-            return all(lo - MEMBERSHIP_TOL <= c <= up + MEMBERSHIP_TOL
-                       for lo, c, up in zip(self.lower, q, self.upper))
-        return _norm_floats([c - z for c, z in zip(q, self.center)],
-                            self.norm_kind) <= self.radius + MEMBERSHIP_TOL
+            lo = [v - MEMBERSHIP_TOL for v in self.lower]
+            up = [v + MEMBERSHIP_TOL for v in self.upper]
+            return lambda q: all(map(operator.le, lo, q)) and all(map(operator.le, q, up))
+        center, kind, r = self.center, self.norm_kind, self.radius + MEMBERSHIP_TOL
+        return lambda q: (all(map(math.isfinite, q))
+                          and _norm_floats(map(operator.sub, q, center), kind) <= r)
 
     def contains_rows(self, Q: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one

@@ -175,6 +175,39 @@ def reference_averaged_run(fns, weights_of, lam, x0, max_iters, residual_tol,
         n += 1
 
 
+def reference_records(fns, weights_of, alphas, lam, x0, max_iters, residual_tol,
+                      record_every, decimation_start, fixed_points, kind=NormKind.L2):
+    """The records of the averaged scheme, one scalar `dist` per distance.
+
+    Steps below decimation_start are recorded every record_every steps, later
+    ones every 10 * record_every steps, and the last step always. Each record
+    is (step, x, residual, map_residuals, alpha, fp_distances), as the
+    fields of a TraceStep; weights_of(a) gives the weights at alpha a, and
+    zero weights are left out of the blend, as the engines document.
+    """
+    x = [float(c) for c in x0]
+    records = []
+    for n, a in enumerate(alphas):
+        images = [[float(v) for v in np.atleast_1d(fn(np.array(x)))] for fn in fns]
+        w = None
+        for c, img in zip(weights_of(a), images):
+            if c != 0.0:
+                terms = [c * v for v in img]
+                w = terms if w is None else [p + t for p, t in zip(w, terms)]
+        residual = dist(np.array(w), np.array(x), kind)
+        last = residual <= residual_tol or n >= max_iters
+        stride = record_every if n < decimation_start else 10 * record_every
+        if n % stride == 0 or last:
+            records.append((n, tuple(x), residual,
+                            tuple(dist(np.array(img), np.array(x), kind) for img in images),
+                            a, tuple(dist(np.array(x), np.asarray(z), kind)
+                                     for z in fixed_points)))
+        if last:
+            return records
+        x = [lam * p + (1.0 - lam) * q for p, q in zip(w, x)]
+    raise AssertionError("the alphas ended before the run")
+
+
 def grid_points_1d(lo, hi, resolution):
     """The package's 1-d grid convention, rebuilt with np.linspace."""
     return [np.array([v]) for v in np.linspace(lo, hi, resolution)]

@@ -13,6 +13,7 @@ Exactness notes, verified here rather than assumed:
 """
 import dataclasses
 import io
+import itertools
 import math
 from typing import ClassVar
 
@@ -57,7 +58,7 @@ from fixedlab import (
 )
 from fixedlab import iterate
 from fixedlab.schedules import AlphaSchedule
-from helpers import reference_averaged_run
+from helpers import reference_averaged_run, reference_records
 
 TENT = TentSchedule(peak=0.25, first_block_length=343, growth=1.6)
 
@@ -88,6 +89,16 @@ def scaling_family(factors, domain=GALLERY_BALL):
 def test_config_validation(kwargs):
     with pytest.raises(ContractViolation):
         IterationConfig(**kwargs)
+
+
+def test_config_edges_that_are_admissible():
+    """gamma 0 bounds no lam, and lam may equal gamma; gamma 1 is in range,
+    so it is refused because no lam in (0, 1) reaches it."""
+    IterationConfig(lam=0.05, max_iters=1, gamma=0.0)
+    IterationConfig(lam=0.3, max_iters=1, gamma=0.3)
+    with pytest.raises(ContractViolation,
+                       match=r"^lam must be >= gamma when gamma > 0; got lam=0\.5, gamma=1\.0$"):
+        IterationConfig(lam=0.5, max_iters=1, gamma=1.0)
 
 
 def test_config_to_dict_spells_lambda():
@@ -368,6 +379,130 @@ def test_records_decimate_beyond_ten_thousand_steps():
     assert steps[-1] == t.total_steps      # terminal step always recorded
 
 
+@dataclasses.dataclass(frozen=True)
+class _Listed(AlphaSchedule):
+    """The listed alphas, in order, and no values after them."""
+
+    kind: ClassVar[str] = "listed"
+    listed: tuple
+
+    def _chunks(self, start, stop):
+        if start < min(stop, len(self.listed)):
+            yield np.array(self.listed[start:stop], dtype=float)
+
+
+def _assert_records_are_the_reference(t, fns, weights_of, alphas, record_every,
+                                      decimation_start, kind):
+    """Every TraceStep field of t, bit for bit (repr tells -0.0 from 0.0),
+    against the plain-Python records that norm each distance by `dist`."""
+    cfg = t.config
+    ref = reference_records(fns, weights_of, alphas, cfg.lam, t.records[0].x,
+                            cfg.max_iters, cfg.residual_tol, record_every,
+                            decimation_start, t.fixed_points, kind)
+    assert len(t.records) == len(ref)
+    for rec, want in zip(t.records, ref):
+        assert repr(dataclasses.astuple(rec)) == repr(want), rec.step
+
+
+def test_single_engine_records_cross_decimation_start_bit_for_bit(monkeypatch):
+    """record_every 16 pins the boundary: step 10 000 is a multiple of 16 but
+    not of 160, so it is recorded only if it still took the undecimated
+    stride. The run's 627 records are normed in 10 blocks of at most 64."""
+    blocks = []
+    records = iterate._records
+    monkeypatch.setattr(iterate, "_records",
+                        lambda pending, *a: blocks.append(len(pending)) or records(pending, *a))
+    ball = Domain.ball([0.0], 1.0)
+    m = scaling_map(ball, 0.9999)
+    cfg = IterationConfig(lam=0.5, max_iters=10_100, residual_tol=0.0, record_every=16)
+    t = krasnoselskii_run(m, [0.9], cfg)
+    assert blocks == [64] * 9 + [51]
+    steps = [r.step for r in t.records]
+    assert steps[-3:] == [9984, 10_080, 10_100] and len(steps) == 627
+    _assert_records_are_the_reference(
+        t, [m.fn], lambda a: [1.0], itertools.repeat(0.0), 16, 10_000, "l2")
+
+
+@pytest.mark.parametrize("engine, d, kind, every, memo", [
+    ("multi", 2, "l2", 1, 512), ("multi", 9, "linf", 2, 512), ("multi", 9, "l1", 3, 4),
+    ("truncated", 2, "l1", 1, 512), ("truncated", 3, "l2", 2, 8),
+])
+def test_engine_records_equal_the_reference_bit_for_bit(monkeypatch, engine, d, kind,
+                                                        every, memo):
+    """Over several record blocks, the decimation start, a growth-1 tent
+    whose values repeat (multi) or the shipped tent (truncated), and a
+    weight memo small enough to be emptied during the run where it is 4 or
+    8; from d = 8 on a distance sums in 8 running partials."""
+    monkeypatch.setattr(iterate, "DECIMATION_START", 300)
+    monkeypatch.setattr(iterate, "_WEIGHT_MEMO", memo)
+    dom = (Domain.box([-2.0] * d, [2.0] * d, kind) if d > 2
+           else Domain.ball([0.0] * d, 2.0, kind))
+    fam = make_family([rotation_scaling_map(dom, 0.3 * k, f) if (d, kind) == (2, "l2")
+                       else scaling_map(dom, f)
+                       for k, f in enumerate((0.999, 0.998, 0.997))], SamplePlan.random(0, 16))
+    x0 = [1.2 - 0.5 * (i % 5) for i in range(d)]
+    cfg = IterationConfig(lam=0.5, max_iters=1_000, residual_tol=0.0,
+                          record_every=every, truncation_K=2)
+    if engine == "multi":
+        s = TentSchedule(0.25, 40, 1.0)
+        t, fns, rule = multi_map_run(fam, s, x0, cfg), fam.members, multi_map_weights
+    else:
+        s = TENT
+        t, fns, rule = truncated_family_run(fam, s, x0, cfg), fam.members[:2], truncated_weights
+    assert len(t.records) > 2 * iterate._RECORD_BLOCK // every
+    assert t.fixed_points == ((0.0,) * d,)
+    _assert_records_are_the_reference(
+        t, [m.fn for m in fns], lambda a: rule(a, len(fns)), s.values(0, 1_001),
+        every, 300, kind)
+
+
+def test_weights_are_made_once_per_distinct_alpha_and_the_memo_is_bounded(monkeypatch):
+    """With room for two alphas the memo is emptied when a third arrives;
+    -0.0 may take 0.0's weights, whose zero terms the blend skips, and is
+    recorded as -0.0."""
+    calls = []
+    rule = iterate._WEIGHT_RULES["multi"]
+    monkeypatch.setitem(iterate._WEIGHT_RULES, "multi",
+                        lambda a, m: calls.append(a) or rule(a, m))
+    monkeypatch.setattr(iterate, "_WEIGHT_MEMO", 2)
+    listed = (0.1, 0.2, 0.1, 0.0, 0.1, -0.0, 0.0, 0.25)
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=7, residual_tol=0.0)
+    t = multi_map_run(fam, _Listed(listed), [0.6, 0.3], cfg)
+    assert calls == [0.1, 0.2, 0.0, 0.1, 0.25]
+    assert repr([r.alpha for r in t.records]) == repr(list(listed))
+    _assert_records_are_the_reference(
+        t, [m.fn for m in fam.members], lambda a: multi_map_weights(a, 3), listed,
+        1, 10_000, "l2")
+
+
+@pytest.mark.parametrize("alpha, shown", [(math.nan, "nan"), (-0.1, r"-0\.1")])
+def test_an_invalid_alpha_after_memo_hits_fails_at_its_own_step(alpha, shown):
+    """Neither a NaN nor the negative of an alpha already seen is served
+    memo weights."""
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=10, residual_tol=0.0)
+    with pytest.raises(InvariantError, match=rf"invalid at step 4 \(alpha={shown}\)$"):
+        multi_map_run(fam, _Listed((0.1, 0.2, 0.1, 0.2, alpha, 0.1, alpha) + (0.1,) * 4),
+                      [0.6, 0.3], cfg)
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+def test_domain_escape_raises_at_the_step_that_leaves(shape, kind):
+    """x_n = (n/8, 1/2) exactly: on the face at step 8, a member; out at 9."""
+    dom = (Domain.box([0.0, 0.0], [1.0, 1.0], kind) if shape == "box"
+           else Domain.ball([0.0, 0.5], 1.0, kind))
+    shift = register_mapping(lambda p: p + np.array([0.25, 0.0]), dom, "shift",
+                             self_map=False)
+    with pytest.raises(IterationRuntimeError,
+                       match=r"^iterate left the domain at step 9: \[1\.125, 0\.5\]$") as exc:
+        krasnoselskii_run(shift, [0.0, 0.5], IterationConfig(lam=0.5, max_iters=20))
+    assert exc.value.step == 9
+    t = krasnoselskii_run(shift, [0.0, 0.5], IterationConfig(lam=0.5, max_iters=8))
+    assert t.final.x == (1.0, 0.5)
+
+
 # --- diagnostics ------------------------------------------------------------------
 
 def test_gap_recovery_on_example1(example1_trace):
@@ -420,6 +555,40 @@ def test_residual_vanishes_needs_twenty_records(example1):
         residual_vanishes_check(t)
 
 
+def test_residual_vanishes_takes_twenty_records_and_a_residual_equal_to_its_tol(example1):
+    """x_n = 3 * 2**-n is also the residual, so tol 3 * 2**-20 stops at step
+    20 on a residual equal to it, which honours it."""
+    t = krasnoselskii_run(example1, [3.0], IterationConfig(lam=0.5, max_iters=19))
+    assert len(t.records) == 20 and residual_vanishes_check(t).passed
+    cfg = IterationConfig(lam=0.5, max_iters=40, residual_tol=3.0 * 2.0 ** -20)
+    t = krasnoselskii_run(example1, [3.0], cfg)
+    assert (t.stop_reason, t.total_steps, t.final.residual) == ("tol", 20, cfg.residual_tol)
+    assert residual_vanishes_check(t).passed
+
+
+def test_monotone_distance_allows_a_rise_of_exactly_its_tolerance(example1_trace):
+    def trace_of(*xs):
+        return dataclasses.replace(example1_trace, records=tuple(
+            dataclasses.replace(r, x=(x,)) for r, x in zip(example1_trace.records, xs)))
+
+    assert monotone_distance_check(trace_of(1.0, 1.0 + 1e-12), [0.0]).passed
+    v = monotone_distance_check(trace_of(1.0, math.nextafter(1.0 + 1e-12, 2.0)), [0.0])
+    assert not v.passed and v.witness.step == 1
+
+
+def test_replay_passes_a_deviation_of_exactly_its_tolerance(monkeypatch, example1,
+                                                             example1_trace):
+    """With a tolerance of 2**-20, a record moved by 2**-20 is off by exactly
+    that (the next interval, halving, by half of it); one ulp more fails."""
+    monkeypatch.setattr(iterate, "REPLAY_TOL", 2.0 ** -20)
+    recs = list(example1_trace.records)
+    for x, passed in ((1.5 + 2.0 ** -20, True), (math.nextafter(1.5 + 2.0 ** -20, 2.0), False)):
+        recs[1] = dataclasses.replace(recs[1], x=(x,))
+        v = replay_trace(dataclasses.replace(example1_trace, records=tuple(recs)), example1)
+        assert v.passed is passed
+        assert passed is False or v.observed_max == 2.0 ** -20
+
+
 def test_residual_vanishes_on_example1(example1_trace):
     v = residual_vanishes_check(example1_trace)
     assert v.passed
@@ -445,6 +614,10 @@ def test_asymptotic_radius_window_contract(example1_trace):
         asymptotic_radius(example1_trace, [1.0], window=0)
     with pytest.raises(PreconditionError):
         asymptotic_radius(example1_trace, [1.0], window=99)
+    with pytest.raises(PreconditionError, match=r"^window 42 exceeds the 41 recorded steps$"):
+        asymptotic_radius(example1_trace, [1.0], window=42)
+    assert asymptotic_radius(example1_trace, [1.0], window=1) == 1.0 - 3.0 * 2.0 ** -40
+    assert asymptotic_radius(example1_trace, [0.0], window=41) == 3.0
 
 
 def test_replay_confirms_untampered_traces(example1, example1_trace):

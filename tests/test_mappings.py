@@ -41,6 +41,27 @@ def test_register_rejects_wrong_fixed_point():
                          known_fixed_points=[[1.0]])
 
 
+def test_register_rejects_a_claimed_fixed_point_whose_image_has_another_shape():
+    """T(0, 0) is the 1-vector [0.0]: no distance to (0, 0), so no fixed point."""
+    d = Domain.box([0.0, 0.0], [4.0, 4.0])
+    with pytest.raises(ContractViolation,
+                       match=r"^mapping 'f': claimed fixed point \[0\.0, 0\.0\]: "
+                             r"no distance between points of shapes \(1,\) and \(2,\)$"):
+        register_mapping(lambda p: 0.0 * p[0], d, "f", known_fixed_points=[[0.0, 0.0]],
+                         self_map=False)
+
+
+def test_a_composite_whose_image_has_another_shape_is_refused_as_no_self_map():
+    """The factor's fixed point is no candidate for a composite whose image
+    has another shape, so registration refuses the composite itself."""
+    d = Domain.box([0.0, 0.0], [4.0, 4.0])
+    flat = register_mapping(lambda p: 0.0 * p[0], d, "flat", self_map=False)
+    with pytest.raises(ContractViolation,
+                       match=r"^mapping 'flat∘scaling\(0\.5\)' is not a self-map: "
+                             r"\[0\.0, 0\.0\] -> \[0\.0\]$"):
+        compose(flat, scaling_map(d, 0.5))
+
+
 def test_register_rejects_non_self_map():
     d = Domain.box([0.0], [1.0])
     with pytest.raises(ContractViolation):

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixedlab import (
@@ -29,7 +29,7 @@ from fixedlab import (
     pairwise_norm,
     sample,
 )
-from fixedlab.vecspace import _norm_floats, _norm_last_axis
+from fixedlab.vecspace import MEMBERSHIP_TOL, _norm_floats, _norm_last_axis
 from helpers import reference_sample
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -56,6 +56,14 @@ def test_norm_accepts_string_kind():
     assert norm([3.0, -4.0], "l2") == 5.0
     with pytest.raises(ValueError):
         norm([1.0], "l3")
+
+
+def test_dist_refuses_points_of_different_shapes_naming_both():
+    with pytest.raises(InvalidInputError,
+                       match=r"^no distance between points of shapes \(1,\) and \(2,\)$"):
+        dist([1.0], [0.0, 0.0])
+    with pytest.raises(InvalidInputError, match=r"shapes \(2, 1\) and \(2,\)$"):
+        dist(np.zeros((2, 1)), np.zeros(2))
 
 
 def test_norm_refuses_a_non_finite_coordinate_and_pairwise_norm_an_unknown_kind():
@@ -228,6 +236,50 @@ def test_contains_reads_any_point_as_its_float_array(p):
         q = np.array(p, dtype=float, ndmin=1)
         want = q.shape == (2,) and bool(d.contains_rows(q[None])[0])
         assert d.contains(p) == want, (p, d.shape)
+
+
+_MEMBERSHIP_DOMAINS = [Domain.box([-1.0, 0.5, 2.0], [2.0, 3.0, 2.0], k) for k in NormKind] + [
+    Domain.ball([0.25, -0.5, 3.0], 1.5, k) for k in NormKind]
+
+
+@st.composite
+def _probes(draw):
+    """A domain and a float list of its dimension whose coordinates sit on,
+    a tolerance off and one ulp around each face (or the centre), or are
+    non-finite, or anything near the domain."""
+    dom = draw(st.sampled_from(_MEMBERSHIP_DOMAINS))
+    lo, up = dom.bounding_box()
+    q = []
+    for i in range(dom.dimension):
+        face = [lo[i], up[i]] + ([] if dom.shape == "box" else
+                                 [dom.center[i], dom.center[i] - (dom.radius + MEMBERSHIP_TOL),
+                                  dom.center[i] + (dom.radius + MEMBERSHIP_TOL)])
+        near = [v + o for v in face for o in (-MEMBERSHIP_TOL, 0.0, MEMBERSHIP_TOL)]
+        edges = near + [math.nextafter(v, t) for v in near for t in (-math.inf, math.inf)]
+        q.append(float(draw(st.one_of(
+            st.sampled_from(edges + [math.inf, -math.inf, math.nan]),
+            st.floats(lo[i] - 1.0, up[i] + 1.0)))))
+    return dom, q
+
+
+@given(_probes())
+@example((_MEMBERSHIP_DOMAINS[5], [0.25, math.nan, 3.0]))   # linf: max() would drop the NaN
+@settings(max_examples=400)
+def test_the_float_membership_rule_is_contains_and_the_row_rule(probe):
+    """`_member`, built once per domain, decides as `contains` and
+    `contains_rows` do, and as the rule transcribed from its definition:
+    finite, and within MEMBERSHIP_TOL of the box or the ball."""
+    dom, q = probe
+    if dom.shape == "box":
+        want = all(map(math.isfinite, q)) and all(
+            lo - MEMBERSHIP_TOL <= c <= up + MEMBERSHIP_TOL
+            for lo, c, up in zip(dom.lower, q, dom.upper))
+    else:
+        want = all(map(math.isfinite, q)) and dist(
+            q, dom.center, dom.norm_kind) <= dom.radius + MEMBERSHIP_TOL
+    assert dom._member(q) is want
+    assert dom.contains(q) is want
+    assert bool(dom.contains_rows(np.array([q]))[0]) is want
 
 
 def test_domain_to_dict_round_trip_keys():
