@@ -11,9 +11,11 @@ The two-parameter condition checked by `check_condition_B` is
     gamma*||x - Tx|| <= ||x - y|| + mu*||y - Ty||
         implies  ||Tx - Ty|| <= (1 - gamma)*||x - y|| + mu*(||x - Ty|| + ||y - Tx||)
 
-with 0 <= gamma <= 1, 0 <= mu <= 1/2 and 2*mu <= gamma. Setting gamma = mu
-= 0 makes the premise vacuous and the conclusion plain nonexpansiveness,
-and the verdicts agree exactly (same scan, bitwise-identical arithmetic).
+with 0 <= gamma <= 1, 0 <= mu <= 1/2 and 2*mu <= gamma. A zero gamma or mu
+drops its term, on both sides: 0*||.|| is 0 even where a distance
+overflows to inf, where 0.0 * inf would be NaN. So gamma = mu = 0 makes
+the premise vacuous and the conclusion plain nonexpansiveness, and the
+verdicts agree exactly (same scan, bitwise-identical arithmetic).
 """
 
 from __future__ import annotations
@@ -68,16 +70,20 @@ _TILE = 16
 
 
 class _Check(NamedTuple):
-    """One condition as `_scan` runs it. `symmetric` is declared where the
-    check is described, never inferred: it says that the conclusion's two
-    sides at the pair (y, x) equal those at (x, y) bit for bit, so the scan
-    compares them once per unordered pair. `parts` is described at `_scan`."""
+    """One condition as `_scan` runs it. `symmetric` and `bound` are
+    declared where the check is described, never inferred. `symmetric` says
+    that the conclusion's two sides at the pair (y, x) equal those at (x, y)
+    bit for bit, so the scan compares them once per unordered pair. A bound
+    (a, b) says that the check is symmetric with one part, concluding TT <=
+    a*xx + b*(xT+Tx), with no b term where b = 0. `parts` is described at
+    `_scan`."""
 
     label: str
     params: tuple
     cols: str
     symmetric: bool
     parts: Callable
+    bound: Optional[tuple] = None
 
 
 class _Buffers(dict):
@@ -145,6 +151,12 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
     reuses. Where parts first fail on the same pair, the earlier part is
     the witness.
 
+    On each tile the checks with a bound run first, in ascending (a, b),
+    and a check is skipped where one compared clean on the tile has a
+    bound no larger in both a and b: xx is finite and xT+Tx in [0, inf],
+    so rounding keeps the skipped check's right side at least the clean
+    one's, entry by entry, and it has no violation either.
+
     The scan walks row tiles [lo, hi) in order over the tile's columns.
     On the sample's own columns, an entry (i, j) stands for the pair
     (x_i, x_j) and, flipped, for (x_j, x_i); a check's parts(tile, True)
@@ -159,20 +171,27 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
     pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
     bufs = _Buffers(min(_TILE, len(X)), pts)
     best: dict[int, tuple] = {}   # check index -> (row, column, part, witness)
+    order = sorted(range(len(checks)), key=lambda k: (checks[k].bound is None,
+                                                      checks[k].bound or ()))
     for lo in range(0, len(X), _TILE):
-        live = [k for k in range(len(checks)) if k not in best or best[k][0] >= lo]
+        live = [k for k in order if k not in best or best[k][0] >= lo]
         if not live:
             break
         tile = _Tile(pts, slice(lo, min(lo + _TILE, len(X))), T.domain.norm_kind, bufs)
         args = (disp[tile.rows, None], disp[None, lo:])   # the premise's, unflipped
+        clean = []   # the bounds of the conclusions compared clean on this tile
         for k in live:
             c = checks[k]
+            if c.bound and any(a <= c.bound[0] and b <= c.bound[1] for a, b in clean):
+                continue
             flips = (False, True) if c.cols == "x" else (False,)
             for group in [flips] if c.symmetric else [(f,) for f in flips]:   # one comparison each
                 for part, (premise, lhs, rhs, detail) in enumerate(c.parts(tile, group[0])):
                     viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", c.cols)),
                                       out=tile.out("viol", c.cols))
                     if not viol.any():
+                        if c.bound:   # its one comparison on this tile
+                            clean.append(c.bound)
                         continue
                     for flip in group:
                         orient = np.transpose if flip else np.asarray
@@ -229,7 +248,7 @@ def _one(check):
 
 def _nonexpansive():
     return _one(_Check("nonexpansive", (), "x", True,
-                       lambda t, flip: [(None, t["TT"], t["xx"], None)]))
+                       lambda t, flip: [(None, t["TT"], t["xx"], None)], (1.0, 0.0)))
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -275,7 +294,7 @@ def _condition_c(lam: float, label: str = "condition_C_lambda"):
     def premise(dx, dy, xx):
         return lam * dx <= xx
     return _one(_Check(label, params, "x", True,
-                       lambda t, flip: [(premise, t["TT"], t["xx"], None)]))
+                       lambda t, flip: [(premise, t["TT"], t["xx"], None)], (1.0, 0.0)))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -292,16 +311,20 @@ def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
 
 
 def _condition_b(p: BGammaMu):
-    """The two-parameter condition as a check for `_scan`."""
+    """The two-parameter condition as a check for `_scan`. A zero gamma or
+    mu drops its term, which 0*inf would make NaN where a distance
+    overflows; with gamma = 0 the premise always holds."""
     def premise(dx, dy, xx):
-        return p.gamma * dx <= xx + p.mu * dy
+        return p.gamma * dx <= (xx + p.mu * dy if p.mu else xx)
 
     def parts(t, flip):
         # (1 - gamma)*xx + mu*(xT + Tx), operation for operation
         rhs = np.multiply(1.0 - p.gamma, t["xx"], out=t.out("rhs"))
-        rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
-        return [(premise, t["TT"], rhs, None)]
-    return _Check("condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", True, parts)
+        if p.mu:
+            rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
+        return [(premise if p.gamma else None, t["TT"], rhs, None)]
+    return _Check("condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", True, parts,
+                  (1.0 - p.gamma, p.mu))
 
 
 def check_condition_B(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:

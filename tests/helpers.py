@@ -56,19 +56,21 @@ def oracle_condition_c_lambda(fn, points, lam, eps, kind=NormKind.L2):
 
 
 def oracle_condition_b(fn, points, gamma, mu, eps, kind=NormKind.L2):
-    """Two-parameter condition, transcribed premise and conclusion."""
+    """Two-parameter condition, transcribed premise and conclusion. A zero
+    gamma or mu drops its term: the display's 0*||.|| is 0 even where the
+    distance overflows to inf, and 0.0 * inf would be NaN."""
     images = [fn(p) for p in points]
     for i, x in enumerate(points):
         d_x_tx = dist(x, images[i], kind)
         for j, y in enumerate(points):
             d_xy = dist(x, y, kind)
             d_y_ty = dist(y, images[j], kind)
-            if not (gamma * d_x_tx <= d_xy + mu * d_y_ty):
+            if not ((gamma * d_x_tx if gamma else 0.0) <= d_xy + (mu * d_y_ty if mu else 0.0)):
                 continue
             lhs = dist(images[i], images[j], kind)
             d_x_ty = dist(x, images[j], kind)
             d_y_tx = dist(y, images[i], kind)
-            rhs = (1.0 - gamma) * d_xy + mu * (d_x_ty + d_y_tx)
+            rhs = (1.0 - gamma) * d_xy + (mu * (d_x_ty + d_y_tx) if mu else 0.0)
             if lhs > rhs + eps:
                 return False, (tuple(x), tuple(y), lhs, rhs)
     return True, None

@@ -11,6 +11,7 @@ import itertools
 import math
 import re
 import signal
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from typing import ClassVar
@@ -32,7 +33,7 @@ from fixedlab import (
     verify_schedule,
 )
 from fixedlab import schedules
-from fixedlab.schedules import _CHUNK, AlphaSchedule
+from fixedlab.schedules import _CHUNK, PROXY_TOL, AlphaSchedule, ScheduleReport
 from helpers import reference_decay, reference_schedule_report, reference_tent
 
 # dyadic parameters -> every value below is exact in binary floating point
@@ -483,12 +484,12 @@ def test_steep_decay_is_refused_before_any_power_past_the_float_range(monkeypatc
         list(s.values(0, 100))
 
 
-@pytest.mark.parametrize("rate,served", [(1024, 1), (1024.0, 1), (1023.5, 2)],
-                         ids=["int-1024", "float-1024", "float-1023.5"])
+@pytest.mark.parametrize("rate,served", [(1024, 1), (1024.0, 1), (1023.5, 2), (1025, 1)],
+                         ids=["int-1024", "float-1024", "float-1023.5", "int-1025"])
 def test_decay_power_near_the_float_limit_is_decided_exactly(rate, served):
     """A power whose binary exponent lies in [1023, 1025] is built to decide
-    whether it overflows: 2**1024 does, 2**1023.5 does not, and 3**1023.5 is
-    refused from its exponent alone."""
+    whether it overflows: 2**1024 and 2**1025 do, 2**1023.5 does not, and
+    3**1023.5 is refused from its exponent alone."""
     s = DecaySchedule(0.5, rate)
     assert list(s.values(0, served)) == reference_decay(0.5, rate, served)
     with pytest.raises(ContractViolation, match=re.escape(
@@ -521,3 +522,55 @@ def test_tent_blocks_longer_than_int64_match_generator(first, growth):
     got, ref = verify_schedule(s, 100), reference_schedule_report(s, 100)
     assert (got.liminf_proxy, got.limsup_proxy, got.diff_proxy) == \
         (ref.liminf_proxy, ref.limsup_proxy, ref.diff_proxy)
+
+
+# --- the closed and open ends of each range ------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: ConstantSchedule(0.5),
+    lambda: DecaySchedule(0.0),
+    lambda: DecaySchedule(sys.float_info.max),
+    lambda: DecaySchedule(0.5, sys.float_info.max),
+    lambda: TentSchedule(0.5, 2, 1.0),
+], ids=["constant-half", "decay-scale-0", "decay-scale-max", "decay-rate-max", "tent-peak-half"])
+def test_constructors_accept_the_closed_ends_of_their_ranges(make):
+    make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DecaySchedule(0.5, 0.0),
+    lambda: TentSchedule(0.0, 2, 1.0),
+], ids=["decay-rate-0", "tent-peak-0"])
+def test_constructors_refuse_the_open_ends_of_their_ranges(make):
+    with pytest.raises(ContractViolation):
+        make()
+
+
+def test_the_report_flags_by_the_tolerance_itself():
+    """A tail minimum or step of exactly PROXY_TOL still counts as vanished,
+    and a tail maximum of exactly PROXY_TOL is not bounded away."""
+    rep = ScheduleReport(schedule={}, horizon=10, window_start=8, liminf_proxy=PROXY_TOL,
+                         limsup_proxy=PROXY_TOL, diff_proxy=PROXY_TOL)
+    assert (rep.liminf_ok, rep.limsup_ok, rep.diff_ok) == (True, False, True)
+
+
+@dataclass(frozen=True)
+class _Ends(AlphaSchedule):
+    """0.0 and 1/2, the ends of the range, in turn, but `bad` at step `at`."""
+
+    kind: ClassVar[str] = "ends"
+    bad: float
+    at: int
+
+    def _chunks(self, start, stop):
+        c = np.arange(start, stop) % 2 * 0.5
+        c[self.at - start] = self.bad
+        yield c
+
+
+@pytest.mark.parametrize("bad", [0.6, -0.1, math.nan])
+def test_verify_schedule_names_the_value_outside_the_range_not_an_end(bad):
+    """The window [30, 40] opens with 0.0 and 1/2, both inside [0, 1/2]."""
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"schedule emitted {bad} outside [0, 1/2] at step 35") + "$"):
+        verify_schedule(_Ends(bad, 35), 40)
