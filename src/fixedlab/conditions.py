@@ -6,16 +6,16 @@ concluding inequality gets the plan's additive epsilon, so a fail witness
 always violates its inequality by more than epsilon and can be replayed. A
 pass only ever means "no counterexample found on this plan".
 
-The two-parameter condition checked by `check_condition_B` is
+Four of the checks are one symmetric condition, which `_pair` builds from
+a premise (gamma, mu) and a bound (a, b):
 
     gamma*||x - Tx|| <= ||x - y|| + mu*||y - Ty||
-        implies  ||Tx - Ty|| <= (1 - gamma)*||x - y|| + mu*(||x - Ty|| + ||y - Tx||)
+        implies  ||Tx - Ty|| <= a*||x - y|| + b*(||x - Ty|| + ||y - Tx||)
 
-with 0 <= gamma <= 1, 0 <= mu <= 1/2 and 2*mu <= gamma. A zero gamma or mu
-drops its term, on both sides: 0*||.|| is 0 even where a distance
-overflows to inf, where 0.0 * inf would be NaN. So gamma = mu = 0 makes
-the premise vacuous and the conclusion plain nonexpansiveness, and the
-verdicts agree exactly (same scan, bitwise-identical arithmetic).
+Nonexpansiveness is the premise (0, 0) with the bound (1, 0), condition
+C_lambda (lambda, 0) with (1, 0), condition (C) its lambda = 1/2, and the
+two-parameter condition of `check_condition_B` (gamma, mu) with
+(1 - gamma, mu), where 0 <= gamma <= 1, 0 <= mu <= 1/2 and 2*mu <= gamma.
 """
 
 from __future__ import annotations
@@ -70,35 +70,17 @@ _TILE = 16
 
 
 class _Check(NamedTuple):
-    """One condition as `_scan` runs it. `symmetric` and `bound` are
-    declared where the check is described, never inferred. `symmetric` says
-    that the conclusion's two sides at the pair (y, x) equal those at (x, y)
-    bit for bit, so the scan compares them once per unordered pair. A bound
-    (a, b) says that the check is symmetric with one part, concluding TT <=
-    a*xx + b*(xT+Tx), with no b term where b = 0. `parts` is described at
-    `_scan`."""
+    """One condition as `_scan` runs it. `parts` is described at `_scan`.
+    A bound (a, b), declared where the check is described and never
+    inferred, says that the check has one part, concluding TT <= a*xx +
+    b*(xT+Tx), and is symmetric: that conclusion's two sides at the pair
+    (y, x) equal those at (x, y) bit for bit."""
 
     label: str
     params: tuple
     cols: str
-    symmetric: bool
     parts: Callable
     bound: Optional[tuple] = None
-
-
-class _Buffers(dict):
-    """The arrays a scan reuses on every tile, each made on first use: key
-    (name, cols) holds room for `rows` rows of one entry per point of
-    pts[cols], bools for the name "viol" and floats otherwise."""
-
-    def __init__(self, rows: int, pts: dict):
-        super().__init__()
-        self.rows, self.pts = rows, pts
-
-    def __missing__(self, key: tuple) -> np.ndarray:
-        b = self[key] = np.empty(self.rows * len(self.pts[key[1]]),
-                                 bool if key[0] == "viol" else float)
-        return b
 
 
 class _Tile:
@@ -109,16 +91,22 @@ class _Tile:
     two; each is computed into the scan's buffers when a check first asks
     for it."""
 
-    def __init__(self, pts: dict, rows: slice, kind, bufs: _Buffers):
+    def __init__(self, pts: dict, rows: slice, kind, bufs: dict):
         self.pts, self.rows, self.kind, self.bufs = pts, rows, kind, bufs
         self.col0 = {"x": rows.start, "T": rows.start, "z": 0}   # pts[c][col0[c]] is column 0
         self.made: dict[str, np.ndarray] = {}
 
     def out(self, name: str, cols: str = "x") -> np.ndarray:
         """The scan's buffer (name, cols) shaped as this tile's rows by its
-        columns: its entries hold whatever the last tile left there."""
+        columns, holding whatever the last tile left there; made on first
+        use for the first, largest tile, of bools for "viol", else floats."""
         shape = (self.rows.stop - self.rows.start, len(self.pts[cols]) - self.col0[cols])
-        return self.bufs[name, cols][:shape[0] * shape[1]].reshape(shape)
+        try:
+            buf = self.bufs[name, cols]
+        except KeyError:
+            size = min(_TILE, len(self.pts["x"])) * len(self.pts[cols])
+            buf = self.bufs[name, cols] = np.empty(size, bool if name == "viol" else float)
+        return buf[:shape[0] * shape[1]].reshape(shape)
 
     def __getitem__(self, key: str) -> np.ndarray:
         if key not in self.made:
@@ -160,16 +148,16 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
     The scan walks row tiles [lo, hi) in order over the tile's columns.
     On the sample's own columns, an entry (i, j) stands for the pair
     (x_i, x_j) and, flipped, for (x_j, x_i); a check's parts(tile, True)
-    give the flipped pairs' sides, and a symmetric check compares its
-    conclusion once, from parts(tile, False), and evaluates its premise
-    in both orientations. Each check keeps its row-major first candidate
-    pair. After tile [lo, hi) every pair in a row below hi has been seen,
+    give the flipped pairs' sides, and a check with a bound, being
+    symmetric, compares its conclusion once, from parts(tile, False), and
+    evaluates its premise in both orientations. Each check keeps its
+    row-major first candidate pair. After tile [lo, hi) every pair in a row below hi has been seen,
     so a check whose candidate lies in such a row has its first witness
     and retires; the scan stops once every check has retired.
     """
     X, TX, disp = images
     pts = {"x": X, "T": TX, "z": np.reshape(T.known_fixed_points, (-1, X.shape[1]))}
-    bufs = _Buffers(min(_TILE, len(X)), pts)
+    bufs = {}   # (name, cols) -> the buffer that every tile reuses
     best: dict[int, tuple] = {}   # check index -> (row, column, part, witness)
     order = sorted(range(len(checks)), key=lambda k: (checks[k].bound is None,
                                                       checks[k].bound or ()))
@@ -185,7 +173,7 @@ def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Ve
             if c.bound and any(a <= c.bound[0] and b <= c.bound[1] for a, b in clean):
                 continue
             flips = (False, True) if c.cols == "x" else (False,)
-            for group in [flips] if c.symmetric else [(f,) for f in flips]:   # one comparison each
+            for group in [flips] if c.bound else [(f,) for f in flips]:   # one comparison each
                 for part, (premise, lhs, rhs, detail) in enumerate(c.parts(tile, group[0])):
                     viol = np.greater(lhs, np.add(rhs, plan.epsilon, out=tile.out("tmp", c.cols)),
                                       out=tile.out("viol", c.cols))
@@ -246,9 +234,30 @@ def _one(check):
     return lambda T, plan, images: ([check], lambda vs: vs[0])
 
 
+def _pair(label: str, params: tuple, premise: tuple, bound: tuple) -> _Check:
+    """The module docstring's condition for premise (gamma, mu) and bound
+    (a, b). A zero gamma, mu or b drops its term: 0*||.|| is 0 even where a
+    distance overflows to inf, where 0.0 * inf would be NaN, so gamma = 0
+    makes the premise vacuous. The bound (1, 0) reads ||x - y|| itself, the
+    bits of 1.0 * ||x - y||."""
+    (gamma, mu), (a, b) = premise, bound
+    scaled = (a, b) != (1.0, 0.0)
+
+    def holds(dx, dy, xx):
+        return gamma * dx <= (xx + mu * dy if mu else xx)
+
+    def parts(t, flip):
+        rhs = t["xx"]
+        if scaled:
+            rhs = np.multiply(a, rhs, out=t.out("rhs"))
+            if b:
+                rhs += np.multiply(b, t["xT+Tx"], out=t.out("tmp"))
+        return [(holds if gamma else None, t["TT"], rhs, None)]
+    return _Check(label, params, "x", parts, bound)
+
+
 def _nonexpansive():
-    return _one(_Check("nonexpansive", (), "x", True,
-                       lambda t, flip: [(None, t["TT"], t["xx"], None)], (1.0, 0.0)))
+    return _one(_pair("nonexpansive", (), (0.0, 0.0), (1.0, 0.0)))
 
 
 def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -257,7 +266,7 @@ def check_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
 
 
 def _quasi_nonexpansive(label: str = "quasi_nonexpansive", params: tuple = ()):
-    return _one(_Check(label, params, "z", False, lambda t, flip: [(None, t["Tz"], t["xz"], None)]))
+    return _one(_Check(label, params, "z", lambda t, flip: [(None, t["Tz"], t["xz"], None)]))
 
 
 def check_quasi_nonexpansive(T: Mapping, plan: SamplePlan) -> Verdict:
@@ -290,11 +299,7 @@ def _condition_c(lam: float, label: str = "condition_C_lambda"):
     if not (0.0 < lam < 1.0):
         raise ContractViolation(f"lambda must lie in (0, 1), got {lam}")
     params = (("lambda", lam),) if label == "condition_C_lambda" else ()
-
-    def premise(dx, dy, xx):
-        return lam * dx <= xx
-    return _one(_Check(label, params, "x", True,
-                       lambda t, flip: [(premise, t["TT"], t["xx"], None)], (1.0, 0.0)))
+    return _one(_pair(label, params, (lam, 0.0), (1.0, 0.0)))
 
 
 def check_condition_C_lambda(T: Mapping, lam: float, plan: SamplePlan) -> Verdict:
@@ -310,21 +315,10 @@ def check_condition_C(T: Mapping, plan: SamplePlan) -> Verdict:
     return _checks(T, plan, [_condition_c(0.5, "condition_C")])[0]
 
 
-def _condition_b(p: BGammaMu):
-    """The two-parameter condition as a check for `_scan`. A zero gamma or
-    mu drops its term, which 0*inf would make NaN where a distance
-    overflows; with gamma = 0 the premise always holds."""
-    def premise(dx, dy, xx):
-        return p.gamma * dx <= (xx + p.mu * dy if p.mu else xx)
-
-    def parts(t, flip):
-        # (1 - gamma)*xx + mu*(xT + Tx), operation for operation
-        rhs = np.multiply(1.0 - p.gamma, t["xx"], out=t.out("rhs"))
-        if p.mu:
-            rhs += np.multiply(p.mu, t["xT+Tx"], out=t.out("tmp"))
-        return [(premise if p.gamma else None, t["TT"], rhs, None)]
-    return _Check("condition_B", (("gamma", p.gamma), ("mu", p.mu)), "x", True, parts,
-                  (1.0 - p.gamma, p.mu))
+def _condition_b(p: BGammaMu) -> _Check:
+    """The two-parameter condition as a check for `_scan`."""
+    return _pair("condition_B", (("gamma", p.gamma), ("mu", p.mu)), (p.gamma, p.mu),
+                 (1.0 - p.gamma, p.mu))
 
 
 def check_condition_B(T: Mapping, p: BGammaMu, plan: SamplePlan) -> Verdict:
@@ -383,7 +377,7 @@ def _prop1(theta: float, p: BGammaMu):
                            plan=plan, params=params)
 
         return [_condition_b(p)] + (
-            [] if viol_i[i] else [_Check("prop1", params, "x", False, parts)]), finish
+            [] if viol_i[i] else [_Check("prop1", params, "x", parts)]), finish
     return prepare
 
 

@@ -221,8 +221,8 @@ _DOMAINS = {
 #: per point (tracemalloc, condition_B and prop1 at d = 2): 285-325 MB here.
 _MAX_PLAN_POINTS = 2**18
 
-#: The longest horizon a config may ask for. The tail window is a quarter
-#: of it, and the decay, the slowest kind, takes about 160 ns a value: 4 s.
+#: The longest horizon a config may ask for. Its tail window, a quarter, takes
+#: 9 s for the slowest kind, a tent of growth 1.0000001 (~3-step blocks), 3 s for a decay.
 _MAX_HORIZON = 10**8
 
 #: The most steps a run may take. Five maps take about 28 us a step and a

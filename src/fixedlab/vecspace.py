@@ -69,11 +69,16 @@ def norm(v: Union[float, Sequence[float], np.ndarray], kind: NormKind = NormKind
 
 
 def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
-    """Distance ||x - y|| under `kind` between two points of one shape."""
+    """Distance ||x - y|| under `kind` between two finite points of one
+    shape: inf where the norm of their difference overflows, as in `pairwise_norm`."""
     a, b = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if a.shape != b.shape:
         raise InvalidInputError(f"no distance between points of shapes {a.shape} and {b.shape}")
-    return norm(a - b, kind)
+    for v in (a, b):
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError(f"non-finite coordinate in {v.tolist()!r}")
+    with np.errstate(over="ignore"):
+        return float(_norm_last_axis(np.atleast_1d(a - b), kind))
 
 
 #: np.add.reduce adds fewer than this many terms in sequence, left to right;
@@ -196,12 +201,9 @@ class Domain:
 
     def contains(self, p) -> bool:
         """Membership with absolute tolerance MEMBERSHIP_TOL, decided by the
-        rule `_member` on p as a float list: a list of Python floats is read
-        as it is, anything else through np.array."""
-        q = p
-        if type(p) is not list or not all(type(c) is float for c in p):
-            q = np.array(p, dtype=float, ndmin=1)
-            q = q.tolist() if q.ndim == 1 else ()
+        rule `_member` on p read through np.array as a float list."""
+        q = np.array(p, dtype=float, ndmin=1)
+        q = q.tolist() if q.ndim == 1 else ()
         return len(q) == self.dimension and self._member(q)
 
     @functools.cached_property

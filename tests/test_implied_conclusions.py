@@ -10,6 +10,7 @@ scan of the (1, 0) checks equals each run alone, at every tile size and on
 a map whose distances overflow. A zero gamma or mu drops its term of the
 two-parameter condition, so that 0*inf never makes a NaN.
 """
+import math
 import warnings
 
 import numpy as np
@@ -22,19 +23,22 @@ from fixedlab import (
     GALLERY_AFFINE_SHIFT,
     GALLERY_BOX,
     BGammaMu,
+    ContractViolation,
     Domain,
     SamplePlan,
     affine_map,
+    as_vector,
     check_condition_B,
     check_condition_C,
     check_condition_C_lambda,
     check_nonexpansive,
+    dist,
     example1_map,
     register_mapping,
     scaling_map,
     sweep_condition_B,
 )
-from fixedlab import conditions
+from fixedlab import conditions, mappings
 from fixedlab.vecspace import NormKind
 from helpers import oracle_condition_b
 
@@ -81,6 +85,19 @@ def test_condition_b_at_zero_is_nonexpansiveness_when_a_distance_overflows():
     drop = ("condition", "params")
     assert ({k: v for k, v in b.to_dict().items() if k not in drop}
             == {k: v for k, v in ne.to_dict().items() if k not in drop})
+
+
+def test_an_overflowing_witness_lhs_is_the_dist_of_the_two_images():
+    """`dist` reads a distance that overflows as the scan does, as inf; so
+    registration's fixed-point gap and `_fixed_by` compare it, not raise."""
+    T, plan = _big(), SamplePlan.grid(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        w = check_nonexpansive(T, plan).witness
+    assert w.lhs == dist(T.fn(np.array(w.x)), T.fn(np.array(w.y))) == math.inf
+    with pytest.raises(ContractViolation, match=r"claimed fixed point \[1\.0\] moves by inf$"):
+        register_mapping(T.fn, T.domain, "big", known_fixed_points=[[1.0]], self_map=False)
+    assert mappings._fixed_by([as_vector([1.0])], [T.fn], T.domain) == []
 
 
 @pytest.mark.parametrize("gamma,mu", [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.5, 0.25),

@@ -147,13 +147,14 @@ def test_a_sweep_that_passes_evaluates_no_premise(monkeypatch):
 
 def test_scan_buffers_are_made_once_per_scan_not_per_tile(monkeypatch):
     made = []
-    real = conditions._Buffers.__missing__
+    real = conditions._Tile.out
 
-    def counted(self, key):
-        made.append(key)
-        return real(self, key)
+    def counted(self, name, cols="x"):
+        if (name, cols) not in self.bufs:   # the buffer's first use in this scan
+            made.append((name, cols))
+        return real(self, name, cols)
 
-    monkeypatch.setattr(conditions._Buffers, "__missing__", counted)
+    monkeypatch.setattr(conditions._Tile, "out", counted)
     monkeypatch.setattr(conditions, "_TILE", 16)
     T = affine_map(GALLERY_BOX, GALLERY_AFFINE_MATRIX, GALLERY_AFFINE_SHIFT)
     counts = []

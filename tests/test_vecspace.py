@@ -29,6 +29,7 @@ from fixedlab import (
     pairwise_norm,
     sample,
 )
+from fixedlab import vecspace
 from fixedlab.vecspace import MEMBERSHIP_TOL, _norm_floats, _norm_last_axis
 from helpers import reference_sample
 
@@ -64,6 +65,22 @@ def test_dist_refuses_points_of_different_shapes_naming_both():
         dist([1.0], [0.0, 0.0])
     with pytest.raises(InvalidInputError, match=r"shapes \(2, 1\) and \(2,\)$"):
         dist(np.zeros((2, 1)), np.zeros(2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")   # pairwise_norm's
+def test_dist_refuses_a_non_finite_operand_and_reads_an_overflowing_distance_as_inf():
+    """The l2 norm squares the difference: between finite points 1e200 apart
+    it overflows to inf, as `pairwise_norm` reads it, where a non-finite
+    point has no distance at all."""
+    with pytest.raises(InvalidInputError, match=r"^non-finite coordinate in \[nan\]$"):
+        dist([math.nan], [0.0])
+    with pytest.raises(InvalidInputError, match=r"^non-finite coordinate in \[-inf, 0\.0\]$"):
+        dist([0.0, 0.0], [-math.inf, 0.0])
+    x, y = np.array([[1e200], [-1e308]]), np.array([[-1e200], [1e308]])
+    for kind in NormKind:
+        assert dist(x[0], y[0], kind) == pairwise_norm(x[:1], y[:1], kind)[0, 0]
+        assert dist(x[1], y[1], kind) == math.inf   # the difference itself overflows
+    assert dist(x[0], y[0]) == math.inf and dist(x[0], y[0], "l1") == 2e200
 
 
 def test_norm_refuses_a_non_finite_coordinate_and_pairwise_norm_an_unknown_kind():
@@ -174,6 +191,15 @@ def test_float_list_norm_matches_the_array_norm_bitwise_for_every_dimension(kind
             assert _norm_floats(w.tolist(), kind).hex() == want.hex(), (d, kind)
 
 
+def test_a_float_list_of_eight_terms_is_summed_as_numpy_sums_it():
+    """At `_IN_SEQUENCE_BELOW` terms np.add.reduce adds in 8 partials: seven
+    1e-16 terms survive beside 1.0 there, where a sum in sequence drops each."""
+    v = [1.0] + [1e-16] * 7
+    want = float(_norm_last_axis(np.array(v), NormKind.L1))
+    assert want == 1.0000000000000007
+    assert _norm_floats(v, NormKind.L1) == want
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 8, 30, 64])
 def test_pairwise_norm_holds_no_tile_by_dimension_temporary(d):
     rng = np.random.default_rng(0)
@@ -230,8 +256,8 @@ def test_ball_contains():
                                [[0.5, 0.5]], ["0.5", "0.5"], [0.5, float("nan")],
                                (0.6, 0.8), [0.6, 0.8]])
 def test_contains_reads_any_point_as_its_float_array(p):
-    """Only a list of Python floats skips np.array; any other point, a list
-    of ints, bools or strings included, is read as np.array(p, float)."""
+    """Every point, a list of Python floats or of ints, bools or strings,
+    is read as np.array(p, float)."""
     for d in (Domain.ball([0.0, 0.0], 1.0, "l1"), Domain.box([0.0, 0.0], [0.5, 1.0])):
         q = np.array(p, dtype=float, ndmin=1)
         want = q.shape == (2,) and bool(d.contains_rows(q[None])[0])
@@ -361,6 +387,21 @@ def test_random_sampling_respects_ball_norm(kind):
     d = Domain.ball([0.0, 0.0], 0.5, norm_kind=kind)
     for p in sample(d, SamplePlan.random(5, 80)):
         assert norm(p, kind) <= 0.5 + 1e-9
+
+
+def test_a_random_l1_ball_keeps_a_candidate_on_its_sphere(monkeypatch):
+    """The rejection sampler keeps a candidate at distance exactly radius
+    from the center: the ball is closed. Its draws are stubbed so that the
+    first batch holds (0.5, 0.5), on the unit l1 sphere, and (0.0, 0.25)."""
+    batches = iter([[[0.5, 0.5], [0.0, 0.25]], [[0.125, 0.125], [0.125, 0.125]]])
+
+    class Draws:
+        def uniform(self, lo, up, size):
+            return np.array(next(batches))
+
+    monkeypatch.setattr(vecspace.np.random, "default_rng", lambda seed: Draws())
+    got = sample(Domain.ball([0.0, 0.0], 1.0, "l1"), SamplePlan.random(0, 2))
+    assert got.tolist() == [[0.5, 0.5], [0.0, 0.25]]
 
 
 def _sample_digest(kind, plans):
