@@ -122,7 +122,14 @@ def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.nd
     """Sample points X, their images TX and the displacements ||x_i - Tx_i||."""
     X = sample(T.domain, plan)
     TX = _evaluate_rows(T, X)
-    return X, TX, _norm_last_axis(X - TX, T.domain.norm_kind)
+    return X, TX, _row_dists(X, TX, T.domain.norm_kind)
+
+
+def _row_dists(A: np.ndarray, B: np.ndarray, kind) -> np.ndarray:
+    """||a_i - b_i|| row by row; a distance that overflows is inf, as
+    `dist` and the scan read it, without numpy's warning."""
+    with np.errstate(over="ignore"):
+        return _norm_last_axis(A - B, kind)
 
 
 def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Verdict]:
@@ -219,7 +226,9 @@ def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
         unique.update({k: c for k, c in zip(keys, checks) if k not in unique})
         prepared.append((keys, finish))
         images()
-    verdicts = dict(zip(unique, _scan(T, plan, list(unique.values()), images())))
+    with np.errstate(over="ignore"):   # a distance that overflows is inf, as in dist
+        scanned = _scan(T, plan, list(unique.values()), images())
+    verdicts = dict(zip(unique, scanned))
     out = []
     for keys, finish in prepared:   # a loop, so a warning's stacklevel is fixed
         out.append(finish([verdicts[k] for k in keys]))
@@ -336,7 +345,7 @@ def _prop1(theta: float, p: BGammaMu):
     def prepare(T, plan, images):
         X, TX, dxTx = images()
         TTX = _evaluate_rows(T, TX)
-        dTxTtx = _norm_last_axis(TX - TTX, T.domain.norm_kind)
+        dTxTtx = _row_dists(TX, TTX, T.domain.norm_kind)
         eps = plan.epsilon
         viol_i = dTxTtx > dxTx + eps
         i = int(np.argmax(viol_i))   # first point violating part (i)

@@ -222,7 +222,7 @@ _DOMAINS = {
 _MAX_PLAN_POINTS = 2**18
 
 #: The longest horizon a config may ask for. Its tail window, a quarter, takes
-#: 9 s for the slowest kind, a tent of growth 1.0000001 (~3-step blocks), 3 s for a decay.
+#: 9 s for the slowest kind, a tent of growth 1.0000001 (~3-step blocks), 2.4-3.4 s for a decay.
 _MAX_HORIZON = 10**8
 
 #: The most steps a run may take. Five maps take about 28 us a step and a

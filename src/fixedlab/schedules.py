@@ -12,9 +12,11 @@ steps, through a private `_chunks(start, stop)`. `AlphaSchedule.values` is
 defined once on top of it and yields them lazily as floats; the engines
 draw from it, and `alpha(n)` is its first value. A chunk applies the same
 IEEE operations, in the same order, as the scalar formula of its kind, so
-each value is bit for bit the formula's. The decay schedule raises its
-powers with Python's own `pow`: numpy's vectorised power may differ from
-it in the last bit.
+each value is bit for bit the formula's. The decay schedule takes its
+powers from libm's `pow`, as Python's `pow` does: a float rate's by
+`math.pow` (below int64 a chunk's bases are made in one int -> float cast),
+an int rate's by `pow` itself, exactly. numpy's vectorised power is not
+used: it may differ from libm's in the last bit.
 
 `verify_schedule` measures finite-horizon proxies for the three limits
 over the last quarter of the horizon, reducing one chunk at a time, so its
@@ -108,7 +110,13 @@ class DecaySchedule(AlphaSchedule):
 
     def _raw(self, a: int, b: int) -> np.ndarray:
         """scale/(n+1)**rate for n in [a, b), before the clamp."""
-        powers = map(pow, range(a + 1, b + 1), repeat(self.rate))
+        bases = range(a + 1, b + 1)
+        if isinstance(self.rate, float) and b < 2**63 - 1:
+            # the int64 -> float64 cast rounds to nearest even, as math.pow's
+            # own int -> float does; a cast per chunk costs less than one per int
+            bases = np.arange(a + 1, b + 1).astype(float).tolist()
+        # math.pow calls libm's pow, as pow(int, float) does, without its dispatch
+        powers = map(math.pow if isinstance(self.rate, float) else pow, bases, repeat(self.rate))
         if isinstance(self.scale, int) and isinstance(self.rate, int):
             # int / int rounds the exact quotient once, unlike float / float
             return np.fromiter(map(truediv, repeat(self.scale), powers), float, b - a)

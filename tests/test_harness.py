@@ -589,6 +589,14 @@ def test_largest_max_iters_and_sweep_are_accepted(tmp_path):
         assert len(load_config(p).sweep["gamma_grid"]) == n
 
 
+def test_a_sweep_of_exactly_the_pair_bound_is_accepted(tmp_path):
+    """One cell of a 512 x 512 grid makes (2**18)**2 = 2**36 pairs, the bound
+    itself: the load passes, and nothing is sampled or run."""
+    p = write_cfg(tmp_path, "s.json", {**SCALING_RUN, "plan": {
+        "mode": "grid", "resolution": 512}, "sweep": {"gamma_grid": [0.5], "mu_grid": [0.25]}})
+    assert load_config(p).plan.resolution == (512,)
+
+
 def test_run_command_refuses_an_unknown_command(tmp_path):
     with pytest.raises(ContractViolation,
                        match=r"^unknown command 'bogus'; known: check, run, schedule, sweep$"):

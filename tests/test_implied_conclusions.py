@@ -11,7 +11,6 @@ a map whose distances overflow. A zero gamma or mu drops its term of the
 two-parameter condition, so that 0*inf never makes a NaN.
 """
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +40,11 @@ from fixedlab import (
 from fixedlab import conditions, mappings
 from fixedlab.vecspace import NormKind
 from helpers import oracle_condition_b
+
+
+# the scan reads an overflowing distance as inf without a warning, so any
+# RuntimeWarning here is a fault
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _big(factor=1e308):
@@ -76,11 +80,10 @@ def _dict(v):
 # --- condition_B at gamma = mu = 0 ---------------------------------------------
 
 def test_condition_b_at_zero_is_nonexpansiveness_when_a_distance_overflows():
+    """The scan reads the overflowing distances as inf, with no warning."""
     T, plan = _big(), SamplePlan.grid(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # the norm's overflow
-        ne = check_nonexpansive(T, plan)
-        b = check_condition_B(T, BGammaMu(0.0, 0.0), plan)
+    ne = check_nonexpansive(T, plan)
+    b = check_condition_B(T, BGammaMu(0.0, 0.0), plan)
     assert not ne.passed and ne.witness.lhs == float("inf") and ne.witness.rhs == 2.0
     drop = ("condition", "params")
     assert ({k: v for k, v in b.to_dict().items() if k not in drop}
@@ -91,13 +94,26 @@ def test_an_overflowing_witness_lhs_is_the_dist_of_the_two_images():
     """`dist` reads a distance that overflows as the scan does, as inf; so
     registration's fixed-point gap and `_fixed_by` compare it, not raise."""
     T, plan = _big(), SamplePlan.grid(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        w = check_nonexpansive(T, plan).witness
+    w = check_nonexpansive(T, plan).witness
     assert w.lhs == dist(T.fn(np.array(w.x)), T.fn(np.array(w.y))) == math.inf
     with pytest.raises(ContractViolation, match=r"claimed fixed point \[1\.0\] moves by inf$"):
         register_mapping(T.fn, T.domain, "big", known_fixed_points=[[1.0]], self_map=False)
     assert mappings._fixed_by([as_vector([1.0])], [T.fn], T.domain) == []
+
+
+def test_an_overflow_inside_the_map_itself_still_warns():
+    """Only the scan's own distances overflow silently: the map runs under
+    the caller's error state, so its own overflow warns as in `evaluate`."""
+    armed = []
+
+    def fn(p):
+        if armed:
+            np.exp(np.full(1, 800.0))
+        return p / 2
+    T = register_mapping(fn, Domain.box([-1.0], [1.0]), "exp", self_map=False)
+    armed.append(True)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert check_nonexpansive(T, SamplePlan.grid(3)).passed
 
 
 @pytest.mark.parametrize("gamma,mu", [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.5, 0.25),
@@ -109,10 +125,8 @@ def test_condition_b_drops_zero_terms_where_distances_overflow(gamma, mu):
     which the oracle's distance needs."""
     T, plan = _big(1e200), SamplePlan.grid(7)
     pts = list(conditions.sample(T.domain, plan))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v = check_condition_B(T, BGammaMu(gamma, mu), plan)
-        passed, w = oracle_condition_b(T.fn, pts, gamma, mu, plan.epsilon)
+    v = check_condition_B(T, BGammaMu(gamma, mu), plan)
+    passed, w = oracle_condition_b(T.fn, pts, gamma, mu, plan.epsilon)
     assert (v.passed, v.witness and (v.witness.x, v.witness.y, v.witness.lhs,
                                      v.witness.rhs)) == (passed, w)
 
@@ -130,18 +144,16 @@ MU_VALUES = [0.0, -0.0, 0.5, 0.1, 0.25, 0.35]
 def test_a_cross_sweep_equals_its_cells_run_one_by_one(which, gammas, mus):
     make, plan = MAPS[which]
     T = make()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        want = [("skipped", None) if 2.0 * m > g else
-                (lambda v: ("pass" if v.passed else "fail", _dict(v)))(
-                    check_condition_B(T, BGammaMu(g, m), plan))
-                for g in gammas for m in mus]
-        for tile in _tiles(T, plan):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(conditions, "_TILE", tile)
-                table = sweep_condition_B(T, gammas, mus, plan)
-            got = [(c.status, c.verdict and _dict(c.verdict)) for c in table.cells]
-            assert got == want, tile
+    want = [("skipped", None) if 2.0 * m > g else
+            (lambda v: ("pass" if v.passed else "fail", _dict(v)))(
+                check_condition_B(T, BGammaMu(g, m), plan))
+            for g in gammas for m in mus]
+    for tile in _tiles(T, plan):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "_TILE", tile)
+            table = sweep_condition_B(T, gammas, mus, plan)
+        got = [(c.status, c.verdict and _dict(c.verdict)) for c in table.cells]
+        assert got == want, tile
 
 
 def _unit_checks(lam):
@@ -161,14 +173,12 @@ def test_one_scan_of_the_unit_bound_checks_equals_each_run_alone(which, order, l
     make, plan = MAPS[which]
     T = make()
     checks = [_unit_checks(lam)[k] for k in order]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        want = [_dict(alone(T, plan)) for _, alone in checks]
-        for tile in _tiles(T, plan):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(conditions, "_TILE", tile)
-                got = conditions._checks(T, plan, [request for request, _ in checks])
-            assert [_dict(v) for v in got] == want, tile
+    want = [_dict(alone(T, plan)) for _, alone in checks]
+    for tile in _tiles(T, plan):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "_TILE", tile)
+            got = conditions._checks(T, plan, [request for request, _ in checks])
+        assert [_dict(v) for v in got] == want, tile
 
 
 # --- the skip itself --------------------------------------------------------------

@@ -30,7 +30,7 @@ from fixedlab import (
     scaling_map,
     translation_map,
 )
-from fixedlab.mappings import _registration_sample
+from fixedlab.mappings import FIXED_POINT_TOL, _fixed_by, _registration_sample
 from fixedlab.vecspace import sample
 
 
@@ -172,6 +172,16 @@ def test_translation_is_a_commuting_counterexample():
     assert v.witness.right_value is not None
 
 
+def test_a_commuting_gap_of_exactly_epsilon_passes():
+    """S(x) = x/2 + 2**-19 and T(x) = x/2: at every grid point S(T(x)) and
+    T(S(x)) differ by 2**-20 exactly, the plan's epsilon, which it admits."""
+    box = Domain.box([-1.0], [1.0])
+    S = register_mapping(lambda p: p / 2 + 2.0**-19, box, "S")
+    T = register_mapping(lambda p: p / 2, box, "T")
+    v = check_commuting(S, T, SamplePlan.grid(5, epsilon=2.0**-20))
+    assert (v.passed, v.checked_pairs, v.observed_max) == (True, 5, 2.0**-20)
+
+
 def test_commuting_requires_shared_domain():
     s = scaling_map(GALLERY_BALL, 0.5)
     t = scaling_map(GALLERY_BOX, 0.5)
@@ -281,3 +291,18 @@ def test_build_mapping_declared_fixed_points_are_verified():
     with pytest.raises(ContractViolation, match="moves by"):
         build_mapping({"name": "scaling", "factor": 0.5,
                        "fixed_points": [[2.0]]}, box)
+
+
+def test_a_fixed_point_that_moves_by_exactly_the_tolerance_is_kept():
+    """x -> x + 1e-10 moves 0 by FIXED_POINT_TOL itself, which the bound
+    admits: registration keeps the claim and `_fixed_by` the candidate."""
+    box, shift = Domain.box([-1.0], [1.0]), (lambda p: p + FIXED_POINT_TOL)
+    z = np.zeros(1)
+    assert dist(shift(z), z) == FIXED_POINT_TOL
+    m = register_mapping(shift, box, "shift", known_fixed_points=[[0.0]], self_map=False)
+    assert [p.tolist() for p in m.known_fixed_points] == [[0.0]]
+    assert [p.tolist() for p in _fixed_by([z], [shift], box)] == [[0.0]]
+    twice = (lambda p: p + 2 * FIXED_POINT_TOL)
+    assert _fixed_by([z], [twice], box) == []
+    with pytest.raises(ContractViolation, match=r"moves by 2\.000e-10$"):
+        register_mapping(twice, box, "shift", known_fixed_points=[[0.0]], self_map=False)

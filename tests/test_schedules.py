@@ -384,6 +384,25 @@ def test_growth_one_tent_reaches_a_far_step_at_once():
     assert got == [0.125, 0.125, 0.0, 0.125]
 
 
+# Past 2**53 not every n + 1 is a float, and past 2**63 - 1 it is no int64:
+# the float rate's bases are made by one cast per chunk below that, one
+# int at a time above it, and each rounds as Python's int -> float does.
+FAR_STARTS = [2**53 - 2, 2**53, 2**62, 2**63 - 2, 2**64, 10**20]
+
+
+@pytest.mark.parametrize("start", FAR_STARTS)
+@pytest.mark.parametrize("scale,rate", [(0.5, 0.5), (3, 0.01), (1e6, 0.25), (7, 1e-3)])
+def test_decay_float_rate_matches_the_formula_at_far_steps(scale, rate, start):
+    """A few steps from the start; a chunk about the start and three steps
+    past a chunk edge; and one chunk that ends at the start, whose last
+    n + 1 is, at 2**63 - 2, the largest int64."""
+    s = DecaySchedule(scale, rate)
+    for a, b in ((start, start + 7), (start - _CHUNK // 2, start + _CHUNK // 2 + 3),
+                 (start + 1 - _CHUNK, start + 1)):
+        want = [min(0.5, scale / (n + 1) ** rate) for n in range(a, b)]
+        assert _hex(s.values(a, b)) == _hex(want), (a, b)
+
+
 def test_decay_int_scale_over_int_power_rounds_the_exact_quotient():
     """Past 2**53 the power is not a float: int / int rounds the exact
     quotient once, where float / float would round the power first."""
@@ -463,16 +482,23 @@ def test_steep_decay_serves_the_steps_before_its_overflow(rate):
 
 @pytest.mark.parametrize("scale,rate,step", [
     (0.5, 3_000_000, 1), (1, 3_000_000, 1), (1, 400, 5), (0.5, 400, 5), (0.5, 400.5, 5),
-], ids=["int-rate", "int-over-int", "int-over-int-400", "int-rate-400", "float-rate-400"])
+    (0.5, 1023.5, 2),
+], ids=["int-rate", "int-over-int", "int-over-int-400", "int-rate-400", "float-rate-400",
+        "float-rate-1023.5"])
 def test_steep_decay_is_refused_before_any_power_past_the_float_range(monkeypatch, scale,
                                                                      rate, step):
     """With an int rate pow is exact, so the powers of rate 3 000 000 have
     millions of bits. Whether a step's power leaves the float range is
     decided first, so no pow call returns more than about 2**1100, and an int
-    scale over an int rate is refused there as the float paths are."""
+    scale over an int rate is refused there as the float paths are. pow
+    builds every power of an int rate; of a float rate, only the one whose
+    exponent alone does not decide, 2**1023.5."""
+    built = []
+
     def bounded_pow(base, exp):
         if exp * math.log2(base) > 1100:
             pytest.fail(f"built {base}**{exp}")
+        built.append(base)
         return pow(base, exp)
 
     monkeypatch.setattr(schedules, "pow", bounded_pow, raising=False)
@@ -482,6 +508,8 @@ def test_steep_decay_is_refused_before_any_power_past_the_float_range(monkeypatc
             f"decay rate {rate} overflows a float at step {step}: "
             f"{step + 1}**{rate} is too large")):
         list(s.values(0, 100))
+    assert sorted(set(built)) == (list(range(1, step + 1)) if isinstance(rate, int)
+                                  else [2] if rate > 1023 else [])
 
 
 @pytest.mark.parametrize("rate,served", [(1024, 1), (1024.0, 1), (1023.5, 2), (1025, 1)],
