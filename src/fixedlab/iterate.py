@@ -208,7 +208,7 @@ def truncated_weights(a: float, K: int) -> list[float]:
 #: Blend weights (c_1 .. c_m) of each engine at blend level a over its m
 #: active maps; the engines and `replay_trace` share this one rule.
 _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
-    "single": lambda a, m: [1.0],
+    "single": multi_map_weights,    # [1.0] at every alpha for m = 1
     "multi": multi_map_weights,
     "truncated": truncated_weights,
 }
@@ -235,13 +235,13 @@ def _image(t: Mapping, x: list[float], n: int) -> list[float]:
     return floats
 
 
-def _step(members: Sequence[Mapping], x: Sequence[float], wts: Sequence[float],
-          lam: float, n: int):
-    """The step rule at x = x_n, a float list: (images T_k x_n, w_n - x_n,
-    x_{n+1} = lam*w_n + (1-lam)*x_n), all floats, each image by `_image`."""
-    images = [_image(t, x, n) for t in members]
-    w = _blend(images, wts)
-    return (images, [a - b for a, b in zip(w, x)],
+def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
+    """The step rule's arithmetic at x = x_n: (w_n - x_n, x_{n+1} =
+    lam*w_n + (1-lam)*x_n), w_n = `_blend(images, weights)`. Its coordinates
+    are floats (the engines) or float64 columns (replay), the same IEEE
+    operations in the same order either way; a weight that is None is skipped."""
+    w = _blend(images, weights)
+    return ([a - b for a, b in zip(w, x)],
             [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
 
 
@@ -277,11 +277,11 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     fps = [np.asarray(z, dtype=float).tolist() for z in fixed_points]
     records: list[TraceStep] = []
     pending: list[tuple] = []            # the records whose norms are still to take
-    memo: dict[float, list[float]] = {}  # alpha -> its validated weights
+    memo: dict[float, list] = {}         # alpha -> its validated weights, a zero as None
     alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     for n, a_n in enumerate(alphas):
         # a NaN alpha never becomes a key, so it fails at its own step; -0.0
-        # may get 0.0's weights, whose zero weights `_blend` skips either way
+        # may get 0.0's weights, which differ from its own only in zeros
         wts = memo.get(a_n)
         if wts is None:
             wts = rule(a_n, m)
@@ -291,8 +291,9 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                     f"blend weights {wts} invalid at step {n} (alpha={a_n})")
             if len(memo) == _WEIGHT_MEMO:
                 memo.clear()
-            memo[a_n] = wts
-        images, w_x, x_next = _step(members, x, wts, cfg.lam, n)
+            wts = memo[a_n] = [c or None for c in wts]
+        images = [_image(t, x, n) for t in members]
+        w_x, x_next = _advance(images, wts, x, cfg.lam)
         residual = _norm_floats(w_x, kind)
         stop = None
         if residual <= cfg.residual_tol:
@@ -478,13 +479,12 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
     of step steps[0] + i.
 
     All intervals advance together. At offset o every interval still running
-    takes its step k + o as one batched step on d float64 columns, one per
-    coordinate: the images, the blend and the average of `_step`, the same
-    IEEE operations in the same order on each row. A zero weight makes its
-    term -0.0, which added to any v gives v bit for bit, so it contributes
-    nothing, as in `_blend`. The rows are sorted longest interval first, so
-    the intervals still running are a prefix of them. An invalid image
-    raises `_image`'s error at the lowest such step, after every row ran.
+    takes its step k + o through `_advance` on d float64 columns, one per
+    coordinate, with a column per weight. A row's zero weight is 1.0 on an
+    image of -0.0, which added to any v gives v bit for bit, so it contributes
+    nothing, as a skipped weight does. The rows are sorted longest interval
+    first, so the intervals still running are a prefix of them. An invalid
+    image raises `_image`'s error at the lowest such step, after every row ran.
     """
     m, first = len(members), int(steps[0])
     # the weights once per distinct alpha, kept as one float array (np.unique
@@ -492,7 +492,9 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
     values = np.sort(alphas)
     values = values[np.append(True, values[1:] != values[:-1])]
     weights = map(_WEIGHT_RULES[engine], map(float, values), itertools.repeat(m))
-    W = np.fromiter(itertools.chain.from_iterable(weights), float, len(values) * m).reshape(-1, m)
+    W = np.fromiter(itertools.chain.from_iterable(weights), float, len(values) * m).reshape(-1, m).T
+    zero = W == 0.0                      # W and zero: (m, values), a row per map
+    W = np.where(zero, 1.0, W)
     L = np.diff(steps)
     order = np.argsort(-L)
     L, start = L[order], steps[:-1][order] - first
@@ -503,23 +505,14 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
             live -= 1
         x, at = list(C[:, :live]), start[:live] + o
         which = np.searchsorted(values, alphas[at])
-        acc = None
+        # `take` costs a third of the same fancy index on these sizes
+        images, z = [], zero.take(which, axis=1)
         for k, T in enumerate(members):
             img, bad = _column_images(T, x, at + first)
             if bad is not None:
                 worst = min(worst, int(at[bad].min() + first) * m + k)
-            c = W[which, k]
-            terms = [c * v for v in img]
-            if not c.all():
-                z = c == 0.0
-                for term in terms:
-                    term[z] = -0.0
-            acc = terms if acc is None else [np.add(a, b, out=a) for a, b in zip(acc, terms)]
-        # lam*w + (1-lam)*v into C's own rows: a sum is one IEEE result in either order
-        for w, v in zip(acc, x):
-            w *= lam
-            v *= 1.0 - lam
-            v += w
+            images.append([np.where(z[k], -0.0, v) for v in img] if z[k].any() else img)
+        C[:, :live] = _advance(images, list(W.take(which, axis=1)), x, lam)[1]
     if worst < math.inf:
         n, k = divmod(worst, m)
         raise _invalid_image(members[k], n)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -102,6 +103,12 @@ class DecaySchedule(AlphaSchedule):
     rate: float = 1.0
 
     def __post_init__(self):
+        # `_raw` picks its power by type, so a numpy scalar is read as a Python
+        # number: an int if its type is integral, else a float
+        for name, v in (("scale", self.scale), ("rate", self.rate)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ContractViolation(f"decay {name} must be a real number, got {v!r}")
+            object.__setattr__(self, name, int(v) if isinstance(v, numbers.Integral) else float(v))
         # an int past the float range is not finite either
         if not (0.0 <= self.scale <= sys.float_info.max):
             raise ContractViolation(f"decay scale must be finite and >= 0, got {self.scale}")

@@ -366,9 +366,9 @@ def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
 def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -> Vector:
     """Weighted average with nonnegative weights summing to 1 (within 1e-12).
 
-    Zero-weight terms are skipped entirely, not multiplied in. That keeps a
-    degenerate combination on the same arithmetic path as its reduced form,
-    which the iteration engines rely on for bitwise reproducibility.
+    Zero-weight terms are skipped entirely, passed to `_blend` as None. That
+    keeps a degenerate combination on the same arithmetic path as its reduced
+    form, which the iteration engines rely on for bitwise reproducibility.
     """
     if len(points) != len(weights):
         raise ContractViolation(
@@ -386,16 +386,16 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
     arrays = [np.asarray(p, dtype=float) for p in points]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ContractViolation("points of mixed dimension in convex combination")
-    return _freeze(np.reshape(_blend([a.ravel().tolist() for a in arrays], ws), arrays[0].shape))
+    blended = _blend([a.ravel().tolist() for a in arrays], [w or None for w in ws])
+    return _freeze(np.reshape(blended, arrays[0].shape))
 
 
-def _blend(points: Sequence[Sequence[float]], weights: Sequence[float]) -> list[float]:
-    """sum_k weights[k] * points[k] over the nonzero weights only (see
-    convex_combination for why zero terms are skipped), on float lists.
-    Callers pass weights that sum to 1, so at least one is nonzero."""
+def _blend(points: Sequence[Sequence], weights: Sequence) -> list:
+    """sum_k weights[k] * points[k] by coordinate, skipping a weight that is None
+    (a zero weight, see convex_combination): floats, or float64 columns with a
+    float or a column per weight. At least one weight is not None."""
     acc = None
     for w, p in zip(weights, points):
-        if w == 0.0:
-            continue
-        acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
+        if w is not None:
+            acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
     return acc

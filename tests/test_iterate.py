@@ -709,22 +709,25 @@ def _replay_members():
 @given(engine=st.sampled_from(["single", "multi", "truncated"]),
        record_every=st.integers(1, 7), decimation_start=st.integers(0, 40),
        max_iters=st.integers(1, 90), block=st.integers(2, 6),
-       growth=st.sampled_from([1.0, 1.6]), zero=st.booleans(),
+       growth=st.sampled_from([1.0, 1.6]), kind=st.sampled_from(["tent", "zero", "tiny"]),
        x0=st.sampled_from([(0.6, 0.3), (0.5, -0.0), (-0.0, -0.0), (-0.3, 0.7)]),
        rows=st.sampled_from([1, 3, 1024]))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_replay_repeats_every_step_of_an_engine_trace(
         monkeypatch, engine, record_every, decimation_start, max_iters, block,
-        growth, zero, x0, rows):
+        growth, kind, x0, rows):
     """Decimated intervals included, every interval ends on its record bit
-    for bit, over tent edges (alpha 0) and the zero schedule alike, and
-    whether the intervals run in one lockstep block or in many."""
+    for bit, over tent edges (alpha 0), the zero schedule and alpha 1e-200
+    alike (the multi weights [1.0, 1e-200, 0.0]: a zero weight after a
+    nonzero one that is not the first), and whether the intervals run in one
+    lockstep block or in many."""
     monkeypatch.setattr(iterate, "DECIMATION_START", decimation_start)
     monkeypatch.setattr(iterate, "_LOCKSTEP_ROWS", rows)
     members = _replay_members()
     fam = make_family(members)
-    s = ConstantSchedule(0.0) if zero else TentSchedule(0.25, block, growth)
+    s = {"tent": TentSchedule(0.25, block, growth), "zero": ConstantSchedule(0.0),
+         "tiny": ConstantSchedule(1e-200)}[kind]
     cfg = IterationConfig(lam=0.5, max_iters=max_iters, residual_tol=0.0,
                           record_every=record_every, truncation_K=2)
     t = (krasnoselskii_run(members[1], x0, cfg) if engine == "single" else

@@ -412,6 +412,34 @@ def test_decay_int_scale_over_int_power_rounds_the_exact_quotient():
     assert exact != [1.0 / float((n + 1) ** 4) for n in range(10000, 10010)]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("numpy_args,args", [
+    ((0.5, np.int64(30)), (0.5, 30)),
+    ((0.5, np.float32(0.5)), (0.5, 0.5)),
+    ((np.int64(1), np.int64(4)), (1, 4)),
+], ids=["int64-rate", "float32-rate", "int64-scale-and-rate"])
+def test_a_numpy_decay_field_gives_the_values_of_its_python_number(numpy_args, args):
+    """An np.int64 rate is read as an int, so (n + 1)**30 does not wrap in
+    int64; an np.float32 rate as a float, so its powers are math.pow's and
+    no base is cast to int; an np.int64 scale over an int rate divides as
+    int / int. to_dict echoes the Python numbers."""
+    s, want = DecaySchedule(*numpy_args), DecaySchedule(*args)
+    for a, b in ((0, 200), (10**4, 10**4 + 10)):
+        assert _hex(s.values(a, b)) == _hex(want.values(a, b)), (a, b)
+    assert [(v, type(v)) for v in s.to_dict().values()] == \
+        [(v, type(v)) for v in want.to_dict().values()]
+
+
+@pytest.mark.parametrize("v", [True, np.bool_(True), "0.5", None],
+                         ids=["bool", "numpy-bool", "str", "none"])
+@pytest.mark.parametrize("field", ["scale", "rate"])
+def test_decay_refuses_a_field_that_is_no_real_number(field, v):
+    """A bool is refused, as the config reader refuses it."""
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"decay {field} must be a real number, got {v!r}") + "$"):
+        DecaySchedule(**{"scale": 0.5, "rate": 1.0, field: v})
+
+
 @dataclass(frozen=True)
 class _Plateau(AlphaSchedule):
     """1/4 at every step but those in [at, until), where it is `level`."""

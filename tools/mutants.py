@@ -17,8 +17,14 @@ line per mutant: the mutant's place and text, then "killed", "timed out"
 
 A survivor is accepted only if `tools/equivalent_mutants.txt` lists it as
 `path | mutated source line, stripped | reason`. Exit status 1 if the
-unmutated suite fails or any survivor is not listed, else 0. Too slow for
-CI: a mutant that survives runs the whole suite.
+unmutated suite fails or any survivor is not listed, else 0.
+
+A run costs up to one suite run per mutant: a killed mutant stops at its
+first failing test, one that survives, or is listed as equivalent, runs
+the whole suite, and one that times out runs TIMEOUT_FACTOR times as long.
+On a 2-vCPU VM the six modules of `.github/workflows/mutants.yml` (105
+mutants, 2 timed out, 9 listed) took 21 minutes; `iterate.py` and
+`vecspace.py` alone (53 mutants) took 9.
 """
 
 from __future__ import annotations
