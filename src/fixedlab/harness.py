@@ -226,8 +226,8 @@ _MAX_PLAN_POINTS = 2**18
 _MAX_HORIZON = 10**8
 
 #: The most steps a run may take. Five maps take about 28 us a step and a
-#: kept record about 0.6 kB: 28 s, 2 s more to replay every step, and a
-#: 112 MB peak RSS here.
+#: kept record about 0.1 kB: 28 s, 2 s more to replay every step, and a
+#: 54 MB peak RSS here.
 _MAX_ITERS = 10**6
 
 #: The most (gamma, mu) cells a sweep may have. On a 2-point plan a cell

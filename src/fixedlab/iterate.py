@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, IO, Iterable, Optional, Sequence, Union
 
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import (ContractViolation, DomainError, InvariantError,
                      IterationRuntimeError, PreconditionError)
 from .mappings import Mapping, MappingFamily, common_fixed_points
-from .schedules import AlphaSchedule
+from .schedules import AlphaSchedule, _read_numbers
 from .vecspace import Domain, _blend, _norm_floats, _norm_last_axis, as_vector
 from .verdicts import Verdict, Witness
 
@@ -66,6 +67,10 @@ _WEIGHT_MEMO = 512
 #: The engines norm the distances of this many records in one call; 256 held
 #: 0.2 MB more of images on a five-map run, for no measurable speed.
 _RECORD_BLOCK = 64
+
+#: The rows a trace's records are read in at a time, as TraceSteps or CSV
+#: lines: a block's lists, not the trace's, are held at once.
+_READ_ROWS = 1024
 
 #: The record intervals `replay_trace` runs in one lockstep. A block's
 #: arrays stay a few kB, so replay's memory does not grow with the trace: on
@@ -99,11 +104,12 @@ class IterationConfig:
     gamma: Optional[float] = None
 
     def __post_init__(self):
+        _read_numbers(self)
         if not (0.0 < self.lam < 1.0):
             raise ContractViolation(f"lam must lie in (0, 1), got {self.lam}")
         for name in ("max_iters", "record_every", "truncation_K"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer, type(None))):
+            if not isinstance(v, (int, type(None))):
                 raise ContractViolation(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters}")
@@ -142,10 +148,82 @@ class TraceStep:
     fp_distances: tuple[float, ...]      # ||x_n - z|| per known fixed point
 
 
+class _Records(abc.Sequence):
+    """A trace's records as read-only columns, one row per record: step
+    (R,) int64; x (R, d), residual (R,), map_residuals (R, m), alpha (R,)
+    and fp_distances (R, k) float64. A TraceStep is made when one is read,
+    with the int and the floats (the sign of a zero kept) that it was made
+    of. ==, hash and repr are those of the tuple of its TraceSteps. On a
+    five-map trace they keep 91 B a record; the TraceSteps took 589 B."""
+
+    __slots__ = ("step", "x", "residual", "map_residuals", "alpha", "fp_distances")
+
+    def __init__(self, *columns: np.ndarray):
+        for name, c in zip(self.__slots__, columns):
+            c.flags.writeable = False
+            setattr(self, name, c)
+
+    @classmethod
+    def of(cls, records: Iterable[TraceStep]) -> "_Records":
+        """The columns of the given TraceSteps, which must agree in the
+        lengths of x, map_residuals and fp_distances."""
+        records = list(records)
+        for name in ("x", "map_residuals", "fp_distances"):
+            widths = {len(getattr(r, name)) for r in records}
+            if len(widths) > 1:
+                raise ContractViolation(
+                    f"records differ in the length of {name}: {sorted(widths)}")
+        return cls(*(np.array([getattr(r, c) for r in records], np.int64 if c == "step" else float)
+                     for c in cls.__slots__))
+
+    @classmethod
+    def join(cls, blocks: list) -> "_Records":
+        """The records of the blocks of columns, in order. Each column is
+        joined, and its blocks freed, before the next, so the columns are
+        never held twice; `blocks` is left empty."""
+        columns = [list(c) for c in zip(*blocks)]
+        blocks.clear()
+        for i in range(len(columns)):
+            columns[i] = np.concatenate(columns[i])
+        return cls(*columns)
+
+    def _rows(self, lo: int, hi: int) -> Iterable[TraceStep]:
+        step, x, res, mr, alpha, fp = (getattr(self, c)[lo:hi].tolist() for c in self.__slots__)
+        return map(TraceStep, step, map(tuple, x), res, map(tuple, mr), alpha, map(tuple, fp))
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Records(*(getattr(self, c)[i] for c in self.__slots__))
+        i = range(len(self))[i]          # a negative or numpy index, range's errors
+        return next(self._rows(i, i + 1))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _READ_ROWS):
+            yield from self._rows(lo, lo + _READ_ROWS)
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            return all(np.array_equal(getattr(self, c), getattr(other, c))
+                       for c in self.__slots__)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):                # a copy's columns are read-only too
+        return _Records, tuple(getattr(self, c) for c in self.__slots__)
+
+
 @dataclass(frozen=True)
 class Trace:
     engine: str                          # "single" | "multi" | "truncated"
-    records: tuple[TraceStep, ...]
+    records: Sequence[TraceStep]         # kept as `_Records`, its columns
     stop_reason: str                     # STOP_TOL | STOP_MAX_ITERS
     total_steps: int
     config: IterationConfig
@@ -153,6 +231,10 @@ class Trace:
     fixed_points: tuple[tuple[float, ...], ...]
     domain: Domain
     schedule: Optional[AlphaSchedule] = None   # the run's own; replay draws on it
+
+    def __post_init__(self):
+        if not isinstance(self.records, _Records):
+            object.__setattr__(self, "records", _Records.of(self.records))
 
     @property
     def final(self) -> TraceStep:
@@ -245,16 +327,16 @@ def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
             [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
 
 
-def _records(pending: Sequence[tuple], fps: list[list[float]], kind, m: int):
-    """The TraceSteps of the pending records (n, x_n, residual, alpha, images),
-    their ||T_k x - x|| per map, then ||z - x|| (bitwise ||x - z||) per fixed
-    point z, normed in one call over a (records, m + k, d) array: each entry
-    reduces its own contiguous d terms, as one record's array would."""
+def _records(pending: Sequence[tuple], fps: list[list[float]], kind, m: int) -> tuple:
+    """The columns of the pending records (n, x_n, residual, alpha, images),
+    in `_Records`' order: their ||T_k x - x|| per map, then ||z - x||
+    (bitwise ||x - z||) per fixed point z, are normed in one call over a
+    (records, m + k, d) array, each entry reducing its own contiguous d
+    terms, as one record's array would."""
     X = np.array([p[1] for p in pending])
     D = _norm_last_axis(np.array([p[4] + fps for p in pending]) - X[:, None], kind)
-    return [TraceStep(step=n, x=tuple(x), residual=r, map_residuals=tuple(d[:m]),
-                      alpha=a, fp_distances=tuple(d[m:]))
-            for (n, x, r, a, _), d in zip(pending, D.tolist())]
+    step, _, res, alpha, _ = zip(*pending)
+    return (np.array(step, np.int64), X, np.array(res), D[:, :m], np.array(alpha), D[:, m:])
 
 
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
@@ -275,7 +357,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     kind, member = domain.norm_kind, domain._member
     rule, m = _WEIGHT_RULES[engine], len(members)
     fps = [np.asarray(z, dtype=float).tolist() for z in fixed_points]
-    records: list[TraceStep] = []
+    blocks: list[tuple] = []             # the records' columns, a block at a time
     pending: list[tuple] = []            # the records whose norms are still to take
     memo: dict[float, list] = {}         # alpha -> its validated weights, a zero as None
     alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
@@ -304,10 +386,10 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         if n % stride == 0 or stop is not None:
             pending.append((n, x, residual, a_n, images))
             if len(pending) == _RECORD_BLOCK or stop is not None:
-                records += _records(pending, fps, kind, m)
+                blocks.append(_records(pending, fps, kind, m))
                 pending.clear()
         if stop is not None:
-            return Trace(engine=engine, records=tuple(records),
+            return Trace(engine=engine, records=_Records.join(blocks),
                          stop_reason=stop, total_steps=n, config=cfg,
                          mapping_labels=tuple(t.label for t in members),
                          fixed_points=tuple(map(tuple, fps)), domain=domain,
@@ -369,15 +451,6 @@ class GapReport:
     tail_max: Optional[float]            # None over zero pairs
 
 
-def _xs(records: Sequence[TraceStep]) -> np.ndarray:
-    """The recorded iterates as one (len(records), d) array."""
-    return np.array([r.x for r in records], dtype=float)
-
-
-def _steps(records: Sequence[TraceStep]) -> np.ndarray:
-    return np.array([r.step for r in records])
-
-
 def goebel_kirk_gap(t: Trace) -> GapReport:
     """Recover ||w_n - x_n|| from the iterates alone.
 
@@ -387,11 +460,10 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     the recovered series (the whole series if shorter than 4), None if
     no pair is one step apart.
     """
-    steps = _steps(t.records)
+    steps, X = t.records.step, t.records.x
     j = np.flatnonzero(steps[1:] == steps[:-1] + 1)
     if not j.size:
         return GapReport(steps=(), gaps=(), tail_max=None)
-    X = _xs(t.records)
     lam = t.config.lam
     w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
     gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
@@ -402,7 +474,7 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
 
 def monotone_distance_check(t: Trace, z) -> Verdict:
     """Distances to z must never increase along the recorded iterates."""
-    d = _norm_last_axis(_xs(t.records) - as_vector(z), t.domain.norm_kind)
+    d = _norm_last_axis(t.records.x - as_vector(z), t.domain.norm_kind)
     pairs = len(d) - 1
     rises = np.flatnonzero(d[1:] > d[:-1] + MONOTONE_TOL)
     if rises.size:
@@ -427,18 +499,18 @@ def residual_vanishes_check(t: Trace) -> Verdict:
     n = len(t.records)
     if n < 20:
         raise PreconditionError(f"needs >= 20 recorded steps, trace has {n}")
-    q = n // 4
-    head = max(r.residual for r in t.records[:q])
-    tail_recs = t.records[-q:]
-    tail = max(r.residual for r in tail_recs)
+    q, res = n // 4, t.records.residual.tolist()
+    # Python's max, so a NaN compares as it did among the records' floats
+    head = max(res[:q])
+    j = max(range(n - q, n), key=res.__getitem__)   # the tail's first largest
+    tail = res[j]
     passed = tail <= head
     if t.stop_reason == STOP_TOL:
-        passed = passed and t.final.residual <= t.config.residual_tol
-    worst = max(tail_recs, key=lambda r: r.residual)
+        passed = passed and res[-1] <= t.config.residual_tol
     return Verdict(condition_label="residual_vanishes", passed=passed,
                    checked_pairs=n, observed_max=tail,
                    witness=None if passed else Witness.at(
-                       worst.x, lhs=tail, rhs=head, step=worst.step))
+                       t.records[j].x, lhs=tail, rhs=head, step=t.records[j].step))
 
 
 def asymptotic_radius(t: Trace, x, window: int) -> float:
@@ -448,7 +520,7 @@ def asymptotic_radius(t: Trace, x, window: int) -> float:
     if window > len(t.records):
         raise PreconditionError(
             f"window {window} exceeds the {len(t.records)} recorded steps")
-    return max(_norm_last_axis(_xs(t.records[-window:]) - as_vector(x),
+    return max(_norm_last_axis(t.records.x[-window:] - as_vector(x),
                                t.domain.norm_kind).tolist())
 
 
@@ -545,7 +617,7 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
         raise ContractViolation(f"unknown engine kind {t.engine!r}")
     if t.engine != "single" and t.schedule is None:
         raise ContractViolation(f"a {t.engine!r} trace carries no schedule to replay")
-    steps, X = _steps(t.records), _xs(t.records)
+    steps, X = t.records.step, t.records.x
     first, last = int(steps[0]), int(steps[-1])
     stream = (itertools.repeat(0.0) if t.engine == "single"
               else t.schedule.values(first, last + 1))
@@ -568,7 +640,7 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
         dev[lo:hi] = _norm_last_axis(predicted - X[lo + 1:hi + 1], t.domain.norm_kind)
     alpha[-1] = take(1)[0]
     off = np.append(False, ~(dev <= REPLAY_TOL))   # by record; NaN included
-    bad = np.flatnonzero(off | ~(alpha == [r.alpha for r in t.records]))
+    bad = np.flatnonzero(off | ~(alpha == t.records.alpha))
     if bad.size:
         j = int(bad[0])
         rec = t.records[j]
@@ -608,13 +680,19 @@ def trace_to_csv(t: Trace, dest: Union[str, IO[str]]) -> None:
     dist_1..dist_K (one per tracked fixed point). Floats carry 17
     significant digits so a parse round-trips the exact double.
     """
-    d = len(t.records[0].x)
-    m = len(t.records[0].map_residuals)
-    k = len(t.records[0].fp_distances)
+    r = t.records
+    d, m, k = r.x.shape[1], r.map_residuals.shape[1], r.fp_distances.shape[1]
     header = (["step"] + [f"x_{i}" for i in range(d)] + ["residual"]
               + [f"residual_{i + 1}" for i in range(m)] + ["alpha"]
               + [f"dist_{i + 1}" for i in range(k)])
     # '%.17g' % v is format(v, ".17g"): one template per trace, not per field
     row = "%d" + ",%.17g" * (len(header) - 1) + "\n"
-    _write_csv(dest, header, (row % (r.step, *r.x, r.residual, *r.map_residuals,
-                                     r.alpha, *r.fp_distances) for r in t.records))
+
+    def lines():                         # a block of rows' lists at a time
+        for lo in range(0, len(r), _READ_ROWS):
+            at = slice(lo, lo + _READ_ROWS)
+            floats = np.hstack((r.x[at], r.residual[at, None], r.map_residuals[at],
+                                r.alpha[at, None], r.fp_distances[at]))
+            yield from (row % (n, *v) for n, v in zip(r.step[at].tolist(), floats.tolist()))
+
+    _write_csv(dest, header, lines())

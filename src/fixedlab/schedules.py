@@ -52,6 +52,20 @@ PROXY_TOL = 1e-3
 _CHUNK = 4096
 
 
+def _read_numbers(obj, prefix: str = "") -> None:
+    """Read every field of the frozen dataclass obj as a Python number: a
+    bool or anything not real is refused, a value of an integral type becomes
+    an int and any other real a float, so a numpy scalar computes and echoes
+    as its Python number does. A field whose default is None may be None."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if v is None and f.default is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ContractViolation(f"{prefix}{f.name} must be a real number, got {v!r}")
+        object.__setattr__(obj, f.name, int(v) if isinstance(v, numbers.Integral) else float(v))
+
+
 def _index(n: int) -> int:
     if n < 0:
         raise ContractViolation(f"schedule index must be >= 0, got {n}")
@@ -85,6 +99,7 @@ class ConstantSchedule(AlphaSchedule):
     value: float
 
     def __post_init__(self):
+        _read_numbers(self, "constant ")
         if not (0.0 <= self.value <= 0.5):
             raise ContractViolation(
                 f"constant schedule value must lie in [0, 1/2], got {self.value}")
@@ -103,12 +118,7 @@ class DecaySchedule(AlphaSchedule):
     rate: float = 1.0
 
     def __post_init__(self):
-        # `_raw` picks its power by type, so a numpy scalar is read as a Python
-        # number: an int if its type is integral, else a float
-        for name, v in (("scale", self.scale), ("rate", self.rate)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ContractViolation(f"decay {name} must be a real number, got {v!r}")
-            object.__setattr__(self, name, int(v) if isinstance(v, numbers.Integral) else float(v))
+        _read_numbers(self, "decay ")    # `_raw` picks its power by type
         # an int past the float range is not finite either
         if not (0.0 <= self.scale <= sys.float_info.max):
             raise ContractViolation(f"decay scale must be finite and >= 0, got {self.scale}")
@@ -174,6 +184,7 @@ class TentSchedule(AlphaSchedule):
     growth: float
 
     def __post_init__(self):
+        _read_numbers(self, "tent ")
         if not (0.0 < self.peak <= 0.5):
             raise ContractViolation(
                 f"tent peak must lie in (0, 1/2], got {self.peak}")

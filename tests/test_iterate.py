@@ -11,10 +11,12 @@ Exactness notes, verified here rather than assumed:
 * Every frozen vector below was produced by the plain-Python recurrence in
   helpers.reference_averaged_run, not by the engine under test.
 """
+import copy
 import dataclasses
 import io
 import itertools
 import math
+import pickle
 from typing import ClassVar
 
 import numpy as np
@@ -474,6 +476,81 @@ def test_weights_are_made_once_per_distinct_alpha_and_the_memo_is_bounded(monkey
     _assert_records_are_the_reference(
         t, [m.fn for m in fam.members], lambda a: multi_map_weights(a, 3), listed,
         1, 10_000, "l2")
+
+
+def _engine_run(engine):
+    """(trace, maps, weights_of, alphas) of a 60-step run of the engine on
+    the gallery ball, recorded at every step: 61 records."""
+    cfg = IterationConfig(lam=0.5, max_iters=60, residual_tol=0.0, truncation_K=2)
+    fam = scaling_family([0.99, 0.98, 0.97])
+    if engine == "single":
+        m = scaling_map(GALLERY_BALL, 0.9)
+        return (krasnoselskii_run(m, [0.6, 0.3], cfg), [m], lambda a: [1.0],
+                itertools.repeat(0.0))
+    if engine == "multi":
+        s = TentSchedule(0.25, 4, 1.0)
+        return (multi_map_run(fam, s, [0.6, 0.3], cfg), fam.members,
+                lambda a: multi_map_weights(a, 3), s.values(0, 61))
+    return (truncated_family_run(fam, TENT, [0.6, 0.3], cfg), fam.members[:2],
+            lambda a: truncated_weights(a, 2), TENT.values(0, 61))
+
+
+def _reprs(records):
+    return [repr(dataclasses.astuple(r)) for r in records]
+
+
+@pytest.mark.parametrize("engine", ["single", "multi", "truncated"])
+def test_records_read_as_the_tuple_of_their_trace_steps(monkeypatch, engine):
+    """Iteration and the CSV writer read 7 rows at a time here, so both cross
+    block edges. Every record read, by index, slice or iteration, is the
+    reference's bit for bit (repr tells -0.0 from 0.0), and a trace rebuilt
+    from the tuple of its records is equal, with the same repr and hash."""
+    monkeypatch.setattr(iterate, "_READ_ROWS", 7)
+    t, maps, weights_of, alphas = _engine_run(engine)
+    ref = reference_records([m.fn for m in maps], weights_of, alphas, 0.5, (0.6, 0.3),
+                            60, 0.0, 1, 10_000, t.fixed_points)
+    want = [repr(r) for r in ref]
+    assert len(t.records) == 61 and _reprs(t.records) == want
+    assert _reprs([t.records[0], t.records[-1], t.records[np.int64(30)]]) == \
+        [want[0], want[-1], want[30]]
+    for at in (slice(1, None, 3), slice(None, None, -2), slice(-5, 60), slice(50, 3, -9)):
+        assert _reprs(t.records[at]) == want[at]
+        assert t.records[at] == tuple(t.records)[at] == t.records[at]
+    assert t.records[1:] != t.records[:-1]
+    with pytest.raises(IndexError):
+        t.records[61]
+    copy = dataclasses.replace(t, records=tuple(t.records))
+    assert copy == t and repr(copy) == repr(t) and hash(copy) == hash(t)
+    assert hash(t.records) == hash(tuple(t.records))
+    assert repr(t.records) == repr(tuple(t.records))
+    buf = io.StringIO()
+    trace_to_csv(t, buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "%d" % n + "".join(",%.17g" % v for v in (*x, r, *mr, a, *fp))
+        for n, x, r, mr, a, fp in ref]
+
+
+@pytest.mark.parametrize("engine", ["single", "multi", "truncated"])
+def test_record_columns_are_read_only_and_ragged_records_are_refused(engine):
+    """The columns of a trace, of a slice and of a copy are read-only. A
+    trace built from any sequence of TraceSteps keeps them as columns: a
+    -0.0 reads back as -0.0, and records that differ in a length are
+    refused when the trace is built, not in a later diagnostic."""
+    t = _engine_run(engine)[0]
+    for records in (t.records, t.records[::2], copy.deepcopy(t).records,
+                    pickle.loads(pickle.dumps(t.records))):
+        for name in iterate._Records.__slots__:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(records, name)[0] = 0
+    recs = list(t.records)
+    recs[0] = dataclasses.replace(recs[0], x=(-0.0, 0.0), alpha=-0.0)
+    assert repr(dataclasses.replace(t, records=recs).records[0]) == repr(recs[0])
+    for field in ("x", "map_residuals", "fp_distances"):
+        recs = list(t.records)
+        recs[3] = dataclasses.replace(recs[3], **{field: getattr(recs[3], field) + (1.0,)})
+        with pytest.raises(ContractViolation,
+                           match=rf"^records differ in the length of {field}: \[\d, \d\]$"):
+            dataclasses.replace(t, records=tuple(recs))
 
 
 @pytest.mark.parametrize("alpha, shown", [(math.nan, "nan"), (-0.1, r"-0\.1")])

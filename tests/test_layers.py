@@ -19,7 +19,8 @@ PRIVATE_IMPORTS = {
     "conditions": {"mappings": {"_evaluate_rows"}, "vecspace": {"_norm_last_axis"}},
     "harness": {"conditions": {"_CHECKS", "_checks"}, "iterate": {"_fmt", "_write_csv"},
                 "schedules": {"_KINDS"}},
-    "iterate": {"vecspace": {"_blend", "_norm_floats", "_norm_last_axis"}},
+    "iterate": {"schedules": {"_read_numbers"},
+                "vecspace": {"_blend", "_norm_floats", "_norm_last_axis"}},
     "mappings": {"vecspace": {"_freeze"}},
 }
 

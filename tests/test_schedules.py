@@ -8,6 +8,7 @@ blocks sequentially instead of mapping n -> block; both must agree to the
 last bit.
 """
 import itertools
+import json
 import math
 import re
 import signal
@@ -438,6 +439,50 @@ def test_decay_refuses_a_field_that_is_no_real_number(field, v):
     with pytest.raises(ContractViolation, match=re.escape(
             f"decay {field} must be a real number, got {v!r}") + "$"):
         DecaySchedule(**{"scale": 0.5, "rate": 1.0, field: v})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConstantSchedule(False), "constant value must be a real number, got False"),
+    (lambda: TentSchedule(0.25, 4, True), "tent growth must be a real number, got True"),
+    (lambda: TentSchedule(np.bool_(True), 4, 1.6), "tent peak must be a real number, got np.True_"),
+    (lambda: IterationConfig(lam="0.5", max_iters=10), "lam must be a real number, got '0.5'"),
+    (lambda: IterationConfig(lam=0.5, max_iters=None), "max_iters must be a real number, got None"),
+    (lambda: IterationConfig(lam=0.5, max_iters=10, gamma=np.bool_(False)),
+     "gamma must be a real number, got np.False_"),
+], ids=["constant-bool", "tent-growth-bool", "tent-peak-numpy-bool", "lam-str",
+        "max-iters-none", "gamma-numpy-bool"])
+def test_schedules_and_iteration_configs_refuse_a_field_that_is_no_real_number(make, message):
+    """The decay's reading rule holds for every schedule and IterationConfig:
+    a False value was a constant 0 and a True growth a growth of 1."""
+    with pytest.raises(ContractViolation, match=re.escape(message) + "$"):
+        make()
+
+
+def _typed(d: dict) -> list:
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_fields_of_schedules_and_iteration_configs_are_read_as_python_numbers():
+    """A tent of numpy scalars, and an IterationConfig, make the values and
+    echo the dicts of their Python numbers, which json can write; so does
+    the summary of a run that uses both."""
+    from fixedlab import GALLERY_BALL, make_family, multi_map_run, scaling_map
+    s = TentSchedule(np.float32(0.25), np.int64(4), np.float32(1.6))
+    want = TentSchedule(0.25, 4, float(np.float32(1.6)))
+    assert _typed(s.to_dict()) == _typed(want.to_dict())
+    assert _hex(s.values(0, 300)) == _hex(want.values(0, 300))
+    assert _typed(ConstantSchedule(np.float32(0.25)).to_dict()) == \
+        _typed(ConstantSchedule(0.25).to_dict())
+    cfg = IterationConfig(lam=np.float32(0.5), max_iters=np.int64(10),
+                          residual_tol=np.float64(0.0), truncation_K=np.int64(2),
+                          record_every=np.int64(2), gamma=np.float32(0.0625))
+    assert _typed(cfg.to_dict()) == _typed(IterationConfig(
+        lam=0.5, max_iters=10, residual_tol=0.0, truncation_K=2, record_every=2,
+        gamma=0.0625).to_dict())
+    fam = make_family([scaling_map(GALLERY_BALL, f) for f in (0.9, 0.8)], SamplePlan.grid(4))
+    summary = multi_map_run(fam, s, [0.6, 0.3], cfg).summary()
+    assert json.loads(json.dumps(summary))["schedule"] == want.to_dict()
 
 
 @dataclass(frozen=True)
