@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ContractViolation, PreconditionError
 from .mappings import Mapping, _evaluate_rows
-from .vecspace import SamplePlan, _norm_last_axis, pairwise_norm, sample
+from .vecspace import SamplePlan, _norm_last_axis, _read_numbers, pairwise_norm, sample
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -56,6 +56,7 @@ class BGammaMu:
     mu: float
 
     def __post_init__(self):
+        _read_numbers(self)
         _within("gamma", self.gamma, 1.0)
         _within("mu", self.mu, 0.5)
         if 2.0 * self.mu > self.gamma:

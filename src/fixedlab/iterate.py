@@ -35,11 +35,12 @@ from typing import Callable, IO, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ContractViolation, DomainError, InvariantError,
+from .errors import (ContractViolation, DomainError, InvalidInputError, InvariantError,
                      IterationRuntimeError, PreconditionError)
-from .mappings import Mapping, MappingFamily, common_fixed_points
-from .schedules import AlphaSchedule, _read_numbers
-from .vecspace import Domain, _blend, _norm_floats, _norm_last_axis, as_vector
+from .mappings import Mapping, MappingFamily, _image, _images, common_fixed_points
+from .schedules import AlphaSchedule
+from .vecspace import (Domain, _blend, _norm_floats, _norm_last_axis, _read_numbers,
+                       as_vector)
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -296,27 +297,6 @@ _WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
 }
 
 
-def _invalid_image(t: Mapping, n: int) -> IterationRuntimeError:
-    return IterationRuntimeError(
-        f"mapping {t.label!r} returned an invalid image at step {n}", step=n)
-
-
-def _image(t: Mapping, x: list[float], n: int) -> list[float]:
-    """T x_n for x = x_n, a float list: `fn.floats(x)` where fn carries that
-    form, else fn on a fresh float64 copy, read as `as_vector` reads it (a
-    scalar is a 1-vector). An image of the wrong shape or with a non-finite
-    coordinate raises IterationRuntimeError at step n."""
-    form = getattr(t.fn, "floats", None)
-    if form is None:
-        img = np.atleast_1d(np.asarray(t.fn(np.array(x)), dtype=float))
-        floats = img.tolist() if img.ndim == 1 else ()
-    else:
-        floats = form(x)
-    if len(floats) != len(x) or not all(map(math.isfinite, floats)):
-        raise _invalid_image(t, n)
-    return floats
-
-
 def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
     """The step rule's arithmetic at x = x_n: (w_n - x_n, x_{n+1} =
     lam*w_n + (1-lam)*x_n), w_n = `_blend(images, weights)`. Its coordinates
@@ -472,9 +452,19 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
                      tail_max=max(gaps[-q:]))
 
 
+def _distances(X: np.ndarray, z, kind) -> np.ndarray:
+    """||x - z|| for each row x of X; a z of another dimension is refused,
+    with the error `dist` raises for it."""
+    z = as_vector(z)
+    if z.shape != X.shape[1:]:
+        raise InvalidInputError(
+            f"no distance between points of shapes {X.shape[1:]} and {z.shape}")
+    return _norm_last_axis(X - z, kind)
+
+
 def monotone_distance_check(t: Trace, z) -> Verdict:
     """Distances to z must never increase along the recorded iterates."""
-    d = _norm_last_axis(t.records.x - as_vector(z), t.domain.norm_kind)
+    d = _distances(t.records.x, z, t.domain.norm_kind)
     pairs = len(d) - 1
     rises = np.flatnonzero(d[1:] > d[:-1] + MONOTONE_TOL)
     if rises.size:
@@ -520,28 +510,7 @@ def asymptotic_radius(t: Trace, x, window: int) -> float:
     if window > len(t.records):
         raise PreconditionError(
             f"window {window} exceeds the {len(t.records)} recorded steps")
-    return max(_norm_last_axis(t.records.x[-window:] - as_vector(x),
-                               t.domain.norm_kind).tolist())
-
-
-def _column_images(t: Mapping, x: list[np.ndarray], steps: np.ndarray):
-    """T at the rows of the coordinate columns x, taken at the given steps:
-    (the image's d columns, None or the mask of the rows whose image is
-    invalid; such a row's image is its x). A map whose fn carries the float
-    form takes the columns at once if they come out valid; otherwise, and
-    for any other map, each row goes through `_image`."""
-    form = getattr(t.fn, "floats", None)
-    if form is not None:
-        img = form(x)
-        if len(img) == len(x) and all(np.isfinite(c).all() for c in img):
-            return img, None
-    rows, bad = np.array(x).T.tolist(), np.zeros(len(steps), bool)
-    for i, n in enumerate(steps.tolist()):
-        try:
-            rows[i] = _image(t, rows[i], n)
-        except IterationRuntimeError:
-            bad[i] = True
-    return list(np.array(rows).T), bad if bad.any() else None
+    return max(_distances(t.records.x[-window:], x, t.domain.norm_kind).tolist())
 
 
 def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
@@ -552,11 +521,11 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
 
     All intervals advance together. At offset o every interval still running
     takes its step k + o through `_advance` on d float64 columns, one per
-    coordinate, with a column per weight. A row's zero weight is 1.0 on an
-    image of -0.0, which added to any v gives v bit for bit, so it contributes
-    nothing, as a skipped weight does. The rows are sorted longest interval
-    first, so the intervals still running are a prefix of them. An invalid
-    image raises `_image`'s error at the lowest such step, after every row ran.
+    coordinate, with a column per weight, on the images of `_images`. A row's
+    zero weight is 1.0 on an image of -0.0, which added to any v gives v bit
+    for bit, so it contributes nothing, as a skipped weight does. The rows
+    are sorted longest interval first, so the intervals still running are a
+    prefix of them. If an image is invalid, `_rerun` runs the intervals.
     """
     m, first = len(members), int(steps[0])
     # the weights once per distinct alpha, kept as one float array (np.unique
@@ -571,24 +540,33 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
     order = np.argsort(-L)
     L, start = L[order], steps[:-1][order] - first
     C = X[:-1][order].T.copy()           # (d, intervals): the columns
-    live, worst = len(L), math.inf       # worst: the lowest invalid step*m + k
+    live = len(L)
     for o in range(int(L[0]) if live else 0):
         while L[live - 1] <= o:
             live -= 1
-        x, at = list(C[:, :live]), start[:live] + o
+        x, at = C[:, :live], start[:live] + o
         which = np.searchsorted(values, alphas[at])
         # `take` costs a third of the same fancy index on these sizes
         images, z = [], zero.take(which, axis=1)
         for k, T in enumerate(members):
-            img, bad = _column_images(T, x, at + first)
-            if bad is not None:
-                worst = min(worst, int(at[bad].min() + first) * m + k)
-            images.append([np.where(z[k], -0.0, v) for v in img] if z[k].any() else img)
-        C[:, :live] = _advance(images, list(W.take(which, axis=1)), x, lam)[1]
-    if worst < math.inf:
-        n, k = divmod(worst, m)
-        raise _invalid_image(members[k], n)
+            img = _images(T, x.T)
+            if img is None:
+                return np.array(list(_rerun(members, engine, lam, steps, X, alphas)))
+            images.append([np.where(z[k], -0.0, v) for v in img.T] if z[k].any() else list(img.T))
+        C[:, :live] = _advance(images, list(W.take(which, axis=1)), list(x), lam)[1]
     return C.T[np.argsort(order)]
+
+
+def _rerun(members: Sequence[Mapping], engine: str, lam: float,
+           steps: np.ndarray, X: np.ndarray, alphas: np.ndarray) -> Iterable[list[float]]:
+    """The rows of `_lockstep`'s result by the engines' own float step, an
+    interval at a time in step order: the first error raised, fn's too, is the lowest."""
+    rule, m, first, a = _WEIGHT_RULES[engine], len(members), int(steps[0]), alphas.tolist()
+    for k, end, x in zip(steps[:-1].tolist(), steps[1:].tolist(), X[:-1].tolist()):
+        for n in range(k, end):
+            wts = [c or None for c in rule(a[n - first], m)]
+            x = _advance([_image(T, x, n) for T in members], wts, x, lam)[1]
+        yield x
 
 
 def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
@@ -603,8 +581,8 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
     REPLAY_TOL of the record at k'; else the verdict names the first record
     where either fails. checked_pairs counts the steps replayed, up to that
     record on a fail; observed_max is the largest deviation at an
-    interval's end, None over no step. An image the engine refuses raises
-    its IterationRuntimeError, at the lowest step where one does.
+    interval's end, None over no step. An image the engine refuses, or an
+    error fn raises, comes at the lowest step, as the engine raises it.
     """
     members = (maps,) if isinstance(maps, Mapping) else maps.members
     # a truncated trace names only the active members; accept the full family

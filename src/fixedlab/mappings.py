@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InvalidInputError
+from .errors import ContractViolation, DomainError, InvalidInputError, IterationRuntimeError
 from .vecspace import Domain, SamplePlan, Vector, _freeze, as_vector, dist, sample
 from .verdicts import Verdict, Witness
 
@@ -42,11 +42,11 @@ class Mapping:
 
     A builtin map whose array form is elementwise also sets `fn.floats`, the
     same map on the list of a point's d coordinates, each one a Python float
-    or a float64 column of rows. The engines' step calls it on floats and
-    replay on columns, instead of fn. It computes each coordinate by float
-    operations alone, so every row of a column gets the IEEE result it gets
-    as a float, and a constant coordinate may stay a float, which broadcasts.
-    A wrapped or reassigned fn carries no such form."""
+    or a float64 column of rows. `_image` calls it on floats and `_images` on
+    columns, instead of fn. It computes each coordinate by float operations
+    alone, so every row of a column gets the IEEE result it gets as a float,
+    and a constant coordinate may stay a float, which broadcasts. A wrapped
+    or reassigned fn carries no such form."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Domain
@@ -112,18 +112,49 @@ def evaluate(T: Mapping, x) -> Vector:
     return image
 
 
-def _evaluate_rows(T: Mapping, X: np.ndarray) -> np.ndarray:
-    """np.stack([evaluate(T, x) for x in X]) for a float array X: T.fn runs
-    once per read-only row, each image is copied as it comes, and rows and
-    images are checked as whole arrays. On a failure the per-point loop runs."""
+def _image(T: Mapping, x: list[float], n: int) -> list[float]:
+    """T x_n for x = x_n, a float list: `fn.floats(x)` where fn carries that
+    form, else fn on a fresh float64 copy, read as `as_vector` reads it (a
+    scalar is a 1-vector). An image of the wrong shape or with a non-finite
+    coordinate raises IterationRuntimeError at step n."""
+    form = getattr(T.fn, "floats", None)
+    if form is None:
+        img = np.atleast_1d(np.asarray(T.fn(np.array(x)), dtype=float))
+        floats = img.tolist() if img.ndim == 1 else ()
+    else:
+        floats = form(x)
+    if len(floats) != len(x) or not all(map(math.isfinite, floats)):
+        raise IterationRuntimeError(
+            f"mapping {T.label!r} returned an invalid image at step {n}", step=n)
+    return floats
+
+
+def _images(T: Mapping, X: np.ndarray) -> Optional[np.ndarray]:
+    """The images of the rows of the (n, d) float array X as `_image` reads
+    them, or None if fn raised or one is invalid: `fn.floats` on X's d columns
+    at once, kept by column, where fn carries that form; else fn once per read-only row."""
+    form = getattr(T.fn, "floats", None)
     try:
-        if X.shape[1:] == (T.domain.dimension,) and T.domain.contains_rows(X).all():
+        if form is None:
             TX = np.array([np.array(T.fn(x), dtype=float) for x in _freeze(X.copy())])
             TX = TX[:, None] if TX.ndim == 1 else TX   # scalar images, as as_vector reads them
-            if TX.shape == X.shape and len(X) and np.isfinite(TX).all():
-                return TX
-    except Exception:   # T.fn may raise anything; the loop below re-raises in order
-        pass
+        else:
+            img = form(list(X.T))
+            TX = np.empty((len(img), len(X))).T   # a wrong count of columns is a wrong shape
+            for j, c in enumerate(img):
+                TX[:, j] = c                      # a constant coordinate's float broadcasts
+    except Exception:   # T.fn may raise anything; the caller re-runs point by point
+        return None
+    return TX if TX.shape == X.shape and np.isfinite(TX).all() else None
+
+
+def _evaluate_rows(T: Mapping, X: np.ndarray) -> np.ndarray:
+    """np.stack([evaluate(T, x) for x in X]) for a float array X, its rows
+    checked as one array and mapped by `_images`; on a failure, that loop."""
+    if X.shape[1:] == (T.domain.dimension,) and len(X) and T.domain.contains_rows(X).all():
+        TX = _images(T, X)
+        if TX is not None:
+            return np.ascontiguousarray(TX)
     return np.stack([evaluate(T, x) for x in X])
 
 

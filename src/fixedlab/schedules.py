@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from .errors import ContractViolation, PreconditionError
+from .vecspace import _read_numbers
 
 __all__ = [
     "ConstantSchedule", "DecaySchedule", "TentSchedule", "AlphaSchedule",
@@ -50,20 +50,6 @@ PROXY_TOL = 1e-3
 # steps per chunk: a chunk's few arrays stay in cache, and a run that stops
 # early has paid for at most this many values it did not use
 _CHUNK = 4096
-
-
-def _read_numbers(obj, prefix: str = "") -> None:
-    """Read every field of the frozen dataclass obj as a Python number: a
-    bool or anything not real is refused, a value of an integral type becomes
-    an int and any other real a float, so a numpy scalar computes and echoes
-    as its Python number does. A field whose default is None may be None."""
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if v is None and f.default is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ContractViolation(f"{prefix}{f.name} must be a real number, got {v!r}")
-        object.__setattr__(obj, f.name, int(v) if isinstance(v, numbers.Integral) else float(v))
 
 
 def _index(n: int) -> int:

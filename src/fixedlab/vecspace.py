@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -221,6 +222,9 @@ class Domain:
         return lambda q: (all(map(math.isfinite, q))
                           and _norm_floats(map(operator.sub, q, center), kind) <= r)
 
+    def __getstate__(self) -> dict:     # `_member`'s closures are rebuilt, not pickled
+        return {k: v for k, v in vars(self).items() if k != "_member"}
+
     def contains_rows(self, Q: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one
         (dimension,) point as `contains`: a non-finite row is never a member."""
@@ -290,6 +294,20 @@ def _whole(v, what: str) -> int:
             or not float(v).is_integer():
         raise InvalidInputError(f"{what} must be a whole number, got {v!r}")
     return int(v)
+
+
+def _read_numbers(obj, prefix: str = "") -> None:
+    """Read every field of the frozen dataclass obj as a Python number: a
+    bool or anything not real is refused, a value of an integral type becomes
+    an int and any other real a float, so a numpy scalar computes and echoes
+    as its Python number does. A field whose default is None may be None."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if v is None and f.default is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ContractViolation(f"{prefix}{f.name} must be a real number, got {v!r}")
+        object.__setattr__(obj, f.name, int(v) if isinstance(v, numbers.Integral) else float(v))
 
 
 def _axis_resolutions(plan: SamplePlan, d: int) -> tuple[int, ...]:

@@ -1,11 +1,14 @@
 """Whole-array image evaluation and the cache-sized scan around it.
 
-`mappings._evaluate_rows(T, X)` maps every row of X with one call of T.fn
-per row and checks rows and images as whole arrays. It must equal
+`mappings._evaluate_rows(T, X)` checks the rows of X as a whole array and
+maps them by `_images`: a map whose fn carries a float form gets it called
+once on X's columns, so it makes 0 calls of fn in a scan; any other map
+gets one call of T.fn per row. It must equal
 `np.stack([evaluate(T, x) for x in X])` bit for bit, and on bad input it
 must raise exactly the error of that per-point loop. `_checks` scans a
 check that several requests ask for once.
 """
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -24,10 +27,13 @@ from fixedlab import (
     affine_map,
     builtin_gallery,
     check_condition_B,
+    constant_map,
     check_nonexpansive,
     check_prop1,
     evaluate,
+    identity_map,
     register_mapping,
+    scaling_map,
     sweep_condition_B,
     translation_map,
 )
@@ -187,6 +193,40 @@ def test_an_image_buffer_reused_by_the_map_is_copied_per_row():
     T = _map(halve_into_buf, label="buffered")
     got, want = _both(T, _sample(T))
     assert got == want and len(set(map(tuple, _evaluate_rows(T, _sample(T))))) > 1
+
+
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -2.0]
+
+
+@pytest.mark.filterwarnings("ignore:condition_B.*the property check may fail")
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_a_float_form_maps_rows_as_the_per_point_loop_does_with_no_call_of_fn(d):
+    """Signed zeros and subnormals included; a scan's first and second
+    images alike, as prop1 takes them, with the same verdict."""
+    box = Domain.box([-2.0] * d, [2.0] * d)
+    rng = np.random.default_rng(d)
+    X = np.concatenate([rng.choice(_TINY, (60, d)), rng.uniform(-2.0, 2.0, (40, d))])
+    for T in (scaling_map(box, 0.5), scaling_map(box, -0.75), identity_map(box),
+              translation_map(box, [1e-310] + [-0.0] * (d - 1)),
+              constant_map(box, [-0.0] + [1e-310] * (d - 1))):
+        calls, fn = [], T.fn
+        counted = dataclasses.replace(T, fn=lambda p: calls.append(1) or fn(p))
+        counted.fn.floats = fn.floats
+        for rows in (X, _evaluate_rows(T, X)):
+            got = _outcome(lambda: _evaluate_rows(counted, rows))
+            assert got == _outcome(lambda: np.stack([evaluate(T, x) for x in rows])), T.label
+            assert isinstance(got[0], tuple) and calls == [], T.label
+        plan = SamplePlan.random(0, 50)
+        assert repr(check_prop1(counted, 0.5, BGammaMu(0.5, 0.25), plan)) == \
+            repr(check_prop1(T, 0.5, BGammaMu(0.5, 0.25), plan))
+        assert calls == [], T.label
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_float_form_image_that_overflows_raises_the_per_point_error():
+    T = translation_map(Domain.box([0.0], [1.7e308], "linf"), [1e308])
+    got, want = _both(T, np.array([[0.0], [5e307], [1e308], [1.7e308]]))
+    assert got == want == (InvalidInputError, "non-finite coordinate in [inf]")
 
 
 def test_a_passing_map_costs_one_raw_call_per_point_and_two_with_prop1():

@@ -6,6 +6,8 @@ oracle can never drift apart silently. All float comparisons on witnesses
 are exact equality: both sides compute with the same elementary operations
 in the same order, so agreement is bitwise or it is a bug.
 """
+import json
+import re
 import warnings
 
 import numpy as np
@@ -61,6 +63,24 @@ def test_bgammamu_boundary_is_admissible():
     assert p.gamma == 0.7 and p.mu == 0.35
     BGammaMu(0.0, 0.0)
     BGammaMu(1.0, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bgammamu_reads_its_numbers_as_the_schedules_do(example1, grid9):
+    """numpy scalars become the Python numbers they hold, so a verdict's
+    dict is written by json as the same pair of floats would be; a bool or
+    a non-number is refused, with the field's name."""
+    p = BGammaMu(np.float32(0.5), np.float32(0.25))
+    assert [(v, type(v)) for v in (p.gamma, p.mu)] == [(0.5, float), (0.25, float)]
+    got = check_condition_B(example1, p, grid9).to_dict()
+    assert json.dumps(got) == json.dumps(check_condition_B(example1, BGammaMu(0.5, 0.25),
+                                                           grid9).to_dict())
+    assert type(BGammaMu(np.int64(1), 0).gamma) is int
+    for args, message in [((True, False), "gamma must be a real number, got True"),
+                          ((0.5, np.bool_(False)), "mu must be a real number, got np.False_"),
+                          ((0.5, "0.25"), "mu must be a real number, got '0.25'")]:
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            BGammaMu(*args)
 
 
 def test_condition_c_lambda_validates_lambda(example1, grid9):

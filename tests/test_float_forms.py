@@ -2,8 +2,8 @@
 
 `scaling` (and so `identity`), `translation` and `constant` set
 `fn.floats`, the same map on the list of a point's coordinates, which the
-engines' step calls on Python floats and replay on float64 columns of rows,
-instead of fn. A float product or sum is the same correctly rounded IEEE
+engines' step calls on Python floats, and the scans and replay on float64
+columns of rows, instead of fn. A float product or sum is the same correctly rounded IEEE
 operation as numpy's elementwise ufunc, so each form must equal fn bit for
 bit on floats and on every row of a column, and a run whose maps hide the
 form (fn wrapped, as a tracer or `compose` wraps it) must write the same

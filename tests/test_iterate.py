@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 import pickle
+import re
 from typing import ClassVar
 
 import numpy as np
@@ -32,6 +33,7 @@ from fixedlab import (
     DomainError,
     GALLERY_BALL,
     GALLERY_BOX,
+    InvalidInputError,
     InvariantError,
     IterationConfig,
     IterationRuntimeError,
@@ -58,7 +60,7 @@ from fixedlab import (
     truncated_family_run,
     truncated_weights,
 )
-from fixedlab import iterate
+from fixedlab import iterate, mappings
 from fixedlab.schedules import AlphaSchedule
 from helpers import reference_averaged_run, reference_records
 
@@ -894,6 +896,97 @@ def test_replay_names_the_lowest_step_whose_image_is_invalid(monkeypatch, rows):
         with pytest.raises(IterationRuntimeError,
                            match=r"^mapping 'shift' returned an invalid image at step 8$"):
             replay_trace(t, m)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("rows", [3, 1024])
+@pytest.mark.parametrize("bad", ["nan", "raise"])
+def test_replay_raises_at_the_lower_of_two_bad_steps_in_one_block(monkeypatch, bad, rows):
+    """Records every 5 steps. In replay map 'a' fails only at x_10, the
+    first step of an interval, and map 'b' only at x_7, the third step of
+    the interval before, both in one lockstep block: the lockstep meets a's
+    first, the float re-run b's, as the engine would. A non-finite image
+    raises the engine's IterationRuntimeError; an error of fn propagates."""
+    monkeypatch.setattr(iterate, "_LOCKSTEP_ROWS", rows)
+    box, s = Domain.box([0.0], [100.0]), ConstantSchedule(0.25)
+    fam = make_family([translation_map(box, [1.0], label=k) for k in "ab"])
+    every = multi_map_run(fam, s, [0.0], IterationConfig(lam=0.5, max_iters=30))
+    t = multi_map_run(fam, s, [0.0], IterationConfig(lam=0.5, max_iters=30, record_every=5))
+    assert replay_trace(t, fam).passed
+
+    def failing(label, step):
+        at = every.records[step].x[0]
+
+        def fn(p):   # translation_map's p + [1.0], but at x_step
+            if p[0] != at:
+                return p + 1.0
+            if bad == "raise":
+                raise ArithmeticError(f"{label} at step {step}")
+            return p * math.nan
+
+        return register_mapping(fn, box, label, self_map=False)
+
+    error, message = ((ArithmeticError, "b at step 7") if bad == "raise" else
+                      (IterationRuntimeError, "mapping 'b' returned an invalid image at step 7"))
+    with pytest.raises(error, match=f"^{message}$"):
+        replay_trace(t, make_family([failing("a", 10), failing("b", 7)]))
+
+
+@pytest.mark.parametrize("engine", ["single", "multi"])
+def test_a_map_that_writes_into_its_argument_replays_by_the_float_step(engine):
+    """The engine hands fn a fresh copy of x_n, the batch of replay a
+    read-only row, which such a map cannot write: `_images` gives None, and
+    each block is re-run by the engines' float step, to every record's bits."""
+    def halve(p):
+        p *= 0.5
+        return p
+
+    T = register_mapping(halve, GALLERY_BALL, "halve", self_map=False)
+    cfg = IterationConfig(lam=0.5, max_iters=60, record_every=4)
+    if engine == "single":
+        maps, s = T, None
+        t = krasnoselskii_run(T, [0.6, 0.3], cfg)
+    else:
+        shift = translation_map(GALLERY_BALL, [1e-3, 0.0])   # no fixed point to check
+        maps, s = make_family([shift, T]), TentSchedule(0.25, 7, 1.6)
+        t = multi_map_run(maps, s, [0.6, 0.3], cfg)
+    steps, X = t.records.step, t.records.x
+    assert mappings._images(T, X) is None
+    v = replay_trace(t, maps)
+    assert v.passed and v.checked_pairs == 60 and v.observed_max == 0.0
+    alphas = np.zeros(61) if s is None else np.fromiter(s.values(0, 61), float)
+    members = [T] if s is None else maps.members
+    predicted = iterate._lockstep(members, engine, 0.5, steps, X, alphas)
+    assert predicted.tobytes() == X[1:].tobytes()
+
+
+@pytest.mark.parametrize("engine", ["single", "multi", "truncated"])
+def test_a_trace_pickles_and_its_copy_replays_and_writes_the_same_csv(engine):
+    """Its domain's membership rule, built by the run, is not pickled but
+    made again on the copy's first use."""
+    t, maps = _engine_run(engine)[:2]
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and u.domain.contains([0.6, 0.3])
+    assert replay_trace(u, maps[0] if engine == "single" else make_family(maps)).passed
+    csv = []
+    for trace in (t, u):
+        buf = io.StringIO()
+        trace_to_csv(trace, buf)
+        csv.append(buf.getvalue())
+    assert csv[0] == csv[1]
+    assert pickle.loads(pickle.dumps(t.domain)) == t.domain
+
+
+@pytest.mark.parametrize("z", [[0.0], [0.0, 0.0, 0.0]], ids=["1-vector", "3-vector"])
+def test_distance_diagnostics_refuse_a_point_of_another_dimension(z):
+    t = _engine_run("single")[0]
+    message = re.escape(f"no distance between points of shapes (2,) and ({len(z)},)")
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        monotone_distance_check(t, z)
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        asymptotic_radius(t, z, 10)
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        dist(t.records.x[0], z)
 
 
 def test_the_engine_reads_a_scalar_image_as_a_1_vector():

@@ -16,12 +16,14 @@ SRC = os.path.dirname(fixedlab.__file__)
 
 #: module -> {sibling module: the private names it imports from it}
 PRIVATE_IMPORTS = {
-    "conditions": {"mappings": {"_evaluate_rows"}, "vecspace": {"_norm_last_axis"}},
+    "conditions": {"mappings": {"_evaluate_rows"},
+                   "vecspace": {"_norm_last_axis", "_read_numbers"}},
     "harness": {"conditions": {"_CHECKS", "_checks"}, "iterate": {"_fmt", "_write_csv"},
                 "schedules": {"_KINDS"}},
-    "iterate": {"schedules": {"_read_numbers"},
-                "vecspace": {"_blend", "_norm_floats", "_norm_last_axis"}},
+    "iterate": {"mappings": {"_image", "_images"},
+                "vecspace": {"_blend", "_norm_floats", "_norm_last_axis", "_read_numbers"}},
     "mappings": {"vecspace": {"_freeze"}},
+    "schedules": {"vecspace": {"_read_numbers"}},
 }
 
 
