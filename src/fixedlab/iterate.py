@@ -22,6 +22,18 @@ A run stops when the blend residual ||w_n - x_n|| falls to residual_tol,
 or after max_iters steps. The Trace records enough per step (iterate,
 residuals, blend weight parameter, distances to known common fixed points)
 to re-derive everything offline; `replay_trace` does exactly that.
+
+The engines step on Python floats, `_STEP_BLOCK` steps at a time and never
+past max_iters, reading each image unchecked. Each block is then checked
+at once on float64 arrays: every image's shape and finiteness, the
+residuals, the stop and each next iterate's membership, with the same bits
+as the per-step checks; its records are normed from the same arrays. The
+first step that fails a check, or where a map or the weight rule raised,
+is run again alone with the per-step checks, after the steps before it, so
+every stop, record, error and its step is what a step-by-step run gives;
+so is a step whose array norms could overflow where the floats' do not.
+A map may be evaluated at up to `_STEP_BLOCK` - 1 iterates past the step
+where a run stops or fails; those images are discarded.
 """
 
 from __future__ import annotations
@@ -37,7 +49,8 @@ import numpy as np
 
 from .errors import (ContractViolation, DomainError, InvalidInputError, InvariantError,
                      IterationRuntimeError, PreconditionError)
-from .mappings import Mapping, MappingFamily, _image, _images, common_fixed_points
+from .mappings import (Mapping, MappingFamily, _image, _images, _reader,
+                       common_fixed_points)
 from .schedules import AlphaSchedule
 from .vecspace import (Domain, _blend, _norm_floats, _norm_last_axis, _read_numbers,
                        as_vector)
@@ -65,9 +78,10 @@ WEIGHT_TOL = 1e-12
 #: tent each one at t and L - t of a block. 1024 cost 0.15 MB more peak memory.
 _WEIGHT_MEMO = 512
 
-#: The engines norm the distances of this many records in one call; 256 held
-#: 0.2 MB more of images on a five-map run, for no measurable speed.
-_RECORD_BLOCK = 64
+#: The engines run this many steps on floats, unchecked, then check them at
+#: once on float64 arrays and norm their records in one call; so a map may
+#: be evaluated at up to this many less one iterates past a run's end.
+_STEP_BLOCK = 64
 
 #: The rows a trace's records are read in at a time, as TraceSteps or CSV
 #: lines: a block's lists, not the trace's, are held at once.
@@ -307,21 +321,14 @@ def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
             [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
 
 
-def _records(pending: Sequence[tuple], fps: list[list[float]], kind, m: int) -> tuple:
-    """The columns of the pending records (n, x_n, residual, alpha, images),
-    in `_Records`' order: their ||T_k x - x|| per map, then ||z - x||
-    (bitwise ||x - z||) per fixed point z, are normed in one call over a
-    (records, m + k, d) array, each entry reducing its own contiguous d
-    terms, as one record's array would."""
-    X = np.array([p[1] for p in pending])
-    D = _norm_last_axis(np.array([p[4] + fps for p in pending]) - X[:, None], kind)
-    step, _, res, alpha, _ = zip(*pending)
-    return (np.array(step, np.int64), X, np.array(res), D[:, :m], np.array(alpha), D[:, m:])
-
-
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                 cfg: IterationConfig, s: Optional[AlphaSchedule],
                 fixed_points: Sequence[np.ndarray]) -> Trace:
+    """The step rule from x0, a block of steps at a time (see the module's
+    docstring): the run ends at the block's first step that stops with
+    valid images, and the first that fails a check or raised is run again
+    alone, with `_image`, `_norm_floats` and `_member`, to raise as a run
+    checked step by step would."""
     if cfg.gamma is not None and cfg.gamma > GAMMA_WARN_THRESHOLD:
         warnings.warn(
             f"gamma context {cfg.gamma} exceeds {GAMMA_WARN_THRESHOLD}; the "
@@ -332,53 +339,90 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
             f"start point has dimension {x.shape[0]}, domain needs {domain.dimension}")
     if not domain.contains(x):
         raise DomainError(f"start point {x.tolist()} lies outside the domain")
-    # in the loop only images and iterates are checked; distances are not
+    # only images and iterates are checked; distances are not
     x = x.tolist()
-    kind, member = domain.norm_kind, domain._member
-    rule, m = _WEIGHT_RULES[engine], len(members)
+    kind, d, chain = domain.norm_kind, domain.dimension, itertools.chain.from_iterable
+    rule, m, reads = _WEIGHT_RULES[engine], len(members), [_reader(t) for t in members]
     fps = [np.asarray(z, dtype=float).tolist() for z in fixed_points]
-    blocks: list[tuple] = []             # the records' columns, a block at a time
-    pending: list[tuple] = []            # the records whose norms are still to take
+    Z = np.array(fps).reshape(len(fps), d)
+    frame = Domain.box(*domain.bounding_box(), kind)
+    blocks: list[tuple] = []             # the records' columns, 64 blocks' at a time
+    recent: list[tuple] = []             # and those of the blocks since
     memo: dict[float, list] = {}         # alpha -> its validated weights, a zero as None
-    alphas = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
-    for n, a_n in enumerate(alphas):
-        # a NaN alpha never becomes a key, so it fails at its own step; -0.0
-        # may get 0.0's weights, which differ from its own only in zeros
-        wts = memo.get(a_n)
-        if wts is None:
-            wts = rule(a_n, m)
-            # `not <=` so that a NaN weight fails as well
-            if any(c < 0.0 for c in wts) or not abs(math.fsum(wts) - 1.0) <= WEIGHT_TOL:
-                raise InvariantError(
-                    f"blend weights {wts} invalid at step {n} (alpha={a_n})")
-            if len(memo) == _WEIGHT_MEMO:
-                memo.clear()
-            wts = memo[a_n] = [c or None for c in wts]
-        images = [_image(t, x, n) for t in members]
-        w_x, x_next = _advance(images, wts, x, cfg.lam)
-        residual = _norm_floats(w_x, kind)
-        stop = None
-        if residual <= cfg.residual_tol:
-            stop = STOP_TOL
-        elif n >= cfg.max_iters:
-            stop = STOP_MAX_ITERS
-        stride = cfg.record_every if n < DECIMATION_START else cfg.record_every * 10
-        if n % stride == 0 or stop is not None:
-            pending.append((n, x, residual, a_n, images))
-            if len(pending) == _RECORD_BLOCK or stop is not None:
-                blocks.append(_records(pending, fps, kind, m))
-                pending.clear()
-        if stop is not None:
+    stream = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
+    alphas, n, settle = [], 0, False     # alphas: drawn, not yet stepped
+    while True:
+        size = 1 if settle else min(_STEP_BLOCK, cfg.max_iters + 1 - n)
+        alphas += itertools.islice(stream, max(size - len(alphas), 0))
+        todo, xs, ims, wxs = alphas[:size], [x], [], []
+        try:
+            for i, a_n in enumerate(todo, n):
+                # a NaN alpha never becomes a key, so it fails at its own step;
+                # -0.0 may get 0.0's weights, which differ from its own only in zeros
+                wts = memo.get(a_n)
+                if wts is None:
+                    wts = rule(a_n, m)
+                    # `not <=` so that a NaN weight fails as well
+                    if any(c < 0.0 for c in wts) or not abs(math.fsum(wts) - 1.0) <= WEIGHT_TOL:
+                        raise InvariantError(
+                            f"blend weights {wts} invalid at step {i} (alpha={a_n})")
+                    if len(memo) == _WEIGHT_MEMO:
+                        memo.clear()
+                    wts = memo[a_n] = [c or None for c in wts]
+                images = [_image(t, x, i) for t in members] if settle else [f(x) for f in reads]
+                w_x, x = _advance(images, wts, x, cfg.lam)
+                ims.append(images)
+                wxs.append(w_x)
+                xs.append(x)
+        except Exception:                # the step that raised is settled alone
+            if settle:
+                raise
+        if not set(map(len, chain(ims))) <= {d}:    # cut at an image of another shape
+            del ims[next(i for i, im in enumerate(ims) if set(map(len, im)) != {d}):]
+        k = len(ims)
+        TX = np.fromiter(chain(chain(ims)), float, k * m * d).reshape(k, m, d)
+        X = np.fromiter(chain(xs[:k + 1]), float, (k + 1) * d).reshape(k + 1, d)
+        ok = np.isfinite(TX).all(axis=(1, 2))
+        if settle:
+            R = np.array([_norm_floats(w, kind) for w in wxs])
+            inside = np.array([domain._member(q) for q in xs[1:]], bool)
+        else:
+            # a step whose norms could overflow, and warn, where the floats' do
+            # not (w - x past 2**500, or x' outside the bounding box) is settled
+            W = np.fromiter(chain(wxs[:k]), float, k * d).reshape(k, d)
+            ok &= (np.abs(W) <= 2.0 ** 500).all(axis=1) & frame.contains_rows(X[1:])
+            R = _norm_last_axis(np.where(ok[:, None], W, 0.0), kind)
+            inside = domain.contains_rows(np.where(ok[:, None], X[1:], X[:1]))
+        steps = np.arange(n, n + k, dtype=np.int64)
+        tol = R <= cfg.residual_tol
+        stop = tol | (steps >= cfg.max_iters)
+        bad = stop | ~inside | ~ok
+        j = int(bad.argmax()) if bad.any() else k       # the first unclean step
+        end = j < k and stop[j] and ok[j]               # the run stops at step j
+        if settle and j == 0 and not end:
+            raise IterationRuntimeError(
+                f"iterate left the domain at step {n + 1}: {xs[1]}", step=n + 1)
+        done = steps[:j + end]
+        r = np.flatnonzero((done % np.where(done < DECIMATION_START, cfg.record_every,
+                                            cfg.record_every * 10) == 0) | stop[:len(done)])
+        if r.size:
+            at = X[r, None]
+            recent.append((steps[r], X[r], R[r], _norm_last_axis(TX[r] - at, kind),
+                           np.array(todo)[r], _norm_last_axis(Z - at, kind)))
+        if len(recent) == _STEP_BLOCK or end:   # fewer arrays: a 10**6-step run's RSS -15 MB
+            blocks.append(tuple(map(np.concatenate, zip(*recent))))
+            recent.clear()
+        if end:
             return Trace(engine=engine, records=_Records.join(blocks),
-                         stop_reason=stop, total_steps=n, config=cfg,
+                         stop_reason=STOP_TOL if tol[j] else STOP_MAX_ITERS,
+                         total_steps=n + j, config=cfg,
                          mapping_labels=tuple(t.label for t in members),
                          fixed_points=tuple(map(tuple, fps)), domain=domain,
                          schedule=s)
-        if not member(x_next):
-            raise IterationRuntimeError(
-                f"iterate left the domain at step {n + 1}: {x_next}", step=n + 1)
-        x = x_next
-    raise InvariantError(f"schedule values ended before step {cfg.max_iters}")
+        if j == len(todo) < size:
+            raise InvariantError(f"schedule values ended before step {cfg.max_iters}")
+        del alphas[:j]
+        n, x, settle = n + j, xs[j], j < len(todo)
 
 
 def krasnoselskii_run(T: Mapping, x0, cfg: IterationConfig) -> Trace:

@@ -42,11 +42,11 @@ class Mapping:
 
     A builtin map whose array form is elementwise also sets `fn.floats`, the
     same map on the list of a point's d coordinates, each one a Python float
-    or a float64 column of rows. `_image` calls it on floats and `_images` on
-    columns, instead of fn. It computes each coordinate by float operations
-    alone, so every row of a column gets the IEEE result it gets as a float,
-    and a constant coordinate may stay a float, which broadcasts. A wrapped
-    or reassigned fn carries no such form."""
+    or a float64 column of rows. `_reader` gives it for floats and `_images`
+    calls it on columns, instead of fn. It computes each coordinate by float
+    operations alone, so every row of a column gets the IEEE result it gets
+    as a float, and a constant coordinate may stay a float, which broadcasts.
+    A wrapped or reassigned fn carries no such form."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Domain
@@ -77,7 +77,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
         if not domain.contains(z):
             raise ContractViolation(
                 f"mapping {label!r}: claimed fixed point {z.tolist()} lies outside the domain")
-        image = as_vector(fn(z))
+        image = as_vector(fn(np.array(z)))
         try:
             gap = dist(image, z, domain.norm_kind)
         except InvalidInputError as e:
@@ -88,7 +88,7 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
                 f"mapping {label!r}: claimed fixed point {z.tolist()} moves by {gap:.3e}")
     if self_map:
         for p in sample(domain, plan) if plan else _registration_sample(domain):
-            image = as_vector(fn(p))
+            image = as_vector(fn(np.array(p)))
             if not domain.contains(image):
                 raise ContractViolation(
                     f"mapping {label!r} is not a self-map: {p.tolist()} -> {image.tolist()}")
@@ -97,7 +97,9 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
 
 
 def evaluate(T: Mapping, x) -> Vector:
-    """T(x), checked: x finite and in T's domain, T(x) finite and of x's shape."""
+    """T(x), checked: x finite and in T's domain, T(x) finite and of x's shape.
+    fn gets a fresh float64 copy of x, as at every pointwise call in this
+    module, so a map that writes into its argument runs."""
     v = as_vector(x)
     if v.shape != (T.domain.dimension,):
         raise DomainError(
@@ -105,24 +107,34 @@ def evaluate(T: Mapping, x) -> Vector:
             f"{T.domain.dimension}-d domain")
     if not T.domain.contains(v):
         raise DomainError(f"{v.tolist()} is outside the domain of {T.label!r}")
-    image = as_vector(T.fn(v))
+    image = as_vector(T.fn(np.array(v)))
     if image.shape != v.shape:
         raise DomainError(f"{T.label!r} maps {v.tolist()} to an image of shape "
                           f"{image.shape} on a {v.shape[0]}-d domain")
     return image
 
 
-def _image(T: Mapping, x: list[float], n: int) -> list[float]:
-    """T x_n for x = x_n, a float list: `fn.floats(x)` where fn carries that
-    form, else fn on a fresh float64 copy, read as `as_vector` reads it (a
-    scalar is a 1-vector). An image of the wrong shape or with a non-finite
-    coordinate raises IterationRuntimeError at step n."""
+def _reader(T: Mapping) -> Callable[[list[float]], Sequence[float]]:
+    """T's image of a point x given as a float list, read unchecked:
+    `fn.floats` where fn carries that form, else fn on a fresh float64 copy
+    of x, read as `as_vector` reads it (a scalar is a 1-vector; an image of
+    another rank reads as no coordinates)."""
     form = getattr(T.fn, "floats", None)
-    if form is None:
-        img = np.atleast_1d(np.asarray(T.fn(np.array(x)), dtype=float))
-        floats = img.tolist() if img.ndim == 1 else ()
-    else:
-        floats = form(x)
+    if form is not None:
+        return form
+
+    def read(x: list[float], fn=T.fn) -> Sequence[float]:
+        img = np.atleast_1d(np.asarray(fn(np.array(x)), dtype=float))
+        return img.tolist() if img.ndim == 1 else ()
+
+    return read
+
+
+def _image(T: Mapping, x: list[float], n: int) -> list[float]:
+    """T x_n for x = x_n, a float list, as `_reader` reads it. An image of
+    the wrong shape or with a non-finite coordinate raises
+    IterationRuntimeError at step n."""
+    floats = _reader(T)(x)
     if len(floats) != len(x) or not all(map(math.isfinite, floats)):
         raise IterationRuntimeError(
             f"mapping {T.label!r} returned an invalid image at step {n}", step=n)
@@ -169,7 +181,7 @@ def _fixed_by(candidates: Iterable[Vector], fns: Sequence[Callable],
     and that every fn fixes within FIXED_POINT_TOL; an image of another
     shape than its candidate fixes nothing."""
     def fixes(fn: Callable, z: Vector) -> bool:
-        image = as_vector(fn(z))
+        image = as_vector(fn(np.array(z)))
         return image.shape == z.shape and dist(image, z, domain.norm_kind) <= FIXED_POINT_TOL
 
     return [z for z in _distinct(candidates)

@@ -171,6 +171,8 @@ def test_a_wrong_dimension_image_is_a_domain_error_naming_map_point_and_shape():
 
 
 def test_a_map_that_writes_to_its_argument_cannot_corrupt_the_sample():
+    """The batch hands fn read-only rows, which it cannot write, and falls
+    back to `evaluate`, which hands it a fresh copy of each point."""
     def bump(p):
         p += 1.0
         return p
@@ -179,7 +181,7 @@ def test_a_map_that_writes_to_its_argument_cannot_corrupt_the_sample():
     X = _sample(T)
     before = X.copy()
     got, want = _both(T, X)
-    assert got == want and want[0] is ValueError
+    assert got == want == _outcome(lambda: X + 1.0)
     assert np.array_equal(X, before)
 
 

@@ -411,16 +411,19 @@ def _assert_records_are_the_reference(t, fns, weights_of, alphas, record_every,
 def test_single_engine_records_cross_decimation_start_bit_for_bit(monkeypatch):
     """record_every 16 pins the boundary: step 10 000 is a multiple of 16 but
     not of 160, so it is recorded only if it still took the undecimated
-    stride. The run's 627 records are normed in 10 blocks of at most 64."""
-    blocks = []
-    records = iterate._records
-    monkeypatch.setattr(iterate, "_records",
-                        lambda pending, *a: blocks.append(len(pending)) or records(pending, *a))
+    stride. The run steps in blocks of 64, the last one cut at max_iters, and
+    norms the records of each block that holds one in one call per column:
+    4 records a block up to step 9 983, then 1 and 2."""
+    shapes = []
+    norm = iterate._norm_last_axis
+    monkeypatch.setattr(iterate, "_norm_last_axis",
+                        lambda a, kind: shapes.append(a.shape) or norm(a, kind))
     ball = Domain.ball([0.0], 1.0)
     m = scaling_map(ball, 0.9999)
     cfg = IterationConfig(lam=0.5, max_iters=10_100, residual_tol=0.0, record_every=16)
     t = krasnoselskii_run(m, [0.9], cfg)
-    assert blocks == [64] * 9 + [51]
+    assert [s[0] for s in shapes if len(s) == 2] == [64] * 157 + [53]
+    assert [s[:2] for s in shapes if len(s) == 3] == [(4, 1)] * 312 + [(1, 1)] * 2 + [(2, 1)] * 2
     steps = [r.step for r in t.records]
     assert steps[-3:] == [9984, 10_080, 10_100] and len(steps) == 627
     _assert_records_are_the_reference(
@@ -453,7 +456,7 @@ def test_engine_records_equal_the_reference_bit_for_bit(monkeypatch, engine, d, 
     else:
         s = TENT
         t, fns, rule = truncated_family_run(fam, s, x0, cfg), fam.members[:2], truncated_weights
-    assert len(t.records) > 2 * iterate._RECORD_BLOCK // every
+    assert len(t.records) > 2 * iterate._STEP_BLOCK // every
     assert t.fixed_points == ((0.0,) * d,)
     _assert_records_are_the_reference(
         t, [m.fn for m in fns], lambda a: rule(a, len(fns)), s.values(0, 1_001),

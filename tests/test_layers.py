@@ -20,7 +20,7 @@ PRIVATE_IMPORTS = {
                    "vecspace": {"_norm_last_axis", "_read_numbers"}},
     "harness": {"conditions": {"_CHECKS", "_checks"}, "iterate": {"_fmt", "_write_csv"},
                 "schedules": {"_KINDS"}},
-    "iterate": {"mappings": {"_image", "_images"},
+    "iterate": {"mappings": {"_image", "_images", "_reader"},
                 "vecspace": {"_blend", "_norm_floats", "_norm_last_axis", "_read_numbers"}},
     "mappings": {"vecspace": {"_freeze"}},
     "schedules": {"vecspace": {"_read_numbers"}},

@@ -306,3 +306,28 @@ def test_a_fixed_point_that_moves_by_exactly_the_tolerance_is_kept():
     assert _fixed_by([z], [twice], box) == []
     with pytest.raises(ContractViolation, match=r"moves by 2\.000e-10$"):
         register_mapping(twice, box, "shift", known_fixed_points=[[0.0]], self_map=False)
+
+
+def test_a_map_that_writes_into_its_argument_registers_runs_replays_and_scans():
+    """Every pointwise call of fn gets a fresh float64 copy, so registration's
+    fixed-point and self-map checks, evaluate, the common fixed points of a
+    family, the engines, replay and the scans all run such a map, and the
+    caller's array is never written."""
+    from fixedlab import (IterationConfig, TentSchedule, check_nonexpansive,
+                          multi_map_run, replay_trace)
+
+    def halve(p):
+        p *= 0.5
+        return p
+
+    h = register_mapping(halve, GALLERY_BALL, "halve", known_fixed_points=[[0.0, 0.0]])
+    assert h.known_fixed_points[0].tolist() == [0.0, 0.0]
+    p = np.array([0.5, 0.25])
+    assert evaluate(h, p).tolist() == [0.25, 0.125] and p.tolist() == [0.5, 0.25]
+    unchecked = register_mapping(halve, GALLERY_BALL, "halve", self_map=False)
+    fam = make_family([scaling_map(GALLERY_BALL, 0.9), unchecked])
+    assert [z.tolist() for z in common_fixed_points(fam)] == [[0.0, 0.0]]
+    t = multi_map_run(fam, TentSchedule(0.25, 7, 1.6), p, IterationConfig(lam=0.5, max_iters=80))
+    assert t.total_steps == 80 and p.tolist() == [0.5, 0.25]
+    assert replay_trace(t, fam).passed
+    assert check_nonexpansive(h, SamplePlan.grid(5)).passed
