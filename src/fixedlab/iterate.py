@@ -24,16 +24,20 @@ residuals, blend weight parameter, distances to known common fixed points)
 to re-derive everything offline; `replay_trace` does exactly that.
 
 The engines step on Python floats, `_STEP_BLOCK` steps at a time and never
-past max_iters, reading each image unchecked. Each block is then checked
-at once on float64 arrays: every image's shape and finiteness, the
-residuals, the stop and each next iterate's membership, with the same bits
-as the per-step checks; its records are normed from the same arrays. The
-first step that fails a check, or where a map or the weight rule raised,
-is run again alone with the per-step checks, after the steps before it, so
-every stop, record, error and its step is what a step-by-step run gives;
-so is a step whose array norms could overflow where the floats' do not.
-A map may be evaluated at up to `_STEP_BLOCK` - 1 iterates past the step
-where a run stops or fails; those images are discarded.
+past max_iters, reading each image unchecked; `_advance` gives each step's
+blend w_n and x_{n+1}. Each block is then checked at once on float64 arrays:
+every image's shape and finiteness, the residuals (the block's blends less
+its iterates), the stop and each next iterate's membership, with the same
+bits as the per-step checks; its records are normed from the same arrays.
+That runs under one np.errstate(all="ignore"): a norm that overflows reads
+inf, as the float rules' does, whatever numpy's error state. The first
+step that fails a check, or where a map or the weight rule raised, is run
+again alone with the per-step checks, after the steps before it, so every
+stop, record, error and its step is what a step-by-step run gives. A map
+may be evaluated at up to `_STEP_BLOCK` - 1 iterates past the step where a
+run stops or fails; those images are discarded. Each weight rule maps a
+list of alphas to m columns: an engine computes a block's new alphas at
+once, replay a lockstep's distinct ones.
 """
 
 from __future__ import annotations
@@ -273,16 +277,39 @@ class Trace:
         }
 
 
+def _powers(alphas: list[float], k: int) -> list[float]:
+    """a^k for each alpha: math.pow is libm's pow, as float ** int is, bit
+    for bit, with no Python frame per alpha."""
+    return list(map(math.pow, alphas, itertools.repeat(float(k))))
+
+
+def _multi_columns(alphas: list[float], m: int) -> list[list[float]]:
+    """The m-map weights of each alpha, as m columns (c_1 .. c_m)."""
+    if m < 1:
+        raise ContractViolation(f"need at least one map, got m={m}")
+    powers = [_powers(alphas, k) for k in range(1, m)]
+    heads = [1.0 - s for s in map(math.fsum, zip(*powers))] if powers else [1.0] * len(alphas)
+    return [heads] + powers
+
+
+def _truncated_columns(alphas: list[float], K: int) -> list[list[float]]:
+    """The truncated weights of each alpha, as K columns (c_1 .. c_K)."""
+    if K < 1:
+        raise ContractViolation(f"need at least one map, got K={K}")
+    for a in alphas:
+        if not (0.0 <= a < 1.0):
+            raise ContractViolation(f"blend level must lie in [0, 1), got {a}")
+    heads = [1.0 - a / (1.0 - a) + t / (1.0 - a) for a, t in zip(alphas, _powers(alphas, K))]
+    return [heads] + [_powers(alphas, k) for k in range(1, K)]
+
+
 def multi_map_weights(a: float, m: int) -> list[float]:
     """Blend weights (c_1 .. c_m) of the m-map scheme at blend level a.
 
     c_1 = 1 - (a + a^2 + ... + a^{m-1}), c_k = a^{k-1} for k >= 2. For
     a = 0 this is exactly (1.0, 0.0, ..., 0.0).
     """
-    if m < 1:
-        raise ContractViolation(f"need at least one map, got m={m}")
-    powers = [a ** k for k in range(1, m)]
-    return [1.0 - math.fsum(powers)] + powers
+    return [c for (c,) in _multi_columns([a], m)]
 
 
 def truncated_weights(a: float, K: int) -> list[float]:
@@ -293,32 +320,52 @@ def truncated_weights(a: float, K: int) -> list[float]:
     a^K/(1-a), which is returned to the first map so the vector still sums
     to 1. For a = 0 this is exactly (1.0, 0.0, ..., 0.0).
     """
-    if K < 1:
-        raise ContractViolation(f"need at least one map, got K={K}")
-    if not (0.0 <= a < 1.0):
-        raise ContractViolation(f"blend level must lie in [0, 1), got {a}")
-    powers = [a ** k for k in range(1, K)]
-    head = 1.0 - a / (1.0 - a) + a ** K / (1.0 - a)
-    return [head] + powers
+    return [c for (c,) in _truncated_columns([a], K)]
 
 
-#: Blend weights (c_1 .. c_m) of each engine at blend level a over its m
-#: active maps; the engines and `replay_trace` share this one rule.
-_WEIGHT_RULES: dict[str, Callable[[float, int], list[float]]] = {
-    "single": multi_map_weights,    # [1.0] at every alpha for m = 1
-    "multi": multi_map_weights,
-    "truncated": truncated_weights,
+#: Blend weights (c_1 .. c_m) of each engine over its m active maps, for a
+#: list of blend levels at once, as m columns; the engines and
+#: `replay_trace` share this one rule.
+_WEIGHT_RULES: dict[str, Callable[[list[float], int], list[list[float]]]] = {
+    "single": _multi_columns,       # [1.0] at every alpha for m = 1
+    "multi": _multi_columns,
+    "truncated": _truncated_columns,
 }
 
 
+def _broken(weights: Sequence[float]) -> bool:
+    """Whether weights break the invariant: a weight below 0, or a sum off 1
+    by more than WEIGHT_TOL. `not <=` so that a NaN weight fails as well; a
+    row with no NaN has a weight below 0 iff its min is."""
+    return min(weights) < 0.0 or not abs(math.fsum(weights) - 1.0) <= WEIGHT_TOL
+
+
+def _remember(memo: dict, rule: Callable, alphas: list[float], m: int) -> None:
+    """Put into memo the weights of the alphas it lacks, computed once for
+    all of them, each kept only if it keeps the invariant, a zero as None.
+    If the rule raises for one of them none is kept: each step then takes
+    its alpha's weights alone. memo is emptied first if they would not fit."""
+    new = [a for a in dict.fromkeys(alphas) if a not in memo]
+    if not new:
+        return
+    try:
+        columns = rule(new, m)
+        kept = zip(*([c or None for c in col] for col in columns))
+        fresh = {a: w for a, row, w in zip(new, zip(*columns), kept) if not _broken(row)}
+    except Exception:                    # whatever the rule raises, its step raises alone
+        return
+    if len(memo) + len(fresh) > _WEIGHT_MEMO:
+        memo.clear()
+    memo.update(fresh)
+
+
 def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
-    """The step rule's arithmetic at x = x_n: (w_n - x_n, x_{n+1} =
-    lam*w_n + (1-lam)*x_n), w_n = `_blend(images, weights)`. Its coordinates
-    are floats (the engines) or float64 columns (replay), the same IEEE
-    operations in the same order either way; a weight that is None is skipped."""
+    """The step rule's arithmetic at x = x_n: (w_n, x_{n+1} = lam*w_n +
+    (1-lam)*x_n), w_n = `_blend(images, weights)`. Its coordinates are floats
+    (the engines) or float64 arrays (replay), the same IEEE operations in the
+    same order either way; a weight that is None is skipped."""
     w = _blend(images, weights)
-    return ([a - b for a, b in zip(w, x)],
-            [lam * a + (1.0 - lam) * b for a, b in zip(w, x)])
+    return w, [lam * a + (1.0 - lam) * b for a, b in zip(w, x)]
 
 
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
@@ -345,34 +392,31 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     rule, m, reads = _WEIGHT_RULES[engine], len(members), [_reader(t) for t in members]
     fps = [np.asarray(z, dtype=float).tolist() for z in fixed_points]
     Z = np.array(fps).reshape(len(fps), d)
-    frame = Domain.box(*domain.bounding_box(), kind)
     blocks: list[tuple] = []             # the records' columns, 64 blocks' at a time
     recent: list[tuple] = []             # and those of the blocks since
-    memo: dict[float, list] = {}         # alpha -> its validated weights, a zero as None
+    memo: dict[float, tuple] = {}        # alpha -> its validated weights, a zero as None
     stream = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     alphas, n, settle = [], 0, False     # alphas: drawn, not yet stepped
     while True:
         size = 1 if settle else min(_STEP_BLOCK, cfg.max_iters + 1 - n)
         alphas += itertools.islice(stream, max(size - len(alphas), 0))
-        todo, xs, ims, wxs = alphas[:size], [x], [], []
+        todo, xs, ims, ws = alphas[:size], [x], [], []
+        # a NaN alpha never becomes a key, so it fails at its own step;
+        # -0.0 may get 0.0's weights, which differ from its own only in zeros
+        _remember(memo, rule, todo, m)
         try:
             for i, a_n in enumerate(todo, n):
-                # a NaN alpha never becomes a key, so it fails at its own step;
-                # -0.0 may get 0.0's weights, which differ from its own only in zeros
                 wts = memo.get(a_n)
-                if wts is None:
-                    wts = rule(a_n, m)
-                    # `not <=` so that a NaN weight fails as well
-                    if any(c < 0.0 for c in wts) or not abs(math.fsum(wts) - 1.0) <= WEIGHT_TOL:
+                if wts is None:          # the block's weights raised, or a_n's are broken
+                    wts = [c for (c,) in rule([a_n], m)]
+                    if _broken(wts):
                         raise InvariantError(
                             f"blend weights {wts} invalid at step {i} (alpha={a_n})")
-                    if len(memo) == _WEIGHT_MEMO:
-                        memo.clear()
-                    wts = memo[a_n] = [c or None for c in wts]
+                    wts = [c or None for c in wts]
                 images = [_image(t, x, i) for t in members] if settle else [f(x) for f in reads]
-                w_x, x = _advance(images, wts, x, cfg.lam)
+                w, x = _advance(images, wts, x, cfg.lam)
                 ims.append(images)
-                wxs.append(w_x)
+                ws.append(w)
                 xs.append(x)
         except Exception:                # the step that raised is settled alone
             if settle:
@@ -382,33 +426,34 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         k = len(ims)
         TX = np.fromiter(chain(chain(ims)), float, k * m * d).reshape(k, m, d)
         X = np.fromiter(chain(xs[:k + 1]), float, (k + 1) * d).reshape(k + 1, d)
-        ok = np.isfinite(TX).all(axis=(1, 2))
-        if settle:
-            R = np.array([_norm_floats(w, kind) for w in wxs])
-            inside = np.array([domain._member(q) for q in xs[1:]], bool)
-        else:
-            # a step whose norms could overflow, and warn, where the floats' do
-            # not (w - x past 2**500, or x' outside the bounding box) is settled
-            W = np.fromiter(chain(wxs[:k]), float, k * d).reshape(k, d)
-            ok &= (np.abs(W) <= 2.0 ** 500).all(axis=1) & frame.contains_rows(X[1:])
-            R = _norm_last_axis(np.where(ok[:, None], W, 0.0), kind)
-            inside = domain.contains_rows(np.where(ok[:, None], X[1:], X[:1]))
         steps = np.arange(n, n + k, dtype=np.int64)
-        tol = R <= cfg.residual_tol
-        stop = tol | (steps >= cfg.max_iters)
-        bad = stop | ~inside | ~ok
-        j = int(bad.argmax()) if bad.any() else k       # the first unclean step
-        end = j < k and stop[j] and ok[j]               # the run stops at step j
-        if settle and j == 0 and not end:
-            raise IterationRuntimeError(
-                f"iterate left the domain at step {n + 1}: {xs[1]}", step=n + 1)
-        done = steps[:j + end]
-        r = np.flatnonzero((done % np.where(done < DECIMATION_START, cfg.record_every,
-                                            cfg.record_every * 10) == 0) | stop[:len(done)])
-        if r.size:
-            at = X[r, None]
-            recent.append((steps[r], X[r], R[r], _norm_last_axis(TX[r] - at, kind),
-                           np.array(todo)[r], _norm_last_axis(Z - at, kind)))
+        # as in the float rules, a norm whose squares overflow reads inf and
+        # one whose squares underflow reads them as 0, whatever numpy's error state
+        with np.errstate(all="ignore"):
+            ok = np.isfinite(TX).all(axis=(1, 2))
+            if settle:
+                R = np.array([_norm_floats([a - b for a, b in zip(w, xs[0])], kind) for w in ws])
+                inside = np.array([domain._member(q) for q in xs[1:]], bool)
+            else:
+                W = np.fromiter(chain(ws[:k]), float, k * d).reshape(k, d) - X[:-1]
+                R = _norm_last_axis(W, kind)
+                inside = domain.contains_rows(X[1:])
+            tol = R <= cfg.residual_tol
+            stop = tol | (steps >= cfg.max_iters)
+            bad = stop | ~inside | ~ok
+            j = int(bad.argmax()) if bad.any() else k       # the first unclean step
+            end = j < k and stop[j] and ok[j]               # the run stops at step j
+            if settle and j == 0 and not end:
+                raise IterationRuntimeError(
+                    f"iterate left the domain at step {n + 1}: {xs[1]}", step=n + 1)
+            done = steps[:j + end]
+            r = np.flatnonzero((done % np.where(done < DECIMATION_START, cfg.record_every,
+                                                cfg.record_every * 10) == 0)
+                               | stop[:len(done)])
+            if r.size:
+                at = X[r, None]
+                recent.append((steps[r], X[r], R[r], _norm_last_axis(TX[r] - at, kind),
+                               np.array(todo)[r], _norm_last_axis(Z - at, kind)))
         if len(recent) == _STEP_BLOCK or end:   # fewer arrays: a 10**6-step run's RSS -15 MB
             blocks.append(tuple(map(np.concatenate, zip(*recent))))
             recent.clear()
@@ -564,20 +609,20 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
     of step steps[0] + i.
 
     All intervals advance together. At offset o every interval still running
-    takes its step k + o through `_advance` on d float64 columns, one per
-    coordinate, with a column per weight, on the images of `_images`. A row's
-    zero weight is 1.0 on an image of -0.0, which added to any v gives v bit
-    for bit, so it contributes nothing, as a skipped weight does. The rows
-    are sorted longest interval first, so the intervals still running are a
-    prefix of them. If an image is invalid, `_rerun` runs the intervals.
+    takes its step k + o through `_advance`, on one (d, live) float64 operand
+    per map, its images from `_images`, and on the point [C[:, :live]], with
+    a row of weights per map. A row's zero weight is 1.0 on an image of -0.0,
+    which added to any v gives v bit for bit, so it contributes nothing, as a
+    skipped weight does. The rows are sorted longest interval first, so the
+    intervals still running are a prefix of them. If an image is invalid,
+    `_rerun` runs the intervals.
     """
     m, first = len(members), int(steps[0])
-    # the weights once per distinct alpha, kept as one float array (np.unique
+    # the weights once per distinct alpha, as the rule's columns (np.unique
     # would import numpy.ma, 1.2 MB of RSS, on its first call)
     values = np.sort(alphas)
     values = values[np.append(True, values[1:] != values[:-1])]
-    weights = map(_WEIGHT_RULES[engine], map(float, values), itertools.repeat(m))
-    W = np.fromiter(itertools.chain.from_iterable(weights), float, len(values) * m).reshape(-1, m).T
+    W = np.array(_WEIGHT_RULES[engine](values.tolist(), m))
     zero = W == 0.0                      # W and zero: (m, values), a row per map
     W = np.where(zero, 1.0, W)
     L = np.diff(steps)
@@ -596,8 +641,8 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
             img = _images(T, x.T)
             if img is None:
                 return np.array(list(_rerun(members, engine, lam, steps, X, alphas)))
-            images.append([np.where(z[k], -0.0, v) for v in img.T] if z[k].any() else list(img.T))
-        C[:, :live] = _advance(images, list(W.take(which, axis=1)), list(x), lam)[1]
+            images.append([np.where(z[k], -0.0, img.T) if z[k].any() else img.T])
+        C[:, :live] = _advance(images, list(W.take(which, axis=1)), [x], lam)[1][0]
     return C.T[np.argsort(order)]
 
 
@@ -608,7 +653,7 @@ def _rerun(members: Sequence[Mapping], engine: str, lam: float,
     rule, m, first, a = _WEIGHT_RULES[engine], len(members), int(steps[0]), alphas.tolist()
     for k, end, x in zip(steps[:-1].tolist(), steps[1:].tolist(), X[:-1].tolist()):
         for n in range(k, end):
-            wts = [c or None for c in rule(a[n - first], m)]
+            wts = [c or None for (c,) in rule([a[n - first]], m)]
             x = _advance([_image(T, x, n) for T in members], wts, x, lam)[1]
         yield x
 

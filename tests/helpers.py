@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from fixedlab.errors import ContractViolation, InvalidInputError, PreconditionError
+from fixedlab.errors import (ContractViolation, InvalidInputError, InvariantError,
+                             IterationRuntimeError, PreconditionError)
 from fixedlab.schedules import ScheduleReport
 from fixedlab.vecspace import (_L1_REJECTION_MAX_D, Domain, NormKind, SamplePlan, Vector,
                                _axis_resolutions, _freeze, _norm_last_axis, dist)
@@ -178,7 +179,8 @@ def reference_averaged_run(fns, weights_of, lam, x0, max_iters, residual_tol,
 
 
 def reference_records(fns, weights_of, alphas, lam, x0, max_iters, residual_tol,
-                      record_every, decimation_start, fixed_points, kind=NormKind.L2):
+                      record_every, decimation_start, fixed_points, kind=NormKind.L2,
+                      labels=None, domain=None):
     """The records of the averaged scheme, one scalar `dist` per distance.
 
     Steps below decimation_start are recorded every record_every steps, later
@@ -186,13 +188,33 @@ def reference_records(fns, weights_of, alphas, lam, x0, max_iters, residual_tol,
     is (step, x, residual, map_residuals, alpha, fp_distances), as the
     fields of a TraceStep; weights_of(a) gives the weights at alpha a, and
     zero weights are left out of the blend, as the engines document.
+
+    Given the maps' labels and the domain, each step is checked as the
+    engines document, and the first failure raises the engines' error:
+    weights with an entry below 0 or a sum off 1 by more than 1e-12
+    (InvariantError), then each map's image in map order, of another length
+    or not finite (IterationRuntimeError at step n), then, unless the run
+    stops at n, x_{n+1} outside the domain (IterationRuntimeError at n + 1);
+    alphas that end before the run raise InvariantError. An error of a map
+    is raised as it is.
     """
+    checked = labels is not None
     x = [float(c) for c in x0]
     records = []
     for n, a in enumerate(alphas):
-        images = [[float(v) for v in np.atleast_1d(fn(np.array(x)))] for fn in fns]
+        weights = weights_of(a)
+        if checked and (any(c < 0.0 for c in weights)
+                        or not abs(math.fsum(weights) - 1.0) <= 1e-12):
+            raise InvariantError(f"blend weights {weights} invalid at step {n} (alpha={a})")
+        images = []
+        for fn, label in zip(fns, labels or [None] * len(fns)):
+            img = [float(v) for v in np.atleast_1d(fn(np.array(x)))]
+            if checked and (len(img) != len(x) or not all(map(math.isfinite, img))):
+                raise IterationRuntimeError(
+                    f"mapping {label!r} returned an invalid image at step {n}", step=n)
+            images.append(img)
         w = None
-        for c, img in zip(weights_of(a), images):
+        for c, img in zip(weights, images):
             if c != 0.0:
                 terms = [c * v for v in img]
                 w = terms if w is None else [p + t for p, t in zip(w, terms)]
@@ -207,6 +229,11 @@ def reference_records(fns, weights_of, alphas, lam, x0, max_iters, residual_tol,
         if last:
             return records
         x = [lam * p + (1.0 - lam) * q for p, q in zip(w, x)]
+        if checked and not domain.contains(x):
+            raise IterationRuntimeError(f"iterate left the domain at step {n + 1}: {x}",
+                                        step=n + 1)
+    if checked:
+        raise InvariantError(f"schedule values ended before step {max_iters}")
     raise AssertionError("the alphas ended before the run")
 
 

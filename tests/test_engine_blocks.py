@@ -9,6 +9,7 @@ with a float form, and 'b' = 0.8 x, which behaves otherwise at one iterate
 x_N of that recurrence (every iterate is distinct, so only at step N).
 """
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from fixedlab import (
     multi_map_weights,
     register_mapping,
     scaling_map,
+    trace_to_csv,
 )
 from fixedlab import iterate
 from helpers import reference_averaged_run, reference_records
@@ -45,22 +47,25 @@ def _xs(fns):
 PLAIN = _xs([lambda p: 0.9 * p, lambda p: 0.8 * p])
 
 
-def _map(label, at=None, event=None, form=False, factor=0.8):
-    """factor * x, except at the point `at`: a NaN image, an image of two
-    coordinates, an error, or the far point 100."""
+def _map(label, at=None, event=None, form=False, factor=0.8, domain=BOX,
+         known_fixed_points=None):
+    """factor * x, except at the point `at`, a float list: a NaN first
+    coordinate, an image of one coordinate more, an error, the far point 100
+    in each coordinate, or x + 1e200 ('far', whose w - x overflows a norm)."""
     def image(q):
-        if q[0] != at:
-            return [factor * q[0]]
+        if q != at:
+            return [factor * c for c in q]
         if event == "raise":
             raise ArithmeticError(f"{label} at {q[0]!r}")
-        return {"nan": [math.nan], "length": [factor * q[0], 0.0], "leave": [100.0]}[event]
+        return {"nan": [math.nan] + q[1:], "length": [factor * c for c in q] + [0.0],
+                "leave": [100.0] * len(q), "far": [c + 1e200 for c in q]}[event]
 
     def fn(p):
         return np.array(image(p.tolist()))
 
     if form:
         fn.floats = image
-    return register_mapping(fn, BOX, label, self_map=False)
+    return register_mapping(fn, domain, label, known_fixed_points, self_map=False)
 
 
 def _run(b, schedule=ConstantSchedule(ALPHA), **cfg):
@@ -93,8 +98,8 @@ def test_a_run_stops_at_its_step_with_the_per_step_records(n, stop):
 def _events(n):
     """(event id, map b, schedule, expected error type, message, its step)."""
     invalid = f"mapping 'b' returned an invalid image at step {n}"
-    at = PLAIN[n][0]
-    leave = _xs([lambda p: 0.9 * p, lambda p: np.array([100.0]) if p[0] == at else 0.8 * p])
+    at = list(PLAIN[n])
+    leave = _xs([lambda p: 0.9 * p, lambda p: np.array([100.0]) if p[0] == at[0] else 0.8 * p])
     nan_alpha = _Listed((ALPHA,) * n + (math.nan,) + (ALPHA,) * (MAX_ITERS - n))
     return [
         ("nan-form", _map("b", at, "nan", form=True), None, IterationRuntimeError, invalid, n),
@@ -102,7 +107,7 @@ def _events(n):
         ("length-form", _map("b", at, "length", form=True), None, IterationRuntimeError,
          invalid, n),
         ("length-fn", _map("b", at, "length"), None, IterationRuntimeError, invalid, n),
-        ("raise", _map("b", at, "raise"), None, ArithmeticError, f"b at {at!r}", None),
+        ("raise", _map("b", at, "raise"), None, ArithmeticError, f"b at {at[0]!r}", None),
         ("nan-alpha", _map("b"), nan_alpha, InvariantError,
          f"blend weights [nan, nan] invalid at step {n} (alpha=nan)", None),
         ("leave", _map("b", at, "leave"), None, IterationRuntimeError,
@@ -129,7 +134,7 @@ def test_an_event_raises_as_the_per_step_run_does(n, k):
 def test_of_two_events_at_one_step_the_first_map_s_is_raised(n):
     """At x_n map 'a' returns a NaN image and map 'b' raises: the per-step
     rule reads 'a' first, so its error is the run's."""
-    at = PLAIN[n][0]
+    at = list(PLAIN[n])
     fam = make_family([_map("a", at, "nan", factor=0.9), _map("b", at, "raise")])
     with pytest.raises(IterationRuntimeError) as info:
         multi_map_run(fam, ConstantSchedule(ALPHA), X0,
@@ -162,12 +167,13 @@ def test_a_map_is_called_at_most_63_times_past_the_step_where_the_run_stops(n):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("center", [0.0, 1e150])
-def test_a_step_whose_array_norms_would_overflow_is_left_to_the_float_rules(center):
+def test_a_step_whose_norms_overflow_reads_inf_under_the_block_s_errstate(center):
     """'far' sends x_0 to 1e200 + x_0 and fixes every point beyond 1e100 of
     the centre: so w_0 - x_0, and x_1 - c at every later step of the block,
-    square past the largest double, which numpy's norms would report as an
-    overflow. The floats' rules do not, and the run raises as a per-step run
-    does, by default and with numpy set to raise on overflow."""
+    square past the largest double. The block's checks run under one
+    np.errstate(all="ignore"), so those norms read inf, as the floats' do,
+    with no warning, and the run raises as a per-step run does, by default
+    and with numpy set to raise on overflow."""
     ball = Domain.ball([center, 0.0], 1.0)
 
     def fn(p):
@@ -182,17 +188,55 @@ def test_a_step_whose_array_norms_would_overflow_is_left_to_the_float_rules(cent
         assert str(info.value) == f"iterate left the domain at step 1: {x1}"
 
 
-@pytest.mark.filterwarnings("error")
-def test_a_residual_past_the_largest_square_inside_the_domain_is_left_to_the_float_rules():
-    """lam = 1e-300 keeps x_2 = 1e-100 inside the ball although w_1 - x_1 is
-    1e200, whose square numpy's norm would report as an overflow; step 1 is
-    clean, so the run goes on, and x_2's NaN image raises at step 2."""
-    def fn(p):
-        return p + ([1.0, 0.0] if p[0] == 0.0 else [1e200, 0.0] if p[0] < 1e-100 else math.nan)
+def _tiny(p):
+    """x + (1, 0) at the origin, x + (1e200, 0) below 1e-100, NaN beyond."""
+    return p + ([1.0, 0.0] if p[0] == 0.0 else [1e200, 0.0] if p[0] < 1e-100 else math.nan)
 
-    T = register_mapping(fn, Domain.ball([0.0, 0.0], 1.0), "T", self_map=False)
+
+TINY = register_mapping(_tiny, Domain.ball([0.0, 0.0], 1.0), "T", self_map=False)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_residual_past_the_largest_square_inside_the_domain_reads_inf_under_the_block_s_errstate():
+    """lam = 1e-300 keeps x_2 = 1e-100 inside the ball although w_1 - x_1 is
+    1e200, whose square passes the largest double: under the block's
+    errstate its norm reads inf with no warning, step 1 is clean, so the run
+    goes on, and x_2's NaN image raises at step 2."""
     for state in ({}, {"over": "raise", "invalid": "raise"}):
         with np.errstate(**state), pytest.raises(IterationRuntimeError) as info:
-            krasnoselskii_run(T, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=200,
-                                                            record_every=100))
+            krasnoselskii_run(TINY, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=200,
+                                                               record_every=100))
         assert str(info.value) == "mapping 'T' returned an invalid image at step 2"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run", ["overflow", "fixed-point"])
+def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
+    """The records' per-map and fixed-point distances are normed under the
+    block's errstate too. 'overflow' stops the lam = 1e-300 run at step 1,
+    whose residual and map residual square past the largest double (inf) and
+    whose x_1 = 1e-300 squares to 0 in the ball's norm; 'fixed-point'
+    moves towards the fixed point 0 until the squares of its coordinates
+    underflow, in its records' fixed-point distances too, and stops on its
+    tolerance 0 where those of w - x do."""
+    def trace():
+        if run == "overflow":
+            return krasnoselskii_run(TINY, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=1))
+        return krasnoselskii_run(scaling_map(Domain.ball([0.0, 0.0], 1.0), 0.5), [0.6, 0.3],
+                                 IterationConfig(lam=0.5, max_iters=5_000))
+
+    def text(t):
+        out = io.StringIO()
+        trace_to_csv(t, out)
+        return repr(t.records) + out.getvalue()
+
+    want = trace()
+    with np.errstate(all="raise"):
+        got = trace()
+    assert text(got) == text(want)
+    last = want.final
+    if run == "overflow":
+        assert (want.total_steps, last.residual, last.map_residuals) == (1, math.inf, (math.inf,))
+    else:
+        assert (want.stop_reason, last.residual) == ("tol", 0.0) and 0.0 < last.x[0] < 1e-154
+        assert len(want.records) == want.total_steps + 1 > 1_000
