@@ -27,17 +27,17 @@ The engines step on Python floats, `_STEP_BLOCK` steps at a time and never
 past max_iters, reading each image unchecked; `_advance` gives each step's
 blend w_n and x_{n+1}. Each block is then checked at once on float64 arrays:
 every image's shape and finiteness, the residuals (the block's blends less
-its iterates), the stop and each next iterate's membership, with the same
-bits as the per-step checks; its records are normed from the same arrays.
-That runs under one np.errstate(all="ignore"): a norm that overflows reads
-inf, as the float rules' does, whatever numpy's error state. The first
-step that fails a check, or where a map or the weight rule raised, is run
-again alone with the per-step checks, after the steps before it, so every
-stop, record, error and its step is what a step-by-step run gives. A map
-may be evaluated at up to `_STEP_BLOCK` - 1 iterates past the step where a
-run stops or fails; those images are discarded. Each weight rule maps a
-list of alphas to m columns: an engine computes a block's new alphas at
-once, replay a lockstep's distinct ones.
+its iterates), the stop and each next iterate's membership; its records
+are normed from the same arrays. That runs under one
+np.errstate(all="ignore"): a norm that overflows reads inf, silently,
+whatever numpy's error state. The first step that fails a check, or where
+a map or the weight rule raised, is run again alone, its images checked as
+they are read, after the steps before it, so every stop, record, error and
+its step is what a step-by-step run gives. A map may be evaluated at up to
+`_STEP_BLOCK` - 1 iterates past the step where a run stops or fails; those
+images are discarded. Each weight rule maps a list of alphas to m columns:
+an engine computes a block's new alphas at once, replay a lockstep's
+distinct ones.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from .errors import (ContractViolation, DomainError, InvalidInputError, Invarian
 from .mappings import (Mapping, MappingFamily, _image, _images, _reader,
                        common_fixed_points)
 from .schedules import AlphaSchedule
-from .vecspace import (Domain, _blend, _norm_floats, _norm_last_axis, _read_numbers,
-                       as_vector)
+from .vecspace import Domain, _blend, _norm_last_axis, _read_numbers, as_vector
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -374,8 +373,8 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     """The step rule from x0, a block of steps at a time (see the module's
     docstring): the run ends at the block's first step that stops with
     valid images, and the first that fails a check or raised is run again
-    alone, with `_image`, `_norm_floats` and `_member`, to raise as a run
-    checked step by step would."""
+    alone, its images read by `_image`, to raise as a run checked step by
+    step would."""
     if cfg.gamma is not None and cfg.gamma > GAMMA_WARN_THRESHOLD:
         warnings.warn(
             f"gamma context {cfg.gamma} exceeds {GAMMA_WARN_THRESHOLD}; the "
@@ -427,17 +426,13 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         TX = np.fromiter(chain(chain(ims)), float, k * m * d).reshape(k, m, d)
         X = np.fromiter(chain(xs[:k + 1]), float, (k + 1) * d).reshape(k + 1, d)
         steps = np.arange(n, n + k, dtype=np.int64)
-        # as in the float rules, a norm whose squares overflow reads inf and
-        # one whose squares underflow reads them as 0, whatever numpy's error state
+        # a norm whose squares overflow reads inf and one whose squares
+        # underflow reads them as 0, silently, whatever numpy's error state
         with np.errstate(all="ignore"):
             ok = np.isfinite(TX).all(axis=(1, 2))
-            if settle:
-                R = np.array([_norm_floats([a - b for a, b in zip(w, xs[0])], kind) for w in ws])
-                inside = np.array([domain._member(q) for q in xs[1:]], bool)
-            else:
-                W = np.fromiter(chain(ws[:k]), float, k * d).reshape(k, d) - X[:-1]
-                R = _norm_last_axis(W, kind)
-                inside = domain.contains_rows(X[1:])
+            W = np.fromiter(chain(ws[:k]), float, k * d).reshape(k, d) - X[:-1]
+            R = _norm_last_axis(W, kind)
+            inside = domain.contains_rows(X[1:])
             tol = R <= cfg.residual_tol
             stop = tol | (steps >= cfg.max_iters)
             bad = stop | ~inside | ~ok
@@ -527,28 +522,32 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     records one step apart can be inverted, so decimated stretches
     contribute nothing. tail_max is the maximum over the last quarter of
     the recovered series (the whole series if shorter than 4), None if
-    no pair is one step apart.
+    no pair is one step apart. As in the engine, a norm whose squares
+    overflow reads inf and one whose squares underflow reads them as 0,
+    silently, whatever numpy's error state.
     """
     steps, X = t.records.step, t.records.x
     j = np.flatnonzero(steps[1:] == steps[:-1] + 1)
     if not j.size:
         return GapReport(steps=(), gaps=(), tail_max=None)
     lam = t.config.lam
-    w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
-    gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
+    with np.errstate(all="ignore"):
+        w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
+        gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
     q = max(1, len(gaps) // 4)
     return GapReport(steps=tuple(steps[j].tolist()), gaps=tuple(gaps),
                      tail_max=max(gaps[-q:]))
 
 
 def _distances(X: np.ndarray, z, kind) -> np.ndarray:
-    """||x - z|| for each row x of X; a z of another dimension is refused,
-    with the error `dist` raises for it."""
+    """||x - z|| for each row x of X, under the engine's np.errstate; a z
+    of another dimension is refused, with the error `dist` raises for it."""
     z = as_vector(z)
     if z.shape != X.shape[1:]:
         raise InvalidInputError(
             f"no distance between points of shapes {X.shape[1:]} and {z.shape}")
-    return _norm_last_axis(X - z, kind)
+    with np.errstate(all="ignore"):
+        return _norm_last_axis(X - z, kind)
 
 
 def monotone_distance_check(t: Trace, z) -> Verdict:

@@ -8,10 +8,9 @@ Built for desk scale: low dimension, domain diameters up to ~1e3, plain
 double precision with no compensated summation. The l2 norm is computed as
 sqrt(sum(v*v)) rather than through BLAS so that scalar and vectorized code
 paths produce bitwise-identical values: per-vector norms share one
-np.add.reduce. `pairwise_norm` and `_norm_floats` (one point as a float
-list, used by the engines and `Domain.contains`) fold a sum of fewer than
-`_IN_SEQUENCE_BELOW` terms in that reduction's sequence and hand a longer
-one to it; `pairwise_norm` never holds a (rows, cols, d) array.
+np.add.reduce. `pairwise_norm` folds a sum of fewer than
+`_IN_SEQUENCE_BELOW` terms in that reduction's sequence and hands a longer
+one to it; it never holds a (rows, cols, d) array.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -114,19 +112,6 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2,
     return np.sqrt(out, out=out) if kind == NormKind.L2 else out
 
 
-def _norm_floats(v: Iterable[float], kind: NormKind) -> float:
-    """The norm of floats given in order, equal bit for bit to
-    _norm_last_axis: the same IEEE operations, summed in sequence below
-    `_IN_SEQUENCE_BELOW` terms and by np.add.reduce from there on."""
-    if kind == NormKind.LINF:
-        return max(map(abs, v))
-    l2 = kind == NormKind.L2
-    t = [c * c for c in v] if l2 else list(map(abs, v))
-    s = (functools.reduce(operator.add, t) if len(t) < _IN_SEQUENCE_BELOW
-         else float(np.add.reduce(t)))
-    return math.sqrt(s) if l2 else s
-
-
 def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:
     """Unchecked norms along the last axis, by np.sum/np.max's own ufuncs."""
     if kind == NormKind.L2:
@@ -201,39 +186,24 @@ class Domain:
         return c - self.radius, c + self.radius
 
     def contains(self, p) -> bool:
-        """Membership with absolute tolerance MEMBERSHIP_TOL, decided by the
-        rule `_member` on p read through np.array as a float list."""
+        """Membership of p, read as np.array(p, float), by `contains_rows`:
+        a point of another shape is never a member."""
         q = np.array(p, dtype=float, ndmin=1)
-        q = q.tolist() if q.ndim == 1 else ()
-        return len(q) == self.dimension and self._member(q)
-
-    @functools.cached_property
-    def _member(self) -> Callable[[list[float]], bool]:
-        """The membership rule on a float list of the domain's dimension,
-        with its bounds and radius widened by MEMBERSHIP_TOL once: the rule
-        of `contains_rows`, bit for bit. A non-finite coordinate is never a
-        member: a box's finite bounds refuse it (NaN compares false), and a
-        ball tests for it, as the linf norm's max() may pass over a NaN."""
-        if self.shape == "box":
-            lo = [v - MEMBERSHIP_TOL for v in self.lower]
-            up = [v + MEMBERSHIP_TOL for v in self.upper]
-            return lambda q: all(map(operator.le, lo, q)) and all(map(operator.le, q, up))
-        center, kind, r = self.center, self.norm_kind, self.radius + MEMBERSHIP_TOL
-        return lambda q: (all(map(math.isfinite, q))
-                          and _norm_floats(map(operator.sub, q, center), kind) <= r)
-
-    def __getstate__(self) -> dict:     # `_member`'s closures are rebuilt, not pickled
-        return {k: v for k, v in vars(self).items() if k != "_member"}
+        return q.shape == (self.dimension,) and bool(self.contains_rows(q))
 
     def contains_rows(self, Q: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one
-        (dimension,) point as `contains`: a non-finite row is never a member."""
+        (dimension,) point, with absolute tolerance MEMBERSHIP_TOL: a
+        non-finite row is never a member. A ball's norm whose squares
+        overflow reads inf and one whose squares underflow reads them as 0,
+        silently, whatever numpy's error state."""
         if self.shape == "box":
             inside = ((Q >= np.array(self.lower) - MEMBERSHIP_TOL)
                       & (Q <= np.array(self.upper) + MEMBERSHIP_TOL))
             return inside.all(axis=-1) & np.isfinite(Q).all(axis=-1)
-        return (_norm_last_axis(Q - np.array(self.center), self.norm_kind)
-                <= self.radius + MEMBERSHIP_TOL) & np.isfinite(Q).all(axis=-1)
+        with np.errstate(all="ignore"):
+            r = _norm_last_axis(Q - np.array(self.center), self.norm_kind)
+        return (r <= self.radius + MEMBERSHIP_TOL) & np.isfinite(Q).all(axis=-1)
 
     def to_dict(self) -> dict:
         if self.shape == "box":

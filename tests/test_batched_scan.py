@@ -114,7 +114,7 @@ def test_a_9d_ball_decides_rows_near_its_boundary_like_contains(kind):
 @pytest.mark.parametrize("d", [1, 2, 9, 130])
 @pytest.mark.parametrize("shape", ["box", "ball"])
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
-def test_contains_decides_a_point_on_floats_like_contains_rows(kind, shape, d):
+def test_contains_decides_a_point_or_its_float_list_as_contains_rows_its_row(kind, shape, d):
     dom = (Domain.ball(np.linspace(-0.3, 0.4, d), 1.0, kind) if shape == "ball"
            else Domain.box(np.linspace(-1.0, -0.2, d), np.linspace(0.1, 3.0, d), kind))
     Q = _near_boundary(dom, np.random.default_rng(d))

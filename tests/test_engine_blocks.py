@@ -171,9 +171,9 @@ def test_a_step_whose_norms_overflow_reads_inf_under_the_block_s_errstate(center
     """'far' sends x_0 to 1e200 + x_0 and fixes every point beyond 1e100 of
     the centre: so w_0 - x_0, and x_1 - c at every later step of the block,
     square past the largest double. The block's checks run under one
-    np.errstate(all="ignore"), so those norms read inf, as the floats' do,
-    with no warning, and the run raises as a per-step run does, by default
-    and with numpy set to raise on overflow."""
+    np.errstate(all="ignore"), so those norms read inf with no warning, and
+    the run raises as a per-step run does, by default and with numpy set to
+    raise on overflow."""
     ball = Domain.ball([center, 0.0], 1.0)
 
     def fn(p):
@@ -218,7 +218,8 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     whose x_1 = 1e-300 squares to 0 in the ball's norm; 'fixed-point'
     moves towards the fixed point 0 until the squares of its coordinates
     underflow, in its records' fixed-point distances too, and stops on its
-    tolerance 0 where those of w - x do."""
+    tolerance 0 where those of w - x do; the diagnostics of its trace, whose
+    norms underflow alike, give the same results."""
     def trace():
         if run == "overflow":
             return krasnoselskii_run(TINY, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=1))
@@ -230,10 +231,19 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
         trace_to_csv(t, out)
         return repr(t.records) + out.getvalue()
 
+    def diagnostics(t):
+        if run == "overflow":
+            return None
+        T = scaling_map(Domain.ball([0.0, 0.0], 1.0), 0.5)
+        return (iterate.goebel_kirk_gap(t), iterate.monotone_distance_check(t, [0.0, 0.0]),
+                iterate.asymptotic_radius(t, [0.0, 0.0], 100), iterate.replay_trace(t, T))
+
     want = trace()
     with np.errstate(all="raise"):
         got = trace()
+        got_diagnostics = diagnostics(want)
     assert text(got) == text(want)
+    assert got_diagnostics == diagnostics(want)
     last = want.final
     if run == "overflow":
         assert (want.total_steps, last.residual, last.map_residuals) == (1, math.inf, (math.inf,))

@@ -983,8 +983,8 @@ def test_a_map_that_writes_into_its_argument_replays_by_the_float_step(engine):
 
 @pytest.mark.parametrize("engine", ["single", "multi", "truncated"])
 def test_a_trace_pickles_and_its_copy_replays_and_writes_the_same_csv(engine):
-    """Its domain's membership rule, built by the run, is not pickled but
-    made again on the copy's first use."""
+    """A trace, its domain too, pickles whole: the copy equals it, decides
+    membership, replays and writes the same CSV bytes."""
     t, maps = _engine_run(engine)[:2]
     u = pickle.loads(pickle.dumps(t))
     assert u == t and u.domain.contains([0.6, 0.3])

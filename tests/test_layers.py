@@ -21,7 +21,7 @@ PRIVATE_IMPORTS = {
     "harness": {"conditions": {"_CHECKS", "_checks"}, "iterate": {"_fmt", "_write_csv"},
                 "schedules": {"_KINDS"}},
     "iterate": {"mappings": {"_image", "_images", "_reader"},
-                "vecspace": {"_blend", "_norm_floats", "_norm_last_axis", "_read_numbers"}},
+                "vecspace": {"_blend", "_norm_last_axis", "_read_numbers"}},
     "mappings": {"vecspace": {"_freeze"}},
     "schedules": {"vecspace": {"_read_numbers"}},
 }

@@ -2,7 +2,7 @@
 
 The scan modules depend on two exact-arithmetic contracts checked here:
 pairwise_norm must agree bitwise with the scalar dist on every entry (and
-the engines' float-list norm with the array norm), and
+one point's norm with its row's norm in a block), and
 convex_combination must skip zero weights so that a weight vector like
 [1.0, 0.0] returns the first point bit-for-bit.
 """
@@ -10,6 +10,7 @@ import hashlib
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fixedlab import (
     sample,
 )
 from fixedlab import vecspace
-from fixedlab.vecspace import MEMBERSHIP_TOL, _norm_floats, _norm_last_axis
+from fixedlab.vecspace import MEMBERSHIP_TOL, _norm_last_axis
 from helpers import reference_sample
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -179,25 +180,32 @@ def test_pairwise_norm_bits_do_not_depend_on_memory_layout(d):
 
 @pytest.mark.parametrize("kind", list(NormKind))
 def test_float_list_norm_matches_the_array_norm_bitwise_for_every_dimension(kind):
-    """One point's norm on floats (engines, Domain.contains) folds in
-    np.add.reduce's order: any other order shows in the last bits, here with
-    terms from 5e-324 to 1e150, signed zeros and every branch of the order."""
+    """One point's norm read from a float list (`norm`, `dist`, and so
+    `Domain.contains`) is bitwise its row's norm in a block (the engines'
+    residuals, `contains_rows`, the diagnostics): numpy folds each row's
+    contiguous terms as it folds one vector's, here with terms from 5e-324
+    to 1e150, signed zeros and every branch of the order."""
     rng = np.random.default_rng(11)
     for d in [*range(1, 301), 511, 1024]:
         v = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(-300, 151, d)
         v[::7], v[1::11], v[2::13] = -0.0, 5e-324, -1e150
-        for w in (v, -v, np.zeros(d), -np.zeros(d)):
-            want = float(_norm_last_axis(w, kind))
-            assert _norm_floats(w.tolist(), kind).hex() == want.hex(), (d, kind)
+        block = np.stack([v, -v, np.zeros(d), -np.zeros(d)])
+        for w, want in zip(block.tolist(), _norm_last_axis(block, kind).tolist()):
+            assert norm(w, kind).hex() == want.hex(), (d, kind)
+            assert dist(w, [0.0] * d, kind).hex() == want.hex(), (d, kind)
 
 
 def test_a_float_list_of_eight_terms_is_summed_as_numpy_sums_it():
     """At `_IN_SEQUENCE_BELOW` terms np.add.reduce adds in 8 partials: seven
-    1e-16 terms survive beside 1.0 there, where a sum in sequence drops each."""
+    1e-16 terms survive beside 1.0 there, where a sum in sequence drops each;
+    `norm`, `dist`, `pairwise_norm` and a block's rows all sum them so."""
     v = [1.0] + [1e-16] * 7
-    want = float(_norm_last_axis(np.array(v), NormKind.L1))
-    assert want == 1.0000000000000007
-    assert _norm_floats(v, NormKind.L1) == want
+    assert len(v) == vecspace._IN_SEQUENCE_BELOW
+    want = 1.0000000000000007
+    assert norm(v, NormKind.L1) == want
+    assert dist(v, [0.0] * 8, NormKind.L1) == want
+    assert pairwise_norm(np.array([v]), np.zeros((1, 8)), NormKind.L1).tolist() == [[want]]
+    assert _norm_last_axis(np.array([v, v]), NormKind.L1).tolist() == [want, want]
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8, 30, 64])
@@ -265,14 +273,16 @@ def test_contains_reads_any_point_as_its_float_array(p):
 
 
 _MEMBERSHIP_DOMAINS = [Domain.box([-1.0, 0.5, 2.0], [2.0, 3.0, 2.0], k) for k in NormKind] + [
-    Domain.ball([0.25, -0.5, 3.0], 1.5, k) for k in NormKind]
+    Domain.ball(c, 1.5, k) for c in ([0.25, -0.5, 3.0], [0.0, 0.0, 0.0]) for k in NormKind]
 
 
 @st.composite
 def _probes(draw):
     """A domain and a float list of its dimension whose coordinates sit on,
     a tolerance off and one ulp around each face (or the centre), or are
-    non-finite, or anything near the domain."""
+    non-finite, far (+-1e200, whose squares overflow), tiny (the centre
+    +-1e-200, whose squares underflow at the origin), or anything near the
+    domain."""
     dom = draw(st.sampled_from(_MEMBERSHIP_DOMAINS))
     lo, up = dom.bounding_box()
     q = []
@@ -283,7 +293,8 @@ def _probes(draw):
         near = [v + o for v in face for o in (-MEMBERSHIP_TOL, 0.0, MEMBERSHIP_TOL)]
         edges = near + [math.nextafter(v, t) for v in near for t in (-math.inf, math.inf)]
         q.append(float(draw(st.one_of(
-            st.sampled_from(edges + [math.inf, -math.inf, math.nan]),
+            st.sampled_from(edges + [math.inf, -math.inf, math.nan, 1e200, -1e200,
+                                     (lo[i] + up[i]) / 2 - 1e-200, (lo[i] + up[i]) / 2 + 1e-200]),
             st.floats(lo[i] - 1.0, up[i] + 1.0)))))
     return dom, q
 
@@ -291,10 +302,12 @@ def _probes(draw):
 @given(_probes())
 @example((_MEMBERSHIP_DOMAINS[5], [0.25, math.nan, 3.0]))   # linf: max() would drop the NaN
 @settings(max_examples=400)
-def test_the_float_membership_rule_is_contains_and_the_row_rule(probe):
-    """`_member`, built once per domain, decides as `contains` and
-    `contains_rows` do, and as the rule transcribed from its definition:
-    finite, and within MEMBERSHIP_TOL of the box or the ball."""
+def test_contains_and_the_row_rule_decide_membership_under_any_numpy_error_state(probe):
+    """`contains` and `contains_rows` decide as the rule transcribed from
+    its definition: finite, and within MEMBERSHIP_TOL of the box or the
+    ball; with no warning and the same answer when numpy raises on every
+    floating-point error, as a far point's squares overflow and a tiny
+    offset's underflow."""
     dom, q = probe
     if dom.shape == "box":
         want = all(map(math.isfinite, q)) and all(
@@ -303,9 +316,10 @@ def test_the_float_membership_rule_is_contains_and_the_row_rule(probe):
     else:
         want = all(map(math.isfinite, q)) and dist(
             q, dom.center, dom.norm_kind) <= dom.radius + MEMBERSHIP_TOL
-    assert dom._member(q) is want
-    assert dom.contains(q) is want
-    assert bool(dom.contains_rows(np.array([q]))[0]) is want
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dom.contains(q) is want
+        assert bool(dom.contains_rows(np.array([q]))[0]) is want
 
 
 def test_domain_to_dict_round_trip_keys():
