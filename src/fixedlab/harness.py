@@ -225,9 +225,9 @@ _MAX_PLAN_POINTS = 2**18
 #: 9 s for the slowest kind, a tent of growth 1.0000001 (~3-step blocks), 2.4-3.4 s for a decay.
 _MAX_HORIZON = 10**8
 
-#: The most steps a run may take. Five maps take about 28 us a step and a
-#: kept record about 0.1 kB: 28 s, 2 s more to replay every step, and a
-#: 54 MB peak RSS here.
+#: The most steps a run may take. Five maps take about 10 us a step and a
+#: kept record about 0.1 kB: 9 to 12 s on a shared 2-vCPU host, about 1 s
+#: more to replay every step, and a 50 MB peak RSS.
 _MAX_ITERS = 10**6
 
 #: The most (gamma, mu) cells a sweep may have. On a 2-point plan a cell

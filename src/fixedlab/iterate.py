@@ -24,8 +24,10 @@ residuals, blend weight parameter, distances to known common fixed points)
 to re-derive everything offline; `replay_trace` does exactly that.
 
 The engines step on Python floats, `_STEP_BLOCK` steps at a time and never
-past max_iters, reading each image unchecked; `_advance` gives each step's
-blend w_n and x_{n+1}. Each block is then checked at once on float64 arrays:
+past max_iters, reading each image unchecked; the step kernel of the
+alpha's weight pattern (`vecspace._kernel`), kept beside its weights, gives
+each step's blend w_n and x_{n+1} in one call, and replay and `_advance`
+call the same kernels. Each block is then checked at once on float64 arrays:
 every image's shape and finiteness, the residuals (the block's blends less
 its iterates), the stop and each next iterate's membership; its records
 are normed from the same arrays. That runs under one
@@ -37,7 +39,8 @@ its step is what a step-by-step run gives. A map may be evaluated at up to
 `_STEP_BLOCK` - 1 iterates past the step where a run stops or fails; those
 images are discarded. Each weight rule maps a list of alphas to m columns:
 an engine computes a block's new alphas at once, replay a lockstep's
-distinct ones.
+distinct ones. Replay's step arithmetic and its deviations' norms run under
+the same errstate, the maps' calls outside it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .errors import (ContractViolation, DomainError, InvalidInputError, Invarian
 from .mappings import (Mapping, MappingFamily, _image, _images, _reader,
                        common_fixed_points)
 from .schedules import AlphaSchedule
-from .vecspace import Domain, _blend, _norm_last_axis, _read_numbers, as_vector
+from .vecspace import Domain, _kernel, _norm_last_axis, _read_numbers, as_vector
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -340,17 +343,20 @@ def _broken(weights: Sequence[float]) -> bool:
 
 
 def _remember(memo: dict, rule: Callable, alphas: list[float], m: int) -> None:
-    """Put into memo the weights of the alphas it lacks, computed once for
-    all of them, each kept only if it keeps the invariant, a zero as None.
-    If the rule raises for one of them none is kept: each step then takes
-    its alpha's weights alone. memo is emptied first if they would not fit."""
+    """Put into memo the step kernel and the weights of the alphas it lacks,
+    computed once for all of them, each kept only if it keeps the
+    invariant, a zero as None. If the rule raises for one of them none is
+    kept: each step then takes its alpha's weights alone. memo is emptied
+    first if they would not fit."""
     new = [a for a in dict.fromkeys(alphas) if a not in memo]
     if not new:
         return
     try:
         columns = rule(new, m)
         kept = zip(*([c or None for c in col] for col in columns))
-        fresh = {a: w for a, row, w in zip(new, zip(*columns), kept) if not _broken(row)}
+        every = _kernel(columns)         # no weight None: every map's term kept
+        fresh = {a: (every if all(w) else _kernel(w), w)
+                 for a, row, w in zip(new, zip(*columns), kept) if not _broken(row)}
     except Exception:                    # whatever the rule raises, its step raises alone
         return
     if len(memo) + len(fresh) > _WEIGHT_MEMO:
@@ -359,12 +365,12 @@ def _remember(memo: dict, rule: Callable, alphas: list[float], m: int) -> None:
 
 
 def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
-    """The step rule's arithmetic at x = x_n: (w_n, x_{n+1} = lam*w_n +
-    (1-lam)*x_n), w_n = `_blend(images, weights)`. Its coordinates are floats
-    (the engines) or float64 arrays (replay), the same IEEE operations in the
-    same order either way; a weight that is None is skipped."""
-    w = _blend(images, weights)
-    return w, [lam * a + (1.0 - lam) * b for a, b in zip(w, x)]
+    """The step rule's arithmetic at x = x_n: (w_n = sum_k c_k * T_k(x_n),
+    x_{n+1} = lam*w_n + (1-lam)*x_n), by the kernel of the weights' pattern
+    (`vecspace._kernel`), which skips a weight that is None. Its
+    coordinates are floats or float64 arrays, the same IEEE operations in
+    the same order either way."""
+    return _kernel(weights)(images, weights, x, lam)
 
 
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
@@ -388,12 +394,13 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
     # only images and iterates are checked; distances are not
     x = x.tolist()
     kind, d, chain = domain.norm_kind, domain.dimension, itertools.chain.from_iterable
+    lam = cfg.lam
     rule, m, reads = _WEIGHT_RULES[engine], len(members), [_reader(t) for t in members]
     fps = [np.asarray(z, dtype=float).tolist() for z in fixed_points]
     Z = np.array(fps).reshape(len(fps), d)
     blocks: list[tuple] = []             # the records' columns, 64 blocks' at a time
     recent: list[tuple] = []             # and those of the blocks since
-    memo: dict[float, tuple] = {}        # alpha -> its validated weights, a zero as None
+    memo: dict[float, tuple] = {}        # alpha -> (its kernel, its validated weights)
     stream = itertools.repeat(0.0) if s is None else s.values(0, cfg.max_iters + 1)
     alphas, n, settle = [], 0, False     # alphas: drawn, not yet stepped
     while True:
@@ -405,15 +412,17 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         _remember(memo, rule, todo, m)
         try:
             for i, a_n in enumerate(todo, n):
-                wts = memo.get(a_n)
-                if wts is None:          # the block's weights raised, or a_n's are broken
+                got = memo.get(a_n)
+                if got is None:          # the block's weights raised, or a_n's are broken
                     wts = [c for (c,) in rule([a_n], m)]
                     if _broken(wts):
                         raise InvariantError(
                             f"blend weights {wts} invalid at step {i} (alpha={a_n})")
                     wts = [c or None for c in wts]
+                    got = _kernel(wts), wts
+                step, wts = got
                 images = [_image(t, x, i) for t in members] if settle else [f(x) for f in reads]
-                w, x = _advance(images, wts, x, cfg.lam)
+                w, x = step(images, wts, x, lam)
                 ims.append(images)
                 ws.append(w)
                 xs.append(x)
@@ -641,7 +650,8 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
             if img is None:
                 return np.array(list(_rerun(members, engine, lam, steps, X, alphas)))
             images.append([np.where(z[k], -0.0, img.T) if z[k].any() else img.T])
-        C[:, :live] = _advance(images, list(W.take(which, axis=1)), [x], lam)[1][0]
+        with np.errstate(all="ignore"):  # as in the engine's block, the maps' calls outside
+            C[:, :live] = _advance(images, list(W.take(which, axis=1)), [x], lam)[1][0]
     return C.T[np.argsort(order)]
 
 
@@ -703,7 +713,8 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
         alpha[lo:hi] = a[steps[lo:hi] - steps[lo]]
         predicted = _lockstep(members, t.engine, t.config.lam, steps[lo:hi + 1],
                               X[lo:hi + 1], a)
-        dev[lo:hi] = _norm_last_axis(predicted - X[lo + 1:hi + 1], t.domain.norm_kind)
+        with np.errstate(all="ignore"):
+            dev[lo:hi] = _norm_last_axis(predicted - X[lo + 1:hi + 1], t.domain.norm_kind)
     alpha[-1] = take(1)[0]
     off = np.append(False, ~(dev <= REPLAY_TOL))   # by record; NaN included
     bad = np.flatnonzero(off | ~(alpha == t.records.alpha))

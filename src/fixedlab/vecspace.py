@@ -11,6 +11,12 @@ paths produce bitwise-identical values: per-vector norms share one
 np.add.reduce. `pairwise_norm` folds a sum of fewer than
 `_IN_SEQUENCE_BELOW` terms in that reduction's sequence and hands a longer
 one to it; it never holds a (rows, cols, d) array.
+
+The blend of points and the average of the iteration step are one kernel,
+generated once per pattern of kept weights (`_kernel`): its sum is written
+out over the kept points in their order, so it adds as a loop would, with no
+call per point. Its source is built from integer indices alone, and at most
+`_KERNELS` kernels are kept.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -354,7 +360,7 @@ def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
 def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -> Vector:
     """Weighted average with nonnegative weights summing to 1 (within 1e-12).
 
-    Zero-weight terms are skipped entirely, passed to `_blend` as None. That
+    Zero-weight terms are skipped entirely, passed to `_kernel` as None. That
     keeps a degenerate combination on the same arithmetic path as its reduced
     form, which the iteration engines rely on for bitwise reproducibility.
     """
@@ -374,16 +380,41 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
     arrays = [np.asarray(p, dtype=float) for p in points]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ContractViolation("points of mixed dimension in convex combination")
-    blended = _blend([a.ravel().tolist() for a in arrays], [w or None for w in ws])
+    ws = [w or None for w in ws]
+    # the kernel's blend alone: there is no iterate to average with
+    blended = _kernel(ws)([a.ravel().tolist() for a in arrays], ws, (), 1.0)[0]
     return _freeze(np.reshape(blended, arrays[0].shape))
 
 
-def _blend(points: Sequence[Sequence], weights: Sequence) -> list:
-    """sum_k weights[k] * points[k] by coordinate, skipping a weight that is None
-    (a zero weight, see convex_combination): floats, or float64 columns with a
-    float or a column per weight. At least one weight is not None."""
-    acc = None
-    for w, p in zip(weights, points):
-        if w is not None:
-            acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
-    return acc
+#: The step kernels kept, one per pattern of kept weights: m maps have
+#: 2**m - 1 patterns, and a run meets few of them.
+_KERNELS = 64
+
+
+def _kernel(weights: Sequence) -> Callable:
+    """The step kernel of the weights' pattern: the indices of the weights
+    that are not None (a zero weight, see convex_combination)."""
+    return _compile(tuple(k for k, c in enumerate(weights) if c is not None))
+
+
+@functools.lru_cache(maxsize=_KERNELS)
+def _compile(kept: tuple[int, ...]) -> Callable:
+    """kernel(points, weights, x, lam) -> (w, [lam*a + (1 - lam)*b for a, b
+    in zip(w, x)]), w = sum_k weights[k] * points[k] over k in kept, by
+    coordinate. The sum is written out in map order in one comprehension,
+    c_a*p_a + c_b*p_b + c_c*p_c, so its terms add left to right, and the
+    average follows in the same call. Coordinates are floats, or float64
+    columns with a float or a column per weight. The source is built from
+    the integers in kept alone; kept is not empty."""
+    def each(form: str, sep: str = ", ") -> str:
+        return sep.join(form.format(k) for k in kept)
+
+    src = ("def kernel(points, weights, x, lam):\n"
+           f"    {each('c{}')}, = {each('weights[{}]')},\n"
+           f"    w = [{each('c{0} * p{0}', ' + ')} for {each('p{}')}, in "
+           f"zip({each('points[{}]')})]\n"
+           "    mu = 1.0 - lam\n"
+           "    return w, [lam * a + mu * b for a, b in zip(w, x)]\n")
+    scope: dict = {}
+    exec(compile(src, f"<kernel {kept}>", "exec"), scope)
+    return scope["kernel"]

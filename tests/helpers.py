@@ -237,6 +237,25 @@ def reference_records(fns, weights_of, alphas, lam, x0, max_iters, residual_tol,
     raise AssertionError("the alphas ended before the run")
 
 
+def reference_blend(points, weights):
+    """sum_k weights[k] * points[k] by coordinate, a weight that is None
+    skipped, as a loop over the maps: the package's blend before its step
+    kernels, kept as it was. Coordinates are floats, or float64 columns
+    with a float or a column per weight."""
+    acc = None
+    for w, p in zip(weights, points):
+        if w is not None:
+            acc = [w * c for c in p] if acc is None else [a + w * c for a, c in zip(acc, p)]
+    return acc
+
+
+def reference_step(points, weights, x, lam):
+    """(w, x_next): the blend above, then the average lam*w + (1-lam)*x by
+    coordinate, as the engines formed them before the step kernels."""
+    w = reference_blend(points, weights)
+    return w, [lam * a + (1.0 - lam) * b for a, b in zip(w, x)]
+
+
 def grid_points_1d(lo, hi, resolution):
     """The package's 1-d grid convention, rebuilt with np.linspace."""
     return [np.array([v]) for v in np.linspace(lo, hi, resolution)]

@@ -210,7 +210,7 @@ def test_a_residual_past_the_largest_square_inside_the_domain_reads_inf_under_th
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("run", ["overflow", "fixed-point"])
+@pytest.mark.parametrize("run", ["overflow", "fixed-point", "underflow"])
 def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     """The records' per-map and fixed-point distances are normed under the
     block's errstate too. 'overflow' stops the lam = 1e-300 run at step 1,
@@ -219,12 +219,18 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     moves towards the fixed point 0 until the squares of its coordinates
     underflow, in its records' fixed-point distances too, and stops on its
     tolerance 0 where those of w - x do; the diagnostics of its trace, whose
-    norms underflow alike, give the same results."""
+    norms underflow alike, give the same results. 'underflow' steps by
+    lam = 1e-300 towards images 1e-10 x, so lam * w_n underflows in every
+    step's average: replay runs its step arithmetic, and norms its
+    deviations, under the engine's errstate, and passes."""
+    factor = {"fixed-point": 0.5, "underflow": 1e-10}.get(run)
+
     def trace():
         if run == "overflow":
             return krasnoselskii_run(TINY, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=1))
-        return krasnoselskii_run(scaling_map(Domain.ball([0.0, 0.0], 1.0), 0.5), [0.6, 0.3],
-                                 IterationConfig(lam=0.5, max_iters=5_000))
+        lam, max_iters = (0.5, 5_000) if run == "fixed-point" else (1e-300, 5)
+        return krasnoselskii_run(scaling_map(Domain.ball([0.0, 0.0], 1.0), factor), [0.6, 0.3],
+                                 IterationConfig(lam=lam, max_iters=max_iters))
 
     def text(t):
         out = io.StringIO()
@@ -234,9 +240,10 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     def diagnostics(t):
         if run == "overflow":
             return None
-        T = scaling_map(Domain.ball([0.0, 0.0], 1.0), 0.5)
+        T = scaling_map(Domain.ball([0.0, 0.0], 1.0), factor)
         return (iterate.goebel_kirk_gap(t), iterate.monotone_distance_check(t, [0.0, 0.0]),
-                iterate.asymptotic_radius(t, [0.0, 0.0], 100), iterate.replay_trace(t, T))
+                iterate.asymptotic_radius(t, [0.0, 0.0], min(100, len(t.records))),
+                iterate.replay_trace(t, T))
 
     want = trace()
     with np.errstate(all="raise"):
@@ -247,6 +254,23 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     last = want.final
     if run == "overflow":
         assert (want.total_steps, last.residual, last.map_residuals) == (1, math.inf, (math.inf,))
-    else:
+    elif run == "fixed-point":
         assert (want.stop_reason, last.residual) == ("tol", 0.0) and 0.0 < last.x[0] < 1e-154
         assert len(want.records) == want.total_steps + 1 > 1_000
+    else:
+        assert (want.stop_reason, want.total_steps, last.x) == ("max_iters", 5, (0.6, 0.3))
+        assert (got_diagnostics[-1].passed, got_diagnostics[-1].observed_max) == (True, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_replay_norms_its_deviations_under_the_engine_s_errstate():
+    """Replayed by a map 1e-7 off the traced one at iterates near 1e-156,
+    each interval ends about 1e-164 from its record: a deviation whose
+    square underflows reads 0, as the engine's norms read it, with numpy
+    raising on every error too."""
+    ball = Domain.ball([0.0, 0.0], 1.0)
+    traced, other = (register_mapping(lambda p, f=f: f * p, ball, "T") for f in (0.5, 0.5000001))
+    t = krasnoselskii_run(traced, [1e-156, 0.0], IterationConfig(lam=0.5, max_iters=5))
+    with np.errstate(all="raise"):
+        got = iterate.replay_trace(t, other)
+    assert (got.passed, got.checked_pairs, got.observed_max) == (True, 5, 0.0)

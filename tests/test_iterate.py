@@ -463,6 +463,34 @@ def test_engine_records_equal_the_reference_bit_for_bit(monkeypatch, engine, d, 
         every, 300, kind)
 
 
+#: Ordinary alphas keep every map's weight. Every power of 0.0 is 0, and
+#: a^k underflows to 0 from k = 2 at 1e-200 and 1e-170, from k = 3 at 1e-110
+#: and 1e-160 (whose square is subnormal) and from k = 4 at 1e-90: the
+#: trailing weights are None.
+PATTERN_ALPHAS = (0.25, 0.0, 1e-200, 0.1, 1e-170, 1e-110, 0.3, 1e-160, 1e-90, 0.05, 0.0)
+
+
+@pytest.mark.parametrize("engine, m, rule", [("multi", 5, multi_map_weights),
+                                             ("truncated", 3, truncated_weights)])
+def test_engines_step_each_weight_pattern_by_its_kernel(engine, m, rule):
+    """Over blocks of alphas whose weights keep every map or leave out
+    trailing ones, each step runs the kernel of its own alpha's pattern:
+    the records are the reference's bit for bit, and replay ends each
+    interval exactly on its record."""
+    listed = PATTERN_ALPHAS * 20
+    kept = {tuple(k for k, c in enumerate(rule(a, m)) if c) for a in PATTERN_ALPHAS}
+    assert kept == ({(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)} if m == 5
+                    else {(0,), (0, 1), (0, 1, 2)})
+    fam = scaling_family([0.99, 0.98, 0.97, 0.96, 0.95])
+    cfg = IterationConfig(lam=0.5, max_iters=len(listed) - 1, residual_tol=0.0, truncation_K=3)
+    run = multi_map_run if engine == "multi" else truncated_family_run
+    t = run(fam, _Listed(listed), [0.6, 0.3], cfg)
+    _assert_records_are_the_reference(t, [f.fn for f in fam.members[:m]],
+                                      lambda a: rule(a, m), listed, 1, 10_000, "l2")
+    got = replay_trace(t, fam)
+    assert (got.passed, got.checked_pairs, got.observed_max) == (True, len(listed) - 1, 0.0)
+
+
 def test_weights_are_made_once_per_distinct_alpha_and_the_memo_is_bounded(monkeypatch):
     """The rule is called once a block of 64 steps, on the block's distinct
     alphas that the memo lacks, in the order they come; the memo holds at

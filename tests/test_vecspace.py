@@ -32,7 +32,7 @@ from fixedlab import (
 )
 from fixedlab import vecspace
 from fixedlab.vecspace import MEMBERSHIP_TOL, _norm_last_axis
-from helpers import reference_sample
+from helpers import reference_sample, reference_step
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
                          allow_nan=False, allow_infinity=False)
@@ -552,6 +552,69 @@ def test_zero_weights_are_skipped_bitwise():
     out = convex_combination([a, b], [1.0, 0.0])
     assert out[1] == 2.0
     assert out[0] == 0.0 and math.copysign(1.0, out[0]) == -1.0
+
+
+#: where a step's bits are easiest to lose: signed zeros, subnormals,
+#: infinities, NaN, and products that overflow or underflow
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-170,
+           math.inf, -math.inf, math.nan, 1e308, -1e308, 1.5, -0.75]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def step_operands(draw):
+    """(points, weights, x, lam) for m from 1 to 8 maps in d from 1 to 5,
+    some weights None but not all: floats, or the float64 operands of
+    `iterate._lockstep` (a point and x one (d, rows) array, a weight a row)."""
+    m, d, rows = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    kept = draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(any))
+
+    def values(*shape):
+        v = draw(st.lists(any_float, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return v if not rows else np.array(v).reshape(shape)
+
+    points = [values(d) if not rows else [values(d, rows)] for _ in range(m)]
+    weights = [values(rows) if rows else draw(any_float) for _ in range(m)]
+    weights = [w if k else None for w, k in zip(weights, kept)]
+    return points, weights, values(d) if not rows else [values(d, rows)], draw(any_float)
+
+
+def _assert_step_is_the_loop(points, weights, x, lam):
+    """The kernel of the weights' pattern against the loop blend and its
+    average (tests/helpers), bit for bit: the sign of a zero and a NaN's
+    payload too."""
+    with np.errstate(all="ignore"):
+        got = vecspace._kernel(weights)(points, weights, x, lam)
+        want = reference_step(points, weights, x, lam)
+    for g, r in zip(got, want):
+        assert type(g) is list and len(g) == len(r)
+        assert [np.asarray(v).tobytes() for v in g] == [np.asarray(v).tobytes() for v in r]
+    assert vecspace._compile.cache_info().currsize <= vecspace._KERNELS
+
+
+@given(step_operands())
+@settings(derandomize=True, max_examples=400, deadline=None)
+@example(([[-0.0, 5e-324], [7.0, 1e308]], [1.0, None], [-0.0, -5e-324], 0.5))
+@example(([[1e308], [1e308], [-math.inf]], [1e308, 0.5, None], [math.nan], 1e-300))
+def test_the_step_kernel_is_the_loop_blend_and_average_bit_for_bit(ops):
+    _assert_step_is_the_loop(*ops)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_the_step_kernel_is_the_loop_at_300_coordinates(rows):
+    """Eight maps, three weights None, about a tenth of the values SPECIAL."""
+    rng = np.random.default_rng(300)
+
+    def values(*shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        v = np.where(rng.random(shape) < 0.1, rng.choice(SPECIAL, shape), v)
+        return v if rows else v.tolist()
+
+    points = [values(300) if not rows else [values(300, rows)] for _ in range(8)]
+    weights = [None if k in (1, 4, 5) else values(rows) if rows else values(1)[0]
+               for k in range(8)]
+    _assert_step_is_the_loop(points, weights, values(300) if not rows else [values(300, rows)],
+                             0.25)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=5),
