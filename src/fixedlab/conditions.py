@@ -123,14 +123,7 @@ def _images(T: Mapping, plan: SamplePlan) -> tuple[np.ndarray, np.ndarray, np.nd
     """Sample points X, their images TX and the displacements ||x_i - Tx_i||."""
     X = sample(T.domain, plan)
     TX = _evaluate_rows(T, X)
-    return X, TX, _row_dists(X, TX, T.domain.norm_kind)
-
-
-def _row_dists(A: np.ndarray, B: np.ndarray, kind) -> np.ndarray:
-    """||a_i - b_i|| row by row; a distance that overflows is inf, as
-    `dist` and the scan read it, without numpy's warning."""
-    with np.errstate(over="ignore"):
-        return _norm_last_axis(A - B, kind)
+    return X, TX, _norm_last_axis(X, T.domain.norm_kind, TX)
 
 
 def _scan(T: Mapping, plan: SamplePlan, checks: list[_Check], images) -> list[Verdict]:
@@ -227,7 +220,7 @@ def _checks(T: Mapping, plan: SamplePlan, requests) -> list[Verdict]:
         unique.update({k: c for k, c in zip(keys, checks) if k not in unique})
         prepared.append((keys, finish))
         images()
-    with np.errstate(over="ignore"):   # a distance that overflows is inf, as in dist
+    with np.errstate(all="ignore"):   # pairwise_norm and the scan's arithmetic: silent, as dist is
         scanned = _scan(T, plan, list(unique.values()), images())
     verdicts = dict(zip(unique, scanned))
     out = []
@@ -346,7 +339,7 @@ def _prop1(theta: float, p: BGammaMu):
     def prepare(T, plan, images):
         X, TX, dxTx = images()
         TTX = _evaluate_rows(T, TX)
-        dTxTtx = _row_dists(TX, TTX, T.domain.norm_kind)
+        dTxTtx = _norm_last_axis(TX, T.domain.norm_kind, TTX)
         eps = plan.epsilon
         viol_i = dTxTtx > dxTx + eps
         i = int(np.argmax(viol_i))   # first point violating part (i)

@@ -26,21 +26,21 @@ to re-derive everything offline; `replay_trace` does exactly that.
 The engines step on Python floats, `_STEP_BLOCK` steps at a time and never
 past max_iters, reading each image unchecked; the step kernel of the
 alpha's weight pattern (`vecspace._kernel`), kept beside its weights, gives
-each step's blend w_n and x_{n+1} in one call, and replay and `_advance`
-call the same kernels. Each block is then checked at once on float64 arrays:
-every image's shape and finiteness, the residuals (the block's blends less
-its iterates), the stop and each next iterate's membership; its records
-are normed from the same arrays. That runs under one
-np.errstate(all="ignore"): a norm that overflows reads inf, silently,
-whatever numpy's error state. The first step that fails a check, or where
+each step's blend w_n and x_{n+1} in one call, and replay calls the same
+kernels. Each block is then checked at once on float64 arrays: every
+image's shape and finiteness, the residuals (the block's blends less its
+iterates), the stop and each next iterate's membership; its records are
+normed from the same arrays, each norm by `vecspace._norm_last_axis`'s one
+distance rule. The first step that fails a check, or where
 a map or the weight rule raised, is run again alone, its images checked as
 they are read, after the steps before it, so every stop, record, error and
 its step is what a step-by-step run gives. A map may be evaluated at up to
 `_STEP_BLOCK` - 1 iterates past the step where a run stops or fails; those
 images are discarded. Each weight rule maps a list of alphas to m columns:
 an engine computes a block's new alphas at once, replay a lockstep's
-distinct ones. Replay's step arithmetic and its deviations' norms run under
-the same errstate, the maps' calls outside it.
+distinct ones. Replay's step arithmetic on float64 arrays runs under
+np.errstate(all="ignore"), silent as the engines' float steps are, the
+maps' calls outside it.
 """
 
 from __future__ import annotations
@@ -364,15 +364,6 @@ def _remember(memo: dict, rule: Callable, alphas: list[float], m: int) -> None:
     memo.update(fresh)
 
 
-def _advance(images: Sequence, weights: Sequence, x: Sequence, lam: float):
-    """The step rule's arithmetic at x = x_n: (w_n = sum_k c_k * T_k(x_n),
-    x_{n+1} = lam*w_n + (1-lam)*x_n), by the kernel of the weights' pattern
-    (`vecspace._kernel`), which skips a weight that is None. Its
-    coordinates are floats or float64 arrays, the same IEEE operations in
-    the same order either way."""
-    return _kernel(weights)(images, weights, x, lam)
-
-
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
                 cfg: IterationConfig, s: Optional[AlphaSchedule],
                 fixed_points: Sequence[np.ndarray]) -> Trace:
@@ -435,29 +426,26 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         TX = np.fromiter(chain(chain(ims)), float, k * m * d).reshape(k, m, d)
         X = np.fromiter(chain(xs[:k + 1]), float, (k + 1) * d).reshape(k + 1, d)
         steps = np.arange(n, n + k, dtype=np.int64)
-        # a norm whose squares overflow reads inf and one whose squares
-        # underflow reads them as 0, silently, whatever numpy's error state
-        with np.errstate(all="ignore"):
-            ok = np.isfinite(TX).all(axis=(1, 2))
-            W = np.fromiter(chain(ws[:k]), float, k * d).reshape(k, d) - X[:-1]
-            R = _norm_last_axis(W, kind)
-            inside = domain.contains_rows(X[1:])
-            tol = R <= cfg.residual_tol
-            stop = tol | (steps >= cfg.max_iters)
-            bad = stop | ~inside | ~ok
-            j = int(bad.argmax()) if bad.any() else k       # the first unclean step
-            end = j < k and stop[j] and ok[j]               # the run stops at step j
-            if settle and j == 0 and not end:
-                raise IterationRuntimeError(
-                    f"iterate left the domain at step {n + 1}: {xs[1]}", step=n + 1)
-            done = steps[:j + end]
-            r = np.flatnonzero((done % np.where(done < DECIMATION_START, cfg.record_every,
-                                                cfg.record_every * 10) == 0)
-                               | stop[:len(done)])
-            if r.size:
-                at = X[r, None]
-                recent.append((steps[r], X[r], R[r], _norm_last_axis(TX[r] - at, kind),
-                               np.array(todo)[r], _norm_last_axis(Z - at, kind)))
+        ok = np.isfinite(TX).all(axis=(1, 2))
+        W = np.fromiter(chain(ws[:k]), float, k * d).reshape(k, d)
+        R = _norm_last_axis(W, kind, X[:-1])
+        inside = domain.contains_rows(X[1:])
+        tol = R <= cfg.residual_tol
+        stop = tol | (steps >= cfg.max_iters)
+        bad = stop | ~inside | ~ok
+        j = int(bad.argmax()) if bad.any() else k       # the first unclean step
+        end = j < k and stop[j] and ok[j]               # the run stops at step j
+        if settle and j == 0 and not end:
+            raise IterationRuntimeError(
+                f"iterate left the domain at step {n + 1}: {xs[1]}", step=n + 1)
+        done = steps[:j + end]
+        r = np.flatnonzero((done % np.where(done < DECIMATION_START, cfg.record_every,
+                                            cfg.record_every * 10) == 0)
+                           | stop[:len(done)])
+        if r.size:
+            at = X[r, None]
+            recent.append((steps[r], X[r], R[r], _norm_last_axis(TX[r], kind, at),
+                           np.array(todo)[r], _norm_last_axis(Z, kind, at)))
         if len(recent) == _STEP_BLOCK or end:   # fewer arrays: a 10**6-step run's RSS -15 MB
             blocks.append(tuple(map(np.concatenate, zip(*recent))))
             recent.clear()
@@ -531,9 +519,8 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     records one step apart can be inverted, so decimated stretches
     contribute nothing. tail_max is the maximum over the last quarter of
     the recovered series (the whole series if shorter than 4), None if
-    no pair is one step apart. As in the engine, a norm whose squares
-    overflow reads inf and one whose squares underflow reads them as 0,
-    silently, whatever numpy's error state.
+    no pair is one step apart. The inversion runs silently whatever
+    numpy's error state, as the norms do.
     """
     steps, X = t.records.step, t.records.x
     j = np.flatnonzero(steps[1:] == steps[:-1] + 1)
@@ -542,21 +529,20 @@ def goebel_kirk_gap(t: Trace) -> GapReport:
     lam = t.config.lam
     with np.errstate(all="ignore"):
         w = (X[j + 1] - (1.0 - lam) * X[j]) / lam
-        gaps = _norm_last_axis(w - X[j], t.domain.norm_kind).tolist()
+    gaps = _norm_last_axis(w, t.domain.norm_kind, X[j]).tolist()
     q = max(1, len(gaps) // 4)
     return GapReport(steps=tuple(steps[j].tolist()), gaps=tuple(gaps),
                      tail_max=max(gaps[-q:]))
 
 
 def _distances(X: np.ndarray, z, kind) -> np.ndarray:
-    """||x - z|| for each row x of X, under the engine's np.errstate; a z
-    of another dimension is refused, with the error `dist` raises for it."""
+    """||x - z|| for each row x of X; a z of another dimension is refused,
+    with the error `dist` raises for it."""
     z = as_vector(z)
     if z.shape != X.shape[1:]:
         raise InvalidInputError(
             f"no distance between points of shapes {X.shape[1:]} and {z.shape}")
-    with np.errstate(all="ignore"):
-        return _norm_last_axis(X - z, kind)
+    return _norm_last_axis(X, kind, z)
 
 
 def monotone_distance_check(t: Trace, z) -> Verdict:
@@ -617,7 +603,7 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
     of step steps[0] + i.
 
     All intervals advance together. At offset o every interval still running
-    takes its step k + o through `_advance`, on one (d, live) float64 operand
+    takes its step k + o through the step kernel, on one (d, live) float64 operand
     per map, its images from `_images`, and on the point [C[:, :live]], with
     a row of weights per map. A row's zero weight is 1.0 on an image of -0.0,
     which added to any v gives v bit for bit, so it contributes nothing, as a
@@ -650,8 +636,9 @@ def _lockstep(members: Sequence[Mapping], engine: str, lam: float,
             if img is None:
                 return np.array(list(_rerun(members, engine, lam, steps, X, alphas)))
             images.append([np.where(z[k], -0.0, img.T) if z[k].any() else img.T])
-        with np.errstate(all="ignore"):  # as in the engine's block, the maps' calls outside
-            C[:, :live] = _advance(images, list(W.take(which, axis=1)), [x], lam)[1][0]
+        wts = list(W.take(which, axis=1))
+        with np.errstate(all="ignore"):  # silent as the engine's float step; maps called outside
+            C[:, :live] = _kernel(wts)(images, wts, [x], lam)[1][0]
     return C.T[np.argsort(order)]
 
 
@@ -663,7 +650,7 @@ def _rerun(members: Sequence[Mapping], engine: str, lam: float,
     for k, end, x in zip(steps[:-1].tolist(), steps[1:].tolist(), X[:-1].tolist()):
         for n in range(k, end):
             wts = [c or None for (c,) in rule([a[n - first]], m)]
-            x = _advance([_image(T, x, n) for T in members], wts, x, lam)[1]
+            x = _kernel(wts)([_image(T, x, n) for T in members], wts, x, lam)[1]
         yield x
 
 
@@ -713,8 +700,7 @@ def replay_trace(t: Trace, maps: Union[Mapping, MappingFamily]) -> Verdict:
         alpha[lo:hi] = a[steps[lo:hi] - steps[lo]]
         predicted = _lockstep(members, t.engine, t.config.lam, steps[lo:hi + 1],
                               X[lo:hi + 1], a)
-        with np.errstate(all="ignore"):
-            dev[lo:hi] = _norm_last_axis(predicted - X[lo + 1:hi + 1], t.domain.norm_kind)
+        dev[lo:hi] = _norm_last_axis(predicted, t.domain.norm_kind, X[lo + 1:hi + 1])
     alpha[-1] = take(1)[0]
     off = np.append(False, ~(dev <= REPLAY_TOL))   # by record; NaN included
     bad = np.flatnonzero(off | ~(alpha == t.records.alpha))

@@ -16,7 +16,9 @@ each value is bit for bit the formula's. The decay schedule takes its
 powers from libm's `pow`, as Python's `pow` does: a float rate's by
 `math.pow` (below int64 a chunk's bases are made in one int -> float cast),
 an int rate's by `pow` itself, exactly. numpy's vectorised power is not
-used: it may differ from libm's in the last bit.
+used: it may differ from libm's in the last bit. A chunk's divides run under
+np.errstate(all="ignore"), so a value below the normal range comes as the
+scalar formula's float arithmetic gives it, whatever numpy's error state.
 
 `verify_schedule` measures finite-horizon proxies for the three limits
 over the last quarter of the horizon, reducing one chunk at a time, so its
@@ -124,7 +126,8 @@ class DecaySchedule(AlphaSchedule):
             # int / int rounds the exact quotient once, unlike float / float
             return np.fromiter(map(truediv, repeat(self.scale), powers), float, b - a)
         raw = np.fromiter(powers, float, b - a)
-        return np.divide(self.scale, raw, out=raw)
+        with np.errstate(all="ignore"):
+            return np.divide(self.scale, raw, out=raw)
 
     def _overflows(self, n: int) -> bool:
         """Whether (n+1)**rate leaves the float range, decided from its
@@ -233,9 +236,10 @@ class TentSchedule(AlphaSchedule):
 
     def _fill(self, t: np.ndarray, L_t: np.ndarray, half) -> np.ndarray:
         """The values at offsets t of blocks L = t + L_t long, halves `half`."""
-        v = self.peak * np.minimum(t, L_t, out=t)
-        # the formula's float / int rounds the int half to a float first
-        v /= np.asarray(half, dtype=float)
+        with np.errstate(all="ignore"):
+            v = self.peak * np.minimum(t, L_t, out=t)
+            # the formula's float / int rounds the int half to a float first
+            v /= np.asarray(half, dtype=float)
         # peak * half / half can round one ulp above peak.
         return np.minimum(self.peak, v, out=v)
 

@@ -10,7 +10,9 @@ sqrt(sum(v*v)) rather than through BLAS so that scalar and vectorized code
 paths produce bitwise-identical values: per-vector norms share one
 np.add.reduce. `pairwise_norm` folds a sum of fewer than
 `_IN_SEQUENCE_BELOW` terms in that reduction's sequence and hands a longer
-one to it; it never holds a (rows, cols, d) array.
+one to it; it never holds a (rows, cols, d) array. Every other norm, of a
+point or of a difference, reads through `_norm_last_axis`, the one distance
+rule, silent whatever numpy's error state; `pairwise_norm` follows that state.
 
 The blend of points and the average of the iteration step are one kernel,
 generated once per pattern of kept weights (`_kernel`): its sum is written
@@ -82,8 +84,7 @@ def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
     for v in (a, b):
         if not np.all(np.isfinite(v)):
             raise InvalidInputError(f"non-finite coordinate in {v.tolist()!r}")
-    with np.errstate(over="ignore"):
-        return float(_norm_last_axis(np.atleast_1d(a - b), kind))
+    return float(_norm_last_axis(np.atleast_1d(a), kind, b))
 
 
 #: np.add.reduce adds fewer than this many terms in sequence, left to right;
@@ -97,15 +98,16 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2,
     equal to the scalar `dist`, written into `out` if given. Below
     `_IN_SEQUENCE_BELOW` coordinates it folds them in sequence on
     (len(A), len(B)) arrays, with at most one such array besides the result;
-    from there on row i is `_norm_last_axis` of A[i] - B in C order, where
-    numpy reduces each entry's contiguous terms as it does one vector's."""
+    from there on row i is `_reduce_norms` of A[i] - B in C order, where
+    numpy reduces each entry's contiguous terms as it does one vector's.
+    It follows numpy's error state: the scan runs it under its own."""
     if kind not in (NormKind.L1, NormKind.L2, NormKind.LINF):
         raise InvalidInputError(f"unknown norm kind {kind!r}")
     if out is None:
         out = np.empty((len(A), len(B)))
     if A.shape[1] >= _IN_SEQUENCE_BELOW:
         for i, a in enumerate(A):
-            out[i] = _norm_last_axis(np.subtract(a, B, order="C"), kind)
+            out[i] = _reduce_norms(np.subtract(a, B, order="C"), kind)
         return out
 
     def term(k: int, t: Optional[np.ndarray] = None) -> np.ndarray:
@@ -118,8 +120,18 @@ def pairwise_norm(A: np.ndarray, B: np.ndarray, kind: NormKind = NormKind.L2,
     return np.sqrt(out, out=out) if kind == NormKind.L2 else out
 
 
-def _norm_last_axis(a: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Unchecked norms along the last axis, by np.sum/np.max's own ufuncs."""
+def _norm_last_axis(a: np.ndarray, kind: NormKind, b=None) -> np.ndarray:
+    """Unchecked norms of a, or of a - b, along the last axis: the one
+    distance rule. A difference or a sum of squares that overflows reads
+    inf and a square that underflows reads 0, silently, whatever numpy's
+    error state."""
+    with np.errstate(all="ignore"):
+        return _reduce_norms(a if b is None else a - b, kind)
+
+
+def _reduce_norms(a: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Norms along the last axis by np.sum/np.max's own ufuncs, under
+    numpy's error state as it stands: `pairwise_norm`'s rows, and the rule's."""
     if kind == NormKind.L2:
         return np.sqrt(np.add.reduce(a * a, axis=-1))
     if kind == NormKind.L1:
@@ -172,7 +184,7 @@ class Domain:
         hold NaN points, or distances that overflow."""
         with np.errstate(over="ignore"):
             lo, up = self.bounding_box()
-            extent = _norm_last_axis(up - lo, self.norm_kind)
+        extent = _norm_last_axis(up, self.norm_kind, lo)
         if not np.isfinite(extent):
             raise InvalidInputError(
                 f"the extent of the bounding box from {lo.tolist()} to {up.tolist()} "
@@ -200,15 +212,12 @@ class Domain:
     def contains_rows(self, Q: np.ndarray) -> np.ndarray:
         """Membership of each row of an (n, dimension) array, or of one
         (dimension,) point, with absolute tolerance MEMBERSHIP_TOL: a
-        non-finite row is never a member. A ball's norm whose squares
-        overflow reads inf and one whose squares underflow reads them as 0,
-        silently, whatever numpy's error state."""
+        non-finite row is never a member."""
         if self.shape == "box":
             inside = ((Q >= np.array(self.lower) - MEMBERSHIP_TOL)
                       & (Q <= np.array(self.upper) + MEMBERSHIP_TOL))
             return inside.all(axis=-1) & np.isfinite(Q).all(axis=-1)
-        with np.errstate(all="ignore"):
-            r = _norm_last_axis(Q - np.array(self.center), self.norm_kind)
+        r = _norm_last_axis(Q, self.norm_kind, np.array(self.center))
         return (r <= self.radius + MEMBERSHIP_TOL) & np.isfinite(Q).all(axis=-1)
 
     def to_dict(self) -> dict:
@@ -318,8 +327,7 @@ def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
         axes = [np.linspace(lo[i], up[i], res[i]) for i in range(d)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, d)
         if domain.shape == "ball":
-            pts = pts[_norm_last_axis(pts - domain.center, domain.norm_kind)
-                      <= domain.radius]
+            pts = pts[_norm_last_axis(pts, domain.norm_kind, domain.center) <= domain.radius]
             if pts.shape[0] == 0:
                 raise InvalidInputError(
                     "grid too coarse for ball domain: no lattice point falls "
@@ -352,7 +360,7 @@ def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
             while len(pts) < plan.count:
                 cand = rng.uniform(lo, up, size=(plan.count, d))
                 pts = np.concatenate(
-                    [pts, cand[_norm_last_axis(cand - c, domain.norm_kind) <= domain.radius]])
+                    [pts, cand[_norm_last_axis(cand, domain.norm_kind, c) <= domain.radius]])
             pts = pts[:plan.count]
     return _freeze(pts)
 

@@ -33,6 +33,7 @@ from fixedlab import (
     dist,
     evaluate,
     identity_map,
+    norm,
     piecewise_map,
     sample,
     scaling_map,
@@ -352,6 +353,40 @@ def test_sweep_rows_are_serializable(example1, grid9):
     table = sweep_condition_B(example1, [0.7], [0.35], grid9)
     rows = table.to_rows()
     assert rows[0]["gamma"] == 0.7 and rows[0]["status"] == "pass"
+
+
+# --- distances at the edges of the float range, whatever numpy's error state
+
+@pytest.mark.filterwarnings("error")
+def test_the_public_distance_readers_give_their_default_results_when_numpy_raises():
+    """dist, norm, the domains' constructors, contains and the scans read a
+    distance whose squares leave the float range as they do by default
+    when numpy raises on every floating-point error: offsets of 1e-200 and
+    1e200, domains whose extents square below the normal range, and the 1-d
+    piecewise config on the box [0, 1e-170] (grid 3, epsilon 5e-324) in
+    l1, l2 and linf. Only the two states' agreement is asserted, not which
+    l2 verdict is right."""
+    plan = SamplePlan.grid(3, epsilon=5e-324)
+
+    def read():
+        out = [f(v) for v in (1e-200, 1e200)
+               for f in (lambda v: dist([v, 0.0], [0.0, 0.0]), lambda v: norm([v, 0.0]))]
+        ball = Domain.ball([0.0, 0.0], 1e-170)
+        out += [Domain.box([0.0], [1e-170]), ball,
+                ball.contains([5e-171, 0.0]), ball.contains([1e200, 0.0])]
+        for kind in ("l1", "l2", "linf"):
+            T = piecewise_map(Domain.box([0.0], [1e-170], kind), 0.0, cases=[(5e-171, 1e-170)])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)   # prop1's, on condition_B's fail
+                out += [check_nonexpansive(T, plan), check_condition_C(T, plan),
+                        check_prop1(T, 0.5, BGammaMu(0.5, 0.25), plan),
+                        sweep_condition_B(T, [0.0, 0.5, 1.0], [0.0, 0.25], plan)]
+            out.append([str(w.message) for w in caught])
+        return out
+
+    want = read()
+    with np.errstate(all="raise"):
+        assert read() == want
 
 
 # --- property: linear maps with |a| <= 1 never violate the basic scan -------

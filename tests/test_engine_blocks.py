@@ -11,12 +11,14 @@ x_N of that recurrence (every iterate is distinct, so only at step N).
 import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fixedlab import (
     ConstantSchedule,
+    DecaySchedule,
     Domain,
     InvariantError,
     IterationConfig,
@@ -210,10 +212,10 @@ def test_a_residual_past_the_largest_square_inside_the_domain_reads_inf_under_th
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("run", ["overflow", "fixed-point", "underflow"])
+@pytest.mark.parametrize("run", ["overflow", "fixed-point", "underflow", "decay"])
 def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
-    """The records' per-map and fixed-point distances are normed under the
-    block's errstate too. 'overflow' stops the lam = 1e-300 run at step 1,
+    """The records' per-map and fixed-point distances are normed by the
+    distance rule too. 'overflow' stops the lam = 1e-300 run at step 1,
     whose residual and map residual square past the largest double (inf) and
     whose x_1 = 1e-300 squares to 0 in the ball's norm; 'fixed-point'
     moves towards the fixed point 0 until the squares of its coordinates
@@ -221,16 +223,23 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     tolerance 0 where those of w - x do; the diagnostics of its trace, whose
     norms underflow alike, give the same results. 'underflow' steps by
     lam = 1e-300 towards images 1e-10 x, so lam * w_n underflows in every
-    step's average: replay runs its step arithmetic, and norms its
-    deviations, under the engine's errstate, and passes."""
-    factor = {"fixed-point": 0.5, "underflow": 1e-10}.get(run)
+    step's average: replay runs its step arithmetic under its errstate,
+    norms its deviations by the rule, and passes. 'decay' blends two
+    scalings on DecaySchedule(0.5, 645.0), whose alpha at step 2,
+    0.5 / 3**645, lies below the normal range, in the run and in replay."""
+    ball = Domain.ball([0.0, 0.0], 1.0)
+    maps = None if run == "overflow" else (
+        make_family([scaling_map(ball, f) for f in (0.5, 0.6)])
+        if run == "decay" else scaling_map(ball, 0.5 if run == "fixed-point" else 1e-10))
 
     def trace():
         if run == "overflow":
             return krasnoselskii_run(TINY, [0.0, 0.0], IterationConfig(lam=1e-300, max_iters=1))
+        if run == "decay":
+            return multi_map_run(maps, DecaySchedule(0.5, 645.0), [0.6, 0.3],
+                                 IterationConfig(lam=0.5, max_iters=2))
         lam, max_iters = (0.5, 5_000) if run == "fixed-point" else (1e-300, 5)
-        return krasnoselskii_run(scaling_map(Domain.ball([0.0, 0.0], 1.0), factor), [0.6, 0.3],
-                                 IterationConfig(lam=lam, max_iters=max_iters))
+        return krasnoselskii_run(maps, [0.6, 0.3], IterationConfig(lam=lam, max_iters=max_iters))
 
     def text(t):
         out = io.StringIO()
@@ -240,10 +249,9 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     def diagnostics(t):
         if run == "overflow":
             return None
-        T = scaling_map(Domain.ball([0.0, 0.0], 1.0), factor)
         return (iterate.goebel_kirk_gap(t), iterate.monotone_distance_check(t, [0.0, 0.0]),
                 iterate.asymptotic_radius(t, [0.0, 0.0], min(100, len(t.records))),
-                iterate.replay_trace(t, T))
+                iterate.replay_trace(t, maps))
 
     want = trace()
     with np.errstate(all="raise"):
@@ -257,6 +265,9 @@ def test_a_trace_is_the_same_under_numpy_raising_on_every_error(run):
     elif run == "fixed-point":
         assert (want.stop_reason, last.residual) == ("tol", 0.0) and 0.0 < last.x[0] < 1e-154
         assert len(want.records) == want.total_steps + 1 > 1_000
+    elif run == "decay":
+        assert (want.stop_reason, want.total_steps) == ("max_iters", 2)
+        assert 0.0 < last.alpha < sys.float_info.min and got_diagnostics[-1].passed
     else:
         assert (want.stop_reason, want.total_steps, last.x) == ("max_iters", 5, (0.6, 0.3))
         assert (got_diagnostics[-1].passed, got_diagnostics[-1].observed_max) == (True, 0.0)

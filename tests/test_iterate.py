@@ -413,11 +413,12 @@ def test_single_engine_records_cross_decimation_start_bit_for_bit(monkeypatch):
     not of 160, so it is recorded only if it still took the undecimated
     stride. The run steps in blocks of 64, the last one cut at max_iters, and
     norms the records of each block that holds one in one call per column:
-    4 records a block up to step 9 983, then 1 and 2."""
+    4 records a block up to step 9 983, then 1 and 2. A call's shape is that
+    of the difference a - b it norms."""
     shapes = []
     norm = iterate._norm_last_axis
-    monkeypatch.setattr(iterate, "_norm_last_axis",
-                        lambda a, kind: shapes.append(a.shape) or norm(a, kind))
+    monkeypatch.setattr(iterate, "_norm_last_axis", lambda a, kind, b=None: shapes.append(
+        np.broadcast_shapes(a.shape, np.shape(b))) or norm(a, kind, b))
     ball = Domain.ball([0.0], 1.0)
     m = scaling_map(ball, 0.9999)
     cfg = IterationConfig(lam=0.5, max_iters=10_100, residual_tol=0.0, record_every=16)

@@ -675,3 +675,21 @@ def test_verify_schedule_names_the_value_outside_the_range_not_an_end(bad):
     with pytest.raises(ContractViolation, match=re.escape(
             f"schedule emitted {bad} outside [0, 1/2] at step 35") + "$"):
         verify_schedule(_Ends(bad, 35), 40)
+
+
+@pytest.mark.filterwarnings("error")
+def test_schedule_values_are_the_same_when_numpy_raises_on_every_error():
+    """A value below the normal range is served as the scalar formula gives
+    it when numpy raises on every floating-point error too: the tent of peak
+    1e-310 halves it at offset 1, the decay of rate 645 is 0.5 / 3**645 at
+    step 2."""
+    tent, decay = TentSchedule(1e-310, 4, 1.0), DecaySchedule(0.5, 645.0)
+
+    def read():
+        return list(tent.values(0, 8)), verify_schedule(tent, 100), list(decay.values(0, 3))
+
+    want = read()
+    with np.errstate(all="raise"):
+        assert read() == want
+    assert want[0][:3] == [0.0, 1e-310 / 2, 1e-310]
+    assert want[2] == reference_decay(0.5, 645.0, 3) and 0.0 < want[2][2] < sys.float_info.min
