@@ -12,11 +12,11 @@ They differ only in how the blend weights c_k are produced:
                         (the weight mass of the dropped geometric tail is
                         folded into the first map)
 
-Weight vectors are nonnegative and sum to 1 whenever a_n <= 1/2; the
-engines assert this once per distinct alpha. Zero weights are skipped in the
-blend, so the constant-zero schedule makes every engine execute bit-for-bit
-the same arithmetic as `krasnoselskii_run` — degeneracy is an identity here,
-not an approximation.
+Weight vectors are nonnegative and sum to 1 whenever a_n <= 1/2; the engines
+assert this by `vecspace._convex_steps` once per distinct alpha, and skip zero
+weights in the blend, so the constant-zero schedule makes every engine run
+bit for bit the arithmetic of `krasnoselskii_run` — degeneracy is an identity
+here, not an approximation.
 
 A run stops when the blend residual ||w_n - x_n|| falls to residual_tol,
 or after max_iters steps. The Trace records enough per step (iterate,
@@ -59,7 +59,8 @@ from .errors import (ContractViolation, DomainError, InvalidInputError, Invarian
 from .mappings import (Mapping, MappingFamily, _image, _images, _reader,
                        common_fixed_points)
 from .schedules import AlphaSchedule
-from .vecspace import Domain, _kernel, _norm_last_axis, _read_numbers, as_vector
+from .vecspace import (WEIGHT_TOL, Domain, _convex_steps, _kernel, _norm_last_axis,
+                       _read_numbers, as_vector)
 from .verdicts import Verdict, Witness
 
 __all__ = [
@@ -77,7 +78,6 @@ DECIMATION_START = 10_000
 
 MONOTONE_TOL = 1e-12
 REPLAY_TOL = 1e-12
-WEIGHT_TOL = 1e-12
 
 #: The engines keep the validated weights of at most this many distinct
 #: alphas, emptied when full: a growth-1 tent repeats its values, the shipped
@@ -335,33 +335,32 @@ _WEIGHT_RULES: dict[str, Callable[[list[float], int], list[list[float]]]] = {
 }
 
 
-def _broken(weights: Sequence[float]) -> bool:
-    """Whether weights break the invariant: a weight below 0, or a sum off 1
-    by more than WEIGHT_TOL. `not <=` so that a NaN weight fails as well; a
-    row with no NaN has a weight below 0 iff its min is."""
-    return min(weights) < 0.0 or not abs(math.fsum(weights) - 1.0) <= WEIGHT_TOL
-
-
 def _remember(memo: dict, rule: Callable, alphas: list[float], m: int) -> None:
     """Put into memo the step kernel and the weights of the alphas it lacks,
-    computed once for all of them, each kept only if it keeps the
-    invariant, a zero as None. If the rule raises for one of them none is
-    kept: each step then takes its alpha's weights alone. memo is emptied
-    first if they would not fit."""
+    computed once for all of them, each kept only if it is convex. If the
+    rule raises for one of them none is kept: each step then takes its
+    alpha's weights alone. memo is emptied first if they would not fit."""
     new = [a for a in dict.fromkeys(alphas) if a not in memo]
     if not new:
         return
     try:
-        columns = rule(new, m)
-        kept = zip(*([c or None for c in col] for col in columns))
-        every = _kernel(columns)         # no weight None: every map's term kept
-        fresh = {a: (every if all(w) else _kernel(w), w)
-                 for a, row, w in zip(new, zip(*columns), kept) if not _broken(row)}
+        fresh = {a: got for a, got in zip(new, _convex_steps(rule(new, m))) if got}
     except Exception:                    # whatever the rule raises, its step raises alone
         return
     if len(memo) + len(fresh) > _WEIGHT_MEMO:
         memo.clear()
     memo.update(fresh)
+
+
+def _step_at(rule: Callable, a: float, m: int, n: int) -> tuple[Callable, list]:
+    """The step kernel and weights of alpha a alone at step n, for an alpha the
+    memo lacks and for replay's re-run: InvariantError if they are not convex."""
+    columns = rule([a], m)
+    got = next(_convex_steps(columns))
+    if got is None:
+        raise InvariantError(
+            f"blend weights {[c for (c,) in columns]} invalid at step {n} (alpha={a})")
+    return got
 
 
 def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
@@ -403,15 +402,7 @@ def _run_engine(engine: str, members: Sequence[Mapping], domain: Domain, x0,
         _remember(memo, rule, todo, m)
         try:
             for i, a_n in enumerate(todo, n):
-                got = memo.get(a_n)
-                if got is None:          # the block's weights raised, or a_n's are broken
-                    wts = [c for (c,) in rule([a_n], m)]
-                    if _broken(wts):
-                        raise InvariantError(
-                            f"blend weights {wts} invalid at step {i} (alpha={a_n})")
-                    wts = [c or None for c in wts]
-                    got = _kernel(wts), wts
-                step, wts = got
+                step, wts = memo.get(a_n) or _step_at(rule, a_n, m, i)
                 images = [_image(t, x, i) for t in members] if settle else [f(x) for f in reads]
                 w, x = step(images, wts, x, lam)
                 ims.append(images)
@@ -649,8 +640,8 @@ def _rerun(members: Sequence[Mapping], engine: str, lam: float,
     rule, m, first, a = _WEIGHT_RULES[engine], len(members), int(steps[0]), alphas.tolist()
     for k, end, x in zip(steps[:-1].tolist(), steps[1:].tolist(), X[:-1].tolist()):
         for n in range(k, end):
-            wts = [c or None for (c,) in rule([a[n - first]], m)]
-            x = _kernel(wts)([_image(T, x, n) for T in members], wts, x, lam)[1]
+            step, wts = _step_at(rule, a[n - first], m, n)
+            x = step([_image(T, x, n) for T in members], wts, x, lam)[1]
         yield x
 
 

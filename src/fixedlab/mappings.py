@@ -98,8 +98,8 @@ def register_mapping(fn: Callable[[np.ndarray], np.ndarray],
 
 def evaluate(T: Mapping, x) -> Vector:
     """T(x), checked: x finite and in T's domain, T(x) finite and of x's shape.
-    fn gets a fresh float64 copy of x, as at every pointwise call in this
-    module, so a map that writes into its argument runs."""
+    fn gets a fresh float64 copy of x, as at every call of fn in this module,
+    so a map that writes into its argument runs."""
     v = as_vector(x)
     if v.shape != (T.domain.dimension,):
         raise DomainError(
@@ -144,11 +144,11 @@ def _image(T: Mapping, x: list[float], n: int) -> list[float]:
 def _images(T: Mapping, X: np.ndarray) -> Optional[np.ndarray]:
     """The images of the rows of the (n, d) float array X as `_image` reads
     them, or None if fn raised or one is invalid: `fn.floats` on X's d columns
-    at once, kept by column, where fn carries that form; else fn once per read-only row."""
+    at once, kept by column, where fn carries that form; else fn on each row of a copy."""
     form = getattr(T.fn, "floats", None)
     try:
         if form is None:
-            TX = np.array([np.array(T.fn(x), dtype=float) for x in _freeze(X.copy())])
+            TX = np.array([np.array(T.fn(x), dtype=float) for x in X.copy()])
             TX = TX[:, None] if TX.ndim == 1 else TX   # scalar images, as as_vector reads them
         else:
             img = form(list(X.T))

@@ -28,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ Vector = np.ndarray
 MEMBERSHIP_TOL = 1e-9
 
 #: Convex weights must sum to 1 within this absolute tolerance.
-WEIGHT_SUM_TOL = 1e-12
+WEIGHT_TOL = 1e-12
 
 
 def as_vector(coords: Union[float, Sequence[float], np.ndarray]) -> Vector:
@@ -68,23 +68,17 @@ class NormKind(str, Enum):
 
 
 def norm(v: Union[float, Sequence[float], np.ndarray], kind: NormKind = NormKind.L2) -> float:
-    """Norm of a vector under `kind`; zero vector gives exactly 0.0."""
-    a = np.atleast_1d(np.asarray(v, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"non-finite coordinate in {a.tolist()!r}")
-    return float(_norm_last_axis(a, kind))
+    """Norm under `kind` of v, read as `as_vector` reads it: a zero vector gives 0.0."""
+    return float(_norm_last_axis(as_vector(v), kind))
 
 
 def dist(x: np.ndarray, y: np.ndarray, kind: NormKind = NormKind.L2) -> float:
-    """Distance ||x - y|| under `kind` between two finite points of one
-    shape: inf where the norm of their difference overflows, as in `pairwise_norm`."""
+    """Distance ||x - y|| under `kind` between points of one shape, each read by
+    `as_vector`: inf where the norm of their difference overflows, as in `pairwise_norm`."""
     a, b = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if a.shape != b.shape:
         raise InvalidInputError(f"no distance between points of shapes {a.shape} and {b.shape}")
-    for v in (a, b):
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError(f"non-finite coordinate in {v.tolist()!r}")
-    return float(_norm_last_axis(np.atleast_1d(a), kind, b))
+    return float(_norm_last_axis(as_vector(a), kind, as_vector(b)))
 
 
 #: np.add.reduce adds fewer than this many terms in sequence, left to right;
@@ -366,7 +360,7 @@ def sample(domain: Domain, plan: SamplePlan) -> np.ndarray:
 
 
 def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -> Vector:
-    """Weighted average with nonnegative weights summing to 1 (within 1e-12).
+    """Weighted average with convex weights (see `_convex_steps`).
 
     Zero-weight terms are skipped entirely, passed to `_kernel` as None. That
     keeps a degenerate combination on the same arithmetic path as its reduced
@@ -378,20 +372,31 @@ def convex_combination(points: Sequence[np.ndarray], weights: Sequence[float]) -
     if len(points) == 0:
         raise ContractViolation("convex combination of zero points")
     ws = [float(w) for w in weights]
-    for w in ws:
-        if not math.isfinite(w) or w < 0.0:
-            raise ContractViolation(f"weights must be finite and >= 0, got {w}")
-    total = sum(ws)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ContractViolation(
-            f"weights sum to {total!r}, off from 1 by more than {WEIGHT_SUM_TOL}")
+    got = next(_convex_steps([[w] for w in ws]))
+    if got is None:
+        raise ContractViolation(f"weights {ws} are not convex: each must be >= 0, "
+                                f"their sum within {WEIGHT_TOL} of 1")
     arrays = [np.asarray(p, dtype=float) for p in points]
     if any(a.shape != arrays[0].shape for a in arrays):
         raise ContractViolation("points of mixed dimension in convex combination")
-    ws = [w or None for w in ws]
+    kernel, ws = got
     # the kernel's blend alone: there is no iterate to average with
-    blended = _kernel(ws)([a.ravel().tolist() for a in arrays], ws, (), 1.0)[0]
+    blended = kernel([a.ravel().tolist() for a in arrays], ws, (), 1.0)[0]
     return _freeze(np.reshape(blended, arrays[0].shape))
+
+
+def _convex_steps(columns: list[list[float]]) -> Iterator[Optional[tuple[Callable, list]]]:
+    """Per row of the m weight columns: None if it is not convex, else its step
+    kernel and its weights, each zero as None, marked by column. A row is
+    convex if no weight is below 0 and its sum lies within WEIGHT_TOL of 1:
+    a NaN fails `<=`, and so does a sum past the largest float."""
+    every = _kernel(columns)             # no weight None: for the rows with no zero
+    for row, w in zip(zip(*columns), zip(*([c or None for c in col] for col in columns))):
+        try:
+            convex = min(row) >= 0.0 and abs(math.fsum(row) - 1.0) <= WEIGHT_TOL
+        except OverflowError:
+            convex = False
+        yield (every if all(w) else _kernel(w), w) if convex else None
 
 
 #: The step kernels kept, one per pattern of kept weights: m maps have
@@ -401,7 +406,7 @@ _KERNELS = 64
 
 def _kernel(weights: Sequence) -> Callable:
     """The step kernel of the weights' pattern: the indices of the weights
-    that are not None (a zero weight, see convex_combination)."""
+    that are not None (a zero weight, see `_convex_steps`)."""
     return _compile(tuple(k for k, c in enumerate(weights) if c is not None))
 
 

@@ -1,14 +1,17 @@
 """A randomized referee for the block engine and replay.
 
 Hypothesis draws a run: the engine (single, multi or truncated) over 1 to
-5 maps in 1 to 3 dimensions, an l1, l2 or linf box or ball, each map with
-or without a float form, the schedule, lam, residual_tol, max_iters,
-record_every and the start point, and up to two events, each at a drawn
-step on a drawn map, of the kinds of `test_engine_blocks._map`: a NaN
-image, an image of another length, the map raising, a far image that
-leaves the domain, and a far image whose w - x overflows the norm. The
-engine must give what tests/helpers' plain per-step recurrence gives: the
-same records bit for bit, or the same exception type, message and step.
+5 maps in 1 to 3 dimensions, an l1, l2 or linf box or ball, each map a
+scaling (negative ones too: the domains are symmetric about 0) with or
+without a float form, the schedule, lam, residual_tol, max_iters,
+record_every and the start point (a coordinate may be 0.0 or -0.0, so a
+zero weight skipped and one multiplied in give records of other bits),
+and up to two events, each at a drawn step on a drawn map, of the kinds of
+`test_engine_blocks._map`: a NaN image, an image of another length, the
+map raising, a far image that leaves the domain, and a far image whose
+w - x overflows the norm. The engine must give what tests/helpers' plain
+per-step recurrence gives: the same records bit for bit, or the same
+exception type, message and step.
 Each finished trace must replay exactly: `passed`, `observed_max` 0.0.
 """
 import dataclasses
@@ -80,7 +83,9 @@ def _event_points(case, domain, weights, alphas):
     iterate of the run without events, which the run reaches, if at all,
     before any event fires. An event that a run without events cannot reach
     (its weights fail, or its alphas end, at an earlier step) is left out:
-    the run fails before it."""
+    the run fails before it. So is one at the origin, every map's known fixed
+    point: there it would fire in registration's and `common_fixed_points`'
+    checks of that point, before the run this referee transcribes."""
     plain = [_map("p", factor=f, domain=domain).fn for f in case.factors[:case.K]]
     points = {}
     for step, k, kind in case.events:
@@ -89,7 +94,8 @@ def _event_points(case, domain, weights, alphas):
                                         case.x0, step, -1.0, case.kind)[0]
         except (ContractViolation, IndexError, ValueError):
             continue
-        points[k] = (list(xs[step]), kind)
+        if any(xs[step]):                # not ±0.0 in every coordinate
+            points[k] = (list(xs[step]), kind)
     return points
 
 
@@ -157,13 +163,15 @@ def _cases(draw):
             st.builds(lambda a: _Listed(tuple(a)), st.lists(
                 st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.75, math.nan]),
                 min_size=1, max_size=max_iters + 1))))
-    coordinate = st.sampled_from([-0.5, -0.3, -0.1, 0.1, 0.2, 0.45])
+    # with a negative scaling a zero coordinate has images of both signs of
+    # zero, and a zero weight multiplied in (-0.0 + 0.0 * 0.0) would read 0.0
+    coordinate = st.sampled_from([-0.5, -0.3, -0.1, -0.0, 0.0, 0.1, 0.2, 0.45])
     step = st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, max_iters]) | st.integers(0, max_iters)
     events = draw(st.lists(st.tuples(step, st.sampled_from(range(K)), st.sampled_from(EVENTS)),
                            max_size=2, unique_by=lambda e: e[1]))
     return Case(engine=engine, d=d, kind=draw(st.sampled_from(["l1", "l2", "linf"])),
                 ball=draw(st.booleans()),
-                factors=tuple(draw(st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.99]),
+                factors=tuple(draw(st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.99, -0.5, -0.9]),
                                             min_size=size, max_size=size))),
                 forms=tuple(draw(st.lists(st.booleans(), min_size=size, max_size=size))),
                 K=K, schedule=schedule, lam=draw(st.sampled_from([0.5, 0.25, 0.9, 1e-3])),
@@ -181,6 +189,11 @@ LONG = Case(engine="multi", d=1, kind="l1", ball=False, factors=(0.9999, 0.9998)
             max_iters=10_030, every=3, x0=(0.45,))
 LONG_FAR = dataclasses.replace(LONG, engine="truncated", kind="l2", ball=True,
                                events=((10_005, 1, "far"),))
+#: Weights (1.0, 0.0) on the images (0.15, -0.0) and (-0.15, 0.0): a skipped
+#: zero weight keeps x_1's second coordinate -0.0, one multiplied in makes it 0.0.
+SIGNED_ZERO = Case(engine="multi", d=2, kind="l2", ball=False, factors=(0.5, -0.5),
+                   forms=(True, False), K=2, schedule=ConstantSchedule(0.0), lam=0.5,
+                   tol=0.0, max_iters=5, every=1, x0=(0.3, -0.0))
 
 
 def test_the_long_examples_cross_the_decimation_start_and_the_memo():
@@ -193,6 +206,7 @@ def test_the_long_examples_cross_the_decimation_start_and_the_memo():
           suppress_health_check=[HealthCheck.too_slow])
 @example(LONG)
 @example(LONG_FAR)
+@example(SIGNED_ZERO)
 @given(_cases())
 def test_the_engines_and_replay_agree_with_the_per_step_referee(case):
     _check(case)

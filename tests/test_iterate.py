@@ -983,10 +983,11 @@ def test_replay_raises_at_the_lower_of_two_bad_steps_in_one_block(monkeypatch, b
 
 
 @pytest.mark.parametrize("engine", ["single", "multi"])
-def test_a_map_that_writes_into_its_argument_replays_by_the_float_step(engine):
-    """The engine hands fn a fresh copy of x_n, the batch of replay a
-    read-only row, which such a map cannot write: `_images` gives None, and
-    each block is re-run by the engines' float step, to every record's bits."""
+def test_a_map_that_writes_into_its_argument_replays_in_the_lockstep(engine, monkeypatch):
+    """The engine hands fn a fresh copy of x_n, and the batch of replay a row
+    of its own copy of the records, which such a map may write: `_images`
+    reads every image at once, and the lockstep replays each record's bits
+    with no call of the per-step `_rerun`."""
     def halve(p):
         p *= 0.5
         return p
@@ -1001,13 +1002,33 @@ def test_a_map_that_writes_into_its_argument_replays_by_the_float_step(engine):
         maps, s = make_family([shift, T]), TentSchedule(0.25, 7, 1.6)
         t = multi_map_run(maps, s, [0.6, 0.3], cfg)
     steps, X = t.records.step, t.records.x
-    assert mappings._images(T, X) is None
+    assert mappings._images(T, X).tobytes() == (0.5 * X).tobytes()
+
+    def rerun(*args):
+        raise AssertionError("the lockstep fell back to _rerun")
+
+    monkeypatch.setattr(iterate, "_rerun", rerun)
     v = replay_trace(t, maps)
     assert v.passed and v.checked_pairs == 60 and v.observed_max == 0.0
     alphas = np.zeros(61) if s is None else np.fromiter(s.values(0, 61), float)
     members = [T] if s is None else maps.members
     predicted = iterate._lockstep(members, engine, 0.5, steps, X, alphas)
     assert predicted.tobytes() == X[1:].tobytes()
+
+
+def test_replay_s_float_step_refuses_weights_that_are_not_convex_as_the_engine_does():
+    """`_rerun` takes each alpha's weights as the engine's lone step does: at
+    alpha 0.75 three maps weigh [-0.3125, 0.75, 0.5625], and both raise the
+    same InvariantError at the same step."""
+    fam = scaling_family([0.99, 0.98, 0.97])
+    cfg = IterationConfig(lam=0.5, max_iters=10)
+    message = r"^blend weights \[-0\.3125, 0\.75, 0\.5625\] invalid at step 2 \(alpha=0\.75\)$"
+    with pytest.raises(InvariantError, match=message):
+        multi_map_run(fam, _Listed((0.1, 0.2, 0.75) + (0.1,) * 8), [0.6, 0.3], cfg)
+    X = np.array([[0.6, 0.3], [0.0, 0.0]])
+    with pytest.raises(InvariantError, match=message):
+        list(iterate._rerun(fam.members, "multi", 0.5, np.array([0, 4]), X,
+                            np.array([0.1, 0.2, 0.75, 0.1, 0.1])))
 
 
 @pytest.mark.parametrize("engine", ["single", "multi", "truncated"])

@@ -331,3 +331,31 @@ def test_a_map_that_writes_into_its_argument_registers_runs_replays_and_scans():
     assert t.total_steps == 80 and p.tolist() == [0.5, 0.25]
     assert replay_trace(t, fam).passed
     assert check_nonexpansive(h, SamplePlan.grid(5)).passed
+
+
+def test_a_map_that_writes_into_its_argument_is_read_in_one_batch(monkeypatch):
+    """`_images` hands each call of fn a row of its own copy of the points, so
+    a scan of such a map reads its images in one batch with no `evaluate`
+    call, and replay of its trace steps in the lockstep with no `_rerun`."""
+    from fixedlab import (IterationConfig, TentSchedule, check_nonexpansive,
+                          multi_map_run, replay_trace)
+    from fixedlab import iterate, mappings
+
+    def halve(p):
+        p *= 0.5
+        return p
+
+    h = register_mapping(halve, GALLERY_BALL, "halve", self_map=False)
+    fam = make_family([scaling_map(GALLERY_BALL, 0.9), h])
+    t = multi_map_run(fam, TentSchedule(0.25, 7, 1.6), [0.5, 0.25],
+                      IterationConfig(lam=0.5, max_iters=200, record_every=3))
+    X = sample(GALLERY_BALL, SamplePlan.grid(9))
+    assert mappings._images(h, X).tobytes() == (0.5 * X).tobytes()
+
+    def forbidden(*args):
+        raise AssertionError("a per-point fallback ran")
+
+    for owner, name in ((mappings, "evaluate"), (iterate, "_rerun")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert check_nonexpansive(h, SamplePlan.grid(9)).passed
+    assert replay_trace(t, fam).passed

@@ -8,6 +8,7 @@ convex_combination must skip zero weights so that a weight vector like
 """
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -82,6 +83,18 @@ def test_dist_refuses_a_non_finite_operand_and_reads_an_overflowing_distance_as_
         assert dist(x[0], y[0], kind) == pairwise_norm(x[:1], y[:1], kind)[0, 0]
         assert dist(x[1], y[1], kind) == math.inf   # the difference itself overflows
     assert dist(x[0], y[0]) == math.inf and dist(x[0], y[0], "l1") == 2e200
+
+
+@pytest.mark.parametrize("point", [[[3.0, 4.0]], [], np.zeros((2, 1))],
+                         ids=["2-d", "empty", "column"])
+def test_norm_and_dist_refuse_a_point_as_as_vector_does(point):
+    """A 2-d or an empty point is no vector: norm and dist read each point by
+    `as_vector`'s rule and refuse it with its error, not numpy's TypeError or 0.0."""
+    shape = re.escape(str(np.shape(point)))
+    message = rf"^expected a 1-d vector, got shape {shape}$"
+    for read in (as_vector, norm, lambda p: dist(p, p)):
+        with pytest.raises(InvalidInputError, match=message):
+            read(point)
 
 
 def test_norm_refuses_a_non_finite_coordinate_and_pairwise_norm_an_unknown_kind():
@@ -536,6 +549,20 @@ def test_convex_combination_weight_validation():
         convex_combination(pts, [1.2, -0.2])
     with pytest.raises(ContractViolation):
         convex_combination(pts, [1.0])
+
+
+@pytest.mark.parametrize("weights", [[1e308, 1e308], [math.nan, 1.0], [1.0, math.nan],
+                                     [math.inf, 0.0], [0.5, math.inf]],
+                         ids=["huge", "nan-first", "nan-last", "inf", "inf-last"])
+def test_convex_combination_refuses_huge_nan_and_inf_weights_by_the_engines_rule(weights):
+    """One rule, `vecspace._convex_steps`: a sum past the largest float is refused
+    like any other, never raised as math.fsum's OverflowError; a NaN fails
+    wherever it stands."""
+    pts = [as_vector([0.0]), as_vector([1.0])]
+    with pytest.raises(ContractViolation, match=r"^weights \[.*\] are not convex: "
+                                                r"each must be >= 0, their sum within 1e-12 of 1$"):
+        convex_combination(pts, weights)
+    assert list(vecspace._convex_steps([[w] for w in weights])) == [None]
 
 
 def test_convex_combination_refuses_zero_points_and_mixed_dimensions():
